@@ -119,7 +119,7 @@ def _identity_records(report: monoid.IdentityReport, kind: str) -> int:
 
 
 def cmd_axioms(args) -> int:
-    report = monoid.check_axioms(args.max_len, args.max_index, jobs=args.jobs)
+    report = monoid.check_axioms(args.max_len, args.max_index)
     if args.json:
         return _identity_records(report, "axiom")
     for line in report.lines():
@@ -146,7 +146,7 @@ def cmd_ncheck(args) -> int:
         else:
             print(f"no-witness-within-bound (degree <= {res.search_bound})")
         return 0
-    report = monoid.check_N_closure(args.max_len, args.max_index, jobs=args.jobs)
+    report = monoid.check_N_closure(args.max_len, args.max_index)
     if args.json:
         return _identity_records(report, "submonoid")
     for line in report.lines():
@@ -216,7 +216,7 @@ def cmd_audit(args) -> int:
     if not args.skip_termination:
         term = confluence.audit_termination(args.max_len, args.max_index)
         ok = ok and term.passed
-    conf = confluence.audit_local_confluence(args.max_index, args.disjoint_samples, jobs=args.jobs)
+    conf = confluence.audit_local_confluence(args.max_index, args.disjoint_samples)
     ok = ok and conf.passed
     oracle = None
     if not args.skip_oracle:
@@ -300,7 +300,7 @@ def cmd_oracle(args) -> int:
 def cmd_answer(args) -> int:
     verdict = monoid.answer_open_question()
     term = confluence.audit_termination(4, 3)
-    conf = confluence.audit_local_confluence(args.max_index, jobs=args.jobs)
+    conf = confluence.audit_local_confluence(args.max_index)
     certified = term.passed and conf.passed and conf.all_subcases_instantiated
     ok = verdict.verdict == monoid.NOT_ISO and certified
     if args.json:
@@ -379,14 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("axioms", cmd_axioms, "verify the defining identity suite within bounds")
     p.add_argument("--max-len", type=int, default=4)
     p.add_argument("--max-index", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("ncheck", cmd_ncheck, "submonoid closure checks, or membership search for a word")
     p.add_argument("word", nargs="?", default=None)
     p.add_argument("--max-len", type=int, default=3)
     p.add_argument("--max-index", type=int, default=2)
     p.add_argument("--max-degree", type=int, default=8, help="membership search bound")
-    p.add_argument("--jobs", type=int, default=1)
 
     add("iso", cmd_iso, "evaluate the conditions equivalent to the adjunction being an iso")
 
@@ -399,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disjoint-samples", type=int, default=32)
     p.add_argument("--skip-oracle", action="store_true")
     p.add_argument("--skip-termination", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("oracle", cmd_oracle, "bounded bidirectional equivalence search for two words")
     p.add_argument("left")
@@ -408,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("answer", cmd_answer, "the question's verdict with witnesses and certificate")
     p.add_argument("--max-index", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1)
 
     return parser
 

@@ -19,13 +19,11 @@ the audit checks both and records which one joins.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import product
 
-from .rewrite import RuleCase, apply, match_rule, normalize, reduction_graph, redexes
-from .words import EMPTY, EPS, ETA, Generator, Word, degree, render, word_key
+from .rewrite import RuleCase, apply, chain_lengths, forward_steps, match_rule, normalize, reduction_graph, redexes
+from .words import EPS, ETA, Generator, Word, _words_of_degree, all_words, degree, render, word_key
 from .words import eps as eps_letter
 from .words import eta as eta_letter
 
@@ -138,17 +136,18 @@ def disjoint_critical_pairs(w: Word) -> list[CriticalPair]:
 
 
 def sample_disjoint_parents(max_index: int, count: int) -> list[Word]:
-    """A deterministic sample of words carrying two disjoint redexes."""
-    rng = range(min(max_index, 3) + 1)
-    letters = sorted((Generator(kind, n) for kind in "he" for n in rng), key=lambda g: word_key((g,))[1])
+    """A deterministic sample of words of length 4 or 5 carrying two
+    disjoint redexes.
+    """
     found: list[Word] = []
-    for length in (4, 5):
-        for w in product(letters, repeat=length):
-            ps = [p for p, _ in redexes(w)]
-            if any(q - p >= 2 for p in ps for q in ps):
-                found.append(w)
-                if len(found) >= count:
-                    return found
+    for w in all_words(5, min(max_index, 3)):
+        if len(w) < 4:
+            continue
+        ps = [p for p, _ in redexes(w)]
+        if any(q - p >= 2 for p in ps for q in ps):
+            found.append(w)
+            if len(found) >= count:
+                return found
     return found
 
 
@@ -159,15 +158,16 @@ def common_reducts(pair: CriticalPair) -> frozenset[Word]:
     return frozenset(left & right)
 
 
+def _least(commons: frozenset[Word]) -> Word | None:
+    """The least common reduct by (degree, length, letters), if any."""
+    return min(commons, key=lambda w: (degree(w), word_key(w)), default=None)
+
+
 def resolve(pair: CriticalPair) -> CriticalPair:
     """Fill in a common lower bound for the pair, or leave it unset when
     none exists (which would falsify local confluence).
     """
-    commons = common_reducts(pair)
-    if not commons:
-        return replace(pair, bound_found=None)
-    best = min(commons, key=lambda w: (degree(w), word_key(w)))
-    return replace(pair, bound_found=best)
+    return replace(pair, bound_found=_least(common_reducts(pair)))
 
 
 # Closed-form common reducts per family/subcase, as functions of the
@@ -263,9 +263,7 @@ class LocalConfluenceReport:
         raise KeyError((family, subcase))
 
 
-def audit_local_confluence(
-    max_index: int = 6, disjoint_samples: int = 32, jobs: int = 1
-) -> LocalConfluenceReport:
+def audit_local_confluence(max_index: int = 6, disjoint_samples: int = 32) -> LocalConfluenceReport:
     """Resolve every overlap within the index bound plus a sample of
     disjoint-redex parents; tally joinability and closed-form hits.
     """
@@ -273,32 +271,24 @@ def audit_local_confluence(
     for w in sample_disjoint_parents(max_index, disjoint_samples):
         pairs.extend(disjoint_critical_pairs(w)[:1])
 
-    def work(pair: CriticalPair):
-        commons = common_reducts(pair)
-        return pair, resolve(pair), commons
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            resolved = list(pool.map(work, pairs))
-    else:
-        resolved = [work(p) for p in pairs]
-
     groups: dict[tuple[str, str | None], list] = {}
     unjoinable = []
-    for original, pair, commons in resolved:
-        groups.setdefault((pair.family, pair.subcase), []).append((original, pair, commons))
-        if pair.bound_found is None:
-            unjoinable.append(pair)
+    for pair in pairs:
+        commons = common_reducts(pair)
+        bound = _least(commons)
+        groups.setdefault((pair.family, pair.subcase), []).append((pair, bound, commons))
+        if bound is None:
+            unjoinable.append(replace(pair, bound_found=None))
 
     rows = []
     for (family, subcase), entries in sorted(groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
         formula_matches = formula_applicable = alt_matches = alt_applicable = 0
-        for original, _, commons in entries:
-            want = expected_bound(original)
+        for pair, _, commons in entries:
+            want = expected_bound(pair)
             if want is not None:
                 formula_applicable += 1
                 formula_matches += want in commons
-            alt = alternative_bound(original)
+            alt = alternative_bound(pair)
             if alt is not None:
                 alt_applicable += 1
                 alt_matches += alt in commons
@@ -307,8 +297,8 @@ def audit_local_confluence(
                 family,
                 subcase,
                 len(entries),
-                sum(1 for _, p, _ in entries if p.bound_found is not None),
-                entries[0][1].bound_found,
+                sum(1 for _, bound, _ in entries if bound is not None),
+                entries[0][1],
                 formula_matches,
                 formula_applicable,
                 alt_matches,
@@ -338,16 +328,6 @@ class TerminationReport:
         return not self.bad_steps and not self.chain_violations
 
 
-def all_words(max_len: int, max_index: int):
-    """Every word within the bounds, in (length, letterwise) order."""
-    letters = sorted(
-        (Generator(kind, n) for kind in "he" for n in range(max_index + 1)),
-        key=lambda g: word_key((g,))[1],
-    )
-    for length in range(max_len + 1):
-        yield from product(letters, repeat=length)
-
-
 def audit_termination(max_len: int, max_index: int) -> TerminationReport:
     """Check the degree drop of every redex of every word within bounds
     (1 per step, 2 for the vanishing rule) and that no reduction sequence
@@ -355,40 +335,28 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
     """
     if max_len < 1 or max_index < 1:
         raise ValueError("bounds must be >= 1")
-    longest: dict[Word, int] = {}
-
-    def chain(w: Word) -> int:
-        cached = longest.get(w)
-        if cached is None:
-            nexts = [w[:p] + r.rhs + w[p + 2 :] for p, r in redexes(w)]
-            cached = 1 + max(map(chain, nexts)) if nexts else 0
-            longest[w] = cached
-        return cached
-
-    words = steps = 0
+    # No rule raises an index or lengthens a word, so this population is
+    # closed under steps, as chain_lengths requires.
+    successors: dict[Word, list[Word]] = {}
+    steps = 0
     bad: list[tuple[Word, int, int]] = []
-    violations: list[Word] = []
-    deepest = 0
     for w in all_words(max_len, max_index):
-        words += 1
+        d = degree(w)
+        nexts = successors[w] = []
         for p, rule in redexes(w):
             steps += 1
-            drop = degree(w) - degree(w[:p] + rule.rhs + w[p + 2 :])
+            v = w[:p] + rule.rhs + w[p + 2 :]
+            drop = d - degree(v)
             want = 2 if rule.case is RuleCase.EPS_ETA_ZERO else 1
             if drop != want:
                 bad.append((w, p, drop))
-        depth = chain(w)
-        deepest = max(deepest, depth)
-        if depth > degree(w):
-            violations.append(w)
-    return TerminationReport(words, steps, tuple(bad), deepest, tuple(violations))
+            nexts.append(v)
+    lengths = chain_lengths(successors)
+    violations = tuple(w for w in successors if lengths[w] > degree(w))
+    return TerminationReport(len(successors), steps, tuple(bad), max(lengths.values()), violations)
 
 
 # --- equivalence oracle ------------------------------------------------------
-
-def forward_steps(w: Word) -> list[Word]:
-    return [w[:p] + rule.rhs + w[p + 2 :] for p, rule in redexes(w)]
-
 
 def inverse_steps(w: Word, max_degree: int) -> tuple[list[Word], bool]:
     """One-step predecessors of w with degree <= max_degree, by solving
@@ -472,18 +440,6 @@ def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
     return OracleVerdict(False, truncated, len(seen))
 
 
-@lru_cache(maxsize=None)
-def _words_of_degree(d: int) -> tuple[Word, ...]:
-    if d == 0:
-        return (EMPTY,)
-    out: list[Word] = []
-    for weight in range(1, d + 1):
-        for kind in "he":
-            head = Generator(kind, weight - 1)
-            out.extend((head,) + rest for rest in _words_of_degree(d - weight))
-    return tuple(out)
-
-
 def connected_components(max_degree: int) -> dict[Word, int]:
     """Component id of every word of degree <= max_degree under the
     undirected step relation, restricted to that universe.
@@ -532,25 +488,21 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
     population = list(all_words(max_len, max_index))
     component = connected_components(max_degree)
     nf = {w: normalize(w) for w in population}
-    discrepancies = []
-    pairs = 0
-    for a, u in enumerate(population):
-        for v in population[a:]:
-            pairs += 1
-            agree_oracle = component[u] == component[v]
-            agree_nf = nf[u] == nf[v]
-            if agree_oracle != agree_nf:
-                discrepancies.append((u, v, agree_oracle, agree_nf))
-    spot = 0
+    pairs = len(population) * (len(population) + 1) // 2
     stride = max(1, pairs // 25)
+    nf_discrepancies = []
+    spot_discrepancies = []
     seen = 0
     for a, u in enumerate(population):
         for v in population[a:]:
             seen += 1
-            if seen % stride:
-                continue
-            spot += 1
-            verdict = equivalent_bounded(u, v, max_degree)
-            if verdict.equivalent != (component[u] == component[v]):
-                discrepancies.append((u, v, verdict.equivalent, component[u] == component[v]))
-    return CrossCheckReport(len(population), pairs, tuple(discrepancies), spot)
+            agree_oracle = component[u] == component[v]
+            agree_nf = nf[u] == nf[v]
+            if agree_oracle != agree_nf:
+                nf_discrepancies.append((u, v, agree_oracle, agree_nf))
+            if seen % stride == 0:
+                verdict = equivalent_bounded(u, v, max_degree)
+                if verdict.equivalent != agree_oracle:
+                    spot_discrepancies.append((u, v, verdict.equivalent, agree_oracle))
+    discrepancies = tuple(nf_discrepancies + spot_discrepancies)
+    return CrossCheckReport(len(population), pairs, discrepancies, pairs // stride)

@@ -9,14 +9,11 @@ identity suite, and the submonoid of counit-shift images.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Callable
 
 from .rewrite import is_normal, normalize
-from .words import EMPTY, Generator, Word, concat, degree, render, word_key
+from .words import EMPTY, Generator, Word, concat, degree, normal_words, normal_words_of_degree, render
 from .words import eps as eps_letter
 from .words import eta as eta_letter
 
@@ -78,43 +75,6 @@ def elements(max_len: int, max_index: int) -> list[Element]:
     ordered by (length, letterwise).
     """
     return [Element(w) for w in normal_words(max_len, max_index)]
-
-
-def normal_words(max_len: int, max_index: int) -> list[Word]:
-    """Every canonical-form word within the bounds, constructed directly:
-    a non-decreasing eta block followed by a non-increasing eps block.
-    """
-    out: list[Word] = []
-    for total in range(max_len + 1):
-        for k in range(total + 1):
-            for ups in combinations_with_replacement(range(max_index + 1), k):
-                head = tuple(eta_letter(i) for i in ups)
-                for downs in combinations_with_replacement(range(max_index + 1), total - k):
-                    out.append(head + tuple(eps_letter(j) for j in reversed(downs)))
-    out.sort(key=word_key)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _ascending_partitions(n: int, minimum: int = 1) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    parts = []
-    for first in range(minimum, n + 1):
-        parts.extend((first,) + rest for rest in _ascending_partitions(n - first, first))
-    return tuple(parts)
-
-
-def normal_words_of_degree(d: int) -> list[Word]:
-    """Canonical-form words of exact degree d, in (length, letterwise) order."""
-    out: list[Word] = []
-    for up_weight in range(d + 1):
-        for ups in _ascending_partitions(up_weight):
-            head = tuple(eta_letter(p - 1) for p in ups)
-            for downs in _ascending_partitions(d - up_weight):
-                out.append(head + tuple(eps_letter(p - 1) for p in reversed(downs)))
-    out.sort(key=word_key)
-    return out
 
 
 # --- identity suite ---------------------------------------------------------
@@ -179,31 +139,19 @@ def _elementwise_identities() -> list[tuple[str, Callable[[Word], tuple[Word, Wo
     ]
 
 
-def _first_counterexample(pop, sides, label, jobs: int = 1) -> tuple[int, Counterexample | None]:
-    """Check lhs/rhs agreement over a population; deterministic first failure."""
-
-    def check(w):
+def _first_counterexample(pop, sides, label) -> tuple[int, Counterexample | None]:
+    """Check lhs/rhs agreement over a population; first failure in population order."""
+    count = 0
+    for w in pop:
+        count += 1
         lhs, rhs = sides(w)
         a, b = normalize(lhs), normalize(rhs)
-        return None if a == b else Counterexample(label(w), a, b)
-
-    count = 0
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for found in pool.map(check, pop):
-                count += 1
-                if found is not None:
-                    return count, found
-    else:
-        for w in pop:
-            count += 1
-            found = check(w)
-            if found is not None:
-                return count, found
+        if a != b:
+            return count, Counterexample(label(w), a, b)
     return count, None
 
 
-def check_axioms(max_len: int, max_index: int, jobs: int = 1) -> IdentityReport:
+def check_axioms(max_len: int, max_index: int) -> IdentityReport:
     """Verify the defining identity suite over all elements within bounds,
     normalizing both sides of each instance.
     """
@@ -216,12 +164,12 @@ def check_axioms(max_len: int, max_index: int, jobs: int = 1) -> IdentityReport:
         bad = None if a == b else Counterexample("1", a, b)
         results.append(IdentityResult(name, 1, bad))
     for name, sides in _elementwise_identities():
-        n, bad = _first_counterexample(pop, sides, lambda w: render(w), jobs)
+        n, bad = _first_counterexample(pop, sides, lambda w: render(w))
         results.append(IdentityResult(name, n, bad))
     return IdentityReport(tuple(results))
 
 
-def check_N_closure(max_len: int, max_index: int, jobs: int = 1) -> IdentityReport:
+def check_N_closure(max_len: int, max_index: int) -> IdentityReport:
     """Closure of the counit-shift submonoid under products, plus the
     recovery identity n = eps*f(n*eta) for each member n = eps*f(m).
     """
@@ -240,7 +188,6 @@ def check_N_closure(max_len: int, max_index: int, jobs: int = 1) -> IdentityRepo
         pairs,
         closure_sides,
         lambda p: f"({render(p[0])}, {render(p[1])})",
-        jobs,
     )
     closure = IdentityResult("eps*f(m1)*eps*f(m2)=eps*f(eps*f(m1)*m2)", n, bad)
 
@@ -248,7 +195,7 @@ def check_N_closure(max_len: int, max_index: int, jobs: int = 1) -> IdentityRepo
         member = normalize(_E0 + shift_word(w))
         return member, _E0 + shift_word(member + _H0)
 
-    n, bad = _first_counterexample(pop, recovery_sides, lambda w: f"n=eps*f({render(w)})", jobs)
+    n, bad = _first_counterexample(pop, recovery_sides, lambda w: f"n=eps*f({render(w)})")
     recovery = IdentityResult("n=eps*f(n*eta)", n, bad)
     return IdentityReport((closure, recovery))
 

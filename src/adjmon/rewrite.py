@@ -20,11 +20,12 @@ eps block with non-increasing indices.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise
 
-from .words import EPS, ETA, Generator, Word, eps, eta
+from .words import EPS, ETA, Generator, Word, degree, eps, eta
 
 
 class RuleCase(str, Enum):
@@ -87,6 +88,11 @@ def redexes(w: Word) -> list[tuple[int, RuleInstance]]:
     return out
 
 
+def forward_steps(w: Word) -> list[Word]:
+    """The reduct of every redex of w, left to right; repeats are kept."""
+    return [w[:p] + rule.rhs + w[p + 2 :] for p, rule in redexes(w)]
+
+
 class NotARedexError(ValueError):
     pass
 
@@ -121,8 +127,9 @@ class Trace:
         return self.steps[-1].after if self.steps else self.start
 
 
-def normalize(w: Word) -> Word:
-    """Reduce the leftmost redex until none remains.
+def _reduce(w: Word, steps: list[Step] | None) -> Word:
+    """Reduce the leftmost redex until none remains, appending each step
+    to ``steps`` when a list is given.
 
     After a rewrite at p the leftmost redex of the result is at p-1 or
     later, so the scan resumes there instead of from the front.
@@ -133,26 +140,24 @@ def normalize(w: Word) -> Word:
         rule = match_rule(letters[p], letters[p + 1])
         if rule is None:
             p += 1
-        else:
-            letters[p : p + 2] = rule.rhs
-            p = max(p - 1, 0)
+            continue
+        if steps is not None:
+            before = tuple(letters)
+            steps.append(Step(p, rule, before, before[:p] + rule.rhs + before[p + 2 :]))
+        letters[p : p + 2] = rule.rhs
+        p = max(p - 1, 0)
     return tuple(letters)
+
+
+def normalize(w: Word) -> Word:
+    """Reduce the leftmost redex until none remains."""
+    return _reduce(w, None)
 
 
 def normalize_trace(w: Word) -> Trace:
     """Like :func:`normalize` but recording every step."""
     steps: list[Step] = []
-    letters = list(w)
-    p = 0
-    while p < len(letters) - 1:
-        rule = match_rule(letters[p], letters[p + 1])
-        if rule is None:
-            p += 1
-            continue
-        before = tuple(letters)
-        letters[p : p + 2] = rule.rhs
-        steps.append(Step(p, rule, before, tuple(letters)))
-        p = max(p - 1, 0)
+    _reduce(w, steps)
     return Trace(w, tuple(steps))
 
 
@@ -200,15 +205,7 @@ class ReductionGraph:
 
     def longest_chain(self) -> int:
         """Length of the longest reduction sequence from the root."""
-        depth: dict[Word, int] = {}
-
-        def visit(u: Word) -> int:
-            if u not in depth:
-                vs = self.successors[u]
-                depth[u] = 1 + max(map(visit, vs)) if vs else 0
-            return depth[u]
-
-        return visit(self.root)
+        return chain_lengths(self.successors)[self.root]
 
 
 def reduction_graph(w: Word) -> ReductionGraph:
@@ -219,11 +216,22 @@ def reduction_graph(w: Word) -> ReductionGraph:
         u = queue.popleft()
         if u in successors:
             continue
-        nexts: list[Word] = []
-        for p, rule in redexes(u):
-            v = u[:p] + rule.rhs + u[p + 2 :]
-            if v not in nexts:
-                nexts.append(v)
-        successors[u] = tuple(nexts)
+        nexts = tuple(dict.fromkeys(forward_steps(u)))
+        successors[u] = nexts
         queue.extend(v for v in nexts if v not in successors)
     return ReductionGraph(w, successors)
+
+
+def chain_lengths(successors: dict[Word, Sequence[Word]]) -> dict[Word, int]:
+    """Length of the longest reduction sequence from every word of a set,
+    given the one-step reducts of each.
+
+    The set must be closed under steps: every reduct is itself a key.
+    Every step lowers ``degree``, so in ascending degree order each
+    reduct's length is known before it is needed.
+    """
+    lengths: dict[Word, int] = {}
+    for w in sorted(successors, key=degree):
+        vs = successors[w]
+        lengths[w] = 1 + max(lengths[v] for v in vs) if vs else 0
+    return lengths

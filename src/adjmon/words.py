@@ -4,11 +4,15 @@ A word is a tuple of :class:`Generator` letters; the empty tuple is the
 monoid identity.  The text format is space-optional tokens ``h<k>`` /
 ``e<k>`` (Unicode aliases ``η<k>`` / ``ε<k>`` accepted on input), with the
 bare token ``1`` standing for the empty word.  ``degree`` is the additive
-measure that makes every rewrite step strictly decreasing.
+measure that makes every rewrite step strictly decreasing.  The
+enumerators list words within bounds, all of them or only the canonical
+forms, in the deterministic order of ``word_key``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
 ETA = "h"
@@ -109,3 +113,64 @@ def render(w: Word) -> str:
     if not w:
         return "1"
     return " ".join(f"{g.kind}{g.index}" for g in w)
+
+
+# --- enumeration ------------------------------------------------------------
+
+def all_words(max_len: int, max_index: int):
+    """Every word within the bounds, in (length, letterwise) order."""
+    letters = sorted(
+        (Generator(kind, n) for kind in (ETA, EPS) for n in range(max_index + 1)),
+        key=letter_key,
+    )
+    for length in range(max_len + 1):
+        yield from product(letters, repeat=length)
+
+
+@lru_cache(maxsize=None)
+def _words_of_degree(d: int) -> tuple[Word, ...]:
+    if d == 0:
+        return (EMPTY,)
+    out: list[Word] = []
+    for weight in range(1, d + 1):
+        for kind in (ETA, EPS):
+            head = Generator(kind, weight - 1)
+            out.extend((head,) + rest for rest in _words_of_degree(d - weight))
+    return tuple(out)
+
+
+def normal_words(max_len: int, max_index: int) -> list[Word]:
+    """Every canonical-form word within the bounds, constructed directly:
+    a non-decreasing eta block followed by a non-increasing eps block.
+    """
+    out: list[Word] = []
+    for total in range(max_len + 1):
+        for k in range(total + 1):
+            for ups in combinations_with_replacement(range(max_index + 1), k):
+                head = tuple(eta(i) for i in ups)
+                for downs in combinations_with_replacement(range(max_index + 1), total - k):
+                    out.append(head + tuple(eps(j) for j in reversed(downs)))
+    out.sort(key=word_key)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ascending_partitions(n: int, minimum: int = 1) -> tuple[tuple[int, ...], ...]:
+    if n == 0:
+        return ((),)
+    parts = []
+    for first in range(minimum, n + 1):
+        parts.extend((first,) + rest for rest in _ascending_partitions(n - first, first))
+    return tuple(parts)
+
+
+def normal_words_of_degree(d: int) -> list[Word]:
+    """Canonical-form words of exact degree d, in (length, letterwise) order."""
+    out: list[Word] = []
+    for up_weight in range(d + 1):
+        for ups in _ascending_partitions(up_weight):
+            head = tuple(eta(p - 1) for p in ups)
+            for downs in _ascending_partitions(d - up_weight):
+                out.append(head + tuple(eps(p - 1) for p in reversed(downs)))
+    out.sort(key=word_key)
+    return out

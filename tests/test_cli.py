@@ -161,3 +161,9 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    code = "import adjmon.cli; import sys; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -149,12 +149,6 @@ def test_audit_local_confluence_low_bound_reports_missing():
     }
 
 
-def test_audit_jobs_deterministic():
-    assert audit_local_confluence(3, disjoint_samples=8, jobs=4) == audit_local_confluence(
-        3, disjoint_samples=8
-    )
-
-
 # --- termination --------------------------------------------------------------
 
 def test_audit_termination():

@@ -118,10 +118,6 @@ def test_check_axioms_specific_instances():
     assert normalize(parse("e0 h0")) == ()
 
 
-def test_check_axioms_jobs_deterministic():
-    assert check_axioms(2, 2, jobs=4) == check_axioms(2, 2)
-
-
 def test_check_axioms_rejects_bad_bounds():
     with pytest.raises(ValueError):
         check_axioms(0, 3)

@@ -155,6 +155,11 @@ def test_longest_chain():
     assert reduction_graph(parse("h0 e0")).longest_chain() == 0
 
 
+def test_longest_chain_deeper_than_recursion_limit():
+    w = (eps(0),) * 600 + (eta(0),) * 600
+    assert reduction_graph(w).longest_chain() == 600
+
+
 def test_graph_deduplicates_nodes():
     # both redexes of this word produce the same successor
     w = parse("e0 h0 e0 h0")
