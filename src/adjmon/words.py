@@ -102,7 +102,11 @@ def parse(text: str) -> Word:
             raise WordSyntaxError(f"missing index after {ch!r}", text, start)
         if identity_seen:
             raise WordSyntaxError("token '1' mixed with other tokens", text, start)
-        letters.append(Generator(kind, int(text[digits:pos])))
+        try:
+            index = int(text[digits:pos])
+        except ValueError:  # more digits than the interpreter's int conversion limit
+            raise WordSyntaxError(f"index after {ch!r} has too many digits", text, start) from None
+        letters.append(Generator(kind, index))
     if not letters and not identity_seen:
         raise WordSyntaxError("empty input (write '1' for the identity)", text, 0)
     return tuple(letters)

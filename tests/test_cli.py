@@ -61,6 +61,9 @@ def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "normalize", "h0 xx")
     assert code == 2
     assert "byte offset 3" in err
+    code, _, err = run(capsys, "normalize", "h" + "9" * 5000)
+    assert code == 2
+    assert "byte offset 0" in err
 
 
 def test_unknown_verb_exit_2():
@@ -85,6 +88,12 @@ def test_ncheck_closure_and_membership(capsys):
     code, out, _ = run(capsys, "ncheck", "h0 e0", "--max-degree", "5")
     assert code == 0
     assert "no-witness-within-bound" in out
+
+
+def test_ncheck_negative_bound_exit_2(capsys):
+    code, out, err = run(capsys, "ncheck", "h0 e0", "--max-degree", "-1")
+    assert (code, out) == (2, "")
+    assert "search bound" in err
 
 
 def test_iso(capsys):

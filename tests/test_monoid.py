@@ -148,6 +148,34 @@ def test_in_N_examples():
     assert not in_N(element(parse("h0 e0")), 6).member
 
 
+def test_in_N_rejects_negative_bound():
+    with pytest.raises(ValueError):
+        in_N(eps(), -1)
+
+
+def test_in_N_agrees_with_witness_scan():
+    # reference: scan canonical forms by ascending degree for the first w
+    # with eps*f(w) = a, the search in_N decides without enumerating
+    population = [w for d in range(7) for w in normal_words_of_degree(d)]
+    images = {w: counit_shift(Element(w)).nf for w in population}
+
+    def scan(a, bound):
+        for w in population:
+            if degree(w) <= bound and images[w] == a.nf:
+                return Element(w)
+        return None
+
+    cases = 0
+    for w in population:
+        a = Element(w)
+        for bound in range(7):
+            res = in_N(a, bound)
+            witness = scan(a, bound)
+            assert (res.member, res.witness) == (witness is not None, witness)
+            cases += 1
+    assert cases == 973
+
+
 def test_in_N_witness_verifies():
     for text in ("e0", "1", "h1 e1", "h2 h2 e0"):
         a = element(parse(text))

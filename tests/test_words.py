@@ -1,5 +1,6 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from adjmon.words import (
     EMPTY,
@@ -86,12 +87,25 @@ def test_render_parse_canonicalizes_text():
         ("h0 1", 3),
         ("η0 x", 4),  # byte offset counts the two-byte eta
         ("", 0),
+        pytest.param("h" + "9" * 5000, 0, id="oversized-index"),  # more digits than int() converts
+        pytest.param("h0 e" + "9" * 5000, 3, id="oversized-second-index"),
     ],
 )
 def test_parse_errors_carry_byte_offset(text, offset):
     with pytest.raises(WordSyntaxError) as exc:
         parse(text)
     assert exc.value.offset == offset
+
+
+@given(st.one_of(st.text(), st.text(alphabet="heηε1234567890 \t")))
+@example("h" + "9" * 5000)
+def test_parse_returns_word_or_syntax_error(text):
+    try:
+        w = parse(text)
+    except WordSyntaxError:
+        return
+    assert isinstance(w, tuple)
+    assert all(isinstance(g, Generator) and g.index >= 0 for g in w)
 
 
 def test_parse_rejects_unicode_digits():
