@@ -15,12 +15,19 @@ positionally.  EEH and EHH each split into seven subcases by index
 comparisons, every one with a known closed-form common reduct.  The
 subcase named "k>i+1" of EHH has two printed closed forms in circulation;
 the audit checks both and records which one joins.
+
+``rewrite.match_rule`` is the only rule table.  Overlap parents are the
+three-letter words in which it finds two redexes, classified by letter
+pattern; the oracle's one-step predecessors are the left-hand sides it
+maps onto each factor, plus inserted ``e0 h0``.  The sixteen closed forms
+(EEE, HHH and the fourteen subcases) live in the one table ``_BOUNDS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
 
 from .rewrite import RuleCase, apply, chain_lengths, forward_steps, match_rule, normalize, reduction_graph, redexes
 from .words import EPS, ETA, Generator, Word, _words_of_degree, all_words, degree, render, word_key
@@ -79,40 +86,29 @@ def ehh_subcase(i: int, j: int, k: int) -> str:
     return "k>i+1"
 
 
-def _overlap_pair(parent: Word, family: str, subcase: str | None) -> CriticalPair:
-    return CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, subcase)
+_SUBCASE_OF = {EEE: None, HHH: None, EEH: eeh_subcase, EHH: ehh_subcase}
 
 
 def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
     """Every three-letter parent with two overlapping redexes, indices
     bounded by max_index, tagged with family and subcase.
 
-    Cross-checked on the fly against a blind scan of all three-letter
-    words: any overlap outside the four families is a hard error.
+    The parents come from a blind scan of all three-letter words with
+    ``match_rule``; an overlap outside the four families is a hard error.
     """
     if max_index < 2:
         raise ValueError("max_index must be >= 2 to instantiate every subcase family")
-    rng = range(max_index + 1)
+    letters = [Generator(kind, n) for kind in "he" for n in range(max_index + 1)]
     pairs: list[CriticalPair] = []
-    for i, j, k in product(rng, repeat=3):
-        if i < j < k:
-            pairs.append(_overlap_pair((eps_letter(i), eps_letter(j), eps_letter(k)), EEE, None))
-        if i > j > k:
-            pairs.append(_overlap_pair((eta_letter(i), eta_letter(j), eta_letter(k)), HHH, None))
-        if i < j:
-            pairs.append(
-                _overlap_pair((eps_letter(i), eps_letter(j), eta_letter(k)), EEH, eeh_subcase(i, j, k))
-            )
-        if j > k:
-            pairs.append(
-                _overlap_pair((eps_letter(i), eta_letter(j), eta_letter(k)), EHH, ehh_subcase(i, j, k))
-            )
-    enumerated = {p.parent for p in pairs}
-    letters = [Generator(kind, n) for kind in "he" for n in rng]
-    for triple in product(letters, repeat=3):
-        has_both = match_rule(*triple[:2]) is not None and match_rule(*triple[1:]) is not None
-        if has_both != (triple in enumerated):
-            raise AssertionError(f"overlap scan mismatch at {render(triple)}")
+    for parent in product(letters, repeat=3):
+        if match_rule(*parent[:2]) is None or match_rule(*parent[1:]) is None:
+            continue
+        family = "".join(g.kind for g in parent).upper()
+        if family not in _SUBCASE_OF:
+            raise AssertionError(f"overlap outside the four families at {render(parent)}")
+        subcase_of = _SUBCASE_OF[family]
+        subcase = subcase_of(*(g.index for g in parent)) if subcase_of else None
+        pairs.append(CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, subcase))
     pairs.sort(key=lambda p: (p.family, word_key(p.parent)))
     return pairs
 
@@ -139,16 +135,10 @@ def sample_disjoint_parents(max_index: int, count: int) -> list[Word]:
     """A deterministic sample of words of length 4 or 5 carrying two
     disjoint redexes.
     """
-    found: list[Word] = []
-    for w in all_words(5, min(max_index, 3)):
-        if len(w) < 4:
-            continue
-        ps = [p for p, _ in redexes(w)]
-        if any(q - p >= 2 for p in ps for q in ps):
-            found.append(w)
-            if len(found) >= count:
-                return found
-    return found
+    if count < 0:
+        raise ValueError("disjoint sample count must be >= 0")
+    parents = (w for w in all_words(5, min(max_index, 3)) if disjoint_critical_pairs(w))
+    return list(islice(parents, count))
 
 
 def common_reducts(pair: CriticalPair) -> frozenset[Word]:
@@ -171,61 +161,40 @@ def resolve(pair: CriticalPair) -> CriticalPair:
 
 
 # Closed-form common reducts per family/subcase, as functions of the
-# parent indices.  EHH/"k>i+1" carries the two circulating variants.
-def _eee_bound(i, j, k):
-    return (eps_letter(k - 2), eps_letter(j - 1), eps_letter(i))
-
-
-def _hhh_bound(i, j, k):
-    return (eta_letter(k), eta_letter(j - 1), eta_letter(i - 2))
-
-
-_EEH_BOUNDS = {
-    "k>j+1": lambda i, j, k: (eta_letter(k - 2), eps_letter(j - 1), eps_letter(i)),
-    "k=j+1": lambda i, j, k: (eps_letter(i),),
-    "k=j": lambda i, j, k: (eps_letter(i),),
-    "i+1<k<j": lambda i, j, k: (eta_letter(k - 1), eps_letter(j - 2), eps_letter(i)),
-    "k=i+1<j": lambda i, j, k: (eps_letter(j - 1),),
-    "k=i": lambda i, j, k: (eps_letter(j - 1),),
-    "k<i": lambda i, j, k: (eta_letter(k), eps_letter(j - 2), eps_letter(i - 1)),
+# parent indices i, j, k.
+_BOUNDS = {
+    (EEE, None): lambda i, j, k: (eps_letter(k - 2), eps_letter(j - 1), eps_letter(i)),
+    (HHH, None): lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eta_letter(i - 2)),
+    (EEH, "k>j+1"): lambda i, j, k: (eta_letter(k - 2), eps_letter(j - 1), eps_letter(i)),
+    (EEH, "k=j+1"): lambda i, j, k: (eps_letter(i),),
+    (EEH, "k=j"): lambda i, j, k: (eps_letter(i),),
+    (EEH, "i+1<k<j"): lambda i, j, k: (eta_letter(k - 1), eps_letter(j - 2), eps_letter(i)),
+    (EEH, "k=i+1<j"): lambda i, j, k: (eps_letter(j - 1),),
+    (EEH, "k=i"): lambda i, j, k: (eps_letter(j - 1),),
+    (EEH, "k<i"): lambda i, j, k: (eta_letter(k), eps_letter(j - 2), eps_letter(i - 1)),
+    (EHH, "i>j"): lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eps_letter(i - 2)),
+    (EHH, "i=j"): lambda i, j, k: (eta_letter(k),),
+    (EHH, "i=j-1"): lambda i, j, k: (eta_letter(k),),
+    (EHH, "k<i<j-1"): lambda i, j, k: (eta_letter(k), eta_letter(j - 2), eps_letter(i - 1)),
+    (EHH, "k=i<j-1"): lambda i, j, k: (eta_letter(j - 1),),
+    (EHH, "k=i+1"): lambda i, j, k: (eta_letter(j - 1),),
+    (EHH, "k>i+1"): lambda i, j, k: (eta_letter(k - 1), eta_letter(j - 2), eps_letter(i)),
 }
-
-_EHH_BOUNDS = {
-    "i>j": lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eps_letter(i - 2)),
-    "i=j": lambda i, j, k: (eta_letter(k),),
-    "i=j-1": lambda i, j, k: (eta_letter(k),),
-    "k<i<j-1": lambda i, j, k: (eta_letter(k), eta_letter(j - 2), eps_letter(i - 1)),
-    "k=i<j-1": lambda i, j, k: (eta_letter(j - 1),),
-    "k=i+1": lambda i, j, k: (eta_letter(j - 1),),
-    "k>i+1": lambda i, j, k: (eta_letter(k - 1), eta_letter(j - 2), eps_letter(i)),
-}
-
-
-def _ehh_alt_bound(i, j, k):
-    # the other printed form for EHH/"k>i+1"; undefined when i = 0
-    if i < 1:
-        return None
-    return (eps_letter(k), eta_letter(j - 2), eta_letter(i - 1))
 
 
 def expected_bound(pair: CriticalPair) -> Word | None:
     """The known closed-form bound for an overlap pair, if any."""
     if pair.family == DISJOINT:
         return pair.bound_found
-    idx = tuple(g.index for g in pair.parent)
-    if pair.family == EEE:
-        return _eee_bound(*idx)
-    if pair.family == HHH:
-        return _hhh_bound(*idx)
-    if pair.family == EEH:
-        return _EEH_BOUNDS[pair.subcase](*idx)
-    return _EHH_BOUNDS[pair.subcase](*idx)
+    return _BOUNDS[pair.family, pair.subcase](*(g.index for g in pair.parent))
 
 
 def alternative_bound(pair: CriticalPair) -> Word | None:
-    if pair.family == EHH and pair.subcase == "k>i+1":
-        return _ehh_alt_bound(*(g.index for g in pair.parent))
-    return None
+    """The other printed closed form for EHH/"k>i+1"; undefined when i = 0."""
+    if pair.family != EHH or pair.subcase != "k>i+1":
+        return None
+    i, j, k = (g.index for g in pair.parent)
+    return (eps_letter(k), eta_letter(j - 2), eta_letter(i - 1)) if i >= 1 else None
 
 
 @dataclass(frozen=True)
@@ -306,10 +275,7 @@ def audit_local_confluence(max_index: int = 6, disjoint_samples: int = 32) -> Lo
             )
         )
 
-    expected = {(EEE, None), (HHH, None)}
-    expected |= {(EEH, s) for s in EEH_SUBCASES}
-    expected |= {(EHH, s) for s in EHH_SUBCASES}
-    missing = tuple(sorted((f, str(s)) for f, s in expected - set(groups)))
+    missing = tuple(sorted((f, str(s)) for f, s in set(_BOUNDS) - set(groups)))
     return LocalConfluenceReport(max_index, tuple(rows), missing, tuple(unjoinable))
 
 
@@ -358,49 +324,39 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
 
 # --- equivalence oracle ------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _left_sides(x: Generator, y: Generator) -> tuple[Word, ...]:
+    """Every two-letter left-hand side that ``match_rule`` rewrites to ``x y``."""
+    total = x.index + y.index + 1
+    out = []
+    for n, a, b in product(range(total + 1), (ETA, EPS), (ETA, EPS)):
+        lhs = (Generator(a, n), Generator(b, total - n))
+        rule = match_rule(*lhs)
+        if rule is not None and rule.rhs == (x, y):
+            out.append(lhs)
+    return tuple(out)
+
+
 def inverse_steps(w: Word, max_degree: int) -> tuple[list[Word], bool]:
-    """One-step predecessors of w with degree <= max_degree, by solving
-    each rule's right-hand side against every factor, plus insertions of
-    the vanishing rule's left-hand side.  Also reports whether any
-    predecessor was cut off by the bound.
+    """One-step predecessors of w with degree <= max_degree: every factor
+    replaced by a left-hand side that rewrites to it, then the vanishing
+    rule's left-hand side inserted at every position.  Also reports
+    whether any predecessor was cut off by the bound.
     """
+    # Two facts, both checked by audit_termination, make this complete:
+    # every non-vanishing step lowers degree by exactly 1 (so a factor's
+    # left-hand sides have index sum one higher), and e0 h0 is the only
+    # left-hand side that vanishes.  Predecessors thus have degree d+1 or
+    # d+2, and as the d+2 insertions always exist, one is cut off exactly
+    # when d+2 exceeds the bound.
     d = degree(w)
     parents: list[Word] = []
-    truncated = False
-
-    def emit(p: int, lhs: tuple[Generator, ...], consumed: int) -> None:
-        nonlocal truncated
-        parent = w[:p] + lhs + w[p + consumed :]
-        if degree(parent) > max_degree:
-            truncated = True
-        else:
-            parents.append(parent)
-
-    for p in range(len(w) - 1):
-        x, y = w[p], w[p + 1]
-        a, b = x.index, y.index
-        if x.kind == EPS and y.kind == EPS:
-            if a + 1 > b:
-                emit(p, (eps_letter(b), eps_letter(a + 1)), 2)
-        elif x.kind == ETA and y.kind == ETA:
-            if b + 1 > a:
-                emit(p, (eta_letter(b + 1), eta_letter(a)), 2)
-        elif x.kind == ETA and y.kind == EPS:
-            if a > b:
-                emit(p, (eps_letter(b), eta_letter(a + 1)), 2)
-            else:
-                emit(p, (eps_letter(b + 1), eta_letter(a)), 2)
-        else:
-            if b == a + 1:
-                emit(p, (eps_letter(b), eta_letter(b)), 2)
-            if b == a:
-                emit(p, (eps_letter(a), eta_letter(a + 1)), 2)
+    if d + 1 <= max_degree:
+        for p in range(len(w) - 1):
+            parents.extend(w[:p] + lhs + w[p + 2 :] for lhs in _left_sides(w[p], w[p + 1]))
     if d + 2 <= max_degree:
-        for p in range(len(w) + 1):
-            parents.append(w[:p] + (eps_letter(0), eta_letter(0)) + w[p:])
-    else:
-        truncated = True
-    return parents, truncated
+        parents.extend(w[:p] + (eps_letter(0), eta_letter(0)) + w[p:] for p in range(len(w) + 1))
+    return parents, d + 2 > max_degree
 
 
 @dataclass(frozen=True)

@@ -141,10 +141,10 @@ def _reduce(w: Word, steps: list[Step] | None) -> Word:
         if rule is None:
             p += 1
             continue
-        if steps is not None:
-            before = tuple(letters)
-            steps.append(Step(p, rule, before, before[:p] + rule.rhs + before[p + 2 :]))
         letters[p : p + 2] = rule.rhs
+        if steps is not None:
+            # each step's before is the previous step's after: one tuple per step
+            steps.append(Step(p, rule, steps[-1].after if steps else w, tuple(letters)))
         p = max(p - 1, 0)
     return tuple(letters)
 

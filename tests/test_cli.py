@@ -144,6 +144,44 @@ def test_audit_json_stable(capsys):
     assert all(r["joinable"] == r["instances"] for r in rows)
 
 
+def test_audit_table_golden(capsys):
+    code, out, _ = run(capsys, "audit", "--max-index", "6", "--skip-oracle", "--skip-termination")
+    assert code == 0
+    assert out.splitlines() == [
+        "local confluence (max index 6):",
+        "family    subcase    instances joinable  sample bound   formula",
+        "DISJOINT  -                 32       32  h0 h0 h0 h0    32/32",
+        "EEE       -                 35       35  e0 e0 e0       35/35",
+        "EEH       i+1<k<j           20       20  h1 e1 e0       20/20",
+        "EEH       k<i               35       35  h0 e0 e0       35/35",
+        "EEH       k=i               21       21  e0             21/21",
+        "EEH       k=i+1<j           15       15  e1             15/15",
+        "EEH       k=j               21       21  e0             21/21",
+        "EEH       k=j+1             15       15  e0             15/15",
+        "EEH       k>j+1             20       20  h1 e0 e0       20/20",
+        "EHH       i=j               21       21  h0             21/21",
+        "EHH       i=j-1             21       21  h0             21/21",
+        "EHH       i>j               35       35  h0 h0 e0       35/35",
+        "EHH       k<i<j-1           20       20  h0 h1 e0       20/20",
+        "EHH       k=i+1             15       15  h1             15/15",
+        "EHH       k=i<j-1           15       15  h1             15/15",
+        "EHH       k>i+1             20       20  h1 h1 e0       20/20 (alt printed form 0/10)",
+        "HHH       -                 35       35  h0 h0 h0       35/35",
+        "joinable: PASS",
+        "audit: PASS",
+    ]
+
+
+def test_audit_disjoint_sample_count(capsys):
+    args = ("audit", "--json", "--max-index", "2", "--skip-oracle", "--skip-termination")
+    code, out, _ = run(capsys, *args, "--disjoint-samples", "0")
+    assert code == 0
+    assert all(json.loads(line).get("family") != "DISJOINT" for line in out.splitlines())
+    code, out, err = run(capsys, *args, "--disjoint-samples", "-1")
+    assert (code, out) == (2, "")
+    assert "disjoint sample count must be >= 0" in err
+
+
 def test_answer(capsys):
     code, out, _ = run(capsys, "answer")
     assert code == 0

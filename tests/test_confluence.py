@@ -22,7 +22,7 @@ from adjmon.confluence import (
     sample_disjoint_parents,
 )
 from adjmon.rewrite import redexes
-from adjmon.words import degree, parse, render
+from adjmon.words import _words_of_degree, degree, parse, render
 from conftest import small_words
 
 
@@ -125,6 +125,12 @@ def test_sampled_disjoint_parents_have_disjoint_redexes():
         assert any(q - p >= 2 for p in ps for q in ps)
 
 
+def test_sample_disjoint_parents_count_is_exact():
+    assert sample_disjoint_parents(3, 0) == []
+    with pytest.raises(ValueError):
+        sample_disjoint_parents(3, -1)
+
+
 def test_audit_local_confluence_full():
     report = audit_local_confluence(6)
     assert report.passed
@@ -179,6 +185,22 @@ def test_inverse_steps_are_exact_parents():
         for v in forward_steps(w):
             parents, _ = inverse_steps(v, 12)
             assert w in parents
+
+
+def test_inverse_steps_match_brute_force_predecessors():
+    population = set(all_words(2, 2)) | set(all_words(3, 1))
+    d_max = max(degree(w) for w in population)
+    predecessors = {}
+    for d in range(d_max + 3):
+        for u in _words_of_degree(d):
+            for v in forward_steps(u):
+                predecessors.setdefault(v, set()).add(u)
+    for w in population:
+        preds = predecessors.get(w, set())
+        for bound in (degree(w), degree(w) + 1, degree(w) + 2):
+            parents, truncated = inverse_steps(w, bound)
+            assert set(parents) == {u for u in preds if degree(u) <= bound}
+            assert truncated == any(degree(u) > bound for u in preds)
 
 
 def test_equivalent_bounded_examples():

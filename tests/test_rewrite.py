@@ -90,7 +90,7 @@ def test_trace_steps_chain_and_decompose(w):
     assert tr.end == normalize(w)
     prev = w
     for s in tr.steps:
-        assert s.before == prev
+        assert s.before is prev  # shared, not copied: one new tuple per step
         p = s.position
         assert s.before[:p] == s.after[:p]
         assert s.before[p : p + 2] == s.rule.lhs
