@@ -4,7 +4,9 @@ Words on the command line use the grammar of :mod:`adjmon.words`:
 tokens ``h<k>`` / ``e<k>`` (or ``η<k>`` / ``ε<k>``), optional whitespace,
 and the bare token ``1`` for the identity.  Exit status: 0 for answered
 queries and passing reports, 1 for failed reports or unjoinable pairs,
-2 for usage or word-syntax errors.  ``--json`` switches every command to
+2 for usage or word-syntax errors and for ``trace`` runs over
+:data:`TRACE_BUDGET`, 3 for an internal error (a computed canonical form
+that is not canonical).  ``--json`` switches every command to
 line-delimited JSON records with stable ordering.
 """
 
@@ -35,8 +37,21 @@ def cmd_normalize(args) -> int:
     return 0
 
 
+# A trace stores the word after every step: at most steps * len(w) letters.
+TRACE_BUDGET = 10**7
+
+
 def cmd_trace(args) -> int:
-    tr = rewrite.normalize_trace(words.parse(args.word))
+    w = words.parse(args.word)
+    nf = rewrite.normalize(w)
+    # every step lowers the degree by 1, except EpsEta_Zero: by 2, deleting 2 letters
+    steps = words.degree(w) - words.degree(nf) - (len(w) - len(nf)) // 2
+    if steps * len(w) > TRACE_BUDGET:
+        raise ValueError(
+            f"trace would take {steps} steps on a word of {len(w)} letters, "
+            f"over the budget of {TRACE_BUDGET} stored letters"
+        )
+    tr = rewrite.normalize_trace(w)
     if args.json:
         _emit(
             {
@@ -416,6 +431,9 @@ def main(argv=None) -> int:
     except words.WordSyntaxError as exc:
         print(f"adjmon: parse error: {exc}", file=sys.stderr)
         return 2
+    except monoid.NotCanonicalError as exc:
+        print(f"adjmon: internal error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"adjmon: {exc}", file=sys.stderr)
         return 2

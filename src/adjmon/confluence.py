@@ -438,6 +438,10 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
     """Against every word pair within bounds: the bounded bidirectional
     closure must agree with canonical-form equality.  A deterministic
     sample of pairs is re-verified with the per-pair search proper.
+
+    The two sides are independent procedures: the closure rewrites words
+    with the rules and never forms a canonical form, while ``normalize``
+    reads canonical forms off the monotone-map model and applies no rule.
     """
     if max_len * (max_index + 1) > max_degree:
         raise ValueError("max_degree too small for the word population")

@@ -19,6 +19,10 @@ from .words import eps as eps_letter
 from .words import eta as eta_letter
 
 
+class NotCanonicalError(ValueError):
+    """An :class:`Element` was given a word that is not a canonical form."""
+
+
 @dataclass(frozen=True)
 class Element:
     """A monoid element, stored as its canonical-form word."""
@@ -27,7 +31,7 @@ class Element:
 
     def __post_init__(self):
         if not is_normal(self.nf):
-            raise ValueError(f"not a canonical form: {render(self.nf)}")
+            raise NotCanonicalError(f"not a canonical form: {render(self.nf)}")
 
     def __mul__(self, other: "Element") -> "Element":
         return mul(self, other)

@@ -15,10 +15,16 @@ matches at most one rule.  Every step lowers ``degree`` by exactly 1
 (EpsEta_Zero: by 2), which bounds all reduction sequences.  A word is
 normal iff it is an eta block with non-decreasing indices followed by an
 eps block with non-increasing indices.
+
+``normalize`` performs no rewrite step: it reads the canonical form off
+the monotone map of the naturals that a word denotes.  ``normalize_trace``,
+``reduction_graph``, ``forward_steps`` and the audits rewrite, and they
+are the reference ``normalize`` is tested against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -127,13 +133,66 @@ class Trace:
         return self.steps[-1].after if self.steps else self.start
 
 
-def _reduce(w: Word, steps: list[Step] | None) -> Word:
-    """Reduce the leftmost redex until none remains, appending each step
-    to ``steps`` when a list is given.
+def normalize(w: Word) -> Word:
+    """The canonical form of w, read off the monotone map of the naturals
+    that w denotes; no rewrite step is performed.
+
+    ``h_k`` acts as the coface delta_k (x -> x if x < k, else x+1) and
+    ``e_k`` as the codegeneracy sigma_k (x -> x if x <= k, else x-1); a
+    word acts as the composite of its letters, the rightmost applied
+    first.  The canonical form is that map's unique epi-mono
+    factorization in the simplex category.  Reading w right to left, the
+    map phi of the suffix read so far is kept as two sorted lists:
+
+    * ``a``, the eta indices, non-decreasing: ``a[t] + t`` are the gaps
+      of phi (the naturals outside its image), ascending;
+    * ``merges``, the merge points x with phi(x) = phi(x+1), ascending.
+
+    Prepending a letter replaces phi by delta_k o phi or sigma_k o phi.
+    Let r be the number of gaps below k.
+
+    * ``h_k``: the gaps become k and the old gaps, those >= k raised by
+      one, so k - r is inserted at position r; no points merge.
+    * ``e_k`` with k or k+1 a gap: sigma_k is injective on the image; k
+      stays a gap only if both were, and the gaps above k+1 move down, so
+      ``a[r]`` is deleted (if both are gaps, ``a[r] == a[r+1]``); no
+      points merge.
+    * ``e_k`` with k and k+1 in the image: the gaps above k+1 move down,
+      so ``a[r:]`` drops by 1, and the last x with phi(x) = k becomes a
+      merge point.  k is image value number y = k - r, so x = y + m,
+      where m counts the merge points of image rank <= y
+      (``merges[u] - u <= y``).
+
+    With q merge points, the result is ``h_{a[0]} ... h_{a[p-1]}``
+    followed by ``e_{merges[u] - u}`` for u = q-1 down to 0.
+    """
+    a: list[int] = []
+    merges: list[int] = []
+    gap = lambda t: a[t] + t  # noqa: E731
+    rank = lambda u: merges[u] - u  # noqa: E731
+    for kind, k in reversed(w):
+        r = bisect_left(range(len(a)), k, key=gap)
+        if kind == ETA:
+            a.insert(r, k - r)
+        elif r < len(a) and a[r] + r <= k + 1:
+            del a[r]
+        else:
+            a[r:] = [x - 1 for x in a[r:]]
+            y = k - r
+            m = bisect_right(range(len(merges)), y, key=rank)
+            merges.insert(m, y + m)
+    out = [eta(x) for x in a]
+    out += [eps(merges[u] - u) for u in range(len(merges) - 1, -1, -1)]
+    return tuple(out)
+
+
+def normalize_trace(w: Word) -> Trace:
+    """Reduce the leftmost redex until none remains, recording every step.
 
     After a rewrite at p the leftmost redex of the result is at p-1 or
     later, so the scan resumes there instead of from the front.
     """
+    steps: list[Step] = []
     letters = list(w)
     p = 0
     while p < len(letters) - 1:
@@ -142,22 +201,9 @@ def _reduce(w: Word, steps: list[Step] | None) -> Word:
             p += 1
             continue
         letters[p : p + 2] = rule.rhs
-        if steps is not None:
-            # each step's before is the previous step's after: one tuple per step
-            steps.append(Step(p, rule, steps[-1].after if steps else w, tuple(letters)))
+        # each step's before is the previous step's after: one tuple per step
+        steps.append(Step(p, rule, steps[-1].after if steps else w, tuple(letters)))
         p = max(p - 1, 0)
-    return tuple(letters)
-
-
-def normalize(w: Word) -> Word:
-    """Reduce the leftmost redex until none remains."""
-    return _reduce(w, None)
-
-
-def normalize_trace(w: Word) -> Trace:
-    """Like :func:`normalize` but recording every step."""
-    steps: list[Step] = []
-    _reduce(w, steps)
     return Trace(w, tuple(steps))
 
 

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from adjmon import monoid, rewrite
 from adjmon.cli import main
+from adjmon.words import parse
 
 
 def run(capsys, *argv):
@@ -55,6 +57,39 @@ def test_trace_json_fields(capsys):
     assert record["start"] == "e0 h0"
     assert record["normal_form"] == "1"
     assert record["steps"] == [{"position": 0, "case": "EpsEta_Zero", "after": "1"}]
+
+
+def test_normalize_huge_index_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "adjmon.cli", "normalize", "e1000000000000 h1000000000000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "1\n")
+
+
+def test_trace_over_budget_exit_2(capsys):
+    proc = subprocess.run(
+        [sys.executable, "-m", "adjmon.cli", "trace", "e1000000000000 h1000000000000"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "2000000000001 steps" in proc.stderr
+    # e0 ... e149: 11,175 steps of 150 letters, within the budget
+    code, out, _ = run(capsys, "trace", " ".join(f"e{i}" for i in range(150)))
+    assert code == 0 and len(out.splitlines()) == 11176
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    wrong = lambda w: parse("h1 h0")  # noqa: E731  (not a canonical form)
+    monkeypatch.setattr(rewrite, "normalize", wrong)
+    monkeypatch.setattr(monoid, "normalize", wrong)
+    code, out, err = run(capsys, "mul", "h0", "h0")
+    assert (code, out) == (3, "")
+    assert err == "adjmon: internal error: not a canonical form: h1 h0\n"
 
 
 def test_parse_error_exit_2(capsys):

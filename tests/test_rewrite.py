@@ -14,7 +14,7 @@ from adjmon.rewrite import (
     reduction_graph,
     redexes,
 )
-from adjmon.words import degree, eps, eta, parse, render
+from adjmon.words import _words_of_degree, degree, eps, eta, parse, render
 from conftest import small_words
 
 
@@ -81,6 +81,30 @@ def test_normalize_trace_examples():
         (0, "EpsEta_JEqIPlus1"),
         (0, "EpsEta_Zero"),
     ]
+
+
+def test_normalize_matches_rewriting_exhaustive():
+    # the model read-off against the leftmost rewrite loop, on all 19,683 words of degree <= 9
+    count = 0
+    for d in range(10):
+        for w in _words_of_degree(d):
+            assert normalize(w) == normalize_trace(w).end, render(w)
+            count += 1
+    assert count == 19683
+
+
+@given(small_words(max_len=39, max_index=11))
+def test_normalize_matches_rewriting(w):
+    assert normalize(w) == normalize_trace(w).end
+
+
+def test_normalize_long_and_huge_index_words():
+    big = 10**12
+    assert normalize(tuple(eps(i) for i in range(3000))) == (eps(0),) * 3000
+    assert normalize((eps(0),) * 4000 + (eta(0),) * 4000) == ()
+    # rewriting each of these takes more than 2 * 10**12 steps
+    assert normalize((eps(big), eta(big))) == ()
+    assert normalize((eta(5), eps(big), eta(big + 1), eps(3))) == parse("h5 e3")
 
 
 @given(small_words())
