@@ -19,8 +19,11 @@ the audit checks both and records which one joins.
 ``rewrite.match_rule`` is the only rule table.  Overlap parents are the
 three-letter words in which it finds two redexes, classified by letter
 pattern; the oracle's one-step predecessors are the left-hand sides it
-maps onto each factor, plus inserted ``e0 h0``.  The sixteen closed forms
-(EEE, HHH and the fourteen subcases) live in the one table ``_BOUNDS``.
+maps onto each factor, plus inserted ``e0 h0``.  Each family's case
+analysis is one ordered table in ``_CASES``, a row per subcase holding its
+guard on the parent indices and its closed form; the subcase names, the
+classification of parents, the expected bounds and the set of subcases not
+instantiated are all read from it.
 """
 
 from __future__ import annotations
@@ -40,8 +43,35 @@ HHH = "HHH"
 EEH = "EEH"
 EHH = "EHH"
 
-EEH_SUBCASES = ("k>j+1", "k=j+1", "k=j", "i+1<k<j", "k=i+1<j", "k=i", "k<i")
-EHH_SUBCASES = ("i>j", "i=j", "i=j-1", "k<i<j-1", "k=i<j-1", "k=i+1", "k>i+1")
+# Each overlap family's case analysis, as an ordered table of rows
+# (subcase, guard, closed form) over the parent indices i, j, k: the first
+# row whose guard holds names the subcase, and its closed form is the known
+# common reduct.  EEE and HHH are not split.
+_CASES = {
+    EEE: ((None, lambda i, j, k: True, lambda i, j, k: (eps_letter(k - 2), eps_letter(j - 1), eps_letter(i))),),
+    HHH: ((None, lambda i, j, k: True, lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eta_letter(i - 2))),),
+    EEH: (
+        ("k>j+1", lambda i, j, k: k > j + 1, lambda i, j, k: (eta_letter(k - 2), eps_letter(j - 1), eps_letter(i))),
+        ("k=j+1", lambda i, j, k: k == j + 1, lambda i, j, k: (eps_letter(i),)),
+        ("k=j", lambda i, j, k: k == j, lambda i, j, k: (eps_letter(i),)),
+        ("i+1<k<j", lambda i, j, k: i + 1 < k, lambda i, j, k: (eta_letter(k - 1), eps_letter(j - 2), eps_letter(i))),
+        ("k=i+1<j", lambda i, j, k: k == i + 1, lambda i, j, k: (eps_letter(j - 1),)),
+        ("k=i", lambda i, j, k: k == i, lambda i, j, k: (eps_letter(j - 1),)),
+        ("k<i", lambda i, j, k: True, lambda i, j, k: (eta_letter(k), eps_letter(j - 2), eps_letter(i - 1))),
+    ),
+    EHH: (
+        ("i>j", lambda i, j, k: i > j, lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eps_letter(i - 2))),
+        ("i=j", lambda i, j, k: i == j, lambda i, j, k: (eta_letter(k),)),
+        ("i=j-1", lambda i, j, k: i == j - 1, lambda i, j, k: (eta_letter(k),)),
+        ("k<i<j-1", lambda i, j, k: k < i, lambda i, j, k: (eta_letter(k), eta_letter(j - 2), eps_letter(i - 1))),
+        ("k=i<j-1", lambda i, j, k: k == i, lambda i, j, k: (eta_letter(j - 1),)),
+        ("k=i+1", lambda i, j, k: k == i + 1, lambda i, j, k: (eta_letter(j - 1),)),
+        ("k>i+1", lambda i, j, k: True, lambda i, j, k: (eta_letter(k - 1), eta_letter(j - 2), eps_letter(i))),
+    ),
+}
+
+EEH_SUBCASES = tuple(name for name, _, _ in _CASES[EEH])
+EHH_SUBCASES = tuple(name for name, _, _ in _CASES[EHH])
 
 
 @dataclass(frozen=True)
@@ -54,39 +84,9 @@ class CriticalPair:
     bound_found: Word | None = None
 
 
-def eeh_subcase(i: int, j: int, k: int) -> str:
-    if k > j + 1:
-        return "k>j+1"
-    if k == j + 1:
-        return "k=j+1"
-    if k == j:
-        return "k=j"
-    if i + 1 < k:
-        return "i+1<k<j"
-    if k == i + 1:
-        return "k=i+1<j"
-    if k == i:
-        return "k=i"
-    return "k<i"
-
-
-def ehh_subcase(i: int, j: int, k: int) -> str:
-    if i > j:
-        return "i>j"
-    if i == j:
-        return "i=j"
-    if i == j - 1:
-        return "i=j-1"
-    if k < i:
-        return "k<i<j-1"
-    if k == i:
-        return "k=i<j-1"
-    if k == i + 1:
-        return "k=i+1"
-    return "k>i+1"
-
-
-_SUBCASE_OF = {EEE: None, HHH: None, EEH: eeh_subcase, EHH: ehh_subcase}
+def subcase(family: str, i: int, j: int, k: int) -> str | None:
+    """The subcase of an overlap parent of the family with indices i, j, k."""
+    return next(name for name, guard, _ in _CASES[family] if guard(i, j, k))
 
 
 def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
@@ -104,11 +104,10 @@ def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
         if match_rule(*parent[:2]) is None or match_rule(*parent[1:]) is None:
             continue
         family = "".join(g.kind for g in parent).upper()
-        if family not in _SUBCASE_OF:
+        if family not in _CASES:
             raise AssertionError(f"overlap outside the four families at {render(parent)}")
-        subcase_of = _SUBCASE_OF[family]
-        subcase = subcase_of(*(g.index for g in parent)) if subcase_of else None
-        pairs.append(CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, subcase))
+        case = subcase(family, *(g.index for g in parent))
+        pairs.append(CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, case))
     pairs.sort(key=lambda p: (p.family, word_key(p.parent)))
     return pairs
 
@@ -160,33 +159,14 @@ def resolve(pair: CriticalPair) -> CriticalPair:
     return replace(pair, bound_found=_least(common_reducts(pair)))
 
 
-# Closed-form common reducts per family/subcase, as functions of the
-# parent indices i, j, k.
-_BOUNDS = {
-    (EEE, None): lambda i, j, k: (eps_letter(k - 2), eps_letter(j - 1), eps_letter(i)),
-    (HHH, None): lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eta_letter(i - 2)),
-    (EEH, "k>j+1"): lambda i, j, k: (eta_letter(k - 2), eps_letter(j - 1), eps_letter(i)),
-    (EEH, "k=j+1"): lambda i, j, k: (eps_letter(i),),
-    (EEH, "k=j"): lambda i, j, k: (eps_letter(i),),
-    (EEH, "i+1<k<j"): lambda i, j, k: (eta_letter(k - 1), eps_letter(j - 2), eps_letter(i)),
-    (EEH, "k=i+1<j"): lambda i, j, k: (eps_letter(j - 1),),
-    (EEH, "k=i"): lambda i, j, k: (eps_letter(j - 1),),
-    (EEH, "k<i"): lambda i, j, k: (eta_letter(k), eps_letter(j - 2), eps_letter(i - 1)),
-    (EHH, "i>j"): lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eps_letter(i - 2)),
-    (EHH, "i=j"): lambda i, j, k: (eta_letter(k),),
-    (EHH, "i=j-1"): lambda i, j, k: (eta_letter(k),),
-    (EHH, "k<i<j-1"): lambda i, j, k: (eta_letter(k), eta_letter(j - 2), eps_letter(i - 1)),
-    (EHH, "k=i<j-1"): lambda i, j, k: (eta_letter(j - 1),),
-    (EHH, "k=i+1"): lambda i, j, k: (eta_letter(j - 1),),
-    (EHH, "k>i+1"): lambda i, j, k: (eta_letter(k - 1), eta_letter(j - 2), eps_letter(i)),
-}
-
-
 def expected_bound(pair: CriticalPair) -> Word | None:
-    """The known closed-form bound for an overlap pair, if any."""
+    """The known closed-form bound for a pair: its subcase's row of the
+    family table, or the directly constructed bound of a disjoint pair.
+    """
     if pair.family == DISJOINT:
         return pair.bound_found
-    return _BOUNDS[pair.family, pair.subcase](*(g.index for g in pair.parent))
+    forms = {name: form for name, _, form in _CASES[pair.family]}
+    return forms[pair.subcase](*(g.index for g in pair.parent))
 
 
 def alternative_bound(pair: CriticalPair) -> Word | None:
@@ -250,13 +230,10 @@ def audit_local_confluence(max_index: int = 6, disjoint_samples: int = 32) -> Lo
             unjoinable.append(replace(pair, bound_found=None))
 
     rows = []
-    for (family, subcase), entries in sorted(groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-        formula_matches = formula_applicable = alt_matches = alt_applicable = 0
+    for (family, case), entries in sorted(groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
+        formula_matches = alt_matches = alt_applicable = 0
         for pair, _, commons in entries:
-            want = expected_bound(pair)
-            if want is not None:
-                formula_applicable += 1
-                formula_matches += want in commons
+            formula_matches += expected_bound(pair) in commons
             alt = alternative_bound(pair)
             if alt is not None:
                 alt_applicable += 1
@@ -264,18 +241,19 @@ def audit_local_confluence(max_index: int = 6, disjoint_samples: int = 32) -> Lo
         rows.append(
             SubcaseRow(
                 family,
-                subcase,
+                case,
                 len(entries),
                 sum(1 for _, bound, _ in entries if bound is not None),
                 entries[0][1],
                 formula_matches,
-                formula_applicable,
+                len(entries),
                 alt_matches,
                 alt_applicable,
             )
         )
 
-    missing = tuple(sorted((f, str(s)) for f, s in set(_BOUNDS) - set(groups)))
+    cases = {(family, name) for family, table in _CASES.items() for name, _, _ in table}
+    missing = tuple(sorted((f, str(s)) for f, s in cases - set(groups)))
     return LocalConfluenceReport(max_index, tuple(rows), missing, tuple(unjoinable))
 
 

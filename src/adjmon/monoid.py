@@ -10,7 +10,7 @@ identity suite, and the submonoid of counit-shift images.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import product
 
 from .rewrite import is_normal, normalize
 from .words import EMPTY, Generator, Word, concat, degree, normal_words, render
@@ -105,7 +105,7 @@ class IdentityResult:
         if self.passed:
             return f"{self.identity}  PASS ({self.instances} instances)"
         c = self.counterexample
-        return f"{self.identity}  FAIL at m={c.at}: lhs={render(c.lhs_nf)} rhs={render(c.rhs_nf)}"
+        return f"{self.identity}  FAIL at {c.at}: lhs={render(c.lhs_nf)} rhs={render(c.rhs_nf)}"
 
 
 @dataclass(frozen=True)
@@ -124,85 +124,71 @@ _E0 = (eps_letter(0),)
 _H0 = (eta_letter(0),)
 
 
-def _ground_identities() -> list[tuple[str, Word, Word]]:
-    return [
-        ("eps*eta=1", _E0 + _H0, EMPTY),
-        ("eps*f(eta)=1", _E0 + (eta_letter(1),), EMPTY),
-        ("eps*f(eps)=eps^2", _E0 + (eps_letter(1),), _E0 + _E0),
-    ]
+# An identity suite is a tuple of rows (name, arity, sides, failure label).
+# ``sides`` maps an instantiation, ``arity`` canonical words, to the two
+# words that must normalize alike; the label, formatted with the rendered
+# words, names a failing instantiation.
+_AXIOMS = (
+    ("eps*eta=1", 0, lambda: (_E0 + _H0, EMPTY), "m=1"),
+    ("eps*f(eta)=1", 0, lambda: (_E0 + (eta_letter(1),), EMPTY), "m=1"),
+    ("eps*f(eps)=eps^2", 0, lambda: (_E0 + (eps_letter(1),), _E0 + _E0), "m=1"),
+    ("eps*f^2(m)=f(m)*eps", 1, lambda m: (_E0 + shift_word(m, 2), shift_word(m) + _E0), "m={}"),
+    ("f(m)*eta=eta*m", 1, lambda m: (shift_word(m) + _H0, _H0 + m), "m={}"),
+    (
+        "eps*f(eps*f(m))=eps*f(m)*eps",
+        1,
+        lambda m: (_E0 + shift_word(_E0 + shift_word(m)), _E0 + shift_word(m) + _E0),
+        "m={}",
+    ),
+    ("m=eps*f(m)*eta", 1, lambda m: (m, _E0 + shift_word(m) + _H0), "m={}"),
+)
+
+# Closure of the counit-shift submonoid under products, and the recovery
+# identity n = eps*f(n*eta) at each member n = eps*f(m).
+_N_CLOSURE = (
+    (
+        "eps*f(m1)*eps*f(m2)=eps*f(eps*f(m1)*m2)",
+        2,
+        lambda m1, m2: (_E0 + shift_word(m1) + _E0 + shift_word(m2), _E0 + shift_word(_E0 + shift_word(m1) + m2)),
+        "m1={} m2={}",
+    ),
+    ("n=eps*f(n*eta)", 1, lambda m: (_E0 + shift_word(m), _E0 + shift_word(_E0 + shift_word(m) + _H0)), "n=eps*f({})"),
+)
 
 
-def _elementwise_identities() -> list[tuple[str, Callable[[Word], tuple[Word, Word]]]]:
-    return [
-        ("eps*f^2(m)=f(m)*eps", lambda w: (_E0 + shift_word(w, 2), shift_word(w) + _E0)),
-        ("f(m)*eta=eta*m", lambda w: (shift_word(w) + _H0, _H0 + w)),
-        (
-            "eps*f(eps*f(m))=eps*f(m)*eps",
-            lambda w: (_E0 + shift_word(_E0 + shift_word(w)), _E0 + shift_word(w) + _E0),
-        ),
-        ("m=eps*f(m)*eta", lambda w: (w, _E0 + shift_word(w) + _H0)),
-    ]
-
-
-def _first_counterexample(pop, sides, label) -> tuple[int, Counterexample | None]:
-    """Check lhs/rhs agreement over a population; first failure in population order."""
-    count = 0
-    for w in pop:
-        count += 1
-        lhs, rhs = sides(w)
-        a, b = normalize(lhs), normalize(rhs)
-        if a != b:
-            return count, Counterexample(label(w), a, b)
-    return count, None
+def _check_suite(suite, max_len: int, max_index: int) -> IdentityReport:
+    """Normalize both sides of each row of the suite at every instantiation
+    by canonical words within bounds; a row's counterexample is its first
+    failure in population order.
+    """
+    if max_len < 1 or max_index < 1:
+        raise ValueError("bounds must be >= 1")
+    pop = normal_words(max_len, max_index)
+    results = []
+    for name, arity, sides, label in suite:
+        count, bad = 0, None
+        for ws in product(pop, repeat=arity):
+            count += 1
+            lhs, rhs = map(normalize, sides(*ws))
+            if lhs != rhs:
+                bad = Counterexample(label.format(*map(render, ws)), lhs, rhs)
+                break
+        results.append(IdentityResult(name, count, bad))
+    return IdentityReport(tuple(results))
 
 
 def check_axioms(max_len: int, max_index: int) -> IdentityReport:
     """Verify the defining identity suite over all elements within bounds,
     normalizing both sides of each instance.
     """
-    if max_len < 1 or max_index < 1:
-        raise ValueError("bounds must be >= 1")
-    pop = normal_words(max_len, max_index)
-    results = []
-    for name, lhs, rhs in _ground_identities():
-        a, b = normalize(lhs), normalize(rhs)
-        bad = None if a == b else Counterexample("1", a, b)
-        results.append(IdentityResult(name, 1, bad))
-    for name, sides in _elementwise_identities():
-        n, bad = _first_counterexample(pop, sides, lambda w: render(w))
-        results.append(IdentityResult(name, n, bad))
-    return IdentityReport(tuple(results))
+    return _check_suite(_AXIOMS, max_len, max_index)
 
 
 def check_N_closure(max_len: int, max_index: int) -> IdentityReport:
     """Closure of the counit-shift submonoid under products, plus the
     recovery identity n = eps*f(n*eta) for each member n = eps*f(m).
     """
-    if max_len < 1 or max_index < 1:
-        raise ValueError("bounds must be >= 1")
-    pop = normal_words(max_len, max_index)
-
-    def closure_sides(pair):
-        w1, w2 = pair
-        lhs = _E0 + shift_word(w1) + _E0 + shift_word(w2)
-        rhs = _E0 + shift_word(_E0 + shift_word(w1) + w2)
-        return lhs, rhs
-
-    pairs = [(w1, w2) for w1 in pop for w2 in pop]
-    n, bad = _first_counterexample(
-        pairs,
-        closure_sides,
-        lambda p: f"({render(p[0])}, {render(p[1])})",
-    )
-    closure = IdentityResult("eps*f(m1)*eps*f(m2)=eps*f(eps*f(m1)*m2)", n, bad)
-
-    def recovery_sides(w):
-        member = normalize(_E0 + shift_word(w))
-        return member, _E0 + shift_word(member + _H0)
-
-    n, bad = _first_counterexample(pop, recovery_sides, lambda w: f"n=eps*f({render(w)})")
-    recovery = IdentityResult("n=eps*f(n*eta)", n, bad)
-    return IdentityReport((closure, recovery))
+    return _check_suite(_N_CLOSURE, max_len, max_index)
 
 
 # --- submonoid membership ---------------------------------------------------
@@ -211,7 +197,6 @@ def check_N_closure(max_len: int, max_index: int) -> IdentityReport:
 class MembershipResult:
     member: bool
     witness: Element | None
-    search_bound: int
 
 
 def counit_shift(m: Element) -> Element:
@@ -226,14 +211,15 @@ def in_N(a: Element, search_bound: int) -> MembershipResult:
     eps*eta*m' = m' (by f(m)*eta = eta*m and eps*eta = 1), so
     normalize(a*eta) is the only candidate witness.  It is accepted after
     direct verification and when its degree is within the bound; otherwise
-    no witness of degree <= search_bound exists.
+    no witness of degree <= search_bound exists.  The candidate's degree is
+    at most degree(a.nf) + 1, so that bound decides membership outright.
     """
     if search_bound < 0:
         raise ValueError("search bound must be >= 0")
     candidate = normalize(a.nf + _H0)
     if degree(candidate) <= search_bound and normalize(_E0 + shift_word(candidate)) == a.nf:
-        return MembershipResult(True, Element(candidate), search_bound)
-    return MembershipResult(False, None, search_bound)
+        return MembershipResult(True, Element(candidate))
+    return MembershipResult(False, None)
 
 
 # --- isomorphism criteria and the verdict -----------------------------------
@@ -275,6 +261,17 @@ class IsoCriteriaReport:
         return out
 
 
+# The four conditions as rows (condition, lhs, rhs, witness), each decided
+# by comparing the normal forms of its two sides; the witness names the
+# instantiation of a quantified condition that fails.
+_ISO_CONDITIONS = (
+    ("f(eta)=eta", apply_f_word(_H0), _H0, None),
+    ("f(eps)=eps", apply_f_word(_E0), _E0, None),
+    ("eta*eps=1", _H0 + _E0, EMPTY, None),
+    ("f(m)=eta*m*eps", apply_f_word(EMPTY), _H0 + EMPTY + _E0, "1"),  # at m = 1: see iso_criteria_report
+)
+
+
 def iso_criteria_report() -> IsoCriteriaReport:
     """Decide the four conditions by canonical-form comparison.
 
@@ -282,17 +279,11 @@ def iso_criteria_report() -> IsoCriteriaReport:
     eta*eps = 1 (as f(1) = 1), and eta*eps = 1 implies the condition for
     every m, since eta*m*eps = f(m)*eta*eps by f(m)*eta = eta*m.
     """
-    h1 = (eta_letter(1),)
-    e1 = (eps_letter(1),)
-    he = normalize(_H0 + _E0)
-    holds = he == EMPTY
-    conditions = (
-        ConditionResult("f(eta)=eta", normalize(h1) == normalize(_H0), None, normalize(h1), normalize(_H0)),
-        ConditionResult("f(eps)=eps", normalize(e1) == normalize(_E0), None, normalize(e1), normalize(_E0)),
-        ConditionResult("eta*eps=1", holds, None, he, EMPTY),
-        ConditionResult("f(m)=eta*m*eps", holds, None if holds else "1", EMPTY, he),
-    )
-    return IsoCriteriaReport(conditions, all(c.holds for c in conditions))
+    conditions = []
+    for name, lhs, rhs, at in _ISO_CONDITIONS:
+        a, b = normalize(lhs), normalize(rhs)
+        conditions.append(ConditionResult(name, a == b, None if a == b else at, a, b))
+    return IsoCriteriaReport(tuple(conditions), all(c.holds for c in conditions))
 
 
 NOT_ISO = "NOT_ISO"
@@ -306,7 +297,6 @@ class OpenQuestionVerdict:
     eps_eta_nf: Word  # canonical form of eps*eta
     eta_eps_idempotent: bool
     criteria: IsoCriteriaReport
-    certificate_note: str
 
 
 def answer_open_question() -> OpenQuestionVerdict:
@@ -319,11 +309,4 @@ def answer_open_question() -> OpenQuestionVerdict:
     eh = normalize(_E0 + _H0)
     verdict = ISO if he == EMPTY else NOT_ISO
     idem = normalize(he + he) == he
-    return OpenQuestionVerdict(
-        verdict,
-        he,
-        eh,
-        idem,
-        iso_criteria_report(),
-        "run the confluence audit (CLI: adjmon audit) for the uniqueness certificate",
-    )
+    return OpenQuestionVerdict(verdict, he, eh, idem, iso_criteria_report())

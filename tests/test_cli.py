@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from adjmon import monoid, rewrite
+from adjmon import confluence, monoid, rewrite
 from adjmon.cli import main
 from adjmon.words import parse
 
@@ -114,21 +114,114 @@ def test_axioms(capsys):
     assert "FAIL" not in out
 
 
+def test_axioms_golden(capsys):
+    code, out, _ = run(capsys, "axioms")
+    assert code == 0
+    assert out.splitlines() == [
+        "eps*eta=1  PASS (1 instances)",
+        "eps*f(eta)=1  PASS (1 instances)",
+        "eps*f(eps)=eps^2  PASS (1 instances)",
+        "eps*f^2(m)=f(m)*eps  PASS (495 instances)",
+        "f(m)*eta=eta*m  PASS (495 instances)",
+        "eps*f(eps*f(m))=eps*f(m)*eps  PASS (495 instances)",
+        "m=eps*f(m)*eta  PASS (495 instances)",
+    ]
+    code, out, _ = run(capsys, "axioms", "--json")
+    assert code == 0
+    assert out.splitlines() == [
+        '{"id": "eps*eta=1", "instances": 1, "pass": true, "record": "axiom"}',
+        '{"id": "eps*f(eta)=1", "instances": 1, "pass": true, "record": "axiom"}',
+        '{"id": "eps*f(eps)=eps^2", "instances": 1, "pass": true, "record": "axiom"}',
+        '{"id": "eps*f^2(m)=f(m)*eps", "instances": 495, "pass": true, "record": "axiom"}',
+        '{"id": "f(m)*eta=eta*m", "instances": 495, "pass": true, "record": "axiom"}',
+        '{"id": "eps*f(eps*f(m))=eps*f(m)*eps", "instances": 495, "pass": true, "record": "axiom"}',
+        '{"id": "m=eps*f(m)*eta", "instances": 495, "pass": true, "record": "axiom"}',
+    ]
+
+
+def test_ncheck_golden(capsys):
+    code, out, _ = run(capsys, "ncheck")
+    assert code == 0
+    assert out.splitlines() == [
+        "eps*f(m1)*eps*f(m2)=eps*f(eps*f(m1)*m2)  PASS (7056 instances)",
+        "n=eps*f(n*eta)  PASS (84 instances)",
+    ]
+    code, out, _ = run(capsys, "ncheck", "--json")
+    assert code == 0
+    assert out.splitlines() == [
+        '{"id": "eps*f(m1)*eps*f(m2)=eps*f(eps*f(m1)*m2)", "instances": 7056, "pass": true, "record": "submonoid"}',
+        '{"id": "n=eps*f(n*eta)", "instances": 84, "pass": true, "record": "submonoid"}',
+    ]
+
+
+@pytest.mark.parametrize(
+    "verb, word, line",
+    [
+        ("axioms", "e0 h1", "eps*f(eta)=1  FAIL at m=1: lhs=h7 rhs=1"),
+        ("axioms", "h1 h0", "f(m)*eta=eta*m  FAIL at m=h0: lhs=h7 rhs=h0 h0"),
+        ("ncheck", "e0 h1 e0 e1", "eps*f(m1)*eps*f(m2)=eps*f(eps*f(m1)*m2)  FAIL at m1=h0 m2=e0: lhs=h7 rhs=e0 e0"),
+        ("ncheck", "e0 h1 e1", "n=eps*f(n*eta)  FAIL at n=eps*f(h0 e0): lhs=h7 rhs=e1"),
+    ],
+)
+def test_identity_failure_lines(capsys, monkeypatch, verb, word, line):
+    # normalize answers h7 for the one side word of the instance that is to fail
+    real, bad = monoid.normalize, parse(word)
+    monkeypatch.setattr(monoid, "normalize", lambda w: parse("h7") if w == bad else real(w))
+    code, out, _ = run(capsys, verb, "--max-len", "2", "--max-index", "2")
+    assert code == 1
+    assert [text for text in out.splitlines() if "FAIL" in text] == [line]
+    code, out, _ = run(capsys, verb, "--max-len", "2", "--max-index", "2", "--json")
+    assert code == 1
+    failed = [r["counterexample"] for r in map(json.loads, out.splitlines()) if not r["pass"]]
+    at = line.split(" FAIL at ")[1].split(": ")[0]
+    assert [(c["at"], c["lhs"]) for c in failed] == [(at, "h7")]
+
+
+def test_audit_failure_rows(capsys, monkeypatch):
+    real = confluence.common_reducts
+    monkeypatch.setattr(confluence, "common_reducts", lambda pair: frozenset() if pair.family == "EEE" else real(pair))
+    monkeypatch.setattr(confluence, "normalize", lambda w: w)  # every word its own canonical form
+    args = ("audit", "--max-index", "2", "--skip-termination", "--disjoint-samples", "0")
+    args += ("--oracle-len", "2", "--oracle-index", "1", "--max-degree", "6")
+    code, out, _ = run(capsys, *args)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2] == "EEE       -                  1        0  NOT_JOINABLE   0/1"
+    assert lines[-3:] == [
+        "joinable: FAIL (NOT_JOINABLE pairs present)",
+        "oracle cross-check: population 21, pairs 231, spot-checked 25, discrepancies 9  FAIL",
+        "audit: FAIL",
+    ]
+    code, out, _ = run(capsys, *args, "--json")
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[0]["family"] == "EEE" and (records[0]["joinable"], records[0]["sample_bound"]) == (0, None)
+    assert records[-2:] == [
+        {"record": "oracle_cross_check", "population": 21, "pairs": 231, "spot_checked": 25, "discrepancies": 9,
+         "pass": False},
+        {"record": "audit_summary", "pass": False},
+    ]
+
+
 def test_ncheck_closure_and_membership(capsys):
     code, out, _ = run(capsys, "ncheck", "--max-len", "2", "--max-index", "2")
     assert code == 0
     assert "n=eps*f(n*eta)  PASS" in out
     code, out, _ = run(capsys, "ncheck", "1")
     assert (code, out) == (0, "member: witness h0\n")
-    code, out, _ = run(capsys, "ncheck", "h0 e0", "--max-degree", "5")
+    code, out, _ = run(capsys, "ncheck", "h0 e0")
+    assert (code, out) == (0, "not a member\n")
+
+
+def test_ncheck_decides_membership_outright(capsys):
+    # h9 e0 = eps*f(h9): the witness has degree 10, one above the element's
+    assert run(capsys, "ncheck", "h9 e0") == (0, "member: witness h9\n", "")
+    code, out, _ = run(capsys, "ncheck", "h9 e0", "--json")
     assert code == 0
-    assert "no-witness-within-bound" in out
-
-
-def test_ncheck_negative_bound_exit_2(capsys):
-    code, out, err = run(capsys, "ncheck", "h0 e0", "--max-degree", "-1")
-    assert (code, out) == (2, "")
-    assert "search bound" in err
+    assert json.loads(out) == {"record": "membership", "element": "h9 e0", "member": True, "witness": "h9"}
+    with pytest.raises(SystemExit) as exc:
+        main(["ncheck", "h0 e0", "--max-degree", "5"])
+    assert exc.value.code == 2
 
 
 def test_iso(capsys):
@@ -136,6 +229,19 @@ def test_iso(capsys):
     assert code == 0
     assert "eta*eps=1  DOES-NOT-HOLD" in out
     assert "derived" in out
+
+
+def test_iso_json_golden(capsys):
+    code, out, _ = run(capsys, "iso", "--json")
+    assert code == 0
+    assert out.splitlines() == [
+        '{"at": null, "condition": "f(eta)=eta", "holds": false, "lhs": "h1", "record": "iso_condition", "rhs": "h0"}',
+        '{"at": null, "condition": "f(eps)=eps", "holds": false, "lhs": "e1", "record": "iso_condition", "rhs": "e0"}',
+        '{"at": null, "condition": "eta*eps=1", "holds": false, "lhs": "h0 e0", "record": "iso_condition", "rhs": "1"}',
+        '{"at": "1", "condition": "f(m)=eta*m*eps", "holds": false, "lhs": "1", "record": "iso_condition", '
+        '"rhs": "h0 e0"}',
+        '{"holds": false, "record": "iso_derived"}',
+    ]
 
 
 def test_oracle(capsys):
@@ -204,6 +310,48 @@ def test_audit_table_golden(capsys):
         "HHH       -                 35       35  h0 h0 h0       35/35",
         "joinable: PASS",
         "audit: PASS",
+    ]
+
+
+def test_audit_json_golden(capsys):
+    code, out, _ = run(capsys, "audit", "--json", "--max-index", "6", "--skip-oracle", "--skip-termination")
+    assert code == 0
+    assert out.splitlines() == [
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "DISJOINT", "formula_applicable": 32, "formula_matches": 32'
+        ', "instances": 32, "joinable": 32, "record": "confluence_row", "sample_bound": "h0 h0 h0 h0", "subcase": null}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEE", "formula_applicable": 35, "formula_matches": 35'
+        ', "instances": 35, "joinable": 35, "record": "confluence_row", "sample_bound": "e0 e0 e0", "subcase": null}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 20, "formula_matches": 20'
+        ', "instances": 20, "joinable": 20, "record": "confluence_row", "sample_bound": "h1 e1 e0", "subcase": "i+1<k<j"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 35, "formula_matches": 35'
+        ', "instances": 35, "joinable": 35, "record": "confluence_row", "sample_bound": "h0 e0 e0", "subcase": "k<i"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 21, "formula_matches": 21'
+        ', "instances": 21, "joinable": 21, "record": "confluence_row", "sample_bound": "e0", "subcase": "k=i"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 15, "formula_matches": 15'
+        ', "instances": 15, "joinable": 15, "record": "confluence_row", "sample_bound": "e1", "subcase": "k=i+1<j"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 21, "formula_matches": 21'
+        ', "instances": 21, "joinable": 21, "record": "confluence_row", "sample_bound": "e0", "subcase": "k=j"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 15, "formula_matches": 15'
+        ', "instances": 15, "joinable": 15, "record": "confluence_row", "sample_bound": "e0", "subcase": "k=j+1"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 20, "formula_matches": 20'
+        ', "instances": 20, "joinable": 20, "record": "confluence_row", "sample_bound": "h1 e0 e0", "subcase": "k>j+1"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 21, "formula_matches": 21'
+        ', "instances": 21, "joinable": 21, "record": "confluence_row", "sample_bound": "h0", "subcase": "i=j"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 21, "formula_matches": 21'
+        ', "instances": 21, "joinable": 21, "record": "confluence_row", "sample_bound": "h0", "subcase": "i=j-1"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 35, "formula_matches": 35'
+        ', "instances": 35, "joinable": 35, "record": "confluence_row", "sample_bound": "h0 h0 e0", "subcase": "i>j"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 20, "formula_matches": 20'
+        ', "instances": 20, "joinable": 20, "record": "confluence_row", "sample_bound": "h0 h1 e0", "subcase": "k<i<j-1"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 15, "formula_matches": 15'
+        ', "instances": 15, "joinable": 15, "record": "confluence_row", "sample_bound": "h1", "subcase": "k=i+1"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 15, "formula_matches": 15'
+        ', "instances": 15, "joinable": 15, "record": "confluence_row", "sample_bound": "h1", "subcase": "k=i<j-1"}',
+        '{"alt_formula_applicable": 10, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 20, "formula_matches": 20'
+        ', "instances": 20, "joinable": 20, "record": "confluence_row", "sample_bound": "h1 h1 e0", "subcase": "k>i+1"}',
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "HHH", "formula_applicable": 35, "formula_matches": 35'
+        ', "instances": 35, "joinable": 35, "record": "confluence_row", "sample_bound": "h0 h0 h0", "subcase": null}',
+        '{"pass": true, "record": "audit_summary"}',
     ]
 
 

@@ -55,16 +55,16 @@ def test_overlap_parents_reduce_to_both_reducts():
 
 
 def test_subcases_partition():
-    from adjmon.confluence import eeh_subcase, ehh_subcase
+    from adjmon.confluence import subcase
 
     r = range(7)
-    eeh = {(i, j, k): eeh_subcase(i, j, k) for i in r for j in r for k in r if i < j}
+    eeh = {(i, j, k): subcase("EEH", i, j, k) for i in r for j in r for k in r if i < j}
     assert set(eeh.values()) == set(EEH_SUBCASES)
     assert eeh[(0, 1, 3)] == "k>j+1"
     assert eeh[(0, 1, 2)] == "k=j+1"
     assert eeh[(0, 3, 2)] == "i+1<k<j"
     assert eeh[(1, 2, 0)] == "k<i"
-    ehh = {(i, j, k): ehh_subcase(i, j, k) for i in r for j in r for k in r if j > k}
+    ehh = {(i, j, k): subcase("EHH", i, j, k) for i in r for j in r for k in r if j > k}
     assert set(ehh.values()) == set(EHH_SUBCASES)
     assert ehh[(2, 1, 0)] == "i>j"
     assert ehh[(0, 3, 2)] == "k>i+1"

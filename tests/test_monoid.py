@@ -176,13 +176,30 @@ def test_in_N_agrees_with_witness_scan():
     assert cases == 973
 
 
+def test_in_N_at_degree_plus_one_is_the_h0_rule():
+    # a is in N exactly when its canonical form does not begin with h0, and
+    # the only candidate witness has degree <= degree(a) + 1
+    cases = 0
+    for d in range(10):
+        for w in normal_words_of_degree(d):
+            assert in_N(Element(w), d + 1).member == (w[:1] != eta().nf)
+            cases += 1
+    assert cases == 734
+
+
+@given(small_words(max_len=5, max_index=10**12))
+def test_in_N_h0_rule_at_huge_indices(w):
+    for a in (element(w), mul(eta(), element(w))):
+        assert in_N(a, degree(a.nf) + 1).member == (a.nf[:1] != eta().nf)
+
+
 def test_in_N_witness_verifies():
     for text in ("e0", "1", "h1 e1", "h2 h2 e0"):
         a = element(parse(text))
         res = in_N(a, degree(a.nf) + 1)
         if res.member:
             assert counit_shift(res.witness) == a
-            assert degree(res.witness.nf) <= res.search_bound
+            assert degree(res.witness.nf) <= degree(a.nf) + 1
 
 
 def test_in_N_product_witness_matches_closure_form():
