@@ -4,10 +4,11 @@ Words on the command line use the grammar of :mod:`adjmon.words`:
 tokens ``h<k>`` / ``e<k>`` (or ``η<k>`` / ``ε<k>``), optional whitespace,
 and the bare token ``1`` for the identity.  Exit status: 0 for answered
 queries and passing reports, 1 for failed reports or unjoinable pairs,
-2 for usage or word-syntax errors and for ``trace`` runs over
-:data:`TRACE_BUDGET`, 3 for an internal error (a computed canonical form
-that is not canonical).  ``--json`` switches every command to
-line-delimited JSON records with stable ordering.
+2 for usage or word-syntax errors, for ``trace`` runs over
+:data:`TRACE_BUDGET` and for oracle bounds over :data:`ORACLE_MAX_DEGREE`,
+3 for an internal error (a computed canonical form that is not
+canonical).  ``--json`` switches every command to line-delimited JSON
+records with stable ordering.
 """
 
 from __future__ import annotations
@@ -39,6 +40,19 @@ def cmd_normalize(args) -> int:
 
 # A trace stores the word after every step: at most steps * len(w) letters.
 TRACE_BUDGET = 10**7
+
+# The oracle searches words of degree <= --max-degree, and there are 3^d of
+# them: 531,441 at this limit.  Each degree above it triples the time and
+# memory of the search.
+ORACLE_MAX_DEGREE = 12
+
+
+def _check_oracle_degree(max_degree: int) -> None:
+    if max_degree > ORACLE_MAX_DEGREE:
+        raise ValueError(
+            f"--max-degree {max_degree}: the oracle universe would be 3^{max_degree} words, "
+            f"over the limit of --max-degree {ORACLE_MAX_DEGREE} ({3**ORACLE_MAX_DEGREE} words)"
+        )
 
 
 def cmd_trace(args) -> int:
@@ -226,6 +240,8 @@ def _oracle_line(oracle: confluence.CrossCheckReport) -> str:
 
 
 def cmd_audit(args) -> int:
+    if not args.skip_oracle:
+        _check_oracle_degree(args.max_degree)
     ok = True
     term = None
     if not args.skip_termination:
@@ -291,6 +307,7 @@ def cmd_audit(args) -> int:
 def cmd_oracle(args) -> int:
     u = words.parse(args.left)
     v = words.parse(args.right)
+    _check_oracle_degree(args.max_degree)
     res = confluence.equivalent_bounded(u, v, args.max_degree)
     if args.json:
         _emit(

@@ -421,6 +421,8 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
     with the rules and never forms a canonical form, while ``normalize``
     reads canonical forms off the monotone-map model and applies no rule.
     """
+    if max_len < 1 or max_index < 0:
+        raise ValueError("the oracle population needs max_len >= 1 and max_index >= 0")
     if max_len * (max_index + 1) > max_degree:
         raise ValueError("max_degree too small for the word population")
     population = list(all_words(max_len, max_index))

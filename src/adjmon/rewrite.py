@@ -16,6 +16,11 @@ matches at most one rule.  Every step lowers ``degree`` by exactly 1
 normal iff it is an eta block with non-decreasing indices followed by an
 eps block with non-increasing indices.
 
+``match_rule`` is the rule table.  It is memoized per letter pair: every
+caller gets one shared, immutable ``RuleInstance`` per pair, and the
+cache keeps at most ``MATCH_RULE_CACHE_SIZE`` pairs, so words with many
+distinct huge indices do not grow it without bound.
+
 ``normalize`` performs no rewrite step: it reads the canonical form off
 the monotone map of the naturals that a word denotes.  ``normalize_trace``,
 ``reduction_graph``, ``forward_steps`` and the audits rewrite, and they
@@ -29,6 +34,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import pairwise
 
 from .words import EPS, ETA, Generator, Word, degree, eps, eta
@@ -56,8 +62,18 @@ class RuleInstance:
     rhs: Word
 
 
+# The audit battery and the queries touch fewer than 24 * 24 letter pairs.
+MATCH_RULE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=MATCH_RULE_CACHE_SIZE)
 def match_rule(x: Generator, y: Generator) -> RuleInstance | None:
-    """The unique rule whose left-hand side is the factor ``x y``, if any."""
+    """The unique rule whose left-hand side is the factor ``x y``, if any.
+
+    Memoized: equal letter pairs get the same ``RuleInstance``, which is
+    frozen, as are its letters, so callers share it.  The least recently
+    used pairs are dropped beyond ``MATCH_RULE_CACHE_SIZE``.
+    """
     if x.kind == EPS:
         i = x.index
         if y.kind == EPS:
@@ -171,7 +187,8 @@ def normalize(w: Word) -> Word:
     gap = lambda t: a[t] + t  # noqa: E731
     rank = lambda u: merges[u] - u  # noqa: E731
     for kind, k in reversed(w):
-        r = bisect_left(range(len(a)), k, key=gap)
+        # gap(0) = a[0] is the least gap, so none lies below k unless it does
+        r = bisect_left(range(len(a)), k, key=gap) if a and a[0] < k else 0
         if kind == ETA:
             a.insert(r, k - r)
         elif r < len(a) and a[r] + r <= k + 1:

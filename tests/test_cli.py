@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from adjmon import confluence, monoid, rewrite
+from adjmon import cli, confluence, monoid, rewrite
 from adjmon.cli import main
 from adjmon.words import parse
 
@@ -250,6 +250,25 @@ def test_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "h0 e0", "1", "--max-degree", "8")
     assert code == 0
     assert out.startswith("not-equivalent-within-bound (degree <= 8)")
+
+
+def test_oracle_degree_over_limit_exit_2(capsys):
+    # refused before any search: 3^40 words would never finish
+    for argv in (["audit", "--max-degree", "40"], ["oracle", "h0 e0", "1", "--max-degree", "40"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "adjmon.cli", *argv], capture_output=True, text=True, timeout=10
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "3^40 words" in proc.stderr
+    assert cli.ORACLE_MAX_DEGREE >= 11  # the benchmark's connected_components(11)
+    code, out, _ = run(capsys, "oracle", "e0 h1", "1", "--max-degree", str(cli.ORACLE_MAX_DEGREE))
+    assert (code, out) == (0, "equivalent\n")
+
+
+def test_audit_empty_oracle_population_exit_2(capsys):
+    code, out, err = run(capsys, "audit", "--oracle-len", "-1", "--skip-termination", "--max-index", "2")
+    assert (code, out) == (2, "")
+    assert "population" in err
 
 
 def test_audit(capsys):

@@ -241,3 +241,9 @@ def test_cross_check_oracle_small():
 def test_cross_check_oracle_rejects_small_bound():
     with pytest.raises(ValueError):
         cross_check_oracle(3, 2, 8)
+
+
+def test_cross_check_oracle_rejects_empty_population():
+    for max_len, max_index in ((-1, 2), (0, 2), (3, -1)):
+        with pytest.raises(ValueError, match="population"):
+            cross_check_oracle(max_len, max_index, 9)

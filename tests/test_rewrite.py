@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from adjmon.confluence import all_words
 from adjmon.rewrite import (
+    MATCH_RULE_CACHE_SIZE,
     NotARedexError,
     RuleCase,
     apply,
@@ -14,8 +15,10 @@ from adjmon.rewrite import (
     reduction_graph,
     redexes,
 )
-from adjmon.words import _words_of_degree, degree, eps, eta, parse, render
+from adjmon.words import Generator, _words_of_degree, degree, eps, eta, parse, render
 from conftest import small_words
+
+BIG = 10**12
 
 
 def tags(w):
@@ -48,6 +51,34 @@ def test_eps_eta_conditions_partition_index_pairs():
     assert seen[(0, 2)] is RuleCase.EPS_ETA_FAR
     assert seen[(3, 1)] is RuleCase.EPS_ETA_PAST
     assert all((i, j) in seen for i in range(8) for j in range(8))
+
+
+def test_match_rule_shares_one_instance_per_letter_pair():
+    pairs = {
+        RuleCase.EPS_EPS: (eps(1), eps(3)),
+        RuleCase.ETA_ETA: (eta(3), eta(1)),
+        RuleCase.EPS_ETA_FAR: (eps(1), eta(4)),
+        RuleCase.EPS_ETA_PAST: (eps(4), eta(1)),
+        RuleCase.EPS_ETA_EQUAL: (eps(2), eta(2)),
+        RuleCase.EPS_ETA_NEXT: (eps(2), eta(3)),
+        RuleCase.EPS_ETA_ZERO: (eps(0), eta(0)),
+    }
+    assert set(pairs) == set(RuleCase)
+    for case, (x, y) in pairs.items():
+        rule = match_rule(x, y)
+        assert rule.case is case
+        assert match_rule(x, y) is rule
+        assert match_rule(Generator(x.kind, x.index), Generator(y.kind, y.index)) is rule
+    w = parse("e0 e1 h2 e0 h0")
+    assert all(rule is match_rule(*w[p : p + 2]) for p, rule in redexes(w))
+
+
+def test_is_normal_beyond_the_match_rule_cache():
+    # more distinct letter pairs than the cache keeps, each index huge
+    w = tuple(eta(BIG + t) for t in range(MATCH_RULE_CACHE_SIZE + 10))
+    for word, normal in ((w, True), (w + (eps(BIG), eta(BIG)), False), ((eps(BIG),) + w, False)):
+        assert is_normal(word) == is_canonical_shape(word) == normal
+        assert match_rule.cache_info().currsize <= MATCH_RULE_CACHE_SIZE
 
 
 def test_apply_examples():
@@ -94,6 +125,11 @@ def test_normalize_matches_rewriting_exhaustive():
 
 
 @given(small_words(max_len=39, max_index=11))
+# the least eta index one below, equal to and above the letter's index
+@example((eta(BIG + 1), eta(BIG)))
+@example((eta(BIG), eta(BIG)))
+@example((eps(BIG + 1), eta(BIG)))
+@example((eta(BIG), eta(BIG + 1)))
 def test_normalize_matches_rewriting(w):
     assert normalize(w) == normalize_trace(w).end
 
