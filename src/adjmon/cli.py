@@ -240,8 +240,11 @@ def _oracle_line(oracle: confluence.CrossCheckReport) -> str:
 
 
 def cmd_audit(args) -> int:
+    # every bound is checked before the first audit runs
     if not args.skip_oracle:
         _check_oracle_degree(args.max_degree)
+        confluence.check_oracle_bounds(args.oracle_len, args.oracle_index, args.max_degree)
+    confluence.check_overlap_bounds(args.max_index, args.disjoint_samples)
     ok = True
     term = None
     if not args.skip_termination:
@@ -264,21 +267,8 @@ def cmd_audit(args) -> int:
                     "pass": term.passed,
                 }
             )
-        for r in conf.rows:
-            _emit(
-                {
-                    "record": "confluence_row",
-                    "family": r.family,
-                    "subcase": r.subcase,
-                    "instances": r.instances,
-                    "joinable": r.joinable,
-                    "sample_bound": _render_opt(r.sample_bound),
-                    "formula_matches": r.formula_matches,
-                    "formula_applicable": r.formula_applicable,
-                    "alt_formula_matches": r.alt_formula_matches,
-                    "alt_formula_applicable": r.alt_formula_applicable,
-                }
-            )
+        for r in conf.rows:  # the record's keys are SubcaseRow's field names
+            _emit({"record": "confluence_row", **r._asdict(), "sample_bound": _render_opt(r.sample_bound)})
         for family, subcase in conf.not_instantiated:
             _emit({"record": "not_instantiated", "family": family, "subcase": subcase})
         if oracle is not None:
@@ -330,6 +320,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_answer(args) -> int:
+    confluence.check_overlap_bounds(args.max_index)
     verdict = monoid.answer_open_question()
     term = confluence.audit_termination(4, 3)
     conf = confluence.audit_local_confluence(args.max_index)

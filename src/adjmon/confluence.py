@@ -28,9 +28,9 @@ instantiated are all read from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice, product
+from typing import NamedTuple
 
 from .rewrite import RuleCase, apply, chain_lengths, forward_steps, match_rule, normalize, reduction_graph, redexes
 from .words import EPS, ETA, Generator, Word, _words_of_degree, all_words, degree, render, word_key
@@ -74,14 +74,21 @@ EEH_SUBCASES = tuple(name for name, _, _ in _CASES[EEH])
 EHH_SUBCASES = tuple(name for name, _, _ in _CASES[EHH])
 
 
-@dataclass(frozen=True)
-class CriticalPair:
+class CriticalPair(NamedTuple):
     parent: Word
     left_reduct: Word
     right_reduct: Word
     family: str
     subcase: str | None = None
     bound_found: Word | None = None
+
+
+def check_overlap_bounds(max_index: int = 2, disjoint_samples: int = 0) -> None:
+    """Refuse bounds the local-confluence audit cannot use; the defaults pass."""
+    if max_index < 2:
+        raise ValueError("max_index must be >= 2 to instantiate every subcase family")
+    if disjoint_samples < 0:
+        raise ValueError("disjoint sample count must be >= 0")
 
 
 def subcase(family: str, i: int, j: int, k: int) -> str | None:
@@ -96,8 +103,7 @@ def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
     The parents come from a blind scan of all three-letter words with
     ``match_rule``; an overlap outside the four families is a hard error.
     """
-    if max_index < 2:
-        raise ValueError("max_index must be >= 2 to instantiate every subcase family")
+    check_overlap_bounds(max_index)
     letters = [Generator(kind, n) for kind in "he" for n in range(max_index + 1)]
     pairs: list[CriticalPair] = []
     for parent in product(letters, repeat=3):
@@ -134,8 +140,7 @@ def sample_disjoint_parents(max_index: int, count: int) -> list[Word]:
     """A deterministic sample of words of length 4 or 5 carrying two
     disjoint redexes.
     """
-    if count < 0:
-        raise ValueError("disjoint sample count must be >= 0")
+    check_overlap_bounds(disjoint_samples=count)
     parents = (w for w in all_words(5, min(max_index, 3)) if disjoint_critical_pairs(w))
     return list(islice(parents, count))
 
@@ -156,7 +161,7 @@ def resolve(pair: CriticalPair) -> CriticalPair:
     """Fill in a common lower bound for the pair, or leave it unset when
     none exists (which would falsify local confluence).
     """
-    return replace(pair, bound_found=_least(common_reducts(pair)))
+    return pair._replace(bound_found=_least(common_reducts(pair)))
 
 
 def expected_bound(pair: CriticalPair) -> Word | None:
@@ -177,8 +182,7 @@ def alternative_bound(pair: CriticalPair) -> Word | None:
     return (eps_letter(k), eta_letter(j - 2), eta_letter(i - 1)) if i >= 1 else None
 
 
-@dataclass(frozen=True)
-class SubcaseRow:
+class SubcaseRow(NamedTuple):
     family: str
     subcase: str | None
     instances: int
@@ -190,8 +194,7 @@ class SubcaseRow:
     alt_formula_applicable: int = 0
 
 
-@dataclass(frozen=True)
-class LocalConfluenceReport:
+class LocalConfluenceReport(NamedTuple):
     max_index: int
     rows: tuple[SubcaseRow, ...]
     not_instantiated: tuple[tuple[str, str], ...]
@@ -227,7 +230,7 @@ def audit_local_confluence(max_index: int = 6, disjoint_samples: int = 32) -> Lo
         bound = _least(commons)
         groups.setdefault((pair.family, pair.subcase), []).append((pair, bound, commons))
         if bound is None:
-            unjoinable.append(replace(pair, bound_found=None))
+            unjoinable.append(pair._replace(bound_found=None))
 
     rows = []
     for (family, case), entries in sorted(groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
@@ -259,8 +262,7 @@ def audit_local_confluence(max_index: int = 6, disjoint_samples: int = 32) -> Lo
 
 # --- termination -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TerminationReport:
+class TerminationReport(NamedTuple):
     words_checked: int
     steps_checked: int
     bad_steps: tuple[tuple[Word, int, int], ...]  # (word, position, observed drop)
@@ -337,8 +339,7 @@ def inverse_steps(w: Word, max_degree: int) -> tuple[list[Word], bool]:
     return parents, d + 2 > max_degree
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     equivalent: bool
     truncated: bool  # when set, a negative answer is only "within the bound"
     explored: int
@@ -400,8 +401,7 @@ def connected_components(max_degree: int) -> dict[Word, int]:
     return {w: find(i) for w, i in index.items()}
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     population: int
     pairs_checked: int
     discrepancies: tuple[tuple[Word, Word, bool, bool], ...]  # (u, v, oracle, nf-equal)
@@ -410,6 +410,14 @@ class CrossCheckReport:
     @property
     def passed(self) -> bool:
         return not self.discrepancies
+
+
+def check_oracle_bounds(max_len: int, max_index: int, max_degree: int) -> None:
+    """Refuse an oracle population that is empty or does not fit in max_degree."""
+    if max_len < 1 or max_index < 0:
+        raise ValueError("the oracle population needs max_len >= 1 and max_index >= 0")
+    if max_len * (max_index + 1) > max_degree:
+        raise ValueError("max_degree too small for the word population")
 
 
 def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCheckReport:
@@ -421,10 +429,7 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
     with the rules and never forms a canonical form, while ``normalize``
     reads canonical forms off the monotone-map model and applies no rule.
     """
-    if max_len < 1 or max_index < 0:
-        raise ValueError("the oracle population needs max_len >= 1 and max_index >= 0")
-    if max_len * (max_index + 1) > max_degree:
-        raise ValueError("max_degree too small for the word population")
+    check_oracle_bounds(max_len, max_index, max_degree)
     population = list(all_words(max_len, max_index))
     component = connected_components(max_degree)
     nf = {w: normalize(w) for w in population}

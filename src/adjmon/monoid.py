@@ -9,8 +9,8 @@ identity suite, and the submonoid of counit-shift images.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .rewrite import is_normal, normalize
 from .words import EMPTY, Generator, Word, concat, degree, normal_words, render
@@ -23,21 +23,32 @@ class NotCanonicalError(ValueError):
     """An :class:`Element` was given a word that is not a canonical form."""
 
 
-@dataclass(frozen=True)
-class Element:
-    """A monoid element, stored as its canonical-form word."""
-
+class _ElementRecord(NamedTuple):
     nf: Word
-
-    def __post_init__(self):
-        if not is_normal(self.nf):
-            raise NotCanonicalError(f"not a canonical form: {render(self.nf)}")
 
     def __mul__(self, other: "Element") -> "Element":
         return mul(self, other)
 
+    def __add__(self, other):  # neither tuple concatenation nor repetition: the product is ``*``
+        return NotImplemented
+
+    __rmul__ = __add__
+
     def __str__(self) -> str:
         return render(self.nf)
+
+
+class Element(_ElementRecord):
+    """A monoid element, stored as its canonical-form word."""
+
+    __slots__ = ()
+
+    def __new__(cls, nf: Word):
+        if not is_normal(nf):
+            raise NotCanonicalError(f"not a canonical form: {render(nf)}")
+        return super().__new__(cls, nf)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through ``_make``
 
 
 def element(w: Word) -> Element:
@@ -84,15 +95,13 @@ def elements(max_len: int, max_index: int) -> list[Element]:
 
 # --- identity suite ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     at: str  # rendered instantiation, e.g. "m=h0" or "m1=1 m2=h0"
     lhs_nf: Word
     rhs_nf: Word
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     identity: str
     instances: int
     counterexample: Counterexample | None
@@ -108,8 +117,7 @@ class IdentityResult:
         return f"{self.identity}  FAIL at {c.at}: lhs={render(c.lhs_nf)} rhs={render(c.rhs_nf)}"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     results: tuple[IdentityResult, ...]
 
     @property
@@ -193,8 +201,7 @@ def check_N_closure(max_len: int, max_index: int) -> IdentityReport:
 
 # --- submonoid membership ---------------------------------------------------
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     member: bool
     witness: Element | None
 
@@ -224,8 +231,7 @@ def in_N(a: Element, search_bound: int) -> MembershipResult:
 
 # --- isomorphism criteria and the verdict -----------------------------------
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     condition: str
     holds: bool
     witness_at: str | None  # instantiation that decided a quantified condition
@@ -238,8 +244,7 @@ class ConditionResult:
         return f"{self.condition}  {status}{at}: lhs={render(self.lhs_nf)} rhs={render(self.rhs_nf)}"
 
 
-@dataclass(frozen=True)
-class IsoCriteriaReport:
+class IsoCriteriaReport(NamedTuple):
     """The decidable conditions equivalent to the adjunction being an
     isomorphism, each decided by canonical-form comparison, plus the
     remaining equivalent conditions (surjectivity of f, f an isomorphism,
@@ -290,8 +295,7 @@ NOT_ISO = "NOT_ISO"
 ISO = "ISO"
 
 
-@dataclass(frozen=True)
-class OpenQuestionVerdict:
+class OpenQuestionVerdict(NamedTuple):
     verdict: str
     eta_eps_nf: Word  # canonical form of eta*eps
     eps_eta_nf: Word  # canonical form of eps*eta

@@ -32,10 +32,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import pairwise
+from typing import NamedTuple
 
 from .words import EPS, ETA, Generator, Word, degree, eps, eta
 
@@ -53,8 +53,7 @@ class RuleCase(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
     """A concrete two-letter left-hand side and its right-hand side."""
 
     case: RuleCase
@@ -71,7 +70,7 @@ def match_rule(x: Generator, y: Generator) -> RuleInstance | None:
     """The unique rule whose left-hand side is the factor ``x y``, if any.
 
     Memoized: equal letter pairs get the same ``RuleInstance``, which is
-    frozen, as are its letters, so callers share it.  The least recently
+    immutable, as are its letters, so callers share it.  The least recently
     used pairs are dropped beyond ``MATCH_RULE_CACHE_SIZE``.
     """
     if x.kind == EPS:
@@ -129,16 +128,14 @@ def apply(w: Word, position: int) -> Word:
     return w[:position] + rule.rhs + w[position + 2 :]
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     position: int
     rule: RuleInstance
     before: Word
     after: Word
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """A reduction sequence; each step starts where the previous ended."""
 
     start: Word
@@ -247,8 +244,7 @@ def is_canonical_shape(w: Word) -> bool:
     return all(a.index >= b.index for a, b in pairwise(epss))
 
 
-@dataclass(frozen=True)
-class ReductionGraph:
+class ReductionGraph(NamedTuple):
     """All words reachable from ``root`` by single steps (nodes deduplicated)."""
 
     root: Word

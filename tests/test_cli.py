@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -271,6 +273,29 @@ def test_audit_empty_oracle_population_exit_2(capsys):
     assert "population" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--oracle-len", "-1"),
+        ("audit", "--oracle-index", "-1"),
+        ("audit", "--oracle-len", "5", "--max-degree", "9"),
+        ("audit", "--max-index", "1"),
+        ("audit", "--disjoint-samples", "-1"),
+        ("answer", "--max-index", "1"),
+    ],
+    ids=" ".join,
+)
+def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
+    def never(*args):
+        raise AssertionError("an audit ran before its bounds were checked")
+
+    monkeypatch.setattr(confluence, "audit_termination", never)
+    monkeypatch.setattr(confluence, "audit_local_confluence", never)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("adjmon: ")
+
+
 def test_audit(capsys):
     code, out, _ = run(
         capsys, "audit", "--max-index", "3", "--max-len", "3",
@@ -416,3 +441,13 @@ def test_cli_import_leaves_thread_pool_unloaded():
     code = "import adjmon.cli; import sys; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_cli_import_leaves_dataclasses_unloaded():
+    # -S: no site hooks, so only adjmon's own imports count (dataclasses pulls in inspect, ast, dis)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, adjmon.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
