@@ -7,14 +7,17 @@ queries and passing reports, 1 for failed reports or unjoinable pairs,
 2 for usage or word-syntax errors, for ``trace`` runs over
 :data:`TRACE_BUDGET` and for oracle bounds over :data:`ORACLE_MAX_DEGREE`,
 3 for an internal error (a computed canonical form that is not
-canonical).  ``--json`` switches every command to line-delimited JSON
-records with stable ordering.
+canonical), and 141 (128 + SIGPIPE), without a traceback, when stdout is
+closed before the output is written, as by ``adjmon answer | head -1``.
+``--json`` switches every command to line-delimited JSON records with
+stable ordering.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import confluence, monoid, rewrite, words
@@ -42,8 +45,9 @@ def cmd_normalize(args) -> int:
 TRACE_BUDGET = 10**7
 
 # The oracle searches words of degree <= --max-degree, and there are 3^d of
-# them: 531,441 at this limit.  Each degree above it triples the time and
-# memory of the search.
+# them: 531,441 at this limit, where its components take 1.2 s to build and
+# `adjmon audit --max-degree 12` takes 3.7 s with a peak RSS of 130 MB
+# (Python 3.11.7, 2-CPU Intel Xeon).  Each degree above it about triples both.
 ORACLE_MAX_DEGREE = 12
 
 
@@ -434,7 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return status
+    except BrokenPipeError:
+        # the signal module's recipe: stdout to devnull, or the flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except words.WordSyntaxError as exc:
         print(f"adjmon: parse error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from itertools import islice, product
 from typing import NamedTuple
 
 from .rewrite import RuleCase, apply, chain_lengths, forward_steps, match_rule, normalize, reduction_graph, redexes
-from .words import EPS, ETA, Generator, Word, _words_of_degree, all_words, degree, render, word_key
+from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_of_degree, all_words, degree, render, word_key
 from .words import eps as eps_letter
 from .words import eta as eta_letter
 
@@ -378,12 +378,19 @@ def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
 def connected_components(max_degree: int) -> dict[Word, int]:
     """Component id of every word of degree <= max_degree under the
     undirected step relation, restricted to that universe.
+
+    Built one degree level at a time, from two facts that hold for any
+    rewrite system whose steps lower the degree.  Write U_m for the words
+    of degree <= m, and wt(x) = index + 1 for a letter x.  Congruence: if r
+    and r' are connected inside U_{m - wt(x)}, so are x r and x r' inside
+    U_m.  Generation: a step of x r rewrites its first factor, or is x
+    followed by a step of r inside U_{m - wt(x)}.  So at level m each word
+    x r gets the node (x, component of r at level m - wt(x)), the empty
+    word a node of its own; steps of the second kind stay inside a node,
+    and joining the nodes along first-factor rewrites, which map blocks of
+    ``_words_of_degree`` onto blocks (``_block_start``), gives the
+    components of U_m.  Neither confluence nor ``normalize`` is used.
     """
-    universe: list[Word] = []
-    for d in range(max_degree + 1):
-        universe.extend(_words_of_degree(d))
-    index = {w: n for n, w in enumerate(universe)}
-    parent = list(range(len(universe)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -391,14 +398,34 @@ def connected_components(max_degree: int) -> dict[Word, int]:
             x = parent[x]
         return x
 
-    for w in universe:
-        a = find(index[w])
-        for nxt in forward_steps(w):
-            b = find(index[nxt])
-            if a != b:
-                parent[b] = a
-                a = find(a)
-    return {w: find(i) for w, i in index.items()}
+    labels: list[list[list[int]]] = []  # labels[m][d][i]: component at level m of word i of degree d
+    count: list[int] = []  # count[m]: components at level m, numbered from 0
+    for m in range(max_degree + 1):
+        first, size = {}, 1  # the first node of each letter's nodes; node 0 is the empty word
+        for g in _heads(m):
+            first[g], size = size, size + count[m - g.index - 1]
+        nodes = [[0]]  # nodes[d][i]: the node of word i of degree d
+        for d in range(1, m + 1):
+            nodes.append([first[g] + c for g in _heads(d) for c in labels[m - g.index - 1][d - g.index - 1]])
+        parent = list(range(size))
+        for d in range(2, m + 1):
+            for x in _heads(d):
+                for y in _heads(d - x.index - 1):
+                    rule = match_rule(x, y)
+                    if rule is not None:
+                        rest = d - degree((x, y))
+                        block, lower = len(_words_of_degree(rest)), rest + degree(rule.rhs)
+                        a, b = _block_start((x, y), d), _block_start(rule.rhs, lower)
+                        for u, v in set(zip(nodes[d][a : a + block], nodes[lower][b : b + block])):
+                            parent[find(v)] = find(u)
+        roots: dict[int, int] = {}
+        number = [roots.setdefault(find(n), len(roots)) for n in range(size)]
+        labels.append([[number[n] for n in level] for level in nodes])
+        count.append(len(roots))
+    component: dict[Word, int] = {}
+    for d, level in enumerate(labels[-1] if labels else []):
+        component.update(zip(_words_of_degree(d), level))
+    return component
 
 
 class CrossCheckReport(NamedTuple):
@@ -422,8 +449,10 @@ def check_oracle_bounds(max_len: int, max_index: int, max_degree: int) -> None:
 
 def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCheckReport:
     """Against every word pair within bounds: the bounded bidirectional
-    closure must agree with canonical-form equality.  A deterministic
-    sample of pairs is re-verified with the per-pair search proper.
+    closure must agree with canonical-form equality.  The closure is read
+    off ``connected_components(max_degree)``, built from the step relation
+    one degree level at a time; a deterministic sample of pairs is
+    re-verified with the per-pair search, ``equivalent_bounded``.
 
     The two sides are independent procedures: the closure rewrites words
     with the rules and never forms a canonical form, while ``normalize``

@@ -132,15 +132,31 @@ def all_words(max_len: int, max_index: int):
 
 
 @lru_cache(maxsize=None)
+def _heads(d: int) -> tuple[Generator, ...]:
+    """The first letters of the words of degree d >= 1, in enumeration order."""
+    return tuple(Generator(kind, weight - 1) for weight in range(1, d + 1) for kind in (ETA, EPS))
+
+
+@lru_cache(maxsize=None)
 def _words_of_degree(d: int) -> tuple[Word, ...]:
+    """The words of degree d, in blocks by first letter (``_heads`` order),
+    each block in the order of the rests; ``_block_start`` reads this layout.
+    """
     if d == 0:
         return (EMPTY,)
-    out: list[Word] = []
-    for weight in range(1, d + 1):
-        for kind in (ETA, EPS):
-            head = Generator(kind, weight - 1)
-            out.extend((head,) + rest for rest in _words_of_degree(d - weight))
-    return tuple(out)
+    return tuple((head,) + rest for head in _heads(d) for rest in _words_of_degree(d - head.index - 1))
+
+
+def _block_start(prefix: Word, d: int) -> int:
+    """Where the words that begin with prefix start in ``_words_of_degree(d)``:
+    ``_words_of_degree(d - degree(prefix))[i]`` follows prefix at that start + i.
+    """
+    start = 0
+    for g in prefix:
+        heads = _heads(d)
+        start += sum(len(_words_of_degree(d - h.index - 1)) for h in heads[: heads.index(g)])
+        d -= g.index + 1
+    return start
 
 
 def normal_words(max_len: int, max_index: int) -> list[Word]:

@@ -451,3 +451,14 @@ def test_cli_import_leaves_dataclasses_unloaded():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # as `adjmon answer | head -1` does when head exits first: the reader is gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "adjmon.cli", "answer"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err.decode()
+    assert proc.returncode == 141

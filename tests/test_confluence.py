@@ -2,6 +2,7 @@ import pytest
 from collections import Counter
 from hypothesis import given, settings
 
+from adjmon import confluence, rewrite
 from adjmon.confluence import (
     EEH_SUBCASES,
     EHH_SUBCASES,
@@ -22,7 +23,7 @@ from adjmon.confluence import (
     sample_disjoint_parents,
 )
 from adjmon.rewrite import redexes
-from adjmon.words import _words_of_degree, degree, parse, render
+from adjmon.words import _words_of_degree, degree, normal_words_of_degree, parse, render
 from conftest import small_words
 
 
@@ -229,6 +230,54 @@ def test_components_agree_with_per_pair_search():
     for u in pop:
         for v in pop:
             assert equivalent_bounded(u, v, 6).equivalent == (component[u] == component[v])
+
+
+def all_edges_components(max_degree):
+    """The reference partition: one union per forward step of every word."""
+    universe = [w for d in range(max_degree + 1) for w in _words_of_degree(d)]
+    index = {w: n for n, w in enumerate(universe)}
+    parent = list(range(len(universe)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for w in universe:
+        for v in forward_steps(w):
+            parent[find(index[v])] = find(index[w])
+    return {w: find(n) for w, n in index.items()}
+
+
+def same_partition(a, b):
+    ids = {(a[w], b[w]) for w in a}
+    return a.keys() == b.keys() and len(ids) == len(set(a.values())) == len(set(b.values()))
+
+
+def test_components_match_all_edges_reference():
+    for max_degree in range(10):
+        assert same_partition(connected_components(max_degree), all_edges_components(max_degree))
+    assert not same_partition({(): 0, parse("h0"): 0}, {(): 0, parse("h0"): 1})
+
+
+def test_component_count_is_the_canonical_word_count():
+    # the reference takes about two seconds at this degree, so only the count is checked here
+    component = connected_components(11)
+    assert len(component) == 3**11
+    assert len(set(component.values())) == sum(len(normal_words_of_degree(d)) for d in range(12)) == 1967
+
+
+def test_oracle_never_calls_normalize(monkeypatch):
+    def refuse(w):
+        raise AssertionError("the oracle called normalize")
+
+    monkeypatch.setattr(rewrite, "normalize", refuse)
+    monkeypatch.setattr(confluence, "normalize", refuse)
+    assert len(connected_components(6)) == 3**6
+    assert equivalent_bounded(parse("e1 h1"), (), 9).equivalent
+    assert not equivalent_bounded(parse("h0 e0"), (), 6).equivalent
+    assert inverse_steps(parse("h0 e0"), 6)[0]
 
 
 def test_cross_check_oracle_small():

@@ -6,6 +6,9 @@ from adjmon.words import (
     EMPTY,
     Generator,
     WordSyntaxError,
+    _block_start,
+    _heads,
+    _words_of_degree,
     concat,
     degree,
     eps,
@@ -117,3 +120,23 @@ def test_generators_are_values():
     assert eta(2) == Generator("h", 2)
     assert eta(2) != eps(2)
     assert len({eta(1), eta(1), eps(1)}) == 2
+
+
+def test_degree_enumeration_layout():
+    # confluence.connected_components indexes these blocks arithmetically
+    for d in range(8):
+        words = _words_of_degree(d)
+        assert len(words) == len(set(words)) == (2 * 3 ** (d - 1) if d else 1)
+        assert all(degree(w) == d for w in words)
+        if d <= 4:
+            assert set(words) == {w for w in all_words(d, max(d - 1, 0)) if degree(w) == d}
+        heads = _heads(d)
+        prefixes = [()] + [(x,) for x in heads] + [(x, y) for x in heads for y in _heads(d - x.index - 1)]
+        for prefix in prefixes:
+            start = _block_start(prefix, d)
+            rests = _words_of_degree(d - degree(prefix))
+            assert words[start : start + len(rests)] == tuple(prefix + r for r in rests)
+        # the one-letter blocks follow each other in _heads order and fill the level
+        starts = [_block_start((x,), d) for x in heads] + [len(words) if d else 0]
+        assert starts == sorted(starts) and starts[0] == 0
+        assert all(b - a == len(_words_of_degree(d - x.index - 1)) for x, a, b in zip(heads, starts, starts[1:]))
