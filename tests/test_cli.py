@@ -460,5 +460,6 @@ def test_closed_stdout_exits_141_without_traceback():
     )
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
-    assert "Traceback" not in err.decode()
+    # unbuffered, the parent's print fails in cmd_answer; buffered, the flush at exit fails
+    assert "Traceback" not in err.decode() and "BrokenPipeError" not in err.decode()
     assert proc.returncode == 141
