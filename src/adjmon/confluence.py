@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import islice, product
 from typing import NamedTuple
 
-from .rewrite import RuleCase, apply, chain_lengths, forward_steps, match_rule, normalize, reduction_graph, redexes
+from .rewrite import RuleCase, apply, forward_steps, match_rule, normalize, reduction_graph, redexes
 from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_of_degree, all_words, degree, render, word_key
 from .words import eps as eps_letter
 from .words import eta as eta_letter
@@ -278,28 +278,66 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
     """Check the degree drop of every redex of every word within bounds
     (1 per step, 2 for the vanishing rule) and that no reduction sequence
     is longer than the start word's degree.
+
+    A word w is handled by its number, its place in ``all_words(max_len,
+    max_index)``: over L = 2 (max_index + 1) letters, the words of length n
+    start at S(n) = L^0 + ... + L^(n-1), and letter p has place value
+    L^(n-1-p).  With i = w - S(n), a step at p from letters a b to r0 r1
+    gives w + (r0 - a) L^(n-1-p) + (r1 - b) L^(n-2-p), and one deleting them
+    S(n-2) + (i // L^(n-p)) L^(n-2-p) + (i mod L^(n-2-p)).  Every degree is
+    tabled first, as a reduct can come after its word (e0 e2 -> e1 e0), and
+    each drop is read from the table, so a wrong number shows as a bad step.
+    Chain lengths follow by length, then ascending degree; a step that does
+    not lower the degree or leaves the bounds is bad and left out of them.
     """
     if max_len < 1 or max_index < 1:
         raise ValueError("bounds must be >= 1")
-    # No rule raises an index or lengthens a word, so this population is
-    # closed under steps, as chain_lengths requires.
-    successors: dict[Word, list[Word]] = {}
-    steps = 0
-    bad: list[tuple[Word, int, int]] = []
-    for w in all_words(max_len, max_index):
-        d = degree(w)
-        nexts = successors[w] = []
-        for p, rule in redexes(w):
-            steps += 1
-            v = w[:p] + rule.rhs + w[p + 2 :]
-            drop = d - degree(v)
-            want = 2 if rule.case is RuleCase.EPS_ETA_ZERO else 1
-            if drop != want:
-                bad.append((w, p, drop))
-            nexts.append(v)
-    lengths = chain_lengths(successors)
-    violations = tuple(w for w in successors if lengths[w] > degree(w))
-    return TerminationReport(len(successors), steps, tuple(bad), max(lengths.values()), violations)
+    letters = [w[0] for w in all_words(1, max_index) if w]
+    size, number = len(letters), {g: c for c, g in enumerate(letters)}
+    table: list[tuple | None] = []  # at a L + b, for letters a b: (change of w per L^(n-2-p), want, drop)
+    for (a, x), (b, y) in product(enumerate(letters), repeat=2):
+        rule = match_rule(x, y)
+        if rule is not None:
+            r = [number.get(g) for g in rule.rhs]
+            if not r:
+                change = None  # the letters vanish
+            elif len(r) == 2 and None not in r:
+                change = (r[0] - a) * size + r[1] - b
+            else:
+                change = False  # the reduct leaves the bounds
+            rule = (change, 2 if rule.case is RuleCase.EPS_ETA_ZERO else 1, degree(rule.lhs) - degree(rule.rhs))
+        table.append(rule)
+    pairs = len(table)
+    start, deg, level = [0, 1], [0], [0]  # start[n]: the first number of length n
+    for _ in range(max_len):
+        level = [d + g.index + 1 for d in level for g in letters]
+        deg += level
+        start.append(len(deg))
+    chain, steps, bad, violations = [0] * len(deg), 0, [], []
+    for n in range(2, max_len + 1):
+        places = [size ** (n - 2 - p) for p in range(n - 1)]
+        for w in sorted(range(start[n], start[n + 1]), key=deg.__getitem__):
+            i, d, longest = w - start[n], deg[w], 0
+            for p, place in enumerate(places):
+                hi = i // place
+                entry = table[hi % pairs]
+                if entry is None:
+                    continue
+                steps += 1
+                change, want, drop = entry
+                if change is not False:
+                    v = w + change * place if change is not None else start[n - 2] + hi // pairs * place + i % place
+                    drop = d - deg[v]
+                    if drop > 0 and chain[v] >= longest:
+                        longest = chain[v] + 1
+                if drop != want or change is False:
+                    bad.append((w, p, drop))
+            chain[w] = longest
+            if longest > d:
+                violations.append(w)
+    word = list(islice(all_words(max_len, max_index), max([w for w, _, _ in bad] + violations, default=-1) + 1))
+    bad_steps = tuple((word[w], p, drop) for w, p, drop in sorted(bad))
+    return TerminationReport(len(deg), steps, bad_steps, max(chain), tuple(word[w] for w in sorted(violations)))
 
 
 # --- equivalence oracle ------------------------------------------------------

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
 from itertools import pairwise
@@ -264,7 +263,12 @@ class ReductionGraph(NamedTuple):
 
     def longest_chain(self) -> int:
         """Length of the longest reduction sequence from the root."""
-        return chain_lengths(self.successors)[self.root]
+        # every step lowers the degree, so each reduct's length is known when needed
+        lengths: dict[Word, int] = {}
+        for u in sorted(self.successors, key=degree):
+            vs = self.successors[u]
+            lengths[u] = 1 + max(lengths[v] for v in vs) if vs else 0
+        return lengths[self.root]
 
 
 def reduction_graph(w: Word) -> ReductionGraph:
@@ -280,17 +284,3 @@ def reduction_graph(w: Word) -> ReductionGraph:
         queue.extend(v for v in nexts if v not in successors)
     return ReductionGraph(w, successors)
 
-
-def chain_lengths(successors: dict[Word, Sequence[Word]]) -> dict[Word, int]:
-    """Length of the longest reduction sequence from every word of a set,
-    given the one-step reducts of each.
-
-    The set must be closed under steps: every reduct is itself a key.
-    Every step lowers ``degree``, so in ascending degree order each
-    reduct's length is known before it is needed.
-    """
-    lengths: dict[Word, int] = {}
-    for w in sorted(successors, key=degree):
-        vs = successors[w]
-        lengths[w] = 1 + max(lengths[v] for v in vs) if vs else 0
-    return lengths

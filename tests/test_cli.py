@@ -282,6 +282,10 @@ def test_audit_empty_oracle_population_exit_2(capsys):
         ("audit", "--max-index", "1"),
         ("audit", "--disjoint-samples", "-1"),
         ("answer", "--max-index", "1"),
+        ("audit", "--max-len", "8"),
+        ("audit", "--max-len", "1000000000"),
+        ("audit", "--max-index", "50", "--skip-termination"),
+        ("answer", "--max-index", "50"),
     ],
     ids=" ".join,
 )
@@ -294,6 +298,21 @@ def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("adjmon: ")
+
+
+def test_audit_word_limit(capsys):
+    cli._check_audit_words(6, 5)  # (5, 6): 579,195 words, run by CI
+    cli._check_audit_words(49)  # 100^3 three-letter words
+    code, out, err = run(capsys, "audit", "--max-len", "6", "--max-index", "4")
+    assert (code, out) == (2, "")
+    assert err == (
+        "adjmon: --max-len 6 --max-index 4: the termination audit would enumerate 1,111,111 words, "
+        "over the limit of 1,000,000\n"
+    )
+    code, _, err = run(capsys, "audit", "--max-index", "50", "--skip-termination", "--skip-oracle")
+    assert code == 2 and "overlap scan would enumerate 1,061,208 words" in err
+    code, _, _ = run(capsys, "audit", "--max-len", "6", "--max-index", "4", "--skip-termination", "--skip-oracle")
+    assert code == 0
 
 
 def test_audit(capsys):

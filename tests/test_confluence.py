@@ -22,8 +22,10 @@ from adjmon.confluence import (
     resolve,
     sample_disjoint_parents,
 )
-from adjmon.rewrite import redexes
+from adjmon import cli
+from adjmon.rewrite import RuleCase, RuleInstance, reduction_graph, redexes
 from adjmon.words import _words_of_degree, degree, normal_words_of_degree, parse, render
+from adjmon.words import eta as eta_letter
 from conftest import small_words
 
 
@@ -171,6 +173,119 @@ def test_termination_chain_examples():
     assert report.passed
     # e1 h1 has the longest chain in the (2, 1) population: 3 steps
     assert report.longest_chain == 3
+
+
+def _termination_reference(max_len, max_index):
+    """The population, step count and bad steps of the termination audit,
+    built word by word from ``redexes``, ``forward_steps`` and ``degree``.
+    """
+    population = list(all_words(max_len, max_index))
+    steps, bad = 0, []
+    for w in population:
+        for (p, rule), v in zip(redexes(w), forward_steps(w)):
+            steps += 1
+            want = 2 if rule.case is RuleCase.EPS_ETA_ZERO else 1
+            inside = len(v) in (len(w), len(w) - 2) and all(g.index <= max_index for g in v)
+            if degree(w) - degree(v) != want or not inside:
+                bad.append((w, p, degree(w) - degree(v)))
+    return population, steps, tuple(bad)
+
+
+def _assert_matches_reference(report, max_len, max_index):
+    population, steps, bad = _termination_reference(max_len, max_index)
+    chains = [reduction_graph(w).longest_chain() for w in population]
+    assert (report.words_checked, report.steps_checked, report.longest_chain) == (len(population), steps, max(chains))
+    assert report.bad_steps == bad
+    assert report.chain_violations == tuple(w for w, c in zip(population, chains) if c > degree(w))
+
+
+@pytest.mark.parametrize("bounds", [(3, 2), (2, 4), (4, 1)])
+def test_termination_matches_word_reference(bounds):
+    report = audit_termination(*bounds)
+    _assert_matches_reference(report, *bounds)
+    assert report.passed
+
+
+def _patch_rule(monkeypatch, patch):
+    """Make the rule table return patch(x, y, rule) instead of rule."""
+    real = rewrite.match_rule
+
+    def match_rule(x, y):
+        return patch(x, y, real(x, y))
+
+    monkeypatch.setattr(rewrite, "match_rule", match_rule)
+    monkeypatch.setattr(confluence, "match_rule", match_rule)
+
+
+def _swap_eps(x, y, rule):
+    # e_i e_j -> e_j e_i does not lower the degree
+    return rule._replace(rhs=(y, x)) if rule is not None and rule.case is RuleCase.EPS_EPS else rule
+
+
+def test_termination_reports_non_decreasing_step(monkeypatch, capsys):
+    _patch_rule(monkeypatch, _swap_eps)
+    report = audit_termination(2, 1)
+    assert not report.passed
+    assert report.bad_steps == ((parse("e0 e1"), 0, 0),)
+    assert (report.words_checked, report.steps_checked) == (21, 6)
+    report = audit_termination(3, 2)
+    assert report.bad_steps == _termination_reference(3, 2)[2]
+    assert (parse("h0 e0 e1"), 1, 0) in report.bad_steps  # a bad step past the first position
+    code = cli.main(["audit", "--max-len", "2", "--max-index", "2", "--skip-oracle", "--disjoint-samples", "0"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    population, steps, _ = _termination_reference(2, 2)
+    assert out[0].startswith(f"termination: {len(population)} words, {steps} steps, ")
+    assert out[0].endswith("  FAIL")
+    assert out[-1] == "audit: FAIL"
+
+
+def test_termination_chains_follow_degree_not_number(monkeypatch):
+    # h1 h1 -> e0 h1 -> e0 h0 -> 1, and no other rule: e0 h1 is numbered after h1 h1
+    real = rewrite.match_rule
+    rules = {
+        parse("h1 h1"): RuleInstance(RuleCase.ETA_ETA, parse("h1 h1"), parse("e0 h1")),
+        parse("e0 h1"): real(*parse("e0 h1")),
+        parse("e0 h0"): real(*parse("e0 h0")),
+    }
+    _patch_rule(monkeypatch, lambda x, y, rule: rules.get((x, y)))
+    report = audit_termination(2, 1)
+    assert report.passed and report.longest_chain == 3
+    _assert_matches_reference(report, 2, 1)
+
+
+def test_termination_leaves_unsound_steps_out_of_chains(monkeypatch):
+    # e1 e1 -> e1 h1 keeps the degree; counted, it would lengthen e1 h1's chain of 3
+    def patch(x, y, rule):
+        return RuleInstance(RuleCase.EPS_EPS, (x, y), parse("e1 h1")) if (x, y) == parse("e1 e1") else rule
+
+    _patch_rule(monkeypatch, patch)
+    report = audit_termination(2, 1)
+    assert report.bad_steps == ((parse("e1 e1"), 0, 0),)
+    assert (report.longest_chain, report.chain_violations) == (3, ())
+
+
+@pytest.mark.parametrize(
+    "case, rhs, sound",
+    [
+        # a degree-lowering rule made to delete its letters: the vanishing reduct's number at every position
+        (RuleCase.EPS_ETA_EQUAL, lambda x, y: (), True),
+        # the vanishing rule with a one-letter reduct, outside the population
+        (RuleCase.EPS_ETA_ZERO, lambda x, y: parse("h0"), False),
+        # e_i h_i -> e_i h_{i+1} raises the degree, and leaves the bounds when i = max_index
+        (RuleCase.EPS_ETA_EQUAL, lambda x, y: (x, eta_letter(y.index + 1)), False),
+    ],
+    ids=["equal-vanishes", "zero-to-one-letter", "index-out-of-bounds"],
+)
+def test_termination_reports_faulty_rule_exactly(monkeypatch, case, rhs, sound):
+    _patch_rule(monkeypatch, lambda x, y, rule: rule._replace(rhs=rhs(x, y)) if rule and rule.case is case else rule)
+    population, steps, bad = _termination_reference(4, 2)
+    report = audit_termination(4, 2)
+    assert (report.words_checked, report.steps_checked, report.bad_steps) == (len(population), steps, bad)
+    assert any(p >= 1 for _, p, _ in report.bad_steps)
+    assert not report.passed
+    if sound:  # every drop is positive, so the reference's chain lengths hold too
+        _assert_matches_reference(report, 4, 2)
 
 
 # --- bidirectional oracle -----------------------------------------------------
