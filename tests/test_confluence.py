@@ -200,7 +200,12 @@ def _assert_matches_reference(report, max_len, max_index):
 
 
 @pytest.mark.parametrize("bounds", [(3, 2), (2, 4), (4, 1)])
-def test_termination_matches_word_reference(bounds):
+def test_termination_matches_word_reference(bounds, monkeypatch):
+    def never(w):
+        raise AssertionError("the termination audit called normalize")
+
+    monkeypatch.setattr(rewrite, "normalize", never)
+    monkeypatch.setattr(confluence, "normalize", never)
     report = audit_termination(*bounds)
     _assert_matches_reference(report, *bounds)
     assert report.passed
