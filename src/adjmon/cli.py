@@ -171,7 +171,16 @@ def _identity_records(report: monoid.IdentityReport, kind: str) -> int:
     return 0 if report.passed else 1
 
 
+def _check_positive(args, *flags: str) -> None:
+    """Refuse a bound below 1, naming its flag and value."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise ValueError(f"{flag} {value}: the bound must be >= 1")
+
+
 def cmd_axioms(args) -> int:
+    _check_positive(args, "--max-len", "--max-index")
     report = monoid.check_axioms(args.max_len, args.max_index)
     if args.json:
         return _identity_records(report, "axiom")
@@ -199,6 +208,7 @@ def cmd_ncheck(args) -> int:
         else:
             print("not a member")
         return 0
+    _check_positive(args, "--max-len", "--max-index")
     report = monoid.check_N_closure(args.max_len, args.max_index)
     if args.json:
         return _identity_records(report, "submonoid")
@@ -269,6 +279,8 @@ def cmd_audit(args) -> int:
         _check_oracle_degree(args.max_degree)
         confluence.check_oracle_bounds(args.oracle_len, args.oracle_index, args.max_degree)
     confluence.check_overlap_bounds(args.max_index, args.disjoint_samples)
+    if not args.skip_termination:
+        _check_positive(args, "--max-len")
     _check_audit_words(args.max_index, -1 if args.skip_termination else args.max_len)
     ok = True
     term = None

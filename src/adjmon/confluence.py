@@ -33,7 +33,7 @@ from itertools import islice, product
 from typing import NamedTuple
 
 from .rewrite import RuleCase, apply, forward_steps, match_rule, normalize, reduction_graph, redexes
-from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_of_degree, all_words, degree, render, word_key
+from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_of_degree, all_words, degree, letter, render, word_key
 from .words import eps as eps_letter
 from .words import eta as eta_letter
 
@@ -104,7 +104,7 @@ def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
     ``match_rule``; an overlap outside the four families is a hard error.
     """
     check_overlap_bounds(max_index)
-    letters = [Generator(kind, n) for kind in "he" for n in range(max_index + 1)]
+    letters = [letter(kind, n) for kind in "he" for n in range(max_index + 1)]
     pairs: list[CriticalPair] = []
     for parent in product(letters, repeat=3):
         if match_rule(*parent[:2]) is None or match_rule(*parent[1:]) is None:
@@ -223,41 +223,29 @@ def audit_local_confluence(max_index: int = 6, disjoint_samples: int = 32) -> Lo
     for w in sample_disjoint_parents(max_index, disjoint_samples):
         pairs.extend(disjoint_critical_pairs(w)[:1])
 
-    groups: dict[tuple[str, str | None], list] = {}
+    rows: dict[tuple[str, str | None], SubcaseRow] = {}  # tallied as each pair is resolved
     unjoinable = []
     for pair in pairs:
         commons = common_reducts(pair)
         bound = _least(commons)
-        groups.setdefault((pair.family, pair.subcase), []).append((pair, bound, commons))
         if bound is None:
             unjoinable.append(pair._replace(bound_found=None))
-
-    rows = []
-    for (family, case), entries in sorted(groups.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-        formula_matches = alt_matches = alt_applicable = 0
-        for pair, _, commons in entries:
-            formula_matches += expected_bound(pair) in commons
-            alt = alternative_bound(pair)
-            if alt is not None:
-                alt_applicable += 1
-                alt_matches += alt in commons
-        rows.append(
-            SubcaseRow(
-                family,
-                case,
-                len(entries),
-                sum(1 for _, bound, _ in entries if bound is not None),
-                entries[0][1],
-                formula_matches,
-                len(entries),
-                alt_matches,
-                alt_applicable,
-            )
+        alt = alternative_bound(pair)
+        key = (pair.family, pair.subcase)
+        r = rows.get(key) or SubcaseRow(pair.family, pair.subcase, 0, 0, bound, 0, 0)
+        rows[key] = r._replace(
+            instances=r.instances + 1,
+            joinable=r.joinable + (bound is not None),
+            formula_matches=r.formula_matches + (expected_bound(pair) in commons),
+            formula_applicable=r.formula_applicable + 1,
+            alt_formula_matches=r.alt_formula_matches + (alt is not None and alt in commons),
+            alt_formula_applicable=r.alt_formula_applicable + (alt is not None),
         )
 
     cases = {(family, name) for family, table in _CASES.items() for name, _, _ in table}
-    missing = tuple(sorted((f, str(s)) for f, s in cases - set(groups)))
-    return LocalConfluenceReport(max_index, tuple(rows), missing, tuple(unjoinable))
+    missing = tuple(sorted((f, str(s)) for f, s in cases - set(rows)))
+    ordered = sorted(rows.values(), key=lambda r: (r.family, str(r.subcase)))
+    return LocalConfluenceReport(max_index, tuple(ordered), missing, tuple(unjoinable))
 
 
 # --- termination -------------------------------------------------------------
@@ -267,17 +255,17 @@ class TerminationReport(NamedTuple):
     steps_checked: int
     bad_steps: tuple[tuple[Word, int, int], ...]  # (word, position, observed drop)
     longest_chain: int
-    chain_violations: tuple[Word, ...]  # words whose maximal chain exceeds degree
 
     @property
     def passed(self) -> bool:
-        return not self.bad_steps and not self.chain_violations
+        return not self.bad_steps
 
 
 def audit_termination(max_len: int, max_index: int) -> TerminationReport:
     """Check the degree drop of every redex of every word within bounds
-    (1 per step, 2 for the vanishing rule) and that no reduction sequence
-    is longer than the start word's degree.
+    (1 per step, 2 for the vanishing rule), and find the longest reduction
+    sequence.  Chains count only steps that lower the degree, so none is
+    longer than its start word's degree.
 
     A word w is handled by its number, its place in ``all_words(max_len,
     max_index)``: over L = 2 (max_index + 1) letters, the words of length n
@@ -313,7 +301,7 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
         level = [d + g.index + 1 for d in level for g in letters]
         deg += level
         start.append(len(deg))
-    chain, steps, bad, violations = [0] * len(deg), 0, [], []
+    chain, steps, bad = [0] * len(deg), 0, []
     for n in range(2, max_len + 1):
         places = [size ** (n - 2 - p) for p in range(n - 1)]
         for w in sorted(range(start[n], start[n + 1]), key=deg.__getitem__):
@@ -333,11 +321,9 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
                 if drop != want or change is False:
                     bad.append((w, p, drop))
             chain[w] = longest
-            if longest > d:
-                violations.append(w)
-    word = list(islice(all_words(max_len, max_index), max([w for w, _, _ in bad] + violations, default=-1) + 1))
+    word = list(islice(all_words(max_len, max_index), max((w for w, _, _ in bad), default=-1) + 1))
     bad_steps = tuple((word[w], p, drop) for w, p, drop in sorted(bad))
-    return TerminationReport(len(deg), steps, bad_steps, max(chain), tuple(word[w] for w in sorted(violations)))
+    return TerminationReport(len(deg), steps, bad_steps, max(chain))
 
 
 # --- equivalence oracle ------------------------------------------------------
@@ -348,7 +334,7 @@ def _left_sides(x: Generator, y: Generator) -> tuple[Word, ...]:
     total = x.index + y.index + 1
     out = []
     for n, a, b in product(range(total + 1), (ETA, EPS), (ETA, EPS)):
-        lhs = (Generator(a, n), Generator(b, total - n))
+        lhs = (letter(a, n), letter(b, total - n))
         rule = match_rule(*lhs)
         if rule is not None and rule.rhs == (x, y):
             out.append(lhs)

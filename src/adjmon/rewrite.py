@@ -36,7 +36,7 @@ from functools import lru_cache
 from itertools import pairwise
 from typing import NamedTuple
 
-from .words import EPS, ETA, Generator, Word, degree, eps, eta
+from .words import EPS, ETA, Generator, Word, degree, eps, eta, letter
 
 
 class RuleCase(str, Enum):
@@ -190,12 +190,14 @@ def normalize(w: Word) -> Word:
         elif r < len(a) and a[r] + r <= k + 1:
             del a[r]
         else:
-            a[r:] = [x - 1 for x in a[r:]]
+            if r < len(a):
+                a[r:] = [x - 1 for x in a[r:]]
             y = k - r
-            m = bisect_right(range(len(merges)), y, key=rank)
+            # rank(0) = merges[0] is the least rank, so none is <= y unless it is
+            m = bisect_right(range(len(merges)), y, key=rank) if merges and merges[0] <= y else 0
             merges.insert(m, y + m)
-    out = [eta(x) for x in a]
-    out += [eps(merges[u] - u) for u in range(len(merges) - 1, -1, -1)]
+    out = [letter(ETA, x) for x in a]
+    out += [letter(EPS, merges[u] - u) for u in range(len(merges) - 1, -1, -1)]
     return tuple(out)
 
 

@@ -1,12 +1,14 @@
 """Words over the indexed alphabet {eta_k, eps_k} and their textual form.
 
 A word is a tuple of :class:`Generator` letters; the empty tuple is the
-monoid identity.  The text format is space-optional tokens ``h<k>`` /
-``e<k>`` (Unicode aliases ``η<k>`` / ``ε<k>`` accepted on input), with the
-bare token ``1`` standing for the empty word.  ``degree`` is the additive
-measure that makes every rewrite step strictly decreasing.  The
-enumerators list words within bounds, all of them or only the canonical
-forms, in the deterministic order of ``word_key``.
+monoid identity.  Letters compare by value, and the package builds each
+through :func:`letter`, which shares one immutable instance per value.  The
+text format is space-optional tokens ``h<k>`` / ``e<k>`` (Unicode aliases
+``η<k>`` / ``ε<k>`` accepted on input), with the bare token ``1`` standing
+for the empty word.  ``degree`` is the additive measure that makes every
+rewrite step strictly decreasing.  The enumerators list words within
+bounds, all of them or only the canonical forms, in the deterministic
+order of ``word_key``.
 """
 
 from __future__ import annotations
@@ -33,12 +35,24 @@ Word = tuple[Generator, ...]
 EMPTY: Word = ()
 
 
+# The audits and short queries use a few dozen letters, the longest bench words 1,600.
+LETTER_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=LETTER_CACHE_SIZE)
+def letter(kind: str, index: int) -> Generator:
+    """The letter (kind, index), memoized: equal arguments share one instance
+    while among the ``LETTER_CACHE_SIZE`` most recently used.
+    """
+    return Generator(kind, index)
+
+
 def eta(k: int) -> Generator:
-    return Generator(ETA, k)
+    return letter(ETA, k)
 
 
 def eps(k: int) -> Generator:
-    return Generator(EPS, k)
+    return letter(EPS, k)
 
 
 def concat(u: Word, v: Word) -> Word:
@@ -106,7 +120,7 @@ def parse(text: str) -> Word:
             index = int(text[digits:pos])
         except ValueError:  # more digits than the interpreter's int conversion limit
             raise WordSyntaxError(f"index after {ch!r} has too many digits", text, start) from None
-        letters.append(Generator(kind, index))
+        letters.append(letter(kind, index))
     if not letters and not identity_seen:
         raise WordSyntaxError("empty input (write '1' for the identity)", text, 0)
     return tuple(letters)
@@ -124,7 +138,7 @@ def render(w: Word) -> str:
 def all_words(max_len: int, max_index: int):
     """Every word within the bounds, in (length, letterwise) order."""
     letters = sorted(
-        (Generator(kind, n) for kind in (ETA, EPS) for n in range(max_index + 1)),
+        (letter(kind, n) for kind in (ETA, EPS) for n in range(max_index + 1)),
         key=letter_key,
     )
     for length in range(max_len + 1):
@@ -134,7 +148,7 @@ def all_words(max_len: int, max_index: int):
 @lru_cache(maxsize=None)
 def _heads(d: int) -> tuple[Generator, ...]:
     """The first letters of the words of degree d >= 1, in enumeration order."""
-    return tuple(Generator(kind, weight - 1) for weight in range(1, d + 1) for kind in (ETA, EPS))
+    return tuple(letter(kind, weight - 1) for weight in range(1, d + 1) for kind in (ETA, EPS))
 
 
 @lru_cache(maxsize=None)

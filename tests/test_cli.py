@@ -300,6 +300,28 @@ def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
     assert err.startswith("adjmon: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "--max-len", "0"),
+        ("axioms", "--max-len", "0"),
+        ("axioms", "--max-index", "0"),
+        ("ncheck", "--max-len", "0"),
+        ("ncheck", "--max-index", "-1"),
+    ],
+    ids=" ".join,
+)
+def test_bound_below_1_refused_naming_its_flag(capsys, monkeypatch, argv):
+    def never(*args):
+        raise AssertionError("a check ran before its bounds were checked")
+
+    monkeypatch.setattr(confluence, "audit_termination", never)
+    monkeypatch.setattr(confluence, "audit_local_confluence", never)
+    monkeypatch.setattr(monoid, "_check_suite", never)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"adjmon: {argv[1]} {argv[2]}: the bound must be >= 1\n")
+
+
 def test_audit_word_limit(capsys):
     cli._check_audit_words(6, 5)  # (5, 6): 579,195 words, run by CI
     cli._check_audit_words(49)  # 100^3 three-letter words

@@ -1,5 +1,10 @@
+from functools import lru_cache
+from itertools import product
+
 import pytest
 from hypothesis import given
+
+from adjmon import monoid
 
 from adjmon.monoid import (
     Element,
@@ -121,6 +126,36 @@ def test_check_axioms_specific_instances():
 def test_check_axioms_rejects_bad_bounds():
     with pytest.raises(ValueError):
         check_axioms(0, 3)
+
+
+E0, H0 = parse("e0"), parse("h0")
+
+# Each suite row's two sides, as built before the rows took a memoized f
+# and applied it piece by piece: shift_word on the whole argument.
+REFERENCE_SIDES = {
+    "eps*eta=1": lambda: (E0 + H0, ()),
+    "eps*f(eta)=1": lambda: (E0 + parse("h1"), ()),
+    "eps*f(eps)=eps^2": lambda: (E0 + parse("e1"), E0 + E0),
+    "eps*f^2(m)=f(m)*eps": lambda m: (E0 + shift_word(m, 2), shift_word(m) + E0),
+    "f(m)*eta=eta*m": lambda m: (shift_word(m) + H0, H0 + m),
+    "eps*f(eps*f(m))=eps*f(m)*eps": lambda m: (E0 + shift_word(E0 + shift_word(m)), E0 + shift_word(m) + E0),
+    "m=eps*f(m)*eta": lambda m: (m, E0 + shift_word(m) + H0),
+    "eps*f(m1)*eps*f(m2)=eps*f(eps*f(m1)*m2)": lambda m1, m2: (
+        E0 + shift_word(m1) + E0 + shift_word(m2),
+        E0 + shift_word(E0 + shift_word(m1) + m2),
+    ),
+    "n=eps*f(n*eta)": lambda m: (E0 + shift_word(m), E0 + shift_word(E0 + shift_word(m) + H0)),
+}
+
+
+def test_suite_rows_build_the_reference_sides():
+    pop = normal_words(3, 3)
+    f = lru_cache(maxsize=None)(shift_word)
+    suite = monoid._AXIOMS + monoid._N_CLOSURE
+    assert [name for name, *_ in suite] == list(REFERENCE_SIDES)
+    for name, arity, sides, _ in suite:
+        for ws in product(pop, repeat=arity):
+            assert sides(f, *ws) == REFERENCE_SIDES[name](*ws)
 
 
 def test_check_N_closure_passes():

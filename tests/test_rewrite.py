@@ -15,7 +15,7 @@ from adjmon.rewrite import (
     reduction_graph,
     redexes,
 )
-from adjmon.words import Generator, _words_of_degree, degree, eps, eta, parse, render
+from adjmon.words import LETTER_CACHE_SIZE, Generator, _words_of_degree, degree, eps, eta, letter, parse, render
 from conftest import small_words
 
 BIG = 10**12
@@ -141,6 +141,25 @@ def test_normalize_long_and_huge_index_words():
     # rewriting each of these takes more than 2 * 10**12 steps
     assert normalize((eps(big), eta(big))) == ()
     assert normalize((eta(5), eps(big), eta(big + 1), eps(3))) == parse("h5 e3")
+
+
+def test_normalize_returns_shared_letters():
+    for w in all_words(3, 2):
+        assert all(g is letter(*g) for g in normalize(w))
+    assert all(g is letter(*g) for g in normalize(parse("h5 e9 h7 e3 e4")))
+
+
+def test_normalize_beyond_the_letter_cache():
+    # 5,000 distinct indices, more than the letter cache keeps: a canonical
+    # eta block and eps block, then one eta that rewriting moves a few places
+    ups = tuple(eta(BIG + 2 * t) for t in range(4990))
+    downs = tuple(eps(BIG + 10**6 - t) for t in range(10))
+    w = ups + downs + (eta(BIG + 2 * 4985 + 1),)
+    assert len({g.index for g in w}) == 5001
+    nf = normalize(w)
+    assert letter.cache_info().currsize <= LETTER_CACHE_SIZE
+    assert is_canonical_shape(nf)
+    assert nf == normalize_trace(w).end
 
 
 @given(small_words())

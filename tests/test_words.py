@@ -13,6 +13,7 @@ from adjmon.words import (
     degree,
     eps,
     eta,
+    letter,
     parse,
     render,
 )
@@ -120,6 +121,13 @@ def test_generators_are_values():
     assert eta(2) == Generator("h", 2)
     assert eta(2) != eps(2)
     assert len({eta(1), eta(1), eps(1)}) == 2
+
+
+def test_letters_are_shared():
+    assert letter("h", 3) is letter("h", 3) is eta(3)
+    assert letter("e", 3) is eps(3) is not eta(3)
+    assert parse("h3")[0] is eta(3)
+    assert all(g is letter(*g) for g in parse("h0 ε2 e2 η0"))
 
 
 def test_degree_enumeration_layout():
