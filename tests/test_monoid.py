@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 
 from adjmon import monoid
-
 from adjmon.monoid import (
     Element,
     answer_open_question,
@@ -130,8 +129,8 @@ def test_check_axioms_rejects_bad_bounds():
 
 E0, H0 = parse("e0"), parse("h0")
 
-# Each suite row's two sides, as built before the rows took a memoized f
-# and applied it piece by piece: shift_word on the whole argument.
+# Each suite row's two sides with shift_word applied to whole arguments: the
+# reference for the rows, which apply a memoized f to the pieces of a product.
 REFERENCE_SIDES = {
     "eps*eta=1": lambda: (E0 + H0, ()),
     "eps*f(eta)=1": lambda: (E0 + parse("h1"), ()),
