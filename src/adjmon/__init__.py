@@ -13,6 +13,7 @@ from .words import (
     degree,
     eps,
     eta,
+    is_canonical_shape,
     parse,
     render,
 )
@@ -24,7 +25,6 @@ from .rewrite import (
     Step,
     Trace,
     apply,
-    is_canonical_shape,
     is_normal,
     normalize,
     normalize_trace,

@@ -171,16 +171,16 @@ def _identity_records(report: monoid.IdentityReport, kind: str) -> int:
     return 0 if report.passed else 1
 
 
-def _check_positive(args, *flags: str) -> None:
-    """Refuse a bound below 1, naming its flag and value."""
+def _check_at_least(args, minimum: int, *flags: str) -> None:
+    """Refuse a bound below minimum, naming its flag and value."""
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value < 1:
-            raise ValueError(f"{flag} {value}: the bound must be >= 1")
+        if value < minimum:
+            raise ValueError(f"{flag} {value}: the bound must be >= {minimum}")
 
 
 def cmd_axioms(args) -> int:
-    _check_positive(args, "--max-len", "--max-index")
+    _check_at_least(args, 1, "--max-len", "--max-index")
     report = monoid.check_axioms(args.max_len, args.max_index)
     if args.json:
         return _identity_records(report, "axiom")
@@ -208,7 +208,7 @@ def cmd_ncheck(args) -> int:
         else:
             print("not a member")
         return 0
-    _check_positive(args, "--max-len", "--max-index")
+    _check_at_least(args, 1, "--max-len", "--max-index")
     report = monoid.check_N_closure(args.max_len, args.max_index)
     if args.json:
         return _identity_records(report, "submonoid")
@@ -277,10 +277,14 @@ def cmd_audit(args) -> int:
     # every bound is checked before the first audit runs
     if not args.skip_oracle:
         _check_oracle_degree(args.max_degree)
-        confluence.check_oracle_bounds(args.oracle_len, args.oracle_index, args.max_degree)
-    confluence.check_overlap_bounds(args.max_index, args.disjoint_samples)
+        _check_at_least(args, 1, "--oracle-len")
+        _check_at_least(args, 0, "--oracle-index")
+        # the population's words have degree up to --oracle-len (--oracle-index + 1)
+        _check_at_least(args, args.oracle_len * (args.oracle_index + 1), "--max-degree")
+    _check_at_least(args, 2, "--max-index")  # indices up to 2 instantiate every overlap family
+    _check_at_least(args, 0, "--disjoint-samples")
     if not args.skip_termination:
-        _check_positive(args, "--max-len")
+        _check_at_least(args, 1, "--max-len")
     _check_audit_words(args.max_index, -1 if args.skip_termination else args.max_len)
     ok = True
     term = None
@@ -357,7 +361,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_answer(args) -> int:
-    confluence.check_overlap_bounds(args.max_index)
+    _check_at_least(args, 2, "--max-index")
     _check_audit_words(args.max_index)
     verdict = monoid.answer_open_question()
     term = confluence.audit_termination(4, 3)

@@ -33,7 +33,7 @@ from itertools import islice, product
 from typing import NamedTuple
 
 from .rewrite import RuleCase, apply, forward_steps, match_rule, normalize, reduction_graph, redexes
-from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_of_degree, all_words, degree, letter, render, word_key
+from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_by_degree, all_words, degree, letter, render, word_key
 from .words import eps as eps_letter
 from .words import eta as eta_letter
 
@@ -83,14 +83,6 @@ class CriticalPair(NamedTuple):
     bound_found: Word | None = None
 
 
-def check_overlap_bounds(max_index: int = 2, disjoint_samples: int = 0) -> None:
-    """Refuse bounds the local-confluence audit cannot use; the defaults pass."""
-    if max_index < 2:
-        raise ValueError("max_index must be >= 2 to instantiate every subcase family")
-    if disjoint_samples < 0:
-        raise ValueError("disjoint sample count must be >= 0")
-
-
 def subcase(family: str, i: int, j: int, k: int) -> str | None:
     """The subcase of an overlap parent of the family with indices i, j, k."""
     return next(name for name, guard, _ in _CASES[family] if guard(i, j, k))
@@ -103,7 +95,8 @@ def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
     The parents come from a blind scan of all three-letter words with
     ``match_rule``; an overlap outside the four families is a hard error.
     """
-    check_overlap_bounds(max_index)
+    if max_index < 2:
+        raise ValueError("max_index must be >= 2 to instantiate every subcase family")
     letters = [letter(kind, n) for kind in "he" for n in range(max_index + 1)]
     pairs: list[CriticalPair] = []
     for parent in product(letters, repeat=3):
@@ -140,7 +133,8 @@ def sample_disjoint_parents(max_index: int, count: int) -> list[Word]:
     """A deterministic sample of words of length 4 or 5 carrying two
     disjoint redexes.
     """
-    check_overlap_bounds(disjoint_samples=count)
+    if count < 0:
+        raise ValueError("disjoint sample count must be >= 0")
     parents = (w for w in all_words(5, min(max_index, 3)) if disjoint_critical_pairs(w))
     return list(islice(parents, count))
 
@@ -412,7 +406,7 @@ def connected_components(max_degree: int) -> dict[Word, int]:
     x r gets the node (x, component of r at level m - wt(x)), the empty
     word a node of its own; steps of the second kind stay inside a node,
     and joining the nodes along first-factor rewrites, which map blocks of
-    ``_words_of_degree`` onto blocks (``_block_start``), gives the
+    ``_words_by_degree`` onto blocks (``_block_start``), gives the
     components of U_m.  Neither confluence nor ``normalize`` is used.
     """
 
@@ -422,6 +416,7 @@ def connected_components(max_degree: int) -> dict[Word, int]:
             x = parent[x]
         return x
 
+    levels = _words_by_degree(max_degree)
     labels: list[list[list[int]]] = []  # labels[m][d][i]: component at level m of word i of degree d
     count: list[int] = []  # count[m]: components at level m, numbered from 0
     for m in range(max_degree + 1):
@@ -438,8 +433,8 @@ def connected_components(max_degree: int) -> dict[Word, int]:
                     rule = match_rule(x, y)
                     if rule is not None:
                         rest = d - degree((x, y))
-                        block, lower = len(_words_of_degree(rest)), rest + degree(rule.rhs)
-                        a, b = _block_start((x, y), d), _block_start(rule.rhs, lower)
+                        block, lower = len(levels[rest]), rest + degree(rule.rhs)
+                        a, b = _block_start(levels, (x, y), d), _block_start(levels, rule.rhs, lower)
                         for u, v in set(zip(nodes[d][a : a + block], nodes[lower][b : b + block])):
                             parent[find(v)] = find(u)
         roots: dict[int, int] = {}
@@ -448,7 +443,7 @@ def connected_components(max_degree: int) -> dict[Word, int]:
         count.append(len(roots))
     component: dict[Word, int] = {}
     for d, level in enumerate(labels[-1] if labels else []):
-        component.update(zip(_words_of_degree(d), level))
+        component.update(zip(levels[d], level))
     return component
 
 
@@ -463,14 +458,6 @@ class CrossCheckReport(NamedTuple):
         return not self.discrepancies
 
 
-def check_oracle_bounds(max_len: int, max_index: int, max_degree: int) -> None:
-    """Refuse an oracle population that is empty or does not fit in max_degree."""
-    if max_len < 1 or max_index < 0:
-        raise ValueError("the oracle population needs max_len >= 1 and max_index >= 0")
-    if max_len * (max_index + 1) > max_degree:
-        raise ValueError("max_degree too small for the word population")
-
-
 def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCheckReport:
     """Against every word pair within bounds: the bounded bidirectional
     closure must agree with canonical-form equality.  The closure is read
@@ -481,26 +468,37 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
     The two sides are independent procedures: the closure rewrites words
     with the rules and never forms a canonical form, while ``normalize``
     reads canonical forms off the monotone-map model and applies no rule.
+
+    One pass compares the partitions: they agree on every pair exactly when
+    the map from component to canonical form is well defined and injective.
+    A word that breaks either adds one discrepancy, paired with the first
+    word of its component or of its canonical form.  The sample is every
+    stride-th pair.
     """
-    check_oracle_bounds(max_len, max_index, max_degree)
+    if max_len < 1 or max_index < 0:
+        raise ValueError("the oracle population needs max_len >= 1 and max_index >= 0")
+    if max_len * (max_index + 1) > max_degree:
+        raise ValueError("max_degree too small for the word population")
     population = list(all_words(max_len, max_index))
     component = connected_components(max_degree)
-    nf = {w: normalize(w) for w in population}
+    discrepancies = []
+    first_of_component: dict[int, tuple[Word, Word]] = {}  # component -> (first word, its canonical form)
+    first_of_form: dict[Word, Word] = {}
+    for w in population:
+        nf = normalize(w)
+        u, form = first_of_component.setdefault(component[w], (w, nf))
+        v = first_of_form.setdefault(nf, w)
+        if form != nf:
+            discrepancies.append((u, w, True, False))
+        elif component[v] != component[w]:
+            discrepancies.append((v, w, False, True))
     pairs = len(population) * (len(population) + 1) // 2
     stride = max(1, pairs // 25)
-    nf_discrepancies = []
-    spot_discrepancies = []
-    seen = 0
+    row = 0  # pair (u_a, u_b), a <= b, is number row + b - a, counting from 0 by a, then b
     for a, u in enumerate(population):
-        for v in population[a:]:
-            seen += 1
-            agree_oracle = component[u] == component[v]
-            agree_nf = nf[u] == nf[v]
-            if agree_oracle != agree_nf:
-                nf_discrepancies.append((u, v, agree_oracle, agree_nf))
-            if seen % stride == 0:
-                verdict = equivalent_bounded(u, v, max_degree)
-                if verdict.equivalent != agree_oracle:
-                    spot_discrepancies.append((u, v, verdict.equivalent, agree_oracle))
-    discrepancies = tuple(nf_discrepancies + spot_discrepancies)
-    return CrossCheckReport(len(population), pairs, discrepancies, pairs // stride)
+        for v in population[a + (stride - 1 - row) % stride :: stride]:
+            verdict = equivalent_bounded(u, v, max_degree).equivalent
+            if verdict != (component[u] == component[v]):
+                discrepancies.append((u, v, verdict, not verdict))  # the search, then the components
+        row += len(population) - a
+    return CrossCheckReport(len(population), pairs, tuple(discrepancies), pairs // stride)

@@ -227,24 +227,6 @@ def is_normal(w: Word) -> bool:
     return all(match_rule(x, y) is None for x, y in pairwise(w))
 
 
-def is_canonical_shape(w: Word) -> bool:
-    """Shape test for normal forms, independent of the rule table:
-    an eta block with non-decreasing indices, then an eps block with
-    non-increasing indices.
-    """
-    split = len(w)
-    for p, g in enumerate(w):
-        if g.kind == EPS:
-            split = p
-            break
-    etas, epss = w[:split], w[split:]
-    if any(g.kind != EPS for g in epss):
-        return False
-    if any(a.index > b.index for a, b in pairwise(etas)):
-        return False
-    return all(a.index >= b.index for a, b in pairwise(epss))
-
-
 class ReductionGraph(NamedTuple):
     """All words reachable from ``root`` by single steps (nodes deduplicated)."""
 

@@ -14,7 +14,7 @@ order of ``word_key``.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, pairwise, product
 from typing import NamedTuple
 
 ETA = "h"
@@ -151,24 +151,25 @@ def _heads(d: int) -> tuple[Generator, ...]:
     return tuple(letter(kind, weight - 1) for weight in range(1, d + 1) for kind in (ETA, EPS))
 
 
-@lru_cache(maxsize=None)
-def _words_of_degree(d: int) -> tuple[Word, ...]:
-    """The words of degree d, in blocks by first letter (``_heads`` order),
-    each block in the order of the rests; ``_block_start`` reads this layout.
+def _words_by_degree(max_degree: int) -> list[tuple[Word, ...]]:
+    """The words of each degree d <= max_degree, built for the caller alone:
+    level d in blocks by first letter (``_heads`` order), each block in the
+    order of the level of its rests; ``_block_start`` reads this layout.
     """
-    if d == 0:
-        return (EMPTY,)
-    return tuple((head,) + rest for head in _heads(d) for rest in _words_of_degree(d - head.index - 1))
+    levels = [(EMPTY,)]
+    for d in range(1, max_degree + 1):
+        levels.append(tuple((head,) + rest for head in _heads(d) for rest in levels[d - head.index - 1]))
+    return levels
 
 
-def _block_start(prefix: Word, d: int) -> int:
-    """Where the words that begin with prefix start in ``_words_of_degree(d)``:
-    ``_words_of_degree(d - degree(prefix))[i]`` follows prefix at that start + i.
+def _block_start(levels: list[tuple[Word, ...]], prefix: Word, d: int) -> int:
+    """Where the words that begin with prefix start in ``levels[d]``:
+    ``levels[d - degree(prefix)][i]`` follows prefix at that start + i.
     """
     start = 0
     for g in prefix:
         heads = _heads(d)
-        start += sum(len(_words_of_degree(d - h.index - 1)) for h in heads[: heads.index(g)])
+        start += sum(len(levels[d - h.index - 1]) for h in heads[: heads.index(g)])
         d -= g.index + 1
     return start
 
@@ -188,23 +189,24 @@ def normal_words(max_len: int, max_index: int) -> list[Word]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _ascending_partitions(n: int, minimum: int = 1) -> tuple[tuple[int, ...], ...]:
-    if n == 0:
-        return ((),)
-    parts = []
-    for first in range(minimum, n + 1):
-        parts.extend((first,) + rest for rest in _ascending_partitions(n - first, first))
-    return tuple(parts)
+def is_canonical_shape(w: Word) -> bool:
+    """Shape test for normal forms, independent of the rule table:
+    an eta block with non-decreasing indices, then an eps block with
+    non-increasing indices.
+    """
+    split = len(w)
+    for p, g in enumerate(w):
+        if g.kind == EPS:
+            split = p
+            break
+    etas, epss = w[:split], w[split:]
+    if any(g.kind != EPS for g in epss):
+        return False
+    if any(a.index > b.index for a, b in pairwise(etas)):
+        return False
+    return all(a.index >= b.index for a, b in pairwise(epss))
 
 
 def normal_words_of_degree(d: int) -> list[Word]:
     """Canonical-form words of exact degree d, in (length, letterwise) order."""
-    out: list[Word] = []
-    for up_weight in range(d + 1):
-        for ups in _ascending_partitions(up_weight):
-            head = tuple(eta(p - 1) for p in ups)
-            for downs in _ascending_partitions(d - up_weight):
-                out.append(head + tuple(eps(p - 1) for p in reversed(downs)))
-    out.sort(key=word_key)
-    return out
+    return sorted(filter(is_canonical_shape, _words_by_degree(d)[d]), key=word_key)

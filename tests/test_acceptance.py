@@ -28,7 +28,6 @@ from adjmon.monoid import (
     normal_words,
 )
 from adjmon.rewrite import (
-    is_canonical_shape,
     is_normal,
     normalize,
     normalize_trace,
@@ -36,7 +35,7 @@ from adjmon.rewrite import (
     redexes,
     RuleCase,
 )
-from adjmon.words import degree, parse, render
+from adjmon.words import degree, is_canonical_shape, parse, render
 
 
 @contextmanager

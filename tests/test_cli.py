@@ -191,7 +191,7 @@ def test_audit_failure_rows(capsys, monkeypatch):
     assert lines[2] == "EEE       -                  1        0  NOT_JOINABLE   0/1"
     assert lines[-3:] == [
         "joinable: FAIL (NOT_JOINABLE pairs present)",
-        "oracle cross-check: population 21, pairs 231, spot-checked 25, discrepancies 9  FAIL",
+        "oracle cross-check: population 21, pairs 231, spot-checked 25, discrepancies 6  FAIL",
         "audit: FAIL",
     ]
     code, out, _ = run(capsys, *args, "--json")
@@ -199,7 +199,7 @@ def test_audit_failure_rows(capsys, monkeypatch):
     records = [json.loads(line) for line in out.splitlines()]
     assert records[0]["family"] == "EEE" and (records[0]["joinable"], records[0]["sample_bound"]) == (0, None)
     assert records[-2:] == [
-        {"record": "oracle_cross_check", "population": 21, "pairs": 231, "spot_checked": 25, "discrepancies": 9,
+        {"record": "oracle_cross_check", "population": 21, "pairs": 231, "spot_checked": 25, "discrepancies": 6,
          "pass": False},
         {"record": "audit_summary", "pass": False},
     ]
@@ -269,8 +269,7 @@ def test_oracle_degree_over_limit_exit_2(capsys):
 
 def test_audit_empty_oracle_population_exit_2(capsys):
     code, out, err = run(capsys, "audit", "--oracle-len", "-1", "--skip-termination", "--max-index", "2")
-    assert (code, out) == (2, "")
-    assert "population" in err
+    assert (code, out, err) == (2, "", "adjmon: --oracle-len -1: the bound must be >= 1\n")
 
 
 @pytest.mark.parametrize(
@@ -320,6 +319,22 @@ def test_bound_below_1_refused_naming_its_flag(capsys, monkeypatch, argv):
     monkeypatch.setattr(monoid, "_check_suite", never)
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"adjmon: {argv[1]} {argv[2]}: the bound must be >= 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, minimum",
+    [
+        ("audit --max-index 1", 2),
+        ("answer --max-index 1", 2),
+        ("audit --oracle-len 0", 1),
+        ("audit --oracle-index -1", 0),
+        ("audit --disjoint-samples -1", 0),
+        ("audit --max-degree 8", 9),  # --oracle-len 3 (--oracle-index 2 + 1)
+    ],
+)
+def test_bound_refused_naming_its_flag(capsys, argv, minimum):
+    _, flag, value = argv.split()
+    assert run(capsys, *argv.split()) == (2, "", f"adjmon: {flag} {value}: the bound must be >= {minimum}\n")
 
 
 def test_audit_word_limit(capsys):
@@ -446,8 +461,7 @@ def test_audit_disjoint_sample_count(capsys):
     assert code == 0
     assert all(json.loads(line).get("family") != "DISJOINT" for line in out.splitlines())
     code, out, err = run(capsys, *args, "--disjoint-samples", "-1")
-    assert (code, out) == (2, "")
-    assert "disjoint sample count must be >= 0" in err
+    assert (code, out, err) == (2, "", "adjmon: --disjoint-samples -1: the bound must be >= 0\n")
 
 
 def test_answer(capsys):

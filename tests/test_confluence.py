@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from collections import Counter
 from hypothesis import given, settings
@@ -24,7 +27,7 @@ from adjmon.confluence import (
 )
 from adjmon import cli
 from adjmon.rewrite import RuleCase, RuleInstance, reduction_graph, redexes
-from adjmon.words import Generator, _words_of_degree, degree, normal_words_of_degree, parse, render
+from adjmon.words import Generator, _words_by_degree, degree, is_canonical_shape, parse, render
 from adjmon.words import eta as eta_letter
 from conftest import small_words
 
@@ -312,8 +315,8 @@ def test_inverse_steps_match_brute_force_predecessors():
     population = set(all_words(2, 2)) | set(all_words(3, 1))
     d_max = max(degree(w) for w in population)
     predecessors = {}
-    for d in range(d_max + 3):
-        for u in _words_of_degree(d):
+    for level in _words_by_degree(d_max + 2):
+        for u in level:
             for v in forward_steps(u):
                 predecessors.setdefault(v, set()).add(u)
     for w in population:
@@ -354,7 +357,7 @@ def test_components_agree_with_per_pair_search():
 
 def all_edges_components(max_degree):
     """The reference partition: one union per forward step of every word."""
-    universe = [w for d in range(max_degree + 1) for w in _words_of_degree(d)]
+    universe = [w for level in _words_by_degree(max_degree) for w in level]
     index = {w: n for n, w in enumerate(universe)}
     parent = list(range(len(universe)))
 
@@ -385,7 +388,7 @@ def test_component_count_is_the_canonical_word_count():
     # the reference takes about two seconds at this degree, so only the count is checked here
     component = connected_components(11)
     assert len(component) == 3**11
-    assert len(set(component.values())) == sum(len(normal_words_of_degree(d)) for d in range(12)) == 1967
+    assert len(set(component.values())) == sum(map(is_canonical_shape, component)) == 1967
 
 
 def test_components_found_by_directly_built_letters():
@@ -422,3 +425,64 @@ def test_cross_check_oracle_rejects_empty_population():
     for max_len, max_index in ((-1, 2), (0, 2), (3, -1)):
         with pytest.raises(ValueError, match="population"):
             cross_check_oracle(max_len, max_index, 9)
+
+
+def test_cross_check_names_a_pair_of_merged_canonical_forms(monkeypatch):
+    # a rule h0 e0 -> 1 joins the components of h0 e0 and 1, two distinct canonical forms
+    real = confluence.match_rule
+    vanishing = real(*parse("e0 h0"))
+    monkeypatch.setattr(confluence, "match_rule", lambda x, y: vanishing if (x, y) == parse("h0 e0") else real(x, y))
+    report = cross_check_oracle(3, 2, 9)
+    assert not report.passed
+    assert ((), parse("h0 e0"), True, False) in report.discrepancies
+
+
+def test_cross_check_names_a_pair_of_split_components(monkeypatch):
+    real = confluence.normalize
+    monkeypatch.setattr(confluence, "normalize", lambda w: () if w == parse("h0 e0") else real(w))
+    report = cross_check_oracle(3, 2, 9)
+    assert not report.passed
+    assert ((), parse("h0 e0"), False, True) in report.discrepancies
+
+
+def stride_loop_spot_pairs(population):
+    """The pairs the former O(n^2) loop re-verified: every stride-th in order."""
+    pairs = len(population) * (len(population) + 1) // 2
+    stride = max(1, pairs // 25)
+    seen, out = 0, []
+    for a, u in enumerate(population):
+        for v in population[a:]:
+            seen += 1
+            if seen % stride == 0:
+                out.append((u, v))
+    return out
+
+
+@pytest.mark.parametrize("max_len, max_index", [(3, 2), (2, 1), (1, 0)])
+def test_cross_check_spot_pairs_follow_the_stride_loop(monkeypatch, max_len, max_index):
+    real, searched = confluence.equivalent_bounded, []
+
+    def record(u, v, max_degree):
+        searched.append((u, v))
+        return real(u, v, max_degree)
+
+    monkeypatch.setattr(confluence, "equivalent_bounded", record)
+    report = cross_check_oracle(max_len, max_index, 9)
+    assert report.passed
+    assert searched == stride_loop_spot_pairs(list(all_words(max_len, max_index)))
+    assert report.spot_checked == len(searched)
+
+
+def test_components_hold_no_words_after_return():
+    # a fresh interpreter, as words cached by earlier tests in this one would hide a leak
+    script = (
+        "import gc, tracemalloc\n"
+        "from adjmon.confluence import connected_components\n"
+        "tracemalloc.start()\n"
+        "connected_components(10)\n"
+        "gc.collect()\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 2**20  # bytes still held; 3^10 words take about 6 MB

@@ -7,7 +7,6 @@ from adjmon.rewrite import (
     NotARedexError,
     RuleCase,
     apply,
-    is_canonical_shape,
     is_normal,
     match_rule,
     normalize,
@@ -15,7 +14,7 @@ from adjmon.rewrite import (
     reduction_graph,
     redexes,
 )
-from adjmon.words import LETTER_CACHE_SIZE, Generator, _words_of_degree, degree, eps, eta, letter, parse, render
+from adjmon.words import LETTER_CACHE_SIZE, Generator, _words_by_degree, degree, eps, eta, is_canonical_shape, letter, parse, render
 from conftest import small_words
 
 BIG = 10**12
@@ -117,8 +116,8 @@ def test_normalize_trace_examples():
 def test_normalize_matches_rewriting_exhaustive():
     # the model read-off against the leftmost rewrite loop, on all 19,683 words of degree <= 9
     count = 0
-    for d in range(10):
-        for w in _words_of_degree(d):
+    for level in _words_by_degree(9):
+        for w in level:
             assert normalize(w) == normalize_trace(w).end, render(w)
             count += 1
     assert count == 19683

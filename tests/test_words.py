@@ -8,7 +8,7 @@ from adjmon.words import (
     WordSyntaxError,
     _block_start,
     _heads,
-    _words_of_degree,
+    _words_by_degree,
     concat,
     degree,
     eps,
@@ -132,8 +132,9 @@ def test_letters_are_shared():
 
 def test_degree_enumeration_layout():
     # confluence.connected_components indexes these blocks arithmetically
-    for d in range(8):
-        words = _words_of_degree(d)
+    levels = _words_by_degree(7)
+    assert len(levels) == 8
+    for d, words in enumerate(levels):
         assert len(words) == len(set(words)) == (2 * 3 ** (d - 1) if d else 1)
         assert all(degree(w) == d for w in words)
         if d <= 4:
@@ -141,10 +142,10 @@ def test_degree_enumeration_layout():
         heads = _heads(d)
         prefixes = [()] + [(x,) for x in heads] + [(x, y) for x in heads for y in _heads(d - x.index - 1)]
         for prefix in prefixes:
-            start = _block_start(prefix, d)
-            rests = _words_of_degree(d - degree(prefix))
+            start = _block_start(levels, prefix, d)
+            rests = levels[d - degree(prefix)]
             assert words[start : start + len(rests)] == tuple(prefix + r for r in rests)
         # the one-letter blocks follow each other in _heads order and fill the level
-        starts = [_block_start((x,), d) for x in heads] + [len(words) if d else 0]
+        starts = [_block_start(levels, (x,), d) for x in heads] + [len(words) if d else 0]
         assert starts == sorted(starts) and starts[0] == 0
-        assert all(b - a == len(_words_of_degree(d - x.index - 1)) for x, a, b in zip(heads, starts, starts[1:]))
+        assert all(b - a == len(levels[d - x.index - 1]) for x, a, b in zip(heads, starts, starts[1:]))
