@@ -46,9 +46,10 @@ def cmd_normalize(args) -> int:
 TRACE_BUDGET = 10**7
 
 # The oracle searches words of degree <= --max-degree, and there are 3^d of
-# them: 531,441 at this limit, where its components take 1.2 s to build and
-# `adjmon audit --max-degree 12` takes 3.7 s with a peak RSS of 130 MB
-# (Python 3.11.7, 2-CPU Intel Xeon).  Each degree above it about triples both.
+# them: 531,441 at this limit, where their component labels take 0.2 s to
+# build and `adjmon audit --max-degree 12` takes 1.8-2.0 s with a peak RSS of
+# 42 MB (Python 3.11.7, 2-CPU Intel Xeon).  Each degree above it about triples
+# the time and more than doubles the memory.
 ORACLE_MAX_DEGREE = 12
 
 

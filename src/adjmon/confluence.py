@@ -395,7 +395,18 @@ def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
 
 def connected_components(max_degree: int) -> dict[Word, int]:
     """Component id of every word of degree <= max_degree under the
-    undirected step relation, restricted to that universe.
+    undirected step relation, restricted to that universe: the labels of
+    ``_component_labels``, keyed by the words they number.
+    """
+    labels = _component_labels(max_degree)
+    return {w: c for level, ids in zip(_words_by_degree(max_degree), labels) for w, c in zip(level, ids)}
+
+
+def _component_labels(max_degree: int) -> list[list[int]]:
+    """The component of every word of degree <= max_degree under the
+    undirected step relation, restricted to that universe, by word number:
+    at [d][i] for the word of degree d numbered i by ``_block_start``.
+    No word is built.
 
     Built one degree level at a time, from two facts that hold for any
     rewrite system whose steps lower the degree.  Write U_m for the words
@@ -406,8 +417,8 @@ def connected_components(max_degree: int) -> dict[Word, int]:
     x r gets the node (x, component of r at level m - wt(x)), the empty
     word a node of its own; steps of the second kind stay inside a node,
     and joining the nodes along first-factor rewrites, which map blocks of
-    ``_words_by_degree`` onto blocks (``_block_start``), gives the
-    components of U_m.  Neither confluence nor ``normalize`` is used.
+    word numbers onto blocks (``_block_start``), gives the components of
+    U_m.  Neither confluence nor ``normalize`` is used.
     """
 
     def find(x: int) -> int:
@@ -416,7 +427,6 @@ def connected_components(max_degree: int) -> dict[Word, int]:
             x = parent[x]
         return x
 
-    levels = _words_by_degree(max_degree)
     labels: list[list[list[int]]] = []  # labels[m][d][i]: component at level m of word i of degree d
     count: list[int] = []  # count[m]: components at level m, numbered from 0
     for m in range(max_degree + 1):
@@ -433,18 +443,15 @@ def connected_components(max_degree: int) -> dict[Word, int]:
                     rule = match_rule(x, y)
                     if rule is not None:
                         rest = d - degree((x, y))
-                        block, lower = len(levels[rest]), rest + degree(rule.rhs)
-                        a, b = _block_start(levels, (x, y), d), _block_start(levels, rule.rhs, lower)
+                        block, lower = len(nodes[rest]), rest + degree(rule.rhs)
+                        a, b = _block_start((x, y), d), _block_start(rule.rhs, lower)
                         for u, v in set(zip(nodes[d][a : a + block], nodes[lower][b : b + block])):
                             parent[find(v)] = find(u)
         roots: dict[int, int] = {}
         number = [roots.setdefault(find(n), len(roots)) for n in range(size)]
         labels.append([[number[n] for n in level] for level in nodes])
         count.append(len(roots))
-    component: dict[Word, int] = {}
-    for d, level in enumerate(labels[-1] if labels else []):
-        component.update(zip(levels[d], level))
-    return component
+    return labels[-1] if labels else []
 
 
 class CrossCheckReport(NamedTuple):
@@ -461,8 +468,8 @@ class CrossCheckReport(NamedTuple):
 def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCheckReport:
     """Against every word pair within bounds: the bounded bidirectional
     closure must agree with canonical-form equality.  The closure is read
-    off ``connected_components(max_degree)``, built from the step relation
-    one degree level at a time; a deterministic sample of pairs is
+    off ``_component_labels(max_degree)`` by word number, so no other word
+    of its universe is built; a deterministic sample of pairs is
     re-verified with the per-pair search, ``equivalent_bounded``.
 
     The two sides are independent procedures: the closure rewrites words
@@ -480,7 +487,8 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
     if max_len * (max_index + 1) > max_degree:
         raise ValueError("max_degree too small for the word population")
     population = list(all_words(max_len, max_index))
-    component = connected_components(max_degree)
+    labels = _component_labels(max_degree)
+    component = {w: labels[degree(w)][_block_start(w, degree(w))] for w in population}
     discrepancies = []
     first_of_component: dict[int, tuple[Word, Word]] = {}  # component -> (first word, its canonical form)
     first_of_form: dict[Word, Word] = {}

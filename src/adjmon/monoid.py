@@ -97,7 +97,7 @@ def elements(max_len: int, max_index: int) -> list[Element]:
 # --- identity suite ---------------------------------------------------------
 
 class Counterexample(NamedTuple):
-    at: str  # rendered instantiation, e.g. "m=h0" or "m1=1 m2=h0"
+    at: str | None  # rendered instantiation, e.g. "m=h0" or "m1=1 m2=h0"; None for a ground identity
     lhs_nf: Word
     rhs_nf: Word
 
@@ -115,7 +115,8 @@ class IdentityResult(NamedTuple):
         if self.passed:
             return f"{self.identity}  PASS ({self.instances} instances)"
         c = self.counterexample
-        return f"{self.identity}  FAIL at {c.at}: lhs={render(c.lhs_nf)} rhs={render(c.rhs_nf)}"
+        at = f" at {c.at}" if c.at is not None else ""
+        return f"{self.identity}  FAIL{at}: lhs={render(c.lhs_nf)} rhs={render(c.rhs_nf)}"
 
 
 class IdentityReport(NamedTuple):
@@ -138,11 +139,11 @@ _H0 = (eta_letter(0),)
 # two words that must normalize alike; f is ``shift_word``, memoized per
 # suite run, and the rows apply it to the pieces of a product, so each
 # population word is shifted once.  The label, formatted with the rendered
-# words, names a failing instantiation.
+# words, names a failing instantiation; a ground row, of arity 0, has none.
 _AXIOMS = (
-    ("eps*eta=1", 0, lambda f: (_E0 + _H0, EMPTY), "m=1"),
-    ("eps*f(eta)=1", 0, lambda f: (_E0 + f(_H0), EMPTY), "m=1"),
-    ("eps*f(eps)=eps^2", 0, lambda f: (_E0 + f(_E0), _E0 + _E0), "m=1"),
+    ("eps*eta=1", 0, lambda f: (_E0 + _H0, EMPTY), None),
+    ("eps*f(eta)=1", 0, lambda f: (_E0 + f(_H0), EMPTY), None),
+    ("eps*f(eps)=eps^2", 0, lambda f: (_E0 + f(_E0), _E0 + _E0), None),
     ("eps*f^2(m)=f(m)*eps", 1, lambda f, m: (_E0 + f(f(m)), f(m) + _E0), "m={}"),
     ("f(m)*eta=eta*m", 1, lambda f, m: (f(m) + _H0, _H0 + m), "m={}"),
     ("eps*f(eps*f(m))=eps*f(m)*eps", 1, lambda f, m: (_E0 + f(_E0) + f(f(m)), _E0 + f(m) + _E0), "m={}"),
@@ -178,7 +179,7 @@ def _check_suite(suite, max_len: int, max_index: int) -> IdentityReport:
             count += 1
             lhs, rhs = map(normalize, sides(f, *ws))
             if lhs != rhs:
-                bad = Counterexample(label.format(*map(render, ws)), lhs, rhs)
+                bad = Counterexample(label and label.format(*map(render, ws)), lhs, rhs)
                 break
         results.append(IdentityResult(name, count, bad))
     return IdentityReport(tuple(results))

@@ -153,8 +153,9 @@ def _heads(d: int) -> tuple[Generator, ...]:
 
 def _words_by_degree(max_degree: int) -> list[tuple[Word, ...]]:
     """The words of each degree d <= max_degree, built for the caller alone:
-    level d in blocks by first letter (``_heads`` order), each block in the
-    order of the level of its rests; ``_block_start`` reads this layout.
+    level d lists them by number, in blocks by first letter (``_heads``
+    order), each block in the order of the level of its rests.
+    ``_block_start`` reads a number off the letters, with no level built.
     """
     levels = [(EMPTY,)]
     for d in range(1, max_degree + 1):
@@ -162,15 +163,18 @@ def _words_by_degree(max_degree: int) -> list[tuple[Word, ...]]:
     return levels
 
 
-def _block_start(levels: list[tuple[Word, ...]], prefix: Word, d: int) -> int:
-    """Where the words that begin with prefix start in ``levels[d]``:
-    ``levels[d - degree(prefix)][i]`` follows prefix at that start + i.
+def _block_start(prefix: Word, d: int) -> int:
+    """The number, among the words of degree d, of the first that begins
+    with prefix: prefix + r, for r number i of degree d - degree(prefix),
+    is that number + i.  Level d holds 2·3^(d-1) words (1 at d = 0), so
+    the blocks before a head of weight w, both heads of each lighter weight,
+    hold 2 (3^(d-1) - 3^(d-w)) words, and an eps follows the eta block of w.
     """
     start = 0
     for g in prefix:
-        heads = _heads(d)
-        start += sum(len(levels[d - h.index - 1]) for h in heads[: heads.index(g)])
-        d -= g.index + 1
+        rest = d - g.index - 1
+        start += 2 * (3 ** (d - 1) - 3**rest) + (g.kind == EPS) * (2 * 3 ** (rest - 1) if rest else 1)
+        d = rest
     return start
 
 

@@ -27,7 +27,7 @@ from adjmon.confluence import (
 )
 from adjmon import cli
 from adjmon.rewrite import RuleCase, RuleInstance, reduction_graph, redexes
-from adjmon.words import Generator, _words_by_degree, degree, is_canonical_shape, parse, render
+from adjmon.words import Generator, _block_start, _words_by_degree, degree, is_canonical_shape, parse, render
 from adjmon.words import eta as eta_letter
 from conftest import small_words
 
@@ -384,6 +384,15 @@ def test_components_match_all_edges_reference():
     assert not same_partition({(): 0, parse("h0"): 0}, {(): 0, parse("h0"): 1})
 
 
+def test_labels_by_number_are_the_components():
+    component = connected_components(9)
+    labels = confluence._component_labels(9)
+    assert [len(level) for level in labels] == [3**d - 3 ** (d - 1) if d else 1 for d in range(10)]
+    for level in _words_by_degree(9):
+        for w in level:
+            assert labels[degree(w)][_block_start(w, degree(w))] == component[w]
+
+
 def test_component_count_is_the_canonical_word_count():
     # the reference takes about two seconds at this degree, so only the count is checked here
     component = connected_components(11)
@@ -471,6 +480,34 @@ def test_cross_check_spot_pairs_follow_the_stride_loop(monkeypatch, max_len, max
     assert report.passed
     assert searched == stride_loop_spot_pairs(list(all_words(max_len, max_index)))
     assert report.spot_checked == len(searched)
+
+
+def test_cross_check_builds_no_universe(monkeypatch):
+    expected = cross_check_oracle(3, 2, 9)
+
+    def refuse(*args):
+        raise AssertionError("the cross-check built the oracle's universe")
+
+    monkeypatch.setattr(confluence, "_words_by_degree", refuse)
+    monkeypatch.setattr(confluence, "connected_components", refuse)
+    report = cross_check_oracle(3, 2, 9)
+    assert report.passed
+    assert report == expected
+    assert (report.population, report.pairs_checked, report.spot_checked) == (259, 33670, 25)
+
+
+def test_cross_check_peak_memory():
+    # a fresh interpreter, so that the peak is this call's alone
+    script = (
+        "import tracemalloc\n"
+        "from adjmon.confluence import cross_check_oracle\n"
+        "tracemalloc.start()\n"
+        "assert cross_check_oracle(3, 2, 11).passed\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 16 * 2**20  # bytes at the peak; building the 3^11 words took about 42 MiB
 
 
 def test_components_hold_no_words_after_return():

@@ -131,7 +131,7 @@ def test_letters_are_shared():
 
 
 def test_degree_enumeration_layout():
-    # confluence.connected_components indexes these blocks arithmetically
+    # confluence labels words by these numbers without building the levels
     levels = _words_by_degree(7)
     assert len(levels) == 8
     for d, words in enumerate(levels):
@@ -142,10 +142,12 @@ def test_degree_enumeration_layout():
         heads = _heads(d)
         prefixes = [()] + [(x,) for x in heads] + [(x, y) for x in heads for y in _heads(d - x.index - 1)]
         for prefix in prefixes:
-            start = _block_start(levels, prefix, d)
+            start = _block_start(prefix, d)
             rests = levels[d - degree(prefix)]
             assert words[start : start + len(rests)] == tuple(prefix + r for r in rests)
         # the one-letter blocks follow each other in _heads order and fill the level
-        starts = [_block_start(levels, (x,), d) for x in heads] + [len(words) if d else 0]
+        starts = [_block_start((x,), d) for x in heads] + [len(words) if d else 0]
         assert starts == sorted(starts) and starts[0] == 0
         assert all(b - a == len(levels[d - x.index - 1]) for x, a, b in zip(heads, starts, starts[1:]))
+        # a whole word's block is the word alone: its number
+        assert [_block_start(w, d) for w in words] == list(range(len(words)))
