@@ -387,7 +387,7 @@ def test_components_match_all_edges_reference():
 def test_labels_by_number_are_the_components():
     component = connected_components(9)
     labels = confluence._component_labels(9)
-    assert [len(level) for level in labels] == [3**d - 3 ** (d - 1) if d else 1 for d in range(10)]
+    assert [len(level) for level in labels] == [2 * 3 ** (d - 1) if d else 1 for d in range(10)]
     for level in _words_by_degree(9):
         for w in level:
             assert labels[degree(w)][_block_start(w, degree(w))] == component[w]
