@@ -340,6 +340,9 @@ def cmd_oracle(args) -> int:
     u = words.parse(args.left)
     v = words.parse(args.right)
     _check_oracle_degree(args.max_degree)
+    d = max(words.degree(u), words.degree(v))
+    if d > args.max_degree:
+        raise ValueError(f"--max-degree {args.max_degree}: the bound must be >= {d}, the degree of the input")
     res = confluence.equivalent_bounded(u, v, args.max_degree)
     if args.json:
         _emit(

@@ -13,8 +13,9 @@ order of ``word_key``.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
-from itertools import combinations_with_replacement, pairwise, product
+from itertools import combinations_with_replacement, pairwise, product, starmap
 from typing import NamedTuple
 
 ETA = "h"
@@ -35,7 +36,8 @@ Word = tuple[Generator, ...]
 EMPTY: Word = ()
 
 
-# The audits and short queries use a few dozen letters, the longest bench words 1,600.
+# The audits and short queries use a few dozen letters, the longest bench words 1,600;
+# the same bound holds parse's and render's per-token tables.
 LETTER_CACHE_SIZE = 4096
 
 
@@ -83,54 +85,63 @@ class WordSyntaxError(ValueError):
         super().__init__(f"{message} (byte offset {self.offset})")
 
 
+# The grammar of word text: letter tokens, run together or apart, or the lone
+# token 1.  re's \s is exactly str.isspace(); [0-9] keeps indices ASCII.
+_WORD_TEXT = re.compile(r"\s*(?:1\s*|(?:[hηeε][0-9]+\s*)+)")
+_LETTER_TOKEN = re.compile(r"[hηeε][0-9]+")
+# One token of any text, good or bad (groups: token, 1, kind, digits); compiled
+# by re on first use, when the grammar rejects a text.
+_SCAN = r"\s*((1)|([hηeε])([0-9]*)|\S)"
+
+
+@lru_cache(maxsize=LETTER_CACHE_SIZE)
+def _token_key(token: str) -> tuple[str, int]:
+    """(kind, index) of a letter token, the arguments of :func:`letter`."""
+    return _KIND_ALIASES[token[0]], int(token[1:])
+
+
+@lru_cache(maxsize=LETTER_CACHE_SIZE)
+def _token_text(g: Generator) -> str:
+    return f"{g.kind}{g.index}"
+
+
 def parse(text: str) -> Word:
     """Parse word text; inverse of :func:`render` on canonical output.
 
     Rejects malformed tokens and a ``1`` mixed with letter tokens; the
     raised :class:`WordSyntaxError` points at the first bad token.
     """
-    letters: list[Generator] = []
-    identity_seen = False
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        start = pos
-        ch = text[pos]
-        if ch == "1":
-            pos += 1
-            if identity_seen or letters:
-                raise WordSyntaxError("token '1' mixed with other tokens", text, start)
-            identity_seen = True
-            continue
-        kind = _KIND_ALIASES.get(ch)
-        if kind is None:
-            raise WordSyntaxError(f"unexpected character {ch!r}", text, start)
-        pos += 1
-        digits = pos
-        while pos < n and "0" <= text[pos] <= "9":
-            pos += 1
-        if pos == digits:
-            raise WordSyntaxError(f"missing index after {ch!r}", text, start)
-        if identity_seen:
-            raise WordSyntaxError("token '1' mixed with other tokens", text, start)
+    if _WORD_TEXT.fullmatch(text):
+        try:  # a list sizes the tuple exactly; tuple() of an iterator over-allocates
+            return tuple([*starmap(letter, map(_token_key, _LETTER_TOKEN.findall(text)))])
+        except ValueError:  # int() refused an index of too many digits
+            pass
+    raise _first_fault(text)
+
+
+def _first_fault(text: str) -> WordSyntaxError:
+    """The error for the first bad token of a text that the grammar or int() rejects."""
+    seen = identity = False
+    for m in re.finditer(_SCAN, text):
+        token, one, kind, digits = m.groups()
+        start = m.start(1)
+        if not (one or kind):
+            return WordSyntaxError(f"unexpected character {token!r}", text, start)
+        if kind and not digits:
+            return WordSyntaxError(f"missing index after {kind!r}", text, start)
+        if identity or one and seen:
+            return WordSyntaxError("token '1' mixed with other tokens", text, start)
         try:
-            index = int(text[digits:pos])
-        except ValueError:  # more digits than the interpreter's int conversion limit
-            raise WordSyntaxError(f"index after {ch!r} has too many digits", text, start) from None
-        letters.append(letter(kind, index))
-    if not letters and not identity_seen:
-        raise WordSyntaxError("empty input (write '1' for the identity)", text, 0)
-    return tuple(letters)
+            int(digits or 0)
+        except ValueError:
+            return WordSyntaxError(f"index after {kind!r} has too many digits", text, start)
+        seen, identity = True, bool(one)
+    return WordSyntaxError("empty input (write '1' for the identity)", text, 0)
 
 
 def render(w: Word) -> str:
     """Space-separated ASCII tokens; the empty word renders as ``1``."""
-    if not w:
-        return "1"
-    return " ".join(f"{g.kind}{g.index}" for g in w)
+    return " ".join(map(_token_text, w)) if w else "1"
 
 
 # --- enumeration ------------------------------------------------------------

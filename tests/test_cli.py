@@ -337,6 +337,13 @@ def test_bound_refused_naming_its_flag(capsys, argv, minimum):
     assert run(capsys, *argv.split()) == (2, "", f"adjmon: {flag} {value}: the bound must be >= {minimum}\n")
 
 
+def test_oracle_input_over_bound_refused_naming_its_flag(capsys):
+    code, out, err = run(capsys, "oracle", "h0 e0", "1", "--max-degree", "0")
+    assert (code, out, err) == (2, "", "adjmon: --max-degree 0: the bound must be >= 2, the degree of the input\n")
+    code, out, err = run(capsys, "oracle", "1", "h3", "--max-degree", "3", "--json")
+    assert (code, out, err) == (2, "", "adjmon: --max-degree 3: the bound must be >= 4, the degree of the input\n")
+
+
 def test_audit_word_limit(capsys):
     cli._check_audit_words(6, 5)  # (5, 6): 579,195 words, run by CI
     cli._check_audit_words(49)  # 100^3 three-letter words

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from adjmon.words import (
     EMPTY,
+    LETTER_CACHE_SIZE,
     Generator,
     WordSyntaxError,
     _block_start,
@@ -115,6 +116,87 @@ def test_parse_returns_word_or_syntax_error(text):
 def test_parse_rejects_unicode_digits():
     with pytest.raises(WordSyntaxError):
         parse("h٣")  # arabic-indic three
+
+
+def _reference_parse(text):
+    """The per-character parser that the grammar and token tables replaced."""
+    letters = []
+    identity_seen = False
+    pos = 0
+    n = len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        start = pos
+        ch = text[pos]
+        if ch == "1":
+            pos += 1
+            if identity_seen or letters:
+                raise WordSyntaxError("token '1' mixed with other tokens", text, start)
+            identity_seen = True
+            continue
+        kind = {"h": "h", "η": "h", "e": "e", "ε": "e"}.get(ch)
+        if kind is None:
+            raise WordSyntaxError(f"unexpected character {ch!r}", text, start)
+        pos += 1
+        digits = pos
+        while pos < n and "0" <= text[pos] <= "9":
+            pos += 1
+        if pos == digits:
+            raise WordSyntaxError(f"missing index after {ch!r}", text, start)
+        if identity_seen:
+            raise WordSyntaxError("token '1' mixed with other tokens", text, start)
+        try:
+            index = int(text[digits:pos])
+        except ValueError:
+            raise WordSyntaxError(f"index after {ch!r} has too many digits", text, start) from None
+        letters.append(letter(kind, index))
+    if not letters and not identity_seen:
+        raise WordSyntaxError("empty input (write '1' for the identity)", text, 0)
+    return tuple(letters)
+
+
+def _outcome(parser, text):
+    """The word parsed, or the message and byte offset of the error raised."""
+    try:
+        return parser(text)
+    except WordSyntaxError as exc:
+        return str(exc), exc.offset
+
+
+# letters, ASCII and other digits, the identity, and whitespace of one to three UTF-8 bytes
+_PARSER_ALPHABET = ["h", "e", "η", "ε", *"0123456789", "1", "x", "٣", " ", "\t", "\x1c", "\x85", "\u200b", "\u3000"]
+
+
+@given(st.text(alphabet=_PARSER_ALPHABET, max_size=40))
+@example("h" + "9" * 5000 + " x")
+@example("1 \u3000")
+@example("\x85")
+def test_parse_agrees_with_reference(text):
+    assert _outcome(parse, text) == _outcome(_reference_parse, text)
+
+
+def test_parse_agrees_with_reference_on_every_separator():
+    # str.isspace() holds for no code point above U+3000
+    for c in map(chr, range(0x3001)):
+        text = "h1" + c + "e0"
+        assert _outcome(parse, text) == _outcome(_reference_parse, text), repr(c)
+
+
+def test_letters_stay_shared_under_cache_pressure():
+    for i in range(LETTER_CACHE_SIZE + 100):
+        letter("h", 10**6 + i)
+    w = parse("h3 ε3 e3 η0")
+    assert all(g is letter(*g) for g in w)
+    assert render(w) == "h3 e3 e3 h0"
+    text = "η0 ε" + "9" * 5000
+    with pytest.raises(WordSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == "index after 'ε' has too many digits (byte offset 4)"
+    assert _outcome(parse, text) == _outcome(_reference_parse, text)
+    assert render(parse("h1000000000000 e0")) == "h1000000000000 e0"
+    assert parse("h1000000000000 e0") == (eta(10**12), eps(0))
 
 
 def test_generators_are_values():
