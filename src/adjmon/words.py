@@ -132,7 +132,7 @@ def _first_fault(text: str) -> WordSyntaxError:
         if identity or one and seen:
             return WordSyntaxError("token '1' mixed with other tokens", text, start)
         try:
-            int(digits or 0)
+            int(digits or 0)  # digits is None for the token 1
         except ValueError:
             return WordSyntaxError(f"index after {kind!r} has too many digits", text, start)
         seen, identity = True, bool(one)
