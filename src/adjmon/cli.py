@@ -17,14 +17,18 @@ stable ordering.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import confluence, monoid, rewrite, words
+from . import rewrite, words
+
+if TYPE_CHECKING:  # the audit layers load inside the commands that call them
+    from . import confluence, monoid
 
 
 def _emit(record: dict) -> None:
+    import json
     print(json.dumps(record, sort_keys=True))
 
 
@@ -120,6 +124,7 @@ def cmd_degree(args) -> int:
 
 
 def cmd_f(args) -> int:
+    from . import monoid
     w = words.parse(args.word)
     image = monoid.apply_f_word(w)
     if args.json:
@@ -130,6 +135,7 @@ def cmd_f(args) -> int:
 
 
 def cmd_mul(args) -> int:
+    from . import monoid
     a = monoid.element(words.parse(args.left))
     b = monoid.element(words.parse(args.right))
     product = monoid.mul(a, b)
@@ -181,6 +187,7 @@ def _check_at_least(args, minimum: int, *flags: str) -> None:
 
 
 def cmd_axioms(args) -> int:
+    from . import monoid
     _check_at_least(args, 1, "--max-len", "--max-index")
     report = monoid.check_axioms(args.max_len, args.max_index)
     if args.json:
@@ -191,6 +198,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_ncheck(args) -> int:
+    from . import monoid
     if args.word is not None:
         a = monoid.element(words.parse(args.word))
         # the only candidate witness, normalize(a*eta), has degree <= degree(a) + 1
@@ -219,6 +227,7 @@ def cmd_ncheck(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    from . import monoid
     rep = monoid.iso_criteria_report()
     if args.json:
         for c in rep.conditions:
@@ -275,6 +284,7 @@ def _oracle_line(oracle: confluence.CrossCheckReport) -> str:
 
 
 def cmd_audit(args) -> int:
+    from . import confluence
     # every bound is checked before the first audit runs
     if not args.skip_oracle:
         _check_oracle_degree(args.max_degree)
@@ -337,6 +347,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import confluence
     u = words.parse(args.left)
     v = words.parse(args.right)
     _check_oracle_degree(args.max_degree)
@@ -365,6 +376,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_answer(args) -> int:
+    from . import confluence, monoid
     _check_at_least(args, 2, "--max-index")
     _check_audit_words(args.max_index)
     verdict = monoid.answer_open_question()
@@ -490,7 +502,7 @@ def main(argv=None) -> int:
     except words.WordSyntaxError as exc:
         print(f"adjmon: parse error: {exc}", file=sys.stderr)
         return 2
-    except monoid.NotCanonicalError as exc:
+    except words.NotCanonicalError as exc:
         print(f"adjmon: internal error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -14,14 +14,10 @@ from itertools import product
 from typing import NamedTuple
 
 from .rewrite import is_normal, normalize
-from .words import EMPTY, Word, concat, degree, letter, normal_words, render
+from .words import EMPTY, NotCanonicalError, Word, concat, degree, letter, normal_words, render
 from .words import normal_words_of_degree  # noqa: F401  (bench/spans.py wraps monoid.normal_words_of_degree)
 from .words import eps as eps_letter
 from .words import eta as eta_letter
-
-
-class NotCanonicalError(ValueError):
-    """An :class:`Element` was given a word that is not a canonical form."""
 
 
 class _ElementRecord(NamedTuple):

@@ -85,6 +85,10 @@ class WordSyntaxError(ValueError):
         super().__init__(f"{message} (byte offset {self.offset})")
 
 
+class NotCanonicalError(ValueError):
+    """An :class:`adjmon.monoid.Element` was given a word that is not a canonical form."""
+
+
 # The grammar of word text: letter tokens, run together or apart, or the lone
 # token 1.  re's \s is exactly str.isspace(); [0-9] keeps indices ASCII.
 _WORD_TEXT = re.compile(r"\s*(?:1\s*|(?:[hηeε][0-9]+\s*)+)")

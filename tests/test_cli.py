@@ -525,3 +525,54 @@ def test_closed_stdout_exits_141_without_traceback():
     # unbuffered, the parent's print fails in cmd_answer; buffered, the flush at exit fails
     assert "Traceback" not in err.decode() and "BrokenPipeError" not in err.decode()
     assert proc.returncode == 141
+
+
+# Run main(argv) in a fresh interpreter; print the adjmon modules it loaded and whether json is among them.
+_LOADED_BY_MAIN = """
+import contextlib, io, sys
+before = set(sys.modules)
+from adjmon.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+loaded = set(sys.modules) - before
+print(status, sorted(m for m in loaded if m.startswith("adjmon")), "json" in loaded)
+"""
+_CORE = ["adjmon", "adjmon.cli", "adjmon.rewrite", "adjmon.words"]
+
+
+def _loaded_by_main(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_MAIN, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["normalize", "e1 h1"], []),
+        (["eq", "h0 e0", "1"], []),
+        (["trace", "e1 h1"], []),
+        (["degree", "h0 e0"], []),
+        (["mul", "h0", "e0"], ["adjmon.monoid"]),
+        (["f", "h0"], ["adjmon.monoid"]),
+        (["iso"], ["adjmon.monoid"]),
+        (["ncheck", "h0 e0"], ["adjmon.monoid"]),
+        (["axioms", "--max-len", "1", "--max-index", "1"], ["adjmon.monoid"]),
+        (["audit", "--max-index", "2", "--skip-oracle", "--skip-termination"], ["adjmon.confluence"]),
+        (["oracle", "h0 e0", "1", "--max-degree", "2"], ["adjmon.confluence"]),
+        (["answer"], ["adjmon.confluence", "adjmon.monoid"]),
+    ],
+)
+def test_commands_load_only_the_layers_they_call(argv, extra):
+    assert _loaded_by_main(*argv) == f"0 {sorted(_CORE + extra)} False\n"
+
+
+def test_json_loads_only_with_its_flag():
+    assert _loaded_by_main("normalize", "e1 h1", "--json") == f"0 {_CORE} True\n"
