@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from . import rewrite, words
 
-if TYPE_CHECKING:  # the audit layers load inside the commands that call them
+if TYPE_CHECKING:  # monoid and confluence load inside the commands that call them
     from . import confluence, monoid
 
 

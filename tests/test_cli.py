@@ -576,3 +576,8 @@ def test_commands_load_only_the_layers_they_call(argv, extra):
 
 def test_json_loads_only_with_its_flag():
     assert _loaded_by_main("normalize", "e1 h1", "--json") == f"0 {_CORE} True\n"
+
+
+def test_refusal_loads_no_layer():
+    # a ValueError passes main's NotCanonicalError handler, which must not need monoid
+    assert _loaded_by_main("trace", "e1000000000000 h1000000000000") == f"2 {_CORE} False\n"

@@ -13,7 +13,7 @@ import pytest
 
 import adjmon
 
-# __all__ before monoid and confluence loaded on first access, in its order then
+# __all__ as it read when every layer loaded at import, in the same order
 PUBLIC = [
     "CriticalPair", "CrossCheckReport", "EMPTY", "EPS", "ETA", "Element", "Generator", "IdentityReport",
     "IsoCriteriaReport", "LocalConfluenceReport", "MembershipResult", "NOT_ISO", "NotARedexError",
