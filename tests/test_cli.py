@@ -226,11 +226,19 @@ def test_ncheck_decides_membership_outright(capsys):
     assert exc.value.code == 2
 
 
+_ISO_LINES = [
+    "f(eta)=eta  DOES-NOT-HOLD: lhs=h1 rhs=h0",
+    "f(eps)=eps  DOES-NOT-HOLD: lhs=e1 rhs=e0",
+    "eta*eps=1  DOES-NOT-HOLD: lhs=h0 e0 rhs=1",
+    "f(m)=eta*m*eps  DOES-NOT-HOLD at m=1: lhs=1 rhs=h0 e0",
+    "derived (f surjective; f iso; N=M)  DOES-NOT-HOLD [propagated by equivalence]",
+]
+
+
 def test_iso(capsys):
     code, out, _ = run(capsys, "iso")
     assert code == 0
-    assert "eta*eps=1  DOES-NOT-HOLD" in out
-    assert "derived" in out
+    assert out.splitlines() == _ISO_LINES
 
 
 def test_iso_json_golden(capsys):
@@ -252,6 +260,61 @@ def test_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "h0 e0", "1", "--max-degree", "8")
     assert code == 0
     assert out.startswith("not-equivalent-within-bound (degree <= 8)")
+
+
+# (argv, the one line it prints) for the commands whose output is one line
+_ONE_LINE_GOLDENS = [
+    (("normalize", "e0 h1", "--json"), '{"input": "e0 h1", "normal_form": "1", "record": "normalize"}'),
+    (("degree", "h2 e0", "--json"), '{"degree": 4, "record": "degree", "word": "h2 e0"}'),
+    (("f", "h0 e0", "--json"), '{"image": "h1 e1", "record": "f", "word": "h0 e0"}'),
+    (
+        ("mul", "h0 e0", "h0 e0", "--json"),
+        '{"left": "h0 e0", "product": "h0 e0", "record": "mul", "right": "h0 e0"}',
+    ),
+    (
+        ("eq", "h0 e0", "1", "--json"),
+        '{"equal": false, "left": "h0 e0", "normal_forms": ["h0 e0", "1"], "record": "eq", "right": "1"}',
+    ),
+    (
+        ("eq", "e0 h1", "1", "--json"),
+        '{"equal": true, "left": "e0 h1", "normal_forms": ["1", "1"], "record": "eq", "right": "1"}',
+    ),
+    (
+        ("trace", "e1 h1", "--json"),
+        '{"normal_form": "1", "record": "trace", "start": "e1 h1", "steps": ['
+        '{"after": "e0 h1", "case": "EpsEta_IEqJPos", "position": 0}, '
+        '{"after": "e0 h0", "case": "EpsEta_JEqIPlus1", "position": 0}, '
+        '{"after": "1", "case": "EpsEta_Zero", "position": 0}]}',
+    ),
+    (("ncheck", "e0"), "member: witness 1"),
+    (("ncheck", "e0", "--json"), '{"element": "e0", "member": true, "record": "membership", "witness": "1"}'),
+    (("oracle", "e0 h1", "1"), "equivalent"),
+    (
+        ("oracle", "e0 h1", "1", "--json"),
+        '{"equivalent": true, "explored": 7, "left": "e0 h1", "max_degree": 9, "record": "oracle", "right": "1", '
+        '"truncated": false}',
+    ),
+    (("oracle", "h0 e0", "1"), "not-equivalent-within-bound (degree <= 9); frontier truncated by the bound"),
+    (
+        ("oracle", "h0 e0", "1", "--json"),
+        '{"equivalent": false, "explored": 580, "left": "h0 e0", "max_degree": 9, "record": "oracle", '
+        '"right": "1", "truncated": true}',
+    ),
+    (
+        ("oracle", "h0 e0", "1", "--max-degree", "3"),
+        "not-equivalent-within-bound (degree <= 3); frontier truncated by the bound",
+    ),
+    (
+        ("oracle", "h0 e0", "1", "--max-degree", "3", "--json"),
+        '{"equivalent": false, "explored": 2, "left": "h0 e0", "max_degree": 3, "record": "oracle", '
+        '"right": "1", "truncated": true}',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, line", _ONE_LINE_GOLDENS, ids=[" ".join(argv) for argv, _ in _ONE_LINE_GOLDENS])
+def test_one_line_golden(capsys, argv, line):
+    assert run(capsys, *argv) == (0, line + "\n", "")
 
 
 def test_oracle_degree_over_limit_exit_2(capsys):
@@ -474,9 +537,16 @@ def test_audit_disjoint_sample_count(capsys):
 def test_answer(capsys):
     code, out, _ = run(capsys, "answer")
     assert code == 0
-    assert "verdict: NOT_ISO" in out
-    assert "'h0 e0'" in out
-    assert "certificate" in out
+    assert out.splitlines() == [
+        "verdict: NOT_ISO",
+        "an adjunction between monoids need not be an isomorphism:",
+        "  eta*eps normalizes to 'h0 e0', a canonical form distinct from '1'",
+        "  eps*eta normalizes to '1'",
+        "  (eta*eps)^2 = eta*eps holds: eta*eps is a non-identity idempotent",
+        *(f"  {line}" for line in _ISO_LINES),
+        "certificate: termination PASS, local confluence PASS "
+        "(overlaps at max index 6; run `adjmon audit` for the oracle cross-check)",
+    ]
 
 
 def test_answer_json(capsys):
@@ -487,6 +557,13 @@ def test_answer_json(capsys):
     assert record["eta_eps"] == "h0 e0"
     assert record["eps_eta"] == "1"
     assert record["certificate"]["local_confluence"] is True
+    assert out == (
+        '{"certificate": {"all_subcases_instantiated": true, "local_confluence": true, "termination": true}, '
+        '"conditions": [{"condition": "f(eta)=eta", "holds": false}, {"condition": "f(eps)=eps", "holds": false}, '
+        '{"condition": "eta*eps=1", "holds": false}, {"condition": "f(m)=eta*m*eps", "holds": false}], '
+        '"derived_holds": false, "eps_eta": "1", "eta_eps": "h0 e0", "eta_eps_idempotent": true, '
+        '"record": "answer", "verdict": "NOT_ISO"}\n'
+    )
 
 
 def test_console_script_entry_point():
