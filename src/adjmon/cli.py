@@ -4,22 +4,27 @@ Words on the command line use the grammar of :mod:`adjmon.words`:
 tokens ``h<k>`` / ``e<k>`` (or ``η<k>`` / ``ε<k>``), optional whitespace,
 and the bare token ``1`` for the identity.  Exit status: 0 for answered
 queries and passing reports, 1 for failed reports or unjoinable pairs,
-2 for usage or word-syntax errors, for ``trace`` runs over
-:data:`TRACE_BUDGET`, for oracle bounds over :data:`ORACLE_MAX_DEGREE` and
-for audit bounds over :data:`AUDIT_MAX_WORDS` words,
+2 for usage or word-syntax errors, for bounds below their minimum, for
+``trace`` runs over :data:`TRACE_BUDGET`, for oracle bounds over
+:data:`ORACLE_MAX_DEGREE`, for an ``oracle`` input of degree over
+``--max-degree``, for audit bounds over :data:`AUDIT_MAX_WORDS` words and
+for ``axioms`` and ``ncheck`` suites over :data:`AUDIT_MAX_WORDS` instances,
 3 for an internal error (a computed canonical form that is not
 canonical), and 141 (128 + SIGPIPE), without a traceback, when stdout is
 closed before the output is written, as by ``adjmon answer | head -1``.
 ``--json`` switches every command to line-delimited JSON records with
-stable ordering.
+stable ordering.  Each command prints its result through :func:`_out`, one
+record at a time, so its text and its JSON come from the same record.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import rewrite, words
 
@@ -27,9 +32,18 @@ if TYPE_CHECKING:  # monoid and confluence load inside the commands that call th
     from . import confluence, monoid
 
 
-def _emit(record: dict) -> None:
-    import json
-    print(json.dumps(record, sort_keys=True))
+def _out(args, record: Callable[[], dict] | None, lines: Iterable = ()) -> None:
+    """Print one output record: under ``--json`` the dict that ``record()``
+    returns, as one JSON line, otherwise ``lines``, one per line.  A record
+    of None is text only.  Each side is built only in its own mode: the
+    record is called only under ``--json``, and ``lines`` may be lazy.
+    """
+    if not args.json:
+        for line in lines:
+            print(line)
+    elif record is not None:
+        import json
+        print(json.dumps(record(), sort_keys=True))
 
 
 def _render_opt(w: words.Word | None) -> str | None:
@@ -38,11 +52,8 @@ def _render_opt(w: words.Word | None) -> str | None:
 
 def cmd_normalize(args) -> int:
     w = words.parse(args.word)
-    nf = rewrite.normalize(w)
-    if args.json:
-        _emit({"record": "normalize", "input": words.render(w), "normal_form": words.render(nf)})
-    else:
-        print(words.render(nf))
+    nf = words.render(rewrite.normalize(w))
+    _out(args, lambda: {"record": "normalize", "input": words.render(w), "normal_form": nf}, [nf])
     return 0
 
 
@@ -69,6 +80,8 @@ def _check_oracle_degree(max_degree: int) -> None:
 # words of length <= --max-len, over 2 (--max-index + 1) letters.  Python 3.11.7,
 # 2-CPU Intel Xeon: termination at (5, 6), 579,195 words, takes 1.6 s and 57 MB,
 # at (6, 4), 1,111,111 words, 2.3 s and 93 MB; the overlaps at 100^3 words 24 s and 180 MB.
+# `axioms` and `ncheck` are held to as many instances: `ncheck --max-len 4
+# --max-index 3`, 245,520 instances, takes 2.7 s.
 AUDIT_MAX_WORDS = 10**6
 
 
@@ -84,6 +97,24 @@ def _check_audit_words(max_index: int, max_len: int = -1) -> None:
             raise ValueError(f"{what} would enumerate {count} words, over the limit of {AUDIT_MAX_WORDS:,}")
 
 
+def _check_suite_instances(args, suite, name: str) -> None:
+    """Refuse an identity suite that would check more than AUDIT_MAX_WORDS instances.
+
+    A row of arity a checks pop^a instances, where pop = C(L + 2I + 2, L) is
+    the number of canonical words of length <= L over indices <= I: an
+    h-block and an e-block, multisets over I + 1 indices each.
+    """
+    n, k = args.max_len + 2 * args.max_index + 2, min(args.max_len, 2 * args.max_index + 2)
+    # C(n, k) grows with k up to n / 2, so past k = 64 C(n, 64) is a lower bound, over the limit already
+    instances = sum(math.comb(n, min(k, 64)) ** arity for _, arity, _, _ in suite)
+    if instances > AUDIT_MAX_WORDS:
+        count = f"{instances:,}" if k <= 64 else "more than 10^37"  # C(n, k) >= C(130, 65) > 10^37
+        raise ValueError(
+            f"--max-len {args.max_len} --max-index {args.max_index}: the {name} would check {count} instances, "
+            f"over the limit of {AUDIT_MAX_WORDS:,}"
+        )
+
+
 def cmd_trace(args) -> int:
     w = words.parse(args.word)
     nf = rewrite.normalize(w)
@@ -95,42 +126,35 @@ def cmd_trace(args) -> int:
             f"over the budget of {TRACE_BUDGET} stored letters"
         )
     tr = rewrite.normalize_trace(w)
-    if args.json:
-        _emit(
-            {
-                "record": "trace",
-                "start": words.render(tr.start),
-                "steps": [
-                    {"position": s.position, "case": s.rule.case.value, "after": words.render(s.after)}
-                    for s in tr.steps
-                ],
-                "normal_form": words.render(tr.end),
-            }
-        )
-    else:
-        print(words.render(tr.start))
-        for s in tr.steps:
-            print(f"{words.render(s.after)}  [{s.rule.case.value} @ {s.position}]")
+    start = words.render(tr.start)
+    _out(
+        args,
+        lambda: {
+            "record": "trace",
+            "start": start,
+            "steps": [
+                {"position": s.position, "case": s.rule.case.value, "after": words.render(s.after)}
+                for s in tr.steps
+            ],
+            "normal_form": words.render(tr.end),
+        },
+        chain([start], (f"{words.render(s.after)}  [{s.rule.case.value} @ {s.position}]" for s in tr.steps)),
+    )
     return 0
 
 
 def cmd_degree(args) -> int:
     w = words.parse(args.word)
-    if args.json:
-        _emit({"record": "degree", "word": words.render(w), "degree": words.degree(w)})
-    else:
-        print(words.degree(w))
+    d = words.degree(w)
+    _out(args, lambda: {"record": "degree", "word": words.render(w), "degree": d}, [d])
     return 0
 
 
 def cmd_f(args) -> int:
     from . import monoid
     w = words.parse(args.word)
-    image = monoid.apply_f_word(w)
-    if args.json:
-        _emit({"record": "f", "word": words.render(w), "image": words.render(image)})
-    else:
-        print(words.render(image))
+    image = words.render(monoid.apply_f_word(w))
+    _out(args, lambda: {"record": "f", "word": words.render(w), "image": image}, [image])
     return 0
 
 
@@ -139,42 +163,31 @@ def cmd_mul(args) -> int:
     a = monoid.element(words.parse(args.left))
     b = monoid.element(words.parse(args.right))
     product = monoid.mul(a, b)
-    if args.json:
-        _emit({"record": "mul", "left": str(a), "right": str(b), "product": str(product)})
-    else:
-        print(product)
+    _out(args, lambda: {"record": "mul", "left": str(a), "right": str(b), "product": str(product)}, [product])
     return 0
 
 
 def cmd_eq(args) -> int:
     u = rewrite.normalize(words.parse(args.left))
     v = rewrite.normalize(words.parse(args.right))
-    equal = u == v
-    if args.json:
-        _emit(
-            {
-                "record": "eq",
-                "left": args.left,
-                "right": args.right,
-                "equal": equal,
-                "normal_forms": [words.render(u), words.render(v)],
-            }
-        )
-    else:
-        print("equal" if equal else "not-equal")
+    _out(args, lambda: {"record": "eq", "left": args.left, "right": args.right, "equal": u == v,
+                        "normal_forms": [words.render(u), words.render(v)]},
+         ["equal" if u == v else "not-equal"])
     return 0
 
 
-def _identity_records(report: monoid.IdentityReport, kind: str) -> int:
+def _identity_records(args, report: monoid.IdentityReport, kind: str) -> int:
     for r in report.results:
-        rec = {"record": kind, "id": r.identity, "pass": r.passed, "instances": r.instances}
-        if r.counterexample is not None:
-            rec["counterexample"] = {
-                "at": r.counterexample.at,
-                "lhs": words.render(r.counterexample.lhs_nf),
-                "rhs": words.render(r.counterexample.rhs_nf),
-            }
-        _emit(rec)
+        c = r.counterexample
+        if c is None:
+            failure, line = {}, f"{r.identity}  PASS ({r.instances} instances)"
+        else:
+            lhs, rhs = words.render(c.lhs_nf), words.render(c.rhs_nf)
+            failure = {"counterexample": {"at": c.at, "lhs": lhs, "rhs": rhs}}
+            at = f" at {c.at}" if c.at is not None else ""
+            line = f"{r.identity}  FAIL{at}: lhs={lhs} rhs={rhs}"
+        _out(args, lambda: {"record": kind, "id": r.identity, "pass": r.passed, "instances": r.instances, **failure},
+             [line])
     return 0 if report.passed else 1
 
 
@@ -189,12 +202,8 @@ def _check_at_least(args, minimum: int, *flags: str) -> None:
 def cmd_axioms(args) -> int:
     from . import monoid
     _check_at_least(args, 1, "--max-len", "--max-index")
-    report = monoid.check_axioms(args.max_len, args.max_index)
-    if args.json:
-        return _identity_records(report, "axiom")
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+    _check_suite_instances(args, monoid._AXIOMS, "identity suite")
+    return _identity_records(args, monoid.check_axioms(args.max_len, args.max_index), "axiom")
 
 
 def cmd_ncheck(args) -> int:
@@ -203,83 +212,44 @@ def cmd_ncheck(args) -> int:
         a = monoid.element(words.parse(args.word))
         # the only candidate witness, normalize(a*eta), has degree <= degree(a) + 1
         res = monoid.in_N(a, words.degree(a.nf) + 1)
-        if args.json:
-            _emit(
-                {
-                    "record": "membership",
-                    "element": str(a),
-                    "member": res.member,
-                    "witness": None if res.witness is None else str(res.witness),
-                }
-            )
-        elif res.member:
-            print(f"member: witness {res.witness}")
-        else:
-            print("not a member")
+        _out(args, lambda: {"record": "membership", "element": str(a), "member": res.member,
+                            "witness": None if res.witness is None else str(res.witness)},
+             [f"member: witness {res.witness}" if res.member else "not a member"])
         return 0
     _check_at_least(args, 1, "--max-len", "--max-index")
-    report = monoid.check_N_closure(args.max_len, args.max_index)
-    if args.json:
-        return _identity_records(report, "submonoid")
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+    _check_suite_instances(args, monoid._N_CLOSURE, "closure suite")
+    return _identity_records(args, monoid.check_N_closure(args.max_len, args.max_index), "submonoid")
+
+
+def _condition_line(c: monoid.ConditionResult) -> str:
+    at = f" at m={c.witness_at}" if c.witness_at is not None else ""
+    status = "HOLDS" if c.holds else "DOES-NOT-HOLD"
+    return f"{c.condition}  {status}{at}: lhs={words.render(c.lhs_nf)} rhs={words.render(c.rhs_nf)}"
+
+
+def _derived_line(criteria: monoid.IsoCriteriaReport) -> str:
+    status = "HOLDS" if criteria.derived_holds else "DOES-NOT-HOLD"
+    return f"derived (f surjective; f iso; N=M)  {status} [propagated by equivalence]"
 
 
 def cmd_iso(args) -> int:
     from . import monoid
     rep = monoid.iso_criteria_report()
-    if args.json:
-        for c in rep.conditions:
-            _emit(
-                {
-                    "record": "iso_condition",
-                    "condition": c.condition,
-                    "holds": c.holds,
-                    "at": c.witness_at,
-                    "lhs": words.render(c.lhs_nf),
-                    "rhs": words.render(c.rhs_nf),
-                }
-            )
-        _emit({"record": "iso_derived", "holds": rep.derived_holds})
-    else:
-        for line in rep.lines():
-            print(line)
+    for c in rep.conditions:
+        _out(args, lambda: {"record": "iso_condition", "condition": c.condition, "holds": c.holds, "at": c.witness_at,
+                            "lhs": words.render(c.lhs_nf), "rhs": words.render(c.rhs_nf)},
+             [_condition_line(c)])
+    _out(args, lambda: {"record": "iso_derived", "holds": rep.derived_holds}, [_derived_line(rep)])
     return 0
 
 
-def _termination_line(term: confluence.TerminationReport) -> str:
-    status = "PASS" if term.passed else "FAIL"
+def _row_line(r: confluence.SubcaseRow) -> str:
+    formula = f"{r.formula_matches}/{r.formula_applicable}" if r.formula_applicable else "-"
+    if r.alt_formula_applicable:
+        formula += f" (alt printed form {r.alt_formula_matches}/{r.alt_formula_applicable})"
     return (
-        f"termination: {term.words_checked} words, {term.steps_checked} steps, "
-        f"longest chain {term.longest_chain}  {status}"
-    )
-
-
-def _confluence_table(conf: confluence.LocalConfluenceReport) -> list[str]:
-    lines = [f"local confluence (max index {conf.max_index}):"]
-    header = f"{'family':9s} {'subcase':10s} {'instances':>9s} {'joinable':>8s}  {'sample bound':14s} formula"
-    lines.append(header)
-    for r in conf.rows:
-        formula = f"{r.formula_matches}/{r.formula_applicable}" if r.formula_applicable else "-"
-        if r.alt_formula_applicable:
-            formula += f" (alt printed form {r.alt_formula_matches}/{r.alt_formula_applicable})"
-        lines.append(
-            f"{r.family:9s} {r.subcase or '-':10s} {r.instances:>9d} {r.joinable:>8d}  "
-            f"{_render_opt(r.sample_bound) or 'NOT_JOINABLE':14s} {formula}"
-        )
-    if conf.not_instantiated:
-        for family, subcase in conf.not_instantiated:
-            lines.append(f"{family} {subcase}  NOT INSTANTIATED at this index bound")
-    lines.append(f"joinable: {'PASS' if conf.passed else 'FAIL (NOT_JOINABLE pairs present)'}")
-    return lines
-
-
-def _oracle_line(oracle: confluence.CrossCheckReport) -> str:
-    status = "PASS" if oracle.passed else "FAIL"
-    return (
-        f"oracle cross-check: population {oracle.population}, pairs {oracle.pairs_checked}, "
-        f"spot-checked {oracle.spot_checked}, discrepancies {len(oracle.discrepancies)}  {status}"
+        f"{r.family:9s} {r.subcase or '-':10s} {r.instances:>9d} {r.joinable:>8d}  "
+        f"{_render_opt(r.sample_bound) or 'NOT_JOINABLE':14s} {formula}"
     )
 
 
@@ -297,52 +267,34 @@ def cmd_audit(args) -> int:
     if not args.skip_termination:
         _check_at_least(args, 1, "--max-len")
     _check_audit_words(args.max_index, -1 if args.skip_termination else args.max_len)
-    ok = True
-    term = None
-    if not args.skip_termination:
-        term = confluence.audit_termination(args.max_len, args.max_index)
-        ok = ok and term.passed
+    term = None if args.skip_termination else confluence.audit_termination(args.max_len, args.max_index)
     conf = confluence.audit_local_confluence(args.max_index, args.disjoint_samples)
-    ok = ok and conf.passed
     oracle = None
     if not args.skip_oracle:
         oracle = confluence.cross_check_oracle(args.oracle_len, args.oracle_index, args.max_degree)
-        ok = ok and oracle.passed
-    if args.json:
-        if term is not None:
-            _emit(
-                {
-                    "record": "termination",
-                    "words": term.words_checked,
-                    "steps": term.steps_checked,
-                    "longest_chain": term.longest_chain,
-                    "pass": term.passed,
-                }
-            )
-        for r in conf.rows:  # the record's keys are SubcaseRow's field names
-            _emit({"record": "confluence_row", **r._asdict(), "sample_bound": _render_opt(r.sample_bound)})
-        for family, subcase in conf.not_instantiated:
-            _emit({"record": "not_instantiated", "family": family, "subcase": subcase})
-        if oracle is not None:
-            _emit(
-                {
-                    "record": "oracle_cross_check",
-                    "population": oracle.population,
-                    "pairs": oracle.pairs_checked,
-                    "spot_checked": oracle.spot_checked,
-                    "discrepancies": len(oracle.discrepancies),
-                    "pass": oracle.passed,
-                }
-            )
-        _emit({"record": "audit_summary", "pass": ok})
-    else:
-        if term is not None:
-            print(_termination_line(term))
-        for line in _confluence_table(conf):
-            print(line)
-        if oracle is not None:
-            print(_oracle_line(oracle))
-        print(f"audit: {'PASS' if ok else 'FAIL'}")
+    ok = all(report.passed for report in (term, conf, oracle) if report is not None)
+    if term is not None:
+        _out(args, lambda: {"record": "termination", "words": term.words_checked, "steps": term.steps_checked,
+                            "longest_chain": term.longest_chain, "pass": term.passed},
+             [f"termination: {term.words_checked} words, {term.steps_checked} steps, "
+              f"longest chain {term.longest_chain}  {'PASS' if term.passed else 'FAIL'}"])
+    header = f"{'family':9s} {'subcase':10s} {'instances':>9s} {'joinable':>8s}  {'sample bound':14s} formula"
+    _out(args, None, [f"local confluence (max index {conf.max_index}):", header])
+    for r in conf.rows:  # the record's keys are SubcaseRow's field names
+        _out(args, lambda: {"record": "confluence_row", **r._asdict(), "sample_bound": _render_opt(r.sample_bound)},
+             [_row_line(r)])
+    for family, subcase in conf.not_instantiated:
+        _out(args, lambda: {"record": "not_instantiated", "family": family, "subcase": subcase},
+             [f"{family} {subcase}  NOT INSTANTIATED at this index bound"])
+    _out(args, None, [f"joinable: {'PASS' if conf.passed else 'FAIL (NOT_JOINABLE pairs present)'}"])
+    if oracle is not None:
+        bad = len(oracle.discrepancies)
+        _out(args, lambda: {"record": "oracle_cross_check", "population": oracle.population,
+                            "pairs": oracle.pairs_checked, "spot_checked": oracle.spot_checked,
+                            "discrepancies": bad, "pass": oracle.passed},
+             [f"oracle cross-check: population {oracle.population}, pairs {oracle.pairs_checked}, "
+              f"spot-checked {oracle.spot_checked}, discrepancies {bad}  {'PASS' if oracle.passed else 'FAIL'}"])
+    _out(args, lambda: {"record": "audit_summary", "pass": ok}, [f"audit: {'PASS' if ok else 'FAIL'}"])
     return 0 if ok else 1
 
 
@@ -355,23 +307,11 @@ def cmd_oracle(args) -> int:
     if d > args.max_degree:
         raise ValueError(f"--max-degree {args.max_degree}: the bound must be >= {d}, the degree of the input")
     res = confluence.equivalent_bounded(u, v, args.max_degree)
-    if args.json:
-        _emit(
-            {
-                "record": "oracle",
-                "left": words.render(u),
-                "right": words.render(v),
-                "equivalent": res.equivalent,
-                "truncated": res.truncated,
-                "max_degree": args.max_degree,
-                "explored": res.explored,
-            }
-        )
-    elif res.equivalent:
-        print("equivalent")
-    else:
-        note = "; frontier truncated by the bound" if res.truncated else ""
-        print(f"not-equivalent-within-bound (degree <= {args.max_degree}){note}")
+    note = "; frontier truncated by the bound" if res.truncated else ""
+    # the record's other keys are OracleVerdict's field names
+    _out(args, lambda: {"record": "oracle", "left": words.render(u), "right": words.render(v),
+                        "max_degree": args.max_degree, **res._asdict()},
+         ["equivalent" if res.equivalent else f"not-equivalent-within-bound (degree <= {args.max_degree}){note}"])
     return 0
 
 
@@ -384,40 +324,37 @@ def cmd_answer(args) -> int:
     conf = confluence.audit_local_confluence(args.max_index)
     certified = term.passed and conf.passed and conf.all_subcases_instantiated
     ok = verdict.verdict == monoid.NOT_ISO and certified
-    if args.json:
-        _emit(
-            {
-                "record": "answer",
-                "verdict": verdict.verdict,
-                "eta_eps": words.render(verdict.eta_eps_nf),
-                "eps_eta": words.render(verdict.eps_eta_nf),
-                "eta_eps_idempotent": verdict.eta_eps_idempotent,
-                "conditions": [
-                    {"condition": c.condition, "holds": c.holds} for c in verdict.criteria.conditions
-                ],
-                "derived_holds": verdict.criteria.derived_holds,
-                "certificate": {
-                    "termination": term.passed,
-                    "local_confluence": conf.passed,
-                    "all_subcases_instantiated": conf.all_subcases_instantiated,
-                },
-            }
-        )
-    else:
-        print(f"verdict: {verdict.verdict}")
-        print("an adjunction between monoids need not be an isomorphism:")
-        print(f"  eta*eps normalizes to {words.render(verdict.eta_eps_nf)!r}, "
-              f"a canonical form distinct from '1'")
-        print(f"  eps*eta normalizes to {words.render(verdict.eps_eta_nf)!r}")
-        idem = "holds" if verdict.eta_eps_idempotent else "fails"
-        print(f"  (eta*eps)^2 = eta*eps {idem}: eta*eps is a non-identity idempotent")
-        for line in verdict.criteria.lines():
-            print(f"  {line}")
-        print(
+    criteria = verdict.criteria
+    _out(
+        args,
+        lambda: {
+            "record": "answer",
+            "verdict": verdict.verdict,
+            "eta_eps": words.render(verdict.eta_eps_nf),
+            "eps_eta": words.render(verdict.eps_eta_nf),
+            "eta_eps_idempotent": verdict.eta_eps_idempotent,
+            "conditions": [{"condition": c.condition, "holds": c.holds} for c in criteria.conditions],
+            "derived_holds": criteria.derived_holds,
+            "certificate": {
+                "termination": term.passed,
+                "local_confluence": conf.passed,
+                "all_subcases_instantiated": conf.all_subcases_instantiated,
+            },
+        },
+        [
+            f"verdict: {verdict.verdict}",
+            "an adjunction between monoids need not be an isomorphism:",
+            f"  eta*eps normalizes to {words.render(verdict.eta_eps_nf)!r}, a canonical form distinct from '1'",
+            f"  eps*eta normalizes to {words.render(verdict.eps_eta_nf)!r}",
+            f"  (eta*eps)^2 = eta*eps {'holds' if verdict.eta_eps_idempotent else 'fails'}: "
+            "eta*eps is a non-identity idempotent",
+            *(f"  {_condition_line(c)}" for c in criteria.conditions),
+            f"  {_derived_line(criteria)}",
             f"certificate: termination {'PASS' if term.passed else 'FAIL'}, "
             f"local confluence {'PASS' if conf.passed else 'FAIL'} "
-            f"(overlaps at max index {conf.max_index}; run `adjmon audit` for the oracle cross-check)"
-        )
+            f"(overlaps at max index {conf.max_index}; run `adjmon audit` for the oracle cross-check)",
+        ],
+    )
     return 0 if ok else 1
 
 

@@ -107,13 +107,6 @@ class IdentityResult(NamedTuple):
     def passed(self) -> bool:
         return self.counterexample is None
 
-    def line(self) -> str:
-        if self.passed:
-            return f"{self.identity}  PASS ({self.instances} instances)"
-        c = self.counterexample
-        at = f" at {c.at}" if c.at is not None else ""
-        return f"{self.identity}  FAIL{at}: lhs={render(c.lhs_nf)} rhs={render(c.rhs_nf)}"
-
 
 class IdentityReport(NamedTuple):
     results: tuple[IdentityResult, ...]
@@ -121,9 +114,6 @@ class IdentityReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def lines(self) -> list[str]:
-        return [r.line() for r in self.results]
 
 
 _E0 = (eps_letter(0),)
@@ -234,11 +224,6 @@ class ConditionResult(NamedTuple):
     lhs_nf: Word
     rhs_nf: Word
 
-    def line(self) -> str:
-        status = "HOLDS" if self.holds else "DOES-NOT-HOLD"
-        at = f" at m={self.witness_at}" if self.witness_at is not None else ""
-        return f"{self.condition}  {status}{at}: lhs={render(self.lhs_nf)} rhs={render(self.rhs_nf)}"
-
 
 class IsoCriteriaReport(NamedTuple):
     """The decidable conditions equivalent to the adjunction being an
@@ -254,12 +239,6 @@ class IsoCriteriaReport(NamedTuple):
     @property
     def unanimous(self) -> bool:
         return len({c.holds for c in self.conditions}) == 1
-
-    def lines(self) -> list[str]:
-        out = [c.line() for c in self.conditions]
-        status = "HOLDS" if self.derived_holds else "DOES-NOT-HOLD"
-        out.append(f"derived (f surjective; f iso; N=M)  {status} [propagated by equivalence]")
-        return out
 
 
 # The four conditions as rows (condition, lhs, rhs, witness), each decided

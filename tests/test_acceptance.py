@@ -79,7 +79,7 @@ def test_criterion_2_axiom_suite():
         t = time.perf_counter()
         report = check_axioms(max_len=4, max_index=3)
         elapsed = time.perf_counter() - t
-        assert report.passed, report.lines()
+        assert report.passed, report.results
         counts = {r.identity: r.instances for r in report.results}
         assert counts["eps*eta=1"] == 1
         assert counts["eps*f^2(m)=f(m)*eps"] == 495
@@ -172,7 +172,7 @@ def test_criterion_7_algebraic_laws():
 def test_criterion_8_submonoid_evidence():
     with criterion(8, "submonoid closure and recovery identities; membership witnesses for all products"):
         report = check_N_closure(max_len=3, max_index=2)
-        assert report.passed, report.lines()
+        assert report.passed, report.results
         assert {r.identity for r in report.results} == {
             "eps*f(m1)*eps*f(m2)=eps*f(eps*f(m1)*m2)",
             "n=eps*f(n*eta)",

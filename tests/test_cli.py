@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -420,6 +422,37 @@ def test_audit_word_limit(capsys):
     assert code == 2 and "overlap scan would enumerate 1,061,208 words" in err
     code, _, _ = run(capsys, "audit", "--max-len", "6", "--max-index", "4", "--skip-termination", "--skip-oracle")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        ("ncheck --max-len 6 --max-index 6", "1,502,376,360"),  # 38,760^2 + 38,760
+        ("axioms --max-len 8 --max-index 8", "6,249,103"),  # 3 + 4 * 1,562,275
+        ("axioms --max-len 100 --max-index 100", "more than 10^37"),
+    ],
+)
+def test_suite_instance_limit(capsys, monkeypatch, argv, count):
+    def never(*args):
+        raise AssertionError("a suite ran before its size was checked")
+
+    monkeypatch.setattr(monoid, "_check_suite", never)
+    verb, _, max_len, _, max_index = argv.split()
+    suite = "identity" if verb == "axioms" else "closure"
+    assert run(capsys, *argv.split()) == (
+        2,
+        "",
+        f"adjmon: --max-len {max_len} --max-index {max_index}: the {suite} suite would check {count} instances, "
+        "over the limit of 1,000,000\n",
+    )
+
+
+def test_suite_instance_count_is_the_population_formula():
+    # C(L + 2I + 2, L) canonical words of length <= L over indices <= I
+    for max_len, max_index in ((3, 2), (4, 3), (5, 4)):
+        assert len(monoid.elements(max_len, max_index)) == math.comb(max_len + 2 * max_index + 2, max_len)
+    # ncheck at (4, 3) checks 495^2 + 495 = 245,520 instances, within the limit
+    cli._check_suite_instances(argparse.Namespace(max_len=4, max_index=3), monoid._N_CLOSURE, "closure suite")
 
 
 def test_audit(capsys):

@@ -112,7 +112,7 @@ def test_check_axioms_passes():
     assert by_id["eps*eta=1"].instances == 1
     assert by_id["f(m)*eta=eta*m"].instances == 28
     assert by_id["m=eps*f(m)*eta"].passed
-    assert "PASS" in report.lines()[0]
+    assert report.results[0].passed
 
 
 def test_check_axioms_specific_instances():
