@@ -244,7 +244,7 @@ def cmd_iso(args) -> int:
 
 
 def _row_line(r: confluence.SubcaseRow) -> str:
-    formula = f"{r.formula_matches}/{r.formula_applicable}" if r.formula_applicable else "-"
+    formula = f"{r.formula_matches}/{r.formula_applicable}"
     if r.alt_formula_applicable:
         formula += f" (alt printed form {r.alt_formula_matches}/{r.alt_formula_applicable})"
     return (
@@ -255,23 +255,18 @@ def _row_line(r: confluence.SubcaseRow) -> str:
 
 def cmd_audit(args) -> int:
     from . import confluence
+    oracle_len, oracle_index = confluence.ORACLE_MAX_LEN, confluence.ORACLE_MAX_INDEX
     # every bound is checked before the first audit runs
     if not args.skip_oracle:
         _check_oracle_degree(args.max_degree)
-        _check_at_least(args, 1, "--oracle-len")
-        _check_at_least(args, 0, "--oracle-index")
-        # the population's words have degree up to --oracle-len (--oracle-index + 1)
-        _check_at_least(args, args.oracle_len * (args.oracle_index + 1), "--max-degree")
+        _check_at_least(args, oracle_len * (oracle_index + 1), "--max-degree")  # the population's greatest degree
     _check_at_least(args, 2, "--max-index")  # indices up to 2 instantiate every overlap family
-    _check_at_least(args, 0, "--disjoint-samples")
     if not args.skip_termination:
         _check_at_least(args, 1, "--max-len")
     _check_audit_words(args.max_index, -1 if args.skip_termination else args.max_len)
     term = None if args.skip_termination else confluence.audit_termination(args.max_len, args.max_index)
-    conf = confluence.audit_local_confluence(args.max_index, args.disjoint_samples)
-    oracle = None
-    if not args.skip_oracle:
-        oracle = confluence.cross_check_oracle(args.oracle_len, args.oracle_index, args.max_degree)
+    conf = confluence.audit_local_confluence(args.max_index)
+    oracle = None if args.skip_oracle else confluence.cross_check_oracle(oracle_len, oracle_index, args.max_degree)
     ok = all(report.passed for report in (term, conf, oracle) if report is not None)
     if term is not None:
         _out(args, lambda: {"record": "termination", "words": term.words_checked, "steps": term.steps_checked,
@@ -317,11 +312,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_answer(args) -> int:
     from . import confluence, monoid
-    _check_at_least(args, 2, "--max-index")
-    _check_audit_words(args.max_index)
     verdict = monoid.answer_open_question()
     term = confluence.audit_termination(4, 3)
-    conf = confluence.audit_local_confluence(args.max_index)
+    conf = confluence.audit_local_confluence(6)
     certified = term.passed and conf.passed and conf.all_subcases_instantiated
     ok = verdict.verdict == monoid.NOT_ISO and certified
     criteria = verdict.criteria
@@ -409,9 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-index", type=int, default=6, help="index bound for overlaps/termination")
     p.add_argument("--max-len", type=int, default=4, help="word length bound for termination")
     p.add_argument("--max-degree", type=int, default=9, help="oracle degree bound")
-    p.add_argument("--oracle-len", type=int, default=3)
-    p.add_argument("--oracle-index", type=int, default=2)
-    p.add_argument("--disjoint-samples", type=int, default=32)
     p.add_argument("--skip-oracle", action="store_true")
     p.add_argument("--skip-termination", action="store_true")
 
@@ -420,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--max-degree", type=int, default=9)
 
-    p = add("answer", cmd_answer, "the question's verdict with witnesses and certificate")
-    p.add_argument("--max-index", type=int, default=6)
+    add("answer", cmd_answer, "the question's verdict with witnesses and certificate")
 
     return parser
 

@@ -29,7 +29,7 @@ instantiated are all read from it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, product
 from typing import NamedTuple
 
 from .rewrite import RuleCase, apply, forward_steps, match_rule, normalize, reduction_graph, redexes
@@ -42,6 +42,10 @@ EEE = "EEE"
 HHH = "HHH"
 EEH = "EEH"
 EHH = "EHH"
+
+DISJOINT_SAMPLES = 32  # the disjoint-redex parents that audit_local_confluence samples
+# the population that `adjmon audit` cross-checks the oracle on: words of length <= 3, indices <= 2
+ORACLE_MAX_LEN, ORACLE_MAX_INDEX = 3, 2
 
 # Each overlap family's case analysis, as an ordered table of rows
 # (subcase, guard, closed form) over the parent indices i, j, k: the first
@@ -129,14 +133,12 @@ def disjoint_critical_pairs(w: Word) -> list[CriticalPair]:
     return out
 
 
-def sample_disjoint_parents(max_index: int, count: int) -> list[Word]:
-    """A deterministic sample of words of length 4 or 5 carrying two
-    disjoint redexes.
+def sample_disjoint_parents(max_index: int) -> list[Word]:
+    """A deterministic sample of DISJOINT_SAMPLES words of length 4 or 5
+    carrying two disjoint redexes.
     """
-    if count < 0:
-        raise ValueError("disjoint sample count must be >= 0")
     parents = (w for w in all_words(5, min(max_index, 3)) if disjoint_critical_pairs(w))
-    return list(islice(parents, count))
+    return list(islice(parents, DISJOINT_SAMPLES))
 
 
 def common_reducts(pair: CriticalPair) -> frozenset[Word]:
@@ -209,12 +211,12 @@ class LocalConfluenceReport(NamedTuple):
         raise KeyError((family, subcase))
 
 
-def audit_local_confluence(max_index: int = 6, disjoint_samples: int = 32) -> LocalConfluenceReport:
+def audit_local_confluence(max_index: int = 6) -> LocalConfluenceReport:
     """Resolve every overlap within the index bound plus a sample of
     disjoint-redex parents; tally joinability and closed-form hits.
     """
     pairs = enumerate_overlaps(max_index)
-    for w in sample_disjoint_parents(max_index, disjoint_samples):
+    for w in sample_disjoint_parents(max_index):
         pairs.extend(disjoint_critical_pairs(w)[:1])
 
     rows: dict[tuple[str, str | None], SubcaseRow] = {}  # tallied as each pair is resolved
@@ -359,7 +361,7 @@ def inverse_steps(w: Word, max_degree: int) -> tuple[list[Word], bool]:
 
 class OracleVerdict(NamedTuple):
     equivalent: bool
-    truncated: bool  # when set, a negative answer is only "within the bound"
+    truncated: bool  # a predecessor lay past the bound: true of every negative answer, as e0 h0 insertions reach it
     explored: int
 
 
@@ -502,11 +504,8 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
             discrepancies.append((v, w, False, True))
     pairs = len(population) * (len(population) + 1) // 2
     stride = max(1, pairs // 25)
-    row = 0  # pair (u_a, u_b), a <= b, is number row + b - a, counting from 0 by a, then b
-    for a, u in enumerate(population):
-        for v in population[a + (stride - 1 - row) % stride :: stride]:
-            verdict = equivalent_bounded(u, v, max_degree).equivalent
-            if verdict != (component[u] == component[v]):
-                discrepancies.append((u, v, verdict, not verdict))  # the search, then the components
-        row += len(population) - a
+    for u, v in islice(combinations_with_replacement(population, 2), stride - 1, None, stride):
+        verdict = equivalent_bounded(u, v, max_degree).equivalent
+        if verdict != (component[u] == component[v]):
+            discrepancies.append((u, v, verdict, not verdict))  # the search, then the components
     return CrossCheckReport(len(population), pairs, tuple(discrepancies), pairs // stride)

@@ -185,23 +185,23 @@ def test_audit_failure_rows(capsys, monkeypatch):
     real = confluence.common_reducts
     monkeypatch.setattr(confluence, "common_reducts", lambda pair: frozenset() if pair.family == "EEE" else real(pair))
     monkeypatch.setattr(confluence, "normalize", lambda w: w)  # every word its own canonical form
-    args = ("audit", "--max-index", "2", "--skip-termination", "--disjoint-samples", "0")
-    args += ("--oracle-len", "2", "--oracle-index", "1", "--max-degree", "6")
+    args = ("audit", "--max-index", "2", "--skip-termination")
     code, out, _ = run(capsys, *args)
     assert code == 1
     lines = out.splitlines()
-    assert lines[2] == "EEE       -                  1        0  NOT_JOINABLE   0/1"
+    assert lines[3] == "EEE       -                  1        0  NOT_JOINABLE   0/1"  # after the DISJOINT row
+    # 259 words in 84 components: each word after the first of its component is a discrepancy
     assert lines[-3:] == [
         "joinable: FAIL (NOT_JOINABLE pairs present)",
-        "oracle cross-check: population 21, pairs 231, spot-checked 25, discrepancies 6  FAIL",
+        "oracle cross-check: population 259, pairs 33670, spot-checked 25, discrepancies 175  FAIL",
         "audit: FAIL",
     ]
     code, out, _ = run(capsys, *args, "--json")
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
-    assert records[0]["family"] == "EEE" and (records[0]["joinable"], records[0]["sample_bound"]) == (0, None)
+    assert records[1]["family"] == "EEE" and (records[1]["joinable"], records[1]["sample_bound"]) == (0, None)
     assert records[-2:] == [
-        {"record": "oracle_cross_check", "population": 21, "pairs": 231, "spot_checked": 25, "discrepancies": 6,
+        {"record": "oracle_cross_check", "population": 259, "pairs": 33670, "spot_checked": 25, "discrepancies": 175,
          "pass": False},
         {"record": "audit_summary", "pass": False},
     ]
@@ -332,24 +332,14 @@ def test_oracle_degree_over_limit_exit_2(capsys):
     assert (code, out) == (0, "equivalent\n")
 
 
-def test_audit_empty_oracle_population_exit_2(capsys):
-    code, out, err = run(capsys, "audit", "--oracle-len", "-1", "--skip-termination", "--max-index", "2")
-    assert (code, out, err) == (2, "", "adjmon: --oracle-len -1: the bound must be >= 1\n")
-
-
 @pytest.mark.parametrize(
     "argv",
     [
-        ("audit", "--oracle-len", "-1"),
-        ("audit", "--oracle-index", "-1"),
-        ("audit", "--oracle-len", "5", "--max-degree", "9"),
+        ("audit", "--max-degree", "8"),
         ("audit", "--max-index", "1"),
-        ("audit", "--disjoint-samples", "-1"),
-        ("answer", "--max-index", "1"),
         ("audit", "--max-len", "8"),
         ("audit", "--max-len", "1000000000"),
         ("audit", "--max-index", "50", "--skip-termination"),
-        ("answer", "--max-index", "50"),
     ],
     ids=" ".join,
 )
@@ -362,6 +352,36 @@ def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("adjmon: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # in-range values first, then out-of-range ones: a removed flag is refused whatever its value
+        ("audit", "--oracle-len", "2"),
+        ("audit", "--oracle-index", "1"),
+        ("audit", "--disjoint-samples", "0"),
+        ("answer", "--max-index", "6"),
+        ("audit", "--oracle-len", "0"),
+        ("audit", "--oracle-len", "-1"),
+        ("audit", "--oracle-index", "-1"),
+        ("audit", "--disjoint-samples", "-1"),
+        ("answer", "--max-index", "1"),
+        ("answer", "--max-index", "50"),
+    ],
+    ids=" ".join,
+)
+def test_removed_flag_refused_before_any_audit(capsys, monkeypatch, argv):
+    def never(*args):
+        raise AssertionError("an audit ran before the arguments were parsed")
+
+    monkeypatch.setattr(confluence, "audit_termination", never)
+    monkeypatch.setattr(confluence, "audit_local_confluence", never)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in err
 
 
 @pytest.mark.parametrize(
@@ -390,11 +410,7 @@ def test_bound_below_1_refused_naming_its_flag(capsys, monkeypatch, argv):
     "argv, minimum",
     [
         ("audit --max-index 1", 2),
-        ("answer --max-index 1", 2),
-        ("audit --oracle-len 0", 1),
-        ("audit --oracle-index -1", 0),
-        ("audit --disjoint-samples -1", 0),
-        ("audit --max-degree 8", 9),  # --oracle-len 3 (--oracle-index 2 + 1)
+        ("audit --max-degree 8", 9),  # the oracle population's words: length <= 3, each letter of degree <= 2 + 1
     ],
 )
 def test_bound_refused_naming_its_flag(capsys, argv, minimum):
@@ -456,10 +472,7 @@ def test_suite_instance_count_is_the_population_formula():
 
 
 def test_audit(capsys):
-    code, out, _ = run(
-        capsys, "audit", "--max-index", "3", "--max-len", "3",
-        "--oracle-len", "2", "--oracle-index", "1", "--max-degree", "6",
-    )
+    code, out, _ = run(capsys, "audit", "--max-index", "3", "--max-len", "3")
     assert code == 0
     assert "audit: PASS" in out
     assert "NOT_JOINABLE" not in out
@@ -559,12 +572,10 @@ def test_audit_json_golden(capsys):
 
 
 def test_audit_disjoint_sample_count(capsys):
-    args = ("audit", "--json", "--max-index", "2", "--skip-oracle", "--skip-termination")
-    code, out, _ = run(capsys, *args, "--disjoint-samples", "0")
+    code, out, _ = run(capsys, "audit", "--json", "--max-index", "2", "--skip-oracle", "--skip-termination")
     assert code == 0
-    assert all(json.loads(line).get("family") != "DISJOINT" for line in out.splitlines())
-    code, out, err = run(capsys, *args, "--disjoint-samples", "-1")
-    assert (code, out, err) == (2, "", "adjmon: --disjoint-samples -1: the bound must be >= 0\n")
+    rows = [r for r in map(json.loads, out.splitlines()) if r.get("family") == "DISJOINT"]
+    assert [r["instances"] for r in rows] == [confluence.DISJOINT_SAMPLES]
 
 
 def test_answer(capsys):

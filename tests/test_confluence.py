@@ -124,17 +124,14 @@ def test_disjoint_pairs_commute():
 
 
 def test_sampled_disjoint_parents_have_disjoint_redexes():
-    parents = sample_disjoint_parents(3, 10)
-    assert len(parents) == 10
-    for w in parents:
+    for w in sample_disjoint_parents(3):
         ps = [p for p, _ in redexes(w)]
         assert any(q - p >= 2 for p in ps for q in ps)
 
 
 def test_sample_disjoint_parents_count_is_exact():
-    assert sample_disjoint_parents(3, 0) == []
-    with pytest.raises(ValueError):
-        sample_disjoint_parents(3, -1)
+    for max_index in (2, 3, 6):
+        assert len(sample_disjoint_parents(max_index)) == confluence.DISJOINT_SAMPLES
 
 
 def test_audit_local_confluence_full():
@@ -143,7 +140,7 @@ def test_audit_local_confluence_full():
     assert report.all_subcases_instantiated
     for row in report.rows:
         assert row.joinable == row.instances
-        assert row.formula_matches == row.formula_applicable
+        assert row.formula_matches == row.formula_applicable == row.instances
     alt_row = report.row("EHH", "k>i+1")
     assert alt_row.alt_formula_applicable == 10  # instances with i >= 1
     assert alt_row.alt_formula_matches == 0
@@ -151,7 +148,7 @@ def test_audit_local_confluence_full():
 
 
 def test_audit_local_confluence_low_bound_reports_missing():
-    report = audit_local_confluence(2, disjoint_samples=4)
+    report = audit_local_confluence(2)
     assert report.passed
     assert set(report.not_instantiated) == {
         ("EEH", "i+1<k<j"),
@@ -239,7 +236,7 @@ def test_termination_reports_non_decreasing_step(monkeypatch, capsys):
     report = audit_termination(3, 2)
     assert report.bad_steps == _termination_reference(3, 2)[2]
     assert (parse("h0 e0 e1"), 1, 0) in report.bad_steps  # a bad step past the first position
-    code = cli.main(["audit", "--max-len", "2", "--max-index", "2", "--skip-oracle", "--disjoint-samples", "0"])
+    code = cli.main(["audit", "--max-len", "2", "--max-index", "2", "--skip-oracle"])
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     population, steps, _ = _termination_reference(2, 2)

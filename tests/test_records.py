@@ -22,8 +22,8 @@ RECORDS = {
     "IsoCriteriaReport": lambda: monoid.iso_criteria_report(),
     "OpenQuestionVerdict": lambda: monoid.answer_open_question(),
     "CriticalPair": lambda: confluence.enumerate_overlaps(2)[0],
-    "SubcaseRow": lambda: confluence.audit_local_confluence(2, 0).rows[0],
-    "LocalConfluenceReport": lambda: confluence.audit_local_confluence(2, 0),
+    "SubcaseRow": lambda: confluence.audit_local_confluence(2).rows[0],
+    "LocalConfluenceReport": lambda: confluence.audit_local_confluence(2),
     "TerminationReport": lambda: confluence.audit_termination(1, 1),
     "OracleVerdict": lambda: confluence.equivalent_bounded(parse("h0 e0"), (), 2),
     "CrossCheckReport": lambda: confluence.cross_check_oracle(1, 1, 2),
