@@ -332,11 +332,52 @@ def test_oracle_degree_over_limit_exit_2(capsys):
     assert (code, out) == (0, "equivalent\n")
 
 
+# Flags that became constants, with the value each is fixed at; the parser refuses them.
+REMOVED_FLAGS = {
+    ("audit", "--oracle-len"): confluence.ORACLE_MAX_LEN,
+    ("audit", "--oracle-index"): confluence.ORACLE_MAX_INDEX,
+    ("audit", "--disjoint-samples"): confluence.DISJOINT_SAMPLES,
+    ("answer", "--max-index"): 6,  # the overlap index bound of `adjmon answer`'s certificate
+}
+
+
+def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
+    """Run argv, which must exit 2 with no output and before any audit; return its stderr."""
+    def never(*args):
+        raise AssertionError("an audit ran before its arguments were checked")
+
+    monkeypatch.setattr(confluence, "audit_termination", never)
+    monkeypatch.setattr(confluence, "audit_local_confluence", never)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # refused by the argument parser
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    return err
+
+
+def parser_refusal(flag: str, value: str) -> str:
+    return f"adjmon: error: unrecognized arguments: {flag} {value}\n"
+
+
+def test_audit_empty_oracle_population_exit_2(capsys, monkeypatch):
+    # the oracle population is fixed and not empty: asking for an empty one is refused by the parser
+    assert confluence.ORACLE_MAX_LEN >= 1 and confluence.ORACLE_MAX_INDEX >= 0
+    err = refused_before_any_audit(capsys, monkeypatch, "audit", "--oracle-len", "-1", "--skip-termination",
+                                   "--max-index", "2")
+    assert err.endswith(parser_refusal("--oracle-len", "-1"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
+        ("audit", "--oracle-len", "-1"),
+        ("audit", "--oracle-index", "-1"),
         ("audit", "--max-degree", "8"),
         ("audit", "--max-index", "1"),
+        ("audit", "--disjoint-samples", "-1"),
+        ("answer", "--max-index", "1"),
         ("audit", "--max-len", "8"),
         ("audit", "--max-len", "1000000000"),
         ("audit", "--max-index", "50", "--skip-termination"),
@@ -344,14 +385,11 @@ def test_oracle_degree_over_limit_exit_2(capsys):
     ids=" ".join,
 )
 def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
-    def never(*args):
-        raise AssertionError("an audit ran before its bounds were checked")
-
-    monkeypatch.setattr(confluence, "audit_termination", never)
-    monkeypatch.setattr(confluence, "audit_local_confluence", never)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("adjmon: ")
+    err = refused_before_any_audit(capsys, monkeypatch, *argv)
+    if argv[:2] in REMOVED_FLAGS:
+        assert err.endswith(parser_refusal(argv[1], argv[2]))
+    else:
+        assert err.startswith("adjmon: ")
 
 
 @pytest.mark.parametrize(
@@ -363,25 +401,13 @@ def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
         ("audit", "--disjoint-samples", "0"),
         ("answer", "--max-index", "6"),
         ("audit", "--oracle-len", "0"),
-        ("audit", "--oracle-len", "-1"),
-        ("audit", "--oracle-index", "-1"),
-        ("audit", "--disjoint-samples", "-1"),
-        ("answer", "--max-index", "1"),
         ("answer", "--max-index", "50"),
     ],
     ids=" ".join,
 )
 def test_removed_flag_refused_before_any_audit(capsys, monkeypatch, argv):
-    def never(*args):
-        raise AssertionError("an audit ran before the arguments were parsed")
-
-    monkeypatch.setattr(confluence, "audit_termination", never)
-    monkeypatch.setattr(confluence, "audit_local_confluence", never)
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
-    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in err
+    err = refused_before_any_audit(capsys, monkeypatch, *argv)
+    assert err.endswith(parser_refusal(argv[1], argv[2]))
 
 
 @pytest.mark.parametrize(
@@ -410,12 +436,21 @@ def test_bound_below_1_refused_naming_its_flag(capsys, monkeypatch, argv):
     "argv, minimum",
     [
         ("audit --max-index 1", 2),
+        ("answer --max-index 1", 2),
+        ("audit --oracle-index -1", 0),
+        ("audit --disjoint-samples -1", 0),
         ("audit --max-degree 8", 9),  # the oracle population's words: length <= 3, each letter of degree <= 2 + 1
     ],
 )
-def test_bound_refused_naming_its_flag(capsys, argv, minimum):
-    _, flag, value = argv.split()
-    assert run(capsys, *argv.split()) == (2, "", f"adjmon: {flag} {value}: the bound must be >= {minimum}\n")
+def test_bound_refused_naming_its_flag(capsys, monkeypatch, argv, minimum):
+    command, flag, value = argv.split()
+    err = refused_before_any_audit(capsys, monkeypatch, *argv.split())
+    if (command, flag) in REMOVED_FLAGS:
+        # the flag is gone, and the value it is fixed at still meets the bound it was checked against
+        assert REMOVED_FLAGS[command, flag] >= minimum
+        assert err.endswith(parser_refusal(flag, value))
+    else:
+        assert err == f"adjmon: {flag} {value}: the bound must be >= {minimum}\n"
 
 
 def test_oracle_input_over_bound_refused_naming_its_flag(capsys):
