@@ -57,7 +57,8 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-# A trace stores the word after every step: at most steps * len(w) letters.
+# `trace` prints the word after every step, at most steps * len(w) letters, and
+# under --json holds them all until the record is printed.
 TRACE_BUDGET = 10**7
 
 # The oracle searches words of degree <= --max-degree, and there are 3^d of
@@ -125,21 +126,15 @@ def cmd_trace(args) -> int:
             f"trace would take {steps} steps on a word of {len(w)} letters, "
             f"over the budget of {TRACE_BUDGET} stored letters"
         )
-    tr = rewrite.normalize_trace(w)
-    start = words.render(tr.start)
-    _out(
-        args,
-        lambda: {
-            "record": "trace",
-            "start": start,
-            "steps": [
-                {"position": s.position, "case": s.rule.case.value, "after": words.render(s.after)}
-                for s in tr.steps
-            ],
-            "normal_form": words.render(tr.end),
-        },
-        chain([start], (f"{words.render(s.after)}  [{s.rule.case.value} @ {s.position}]" for s in tr.steps)),
-    )
+    letters = list(w)
+    moves = rewrite._leftmost_moves(letters)  # rewrites letters in place, step by step
+    start = words.render(w)
+    # a dict display is evaluated left to right: "steps" runs the moves out before "normal_form" reads letters
+    _out(args, lambda: {"record": "trace", "start": start,
+                        "steps": [{"position": p, "case": rule.case.value, "after": words.render(letters)}
+                                  for p, rule in moves],
+                        "normal_form": words.render(letters)},
+         chain([start], (f"{words.render(letters)}  [{rule.case.value} @ {p}]" for p, rule in moves)))
     return 0
 
 

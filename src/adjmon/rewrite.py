@@ -24,7 +24,10 @@ distinct huge indices do not grow it without bound.
 ``normalize`` performs no rewrite step: it reads the canonical form off
 the monotone map of the naturals that a word denotes.  ``normalize_trace``,
 ``reduction_graph``, ``forward_steps`` and the audits rewrite, and they
-are the reference ``normalize`` is tested against.
+are the reference ``normalize`` is tested against.  A trace records each
+step as its position and rule, O(1) per step, and ``Trace.steps``
+rebuilds the words from ``start`` when it is read.  ``_leftmost_moves``
+is the one leftmost-reduction loop; ``adjmon trace`` streams its steps.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from collections import deque
 from enum import Enum
 from functools import lru_cache
 from itertools import pairwise
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .words import EPS, ETA, Generator, Word, degree, eps, eta, letter
 
@@ -135,14 +138,24 @@ class Step(NamedTuple):
 
 
 class Trace(NamedTuple):
-    """A reduction sequence; each step starts where the previous ended."""
+    """A reduction sequence from ``start`` to ``end``, stored as the
+    (position, rule) of each step."""
 
     start: Word
-    steps: tuple[Step, ...]
+    moves: tuple[tuple[int, RuleInstance], ...]
+    end: Word
 
     @property
-    def end(self) -> Word:
-        return self.steps[-1].after if self.steps else self.start
+    def steps(self) -> tuple[Step, ...]:
+        """The steps, their words rebuilt from ``start`` on every read; each
+        step's before is the previous step's after: one tuple per step."""
+        steps = []
+        before = self.start
+        for p, rule in self.moves:
+            after = before[:p] + rule.rhs + before[p + 2 :]
+            steps.append(Step(p, rule, before, after))
+            before = after
+        return tuple(steps)
 
 
 def normalize(w: Word) -> Word:
@@ -201,14 +214,13 @@ def normalize(w: Word) -> Word:
     return tuple(out)
 
 
-def normalize_trace(w: Word) -> Trace:
-    """Reduce the leftmost redex until none remains, recording every step.
+def _leftmost_moves(letters: list) -> Iterator[tuple[int, RuleInstance]]:
+    """Rewrite ``letters`` in place at the leftmost redex until none remains,
+    yielding the (position, rule) of each step once it is applied.
 
     After a rewrite at p the leftmost redex of the result is at p-1 or
     later, so the scan resumes there instead of from the front.
     """
-    steps: list[Step] = []
-    letters = list(w)
     p = 0
     while p < len(letters) - 1:
         rule = match_rule(letters[p], letters[p + 1])
@@ -216,10 +228,17 @@ def normalize_trace(w: Word) -> Trace:
             p += 1
             continue
         letters[p : p + 2] = rule.rhs
-        # each step's before is the previous step's after: one tuple per step
-        steps.append(Step(p, rule, steps[-1].after if steps else w, tuple(letters)))
+        yield p, rule
         p = max(p - 1, 0)
-    return Trace(w, tuple(steps))
+
+
+def normalize_trace(w: Word) -> Trace:
+    """Reduce the leftmost redex until none remains, recording the position
+    and rule of every step; ``end`` is the word the rewriting leaves.
+    """
+    letters = list(w)
+    moves = tuple(_leftmost_moves(letters))
+    return Trace(w, moves, tuple(letters))
 
 
 def is_normal(w: Word) -> bool:

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,10 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from adjmon import cli, confluence, monoid, rewrite
 from adjmon.cli import main
-from adjmon.words import parse
+from adjmon.words import parse, render
+from conftest import small_words
 
 
 def run(capsys, *argv):
@@ -53,6 +57,18 @@ def test_trace_format(capsys):
     ]
     code, out, _ = run(capsys, "trace", "h0 e0")
     assert out == "h0 e0\n"  # already normal: the line is the normal form
+
+
+@given(small_words())
+def test_trace_text_is_the_replayed_trace(w):
+    # the command streams its lines from the rewriting; Trace.steps replays the stored moves
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["trace", render(w)]) == 0
+    steps = rewrite.normalize_trace(w).steps
+    assert out.getvalue().splitlines() == [render(w)] + [
+        f"{render(s.after)}  [{s.rule.case.value} @ {s.position}]" for s in steps
+    ]
 
 
 def test_trace_json_fields(capsys):

@@ -45,22 +45,18 @@ def test_record_is_an_immutable_named_tuple(name):
 
 
 def test_trace_repr_unchanged():
-    # the repr these records had as frozen dataclasses
+    # a trace holds its start, the (position, rule) of each step and its end; Trace.steps rebuilds the words
     assert repr(rewrite.normalize_trace(parse("e1 h1"))) == (
         "Trace(start=(Generator(kind='e', index=1), Generator(kind='h', index=1)), "
-        "steps=(Step(position=0, rule=RuleInstance(case=<RuleCase.EPS_ETA_EQUAL: 'EpsEta_IEqJPos'>, "
+        "moves=((0, RuleInstance(case=<RuleCase.EPS_ETA_EQUAL: 'EpsEta_IEqJPos'>, "
         "lhs=(Generator(kind='e', index=1), Generator(kind='h', index=1)), "
-        "rhs=(Generator(kind='e', index=0), Generator(kind='h', index=1))), "
-        "before=(Generator(kind='e', index=1), Generator(kind='h', index=1)), "
-        "after=(Generator(kind='e', index=0), Generator(kind='h', index=1))), "
-        "Step(position=0, rule=RuleInstance(case=<RuleCase.EPS_ETA_NEXT: 'EpsEta_JEqIPlus1'>, "
+        "rhs=(Generator(kind='e', index=0), Generator(kind='h', index=1)))), "
+        "(0, RuleInstance(case=<RuleCase.EPS_ETA_NEXT: 'EpsEta_JEqIPlus1'>, "
         "lhs=(Generator(kind='e', index=0), Generator(kind='h', index=1)), "
-        "rhs=(Generator(kind='e', index=0), Generator(kind='h', index=0))), "
-        "before=(Generator(kind='e', index=0), Generator(kind='h', index=1)), "
-        "after=(Generator(kind='e', index=0), Generator(kind='h', index=0))), "
-        "Step(position=0, rule=RuleInstance(case=<RuleCase.EPS_ETA_ZERO: 'EpsEta_Zero'>, "
-        "lhs=(Generator(kind='e', index=0), Generator(kind='h', index=0)), rhs=()), "
-        "before=(Generator(kind='e', index=0), Generator(kind='h', index=0)), after=())))"
+        "rhs=(Generator(kind='e', index=0), Generator(kind='h', index=0)))), "
+        "(0, RuleInstance(case=<RuleCase.EPS_ETA_ZERO: 'EpsEta_Zero'>, "
+        "lhs=(Generator(kind='e', index=0), Generator(kind='h', index=0)), rhs=()))), "
+        "end=())"
     )
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 
@@ -175,6 +177,27 @@ def test_trace_steps_chain_and_decompose(w):
         assert s.after[p : p + len(s.rule.rhs)] == s.rule.rhs
         assert s.before[p + 2 :] == s.after[p + len(s.rule.rhs) :]
         prev = s.after
+
+
+@given(small_words())
+def test_trace_end_is_the_last_replayed_word(w):
+    tr = normalize_trace(w)
+    steps = tr.steps
+    assert [(s.position, s.rule) for s in steps] == list(tr.moves)
+    assert tr.end == (steps[-1].after if steps else tr.start) == normalize(w)
+
+
+def test_trace_memory_grows_with_its_steps_not_their_words():
+    # e0 ... e299: 44,850 steps on 300 letters; a word stored per step takes about 108 MB
+    w = tuple(eps(i) for i in range(300))
+    tracemalloc.start()
+    try:
+        tr = normalize_trace(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr.moves) == 44850
+    assert peak < 16 * 2**20
 
 
 @given(small_words())
