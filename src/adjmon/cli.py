@@ -5,10 +5,10 @@ tokens ``h<k>`` / ``e<k>`` (or ``η<k>`` / ``ε<k>``), optional whitespace,
 and the bare token ``1`` for the identity.  Exit status: 0 for answered
 queries and passing reports, 1 for failed reports or unjoinable pairs,
 2 for usage or word-syntax errors, for bounds below their minimum, for
-``trace`` runs over :data:`TRACE_BUDGET`, for oracle bounds over
-:data:`ORACLE_MAX_DEGREE`, for an ``oracle`` input of degree over
-``--max-degree``, for audit bounds over :data:`AUDIT_MAX_WORDS` words and
-for ``axioms`` and ``ncheck`` suites over :data:`AUDIT_MAX_WORDS` instances,
+``trace`` runs over :data:`TRACE_BUDGET`, for an ``oracle`` input of
+degree over ``--max-degree``, for audit and oracle bounds over
+:data:`AUDIT_MAX_WORDS` words and for ``axioms`` and ``ncheck`` suites over
+:data:`AUDIT_MAX_WORDS` instances,
 3 for an internal error (a computed canonical form that is not
 canonical), and 141 (128 + SIGPIPE), without a traceback, when stdout is
 closed before the output is written, as by ``adjmon answer | head -1``.
@@ -61,29 +61,20 @@ def cmd_normalize(args) -> int:
 # under --json holds them all until the record is printed.
 TRACE_BUDGET = 10**7
 
-# The oracle searches words of degree <= --max-degree, and there are 3^d of
-# them: 531,441 at this limit, where their component labels take 0.2 s to
-# build and `adjmon audit --max-degree 12` takes 1.8-2.0 s with a peak RSS of
-# 42 MB (Python 3.11.7, 2-CPU Intel Xeon).  Each degree above it about triples
-# the time and more than doubles the memory.
-ORACLE_MAX_DEGREE = 12
-
-
-def _check_oracle_degree(max_degree: int) -> None:
-    if max_degree > ORACLE_MAX_DEGREE:
-        raise ValueError(
-            f"--max-degree {max_degree}: the oracle universe would be 3^{max_degree} words, "
-            f"over the limit of --max-degree {ORACLE_MAX_DEGREE} ({3**ORACLE_MAX_DEGREE} words)"
-        )
-
-
 # `audit` scans the three-letter words for overlaps and checks termination on the
 # words of length <= --max-len, over 2 (--max-index + 1) letters.  Python 3.11.7,
 # 2-CPU Intel Xeon: termination at (5, 6), 579,195 words, takes 1.6 s and 57 MB,
 # at (6, 4), 1,111,111 words, 2.3 s and 93 MB; the overlaps at 100^3 words 24 s and 180 MB.
 # `axioms` and `ncheck` are held to as many instances: `ncheck --max-len 4
-# --max-index 3`, 245,520 instances, takes 2.7 s.
+# --max-index 3`, 245,520 instances, takes 2.7 s.  The oracle's universe, the 3^d words of degree
+# <= --max-degree, is held to it too: `audit --max-degree 12`, 531,441 words, takes 1.8-2.0 s and 42 MB.
 AUDIT_MAX_WORDS = 10**6
+
+
+def _check_oracle_degree(max_degree: int) -> None:
+    if 3 ** min(max_degree, 64) > AUDIT_MAX_WORDS:  # 3^64 words are over the limit already
+        raise ValueError(f"--max-degree {max_degree}: the oracle universe would enumerate 3^{max_degree} words, "
+                         f"over the limit of {AUDIT_MAX_WORDS:,}")
 
 
 def _check_audit_words(max_index: int, max_len: int = -1) -> None:
@@ -124,17 +115,17 @@ def cmd_trace(args) -> int:
     if steps * len(w) > TRACE_BUDGET:
         raise ValueError(
             f"trace would take {steps} steps on a word of {len(w)} letters, "
-            f"over the budget of {TRACE_BUDGET} stored letters"
+            f"over the budget of {TRACE_BUDGET} letters printed, or held under --json"
         )
     letters = list(w)
     moves = rewrite._leftmost_moves(letters)  # rewrites letters in place, step by step
     start = words.render(w)
-    # a dict display is evaluated left to right: "steps" runs the moves out before "normal_form" reads letters
-    _out(args, lambda: {"record": "trace", "start": start,
-                        "steps": [{"position": p, "case": rule.case.value, "after": words.render(letters)}
-                                  for p, rule in moves],
-                        "normal_form": words.render(letters)},
-         chain([start], (f"{words.render(letters)}  [{rule.case.value} @ {p}]" for p, rule in moves)))
+
+    def record() -> dict:
+        steps = [{"position": p, "case": rule.case.value, "after": words.render(letters)} for p, rule in moves]
+        return {"record": "trace", "start": start, "steps": steps, "normal_form": words.render(letters)}
+
+    _out(args, record, chain([start], (f"{words.render(letters)}  [{rule.case.value} @ {p}]" for p, rule in moves)))
     return 0
 
 
@@ -239,7 +230,7 @@ def cmd_iso(args) -> int:
 
 
 def _row_line(r: confluence.SubcaseRow) -> str:
-    formula = f"{r.formula_matches}/{r.formula_applicable}"
+    formula = f"{r.formula_matches}/{r.instances}"
     if r.alt_formula_applicable:
         formula += f" (alt printed form {r.alt_formula_matches}/{r.alt_formula_applicable})"
     return (
@@ -297,11 +288,10 @@ def cmd_oracle(args) -> int:
     if d > args.max_degree:
         raise ValueError(f"--max-degree {args.max_degree}: the bound must be >= {d}, the degree of the input")
     res = confluence.equivalent_bounded(u, v, args.max_degree)
-    note = "; frontier truncated by the bound" if res.truncated else ""
     # the record's other keys are OracleVerdict's field names
     _out(args, lambda: {"record": "oracle", "left": words.render(u), "right": words.render(v),
                         "max_degree": args.max_degree, **res._asdict()},
-         ["equivalent" if res.equivalent else f"not-equivalent-within-bound (degree <= {args.max_degree}){note}"])
+         ["equivalent" if res.equivalent else f"not-equivalent-within-bound (degree <= {args.max_degree})"])
     return 0
 
 

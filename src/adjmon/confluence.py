@@ -184,8 +184,7 @@ class SubcaseRow(NamedTuple):
     instances: int
     joinable: int
     sample_bound: Word | None
-    formula_matches: int
-    formula_applicable: int
+    formula_matches: int  # of the row's instances
     alt_formula_matches: int = 0
     alt_formula_applicable: int = 0
 
@@ -228,12 +227,11 @@ def audit_local_confluence(max_index: int = 6) -> LocalConfluenceReport:
             unjoinable.append(pair._replace(bound_found=None))
         alt = alternative_bound(pair)
         key = (pair.family, pair.subcase)
-        r = rows.get(key) or SubcaseRow(pair.family, pair.subcase, 0, 0, bound, 0, 0)
+        r = rows.get(key) or SubcaseRow(pair.family, pair.subcase, 0, 0, bound, 0)
         rows[key] = r._replace(
             instances=r.instances + 1,
             joinable=r.joinable + (bound is not None),
             formula_matches=r.formula_matches + (expected_bound(pair) in commons),
-            formula_applicable=r.formula_applicable + 1,
             alt_formula_matches=r.alt_formula_matches + (alt is not None and alt in commons),
             alt_formula_applicable=r.alt_formula_applicable + (alt is not None),
         )
@@ -337,18 +335,15 @@ def _left_sides(x: Generator, y: Generator) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def inverse_steps(w: Word, max_degree: int) -> tuple[list[Word], bool]:
+def inverse_steps(w: Word, max_degree: int) -> list[Word]:
     """One-step predecessors of w with degree <= max_degree: every factor
     replaced by a left-hand side that rewrites to it, then the vanishing
-    rule's left-hand side inserted at every position.  Also reports
-    whether any predecessor was cut off by the bound.
+    rule's left-hand side inserted at every position.
     """
     # Two facts, both checked by audit_termination, make this complete:
     # every non-vanishing step lowers degree by exactly 1 (so a factor's
     # left-hand sides have index sum one higher), and e0 h0 is the only
-    # left-hand side that vanishes.  Predecessors thus have degree d+1 or
-    # d+2, and as the d+2 insertions always exist, one is cut off exactly
-    # when d+2 exceeds the bound.
+    # left-hand side that vanishes.  Predecessors thus have degree d+1 or d+2.
     d = degree(w)
     parents: list[Word] = []
     if d + 1 <= max_degree:
@@ -356,12 +351,11 @@ def inverse_steps(w: Word, max_degree: int) -> tuple[list[Word], bool]:
             parents.extend(w[:p] + lhs + w[p + 2 :] for lhs in _left_sides(w[p], w[p + 1]))
     if d + 2 <= max_degree:
         parents.extend(w[:p] + (eps_letter(0), eta_letter(0)) + w[p:] for p in range(len(w) + 1))
-    return parents, d + 2 > max_degree
+    return parents
 
 
 class OracleVerdict(NamedTuple):
     equivalent: bool
-    truncated: bool  # a predecessor lay past the bound: true of every negative answer, as e0 h0 insertions reach it
     explored: int
 
 
@@ -375,24 +369,21 @@ def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
     if degree(u) > max_degree or degree(v) > max_degree:
         raise ValueError("input degree exceeds the oracle bound")
     if u == v:
-        return OracleVerdict(True, False, 1)
+        return OracleVerdict(True, 1)
     seen = {u}
     frontier = [u]
-    truncated = False
     while frontier:
         nxt: list[Word] = []
         for w in frontier:
-            inverse, cut = inverse_steps(w, max_degree)
-            truncated = truncated or cut
-            for n in forward_steps(w) + inverse:
+            for n in forward_steps(w) + inverse_steps(w, max_degree):
                 if n in seen:
                     continue
                 if n == v:
-                    return OracleVerdict(True, truncated, len(seen) + 1)
+                    return OracleVerdict(True, len(seen) + 1)
                 seen.add(n)
                 nxt.append(n)
         frontier = nxt
-    return OracleVerdict(False, truncated, len(seen))
+    return OracleVerdict(False, len(seen))
 
 
 def connected_components(max_degree: int) -> dict[Word, int]:

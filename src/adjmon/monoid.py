@@ -236,10 +236,6 @@ class IsoCriteriaReport(NamedTuple):
     conditions: tuple[ConditionResult, ...]
     derived_holds: bool
 
-    @property
-    def unanimous(self) -> bool:
-        return len({c.holds for c in self.conditions}) == 1
-
 
 # The four conditions as rows (condition, lhs, rhs, witness), each decided
 # by comparing the normal forms of its two sides; the witness names the

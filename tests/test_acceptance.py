@@ -127,7 +127,7 @@ def test_criterion_5_local_confluence_audit():
             assert row.joinable == row.instances
             # the stated closed form joins for every subcase (for the one
             # disputed subcase this is the derivation's form)
-            assert row.formula_matches == row.formula_applicable
+            assert row.formula_matches == row.instances
         disputed = report.row("EHH", "k>i+1")
         assert disputed.alt_formula_applicable == 10
         assert disputed.alt_formula_matches == 0  # the other printed form never joins

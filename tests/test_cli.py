@@ -96,8 +96,12 @@ def test_trace_over_budget_exit_2(capsys):
         text=True,
         timeout=10,
     )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert "2000000000001 steps" in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2,
+        "",
+        "adjmon: trace would take 2000000000001 steps on a word of 2 letters, "
+        "over the budget of 10000000 letters printed, or held under --json\n",
+    )
     # e0 ... e149: 11,175 steps of 150 letters, within the budget
     code, out, _ = run(capsys, "trace", " ".join(f"e{i}" for i in range(150)))
     assert code == 0 and len(out.splitlines()) == 11176
@@ -309,23 +313,17 @@ _ONE_LINE_GOLDENS = [
     (("oracle", "e0 h1", "1"), "equivalent"),
     (
         ("oracle", "e0 h1", "1", "--json"),
-        '{"equivalent": true, "explored": 7, "left": "e0 h1", "max_degree": 9, "record": "oracle", "right": "1", '
-        '"truncated": false}',
+        '{"equivalent": true, "explored": 7, "left": "e0 h1", "max_degree": 9, "record": "oracle", "right": "1"}',
     ),
-    (("oracle", "h0 e0", "1"), "not-equivalent-within-bound (degree <= 9); frontier truncated by the bound"),
+    (("oracle", "h0 e0", "1"), "not-equivalent-within-bound (degree <= 9)"),
     (
         ("oracle", "h0 e0", "1", "--json"),
-        '{"equivalent": false, "explored": 580, "left": "h0 e0", "max_degree": 9, "record": "oracle", '
-        '"right": "1", "truncated": true}',
+        '{"equivalent": false, "explored": 580, "left": "h0 e0", "max_degree": 9, "record": "oracle", "right": "1"}',
     ),
-    (
-        ("oracle", "h0 e0", "1", "--max-degree", "3"),
-        "not-equivalent-within-bound (degree <= 3); frontier truncated by the bound",
-    ),
+    (("oracle", "h0 e0", "1", "--max-degree", "3"), "not-equivalent-within-bound (degree <= 3)"),
     (
         ("oracle", "h0 e0", "1", "--max-degree", "3", "--json"),
-        '{"equivalent": false, "explored": 2, "left": "h0 e0", "max_degree": 3, "record": "oracle", '
-        '"right": "1", "truncated": true}',
+        '{"equivalent": false, "explored": 2, "left": "h0 e0", "max_degree": 3, "record": "oracle", "right": "1"}',
     ),
 ]
 
@@ -342,10 +340,37 @@ def test_oracle_degree_over_limit_exit_2(capsys):
             [sys.executable, "-m", "adjmon.cli", *argv], capture_output=True, text=True, timeout=10
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert "3^40 words" in proc.stderr
-    assert cli.ORACLE_MAX_DEGREE >= 11  # the benchmark's connected_components(11)
-    code, out, _ = run(capsys, "oracle", "e0 h1", "1", "--max-degree", str(cli.ORACLE_MAX_DEGREE))
-    assert (code, out) == (0, "equivalent\n")
+        assert proc.stderr == (
+            "adjmon: --max-degree 40: the oracle universe would enumerate 3^40 words, over the limit of 1,000,000\n"
+        )
+    assert 3**11 <= cli.AUDIT_MAX_WORDS  # the benchmark's connected_components(11)
+
+
+def test_oracle_cap_follows_audit_max_words(capsys, monkeypatch):
+    # the oracle universe, the 3^d words of degree <= d, is held to AUDIT_MAX_WORDS: 3^12 = 531,441 <= 10^6 < 3^13
+    audit = ("audit", "--skip-termination", "--max-index", "2", "--max-degree")
+    searched, real = [], confluence.cross_check_oracle
+    # a cross-check over 3^12 words takes over a second: search 3^9 and record the bound the audit asked for
+    monkeypatch.setattr(confluence, "cross_check_oracle", lambda n, i, d: searched.append(d) or real(n, i, 9))
+    for cap in (12, 9):
+        if cap < 12:
+            monkeypatch.setattr(cli, "AUDIT_MAX_WORDS", 3**cap)
+        assert run(capsys, *audit, str(cap))[0] == 0
+        assert run(capsys, "oracle", "e0 h1", "1", "--max-degree", str(cap)) == (0, "equivalent\n", "")
+        refusal = (
+            f"adjmon: --max-degree {cap + 1}: the oracle universe would enumerate 3^{cap + 1} words, "
+            f"over the limit of {cli.AUDIT_MAX_WORDS:,}\n"
+        )
+        for argv in (audit, ("oracle", "h0 e0", "1", "--max-degree")):
+            assert run(capsys, *argv, str(cap + 1)) == (2, "", refusal)
+    assert searched == [12, 9]
+
+
+def test_oracle_negative_json_keys(capsys):
+    code, out, _ = run(capsys, "oracle", "h0 e0", "1", "--max-degree", "4", "--json")
+    record = json.loads(out)
+    assert code == 0 and record["equivalent"] is False
+    assert sorted(record) == ["equivalent", "explored", "left", "max_degree", "record", "right"]
 
 
 # Flags that became constants, with the value each is fixed at; the parser refuses them.
@@ -584,39 +609,39 @@ def test_audit_json_golden(capsys):
     code, out, _ = run(capsys, "audit", "--json", "--max-index", "6", "--skip-oracle", "--skip-termination")
     assert code == 0
     assert out.splitlines() == [
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "DISJOINT", "formula_applicable": 32, "formula_matches": 32'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "DISJOINT", "formula_matches": 32'
         ', "instances": 32, "joinable": 32, "record": "confluence_row", "sample_bound": "h0 h0 h0 h0", "subcase": null}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEE", "formula_applicable": 35, "formula_matches": 35'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEE", "formula_matches": 35'
         ', "instances": 35, "joinable": 35, "record": "confluence_row", "sample_bound": "e0 e0 e0", "subcase": null}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 20, "formula_matches": 20'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_matches": 20'
         ', "instances": 20, "joinable": 20, "record": "confluence_row", "sample_bound": "h1 e1 e0", "subcase": "i+1<k<j"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 35, "formula_matches": 35'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_matches": 35'
         ', "instances": 35, "joinable": 35, "record": "confluence_row", "sample_bound": "h0 e0 e0", "subcase": "k<i"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 21, "formula_matches": 21'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_matches": 21'
         ', "instances": 21, "joinable": 21, "record": "confluence_row", "sample_bound": "e0", "subcase": "k=i"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 15, "formula_matches": 15'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_matches": 15'
         ', "instances": 15, "joinable": 15, "record": "confluence_row", "sample_bound": "e1", "subcase": "k=i+1<j"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 21, "formula_matches": 21'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_matches": 21'
         ', "instances": 21, "joinable": 21, "record": "confluence_row", "sample_bound": "e0", "subcase": "k=j"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 15, "formula_matches": 15'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_matches": 15'
         ', "instances": 15, "joinable": 15, "record": "confluence_row", "sample_bound": "e0", "subcase": "k=j+1"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_applicable": 20, "formula_matches": 20'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEH", "formula_matches": 20'
         ', "instances": 20, "joinable": 20, "record": "confluence_row", "sample_bound": "h1 e0 e0", "subcase": "k>j+1"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 21, "formula_matches": 21'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_matches": 21'
         ', "instances": 21, "joinable": 21, "record": "confluence_row", "sample_bound": "h0", "subcase": "i=j"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 21, "formula_matches": 21'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_matches": 21'
         ', "instances": 21, "joinable": 21, "record": "confluence_row", "sample_bound": "h0", "subcase": "i=j-1"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 35, "formula_matches": 35'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_matches": 35'
         ', "instances": 35, "joinable": 35, "record": "confluence_row", "sample_bound": "h0 h0 e0", "subcase": "i>j"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 20, "formula_matches": 20'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_matches": 20'
         ', "instances": 20, "joinable": 20, "record": "confluence_row", "sample_bound": "h0 h1 e0", "subcase": "k<i<j-1"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 15, "formula_matches": 15'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_matches": 15'
         ', "instances": 15, "joinable": 15, "record": "confluence_row", "sample_bound": "h1", "subcase": "k=i+1"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 15, "formula_matches": 15'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EHH", "formula_matches": 15'
         ', "instances": 15, "joinable": 15, "record": "confluence_row", "sample_bound": "h1", "subcase": "k=i<j-1"}',
-        '{"alt_formula_applicable": 10, "alt_formula_matches": 0, "family": "EHH", "formula_applicable": 20, "formula_matches": 20'
+        '{"alt_formula_applicable": 10, "alt_formula_matches": 0, "family": "EHH", "formula_matches": 20'
         ', "instances": 20, "joinable": 20, "record": "confluence_row", "sample_bound": "h1 h1 e0", "subcase": "k>i+1"}',
-        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "HHH", "formula_applicable": 35, "formula_matches": 35'
+        '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "HHH", "formula_matches": 35'
         ', "instances": 35, "joinable": 35, "record": "confluence_row", "sample_bound": "h0 h0 h0", "subcase": null}',
         '{"pass": true, "record": "audit_summary"}',
     ]
