@@ -64,7 +64,7 @@ TRACE_BUDGET = 10**7
 # `audit` scans the three-letter words for overlaps and checks termination on the
 # words of length <= --max-len, over 2 (--max-index + 1) letters.  Python 3.11.7,
 # 2-CPU Intel Xeon: termination at (5, 6), 579,195 words, takes 1.6 s and 57 MB,
-# at (6, 4), 1,111,111 words, 2.3 s and 93 MB; the overlaps at 100^3 words 24 s and 180 MB.
+# at (6, 4), 1,111,111 words, 2.3 s and 93 MB; the overlaps at 100^3 words 14-15 s and 17 MB.
 # `axioms` and `ncheck` are held to as many instances: `ncheck --max-len 4
 # --max-index 3`, 245,520 instances, takes 2.7 s.  The oracle's universe, the 3^d words of degree
 # <= --max-degree, is held to it too: `audit --max-degree 12`, 531,441 words, takes 1.8-2.0 s and 42 MB.

@@ -29,8 +29,8 @@ instantiated are all read from it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, product
-from typing import NamedTuple
+from itertools import chain, combinations, combinations_with_replacement, islice, product
+from typing import Iterator, NamedTuple
 
 from .rewrite import RuleCase, apply, forward_steps, match_rule, normalize, reduction_graph, redexes
 from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_by_degree, all_words, degree, letter, render, word_key
@@ -83,8 +83,8 @@ class CriticalPair(NamedTuple):
     left_reduct: Word
     right_reduct: Word
     family: str
-    subcase: str | None = None
-    bound_found: Word | None = None
+    subcase: str | None
+    expected: Word  # the closed-form common reduct that the audit checks
 
 
 def subcase(family: str, i: int, j: int, k: int) -> str | None:
@@ -92,9 +92,10 @@ def subcase(family: str, i: int, j: int, k: int) -> str | None:
     return next(name for name, guard, _ in _CASES[family] if guard(i, j, k))
 
 
-def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
+def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
     """Every three-letter parent with two overlapping redexes, indices
-    bounded by max_index, tagged with family and subcase.
+    bounded by max_index, tagged with family, subcase and closed form, in
+    scan order, which is ``word_key`` order.
 
     The parents come from a blind scan of all three-letter words with
     ``match_rule``; an overlap outside the four families is a hard error.
@@ -102,42 +103,41 @@ def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
     if max_index < 2:
         raise ValueError("max_index must be >= 2 to instantiate every subcase family")
     letters = [letter(kind, n) for kind in "he" for n in range(max_index + 1)]
-    pairs: list[CriticalPair] = []
     for parent in product(letters, repeat=3):
         if match_rule(*parent[:2]) is None or match_rule(*parent[1:]) is None:
             continue
         family = "".join(g.kind for g in parent).upper()
         if family not in _CASES:
             raise AssertionError(f"overlap outside the four families at {render(parent)}")
-        case = subcase(family, *(g.index for g in parent))
-        pairs.append(CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, case))
-    pairs.sort(key=lambda p: (p.family, word_key(p.parent)))
-    return pairs
+        i, j, k = (g.index for g in parent)
+        name, _, form = next(row for row in _CASES[family] if row[1](i, j, k))
+        yield CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, name, form(i, j, k))
 
 
-def disjoint_critical_pairs(w: Word) -> list[CriticalPair]:
-    """Critical pairs from non-overlapping redexes of w, with the directly
-    constructed both-sides-rewritten word as the expected bound.
+def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
+    """The pairs of ``_overlap_pairs``, ordered by family, then parent."""
+    return sorted(_overlap_pairs(max_index), key=lambda p: (p.family, word_key(p.parent)))
+
+
+def disjoint_critical_pair(w: Word) -> CriticalPair | None:
+    """The first critical pair of w from two non-overlapping redexes, with
+    the word that has both rewritten as its closed form; None if w has none.
     """
-    ps = [p for p, _ in redexes(w)]
-    out = []
-    for a in range(len(ps)):
-        for b in range(a + 1, len(ps)):
-            p1, p2 = ps[a], ps[b]
-            if p2 - p1 < 2:
-                continue
+    for p1, p2 in combinations([p for p, _ in redexes(w)], 2):
+        if p2 - p1 >= 2:
             left = apply(w, p1)
             # rewriting at p1 may shorten the word by 2 (the vanishing rule)
             both = apply(left, p2 + len(left) - len(w))
-            out.append(CriticalPair(w, left, apply(w, p2), DISJOINT, None, both))
-    return out
+            return CriticalPair(w, left, apply(w, p2), DISJOINT, None, both)
+    return None
 
 
 def sample_disjoint_parents(max_index: int) -> list[Word]:
-    """A deterministic sample of DISJOINT_SAMPLES words of length 4 or 5
-    carrying two disjoint redexes.
+    """The first DISJOINT_SAMPLES words, in enumeration order, carrying two
+    disjoint redexes.  All of them have length 4 and exactly one disjoint
+    pair, and the sample is the same for every max_index >= 3.
     """
-    parents = (w for w in all_words(5, min(max_index, 3)) if disjoint_critical_pairs(w))
+    parents = (w for w in all_words(5, min(max_index, 3)) if disjoint_critical_pair(w) is not None)
     return list(islice(parents, DISJOINT_SAMPLES))
 
 
@@ -153,21 +153,11 @@ def _least(commons: frozenset[Word]) -> Word | None:
     return min(commons, key=lambda w: (degree(w), word_key(w)), default=None)
 
 
-def resolve(pair: CriticalPair) -> CriticalPair:
-    """Fill in a common lower bound for the pair, or leave it unset when
-    none exists (which would falsify local confluence).
+def resolve(pair: CriticalPair) -> Word | None:
+    """The least common reduct of the pair, or None when none exists
+    (which would falsify local confluence).
     """
-    return pair._replace(bound_found=_least(common_reducts(pair)))
-
-
-def expected_bound(pair: CriticalPair) -> Word | None:
-    """The known closed-form bound for a pair: its subcase's row of the
-    family table, or the directly constructed bound of a disjoint pair.
-    """
-    if pair.family == DISJOINT:
-        return pair.bound_found
-    forms = {name: form for name, _, form in _CASES[pair.family]}
-    return forms[pair.subcase](*(g.index for g in pair.parent))
+    return _least(common_reducts(pair))
 
 
 def alternative_bound(pair: CriticalPair) -> Word | None:
@@ -214,24 +204,21 @@ def audit_local_confluence(max_index: int = 6) -> LocalConfluenceReport:
     """Resolve every overlap within the index bound plus a sample of
     disjoint-redex parents; tally joinability and closed-form hits.
     """
-    pairs = enumerate_overlaps(max_index)
-    for w in sample_disjoint_parents(max_index):
-        pairs.extend(disjoint_critical_pairs(w)[:1])
-
+    disjoint = map(disjoint_critical_pair, sample_disjoint_parents(max_index))
     rows: dict[tuple[str, str | None], SubcaseRow] = {}  # tallied as each pair is resolved
     unjoinable = []
-    for pair in pairs:
+    for pair in chain(_overlap_pairs(max_index), disjoint):
         commons = common_reducts(pair)
         bound = _least(commons)
         if bound is None:
-            unjoinable.append(pair._replace(bound_found=None))
+            unjoinable.append(pair)
         alt = alternative_bound(pair)
         key = (pair.family, pair.subcase)
         r = rows.get(key) or SubcaseRow(pair.family, pair.subcase, 0, 0, bound, 0)
         rows[key] = r._replace(
             instances=r.instances + 1,
             joinable=r.joinable + (bound is not None),
-            formula_matches=r.formula_matches + (expected_bound(pair) in commons),
+            formula_matches=r.formula_matches + (pair.expected in commons),
             alt_formula_matches=r.alt_formula_matches + (alt is not None and alt in commons),
             alt_formula_applicable=r.alt_formula_applicable + (alt is not None),
         )

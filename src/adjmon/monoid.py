@@ -69,13 +69,12 @@ def mul(a: Element, b: Element) -> Element:
     return Element(normalize(concat(a.nf, b.nf)))
 
 
-def shift_word(w: Word, by: int = 1) -> Word:
-    """Raise every letter index by ``by`` (the endomorphism f on words)."""
-    return tuple([letter(kind, index + by) for kind, index in w])
+def shift_word(w: Word) -> Word:
+    """Raise every letter index by 1 (the endomorphism f on words)."""
+    return tuple([letter(kind, index + 1) for kind, index in w])
 
 
-def apply_f_word(w: Word) -> Word:
-    return shift_word(w, 1)
+apply_f_word = shift_word
 
 
 def apply_f(a: Element) -> Element:

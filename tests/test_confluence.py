@@ -3,6 +3,7 @@ import sys
 
 import pytest
 from collections import Counter
+from itertools import combinations
 from hypothesis import given, settings
 
 from adjmon import confluence, rewrite
@@ -16,10 +17,9 @@ from adjmon.confluence import (
     common_reducts,
     connected_components,
     cross_check_oracle,
-    disjoint_critical_pairs,
+    disjoint_critical_pair,
     enumerate_overlaps,
     equivalent_bounded,
-    expected_bound,
     forward_steps,
     inverse_steps,
     resolve,
@@ -81,7 +81,8 @@ def test_subcases_partition():
 
 def test_resolve_examples():
     by_parent = {render(p.parent): p for p in enumerate_overlaps(3)}
-    pair = resolve(by_parent["e0 e1 e2"])
+    pair = by_parent["e0 e1 e2"]
+    assert resolve(pair) in common_reducts(pair)
     assert parse("e0 e0 e0") in common_reducts(pair)
     pair = by_parent["e0 e3 h2"]
     assert pair.subcase == "i+1<k<j"
@@ -92,10 +93,11 @@ def test_resolve_examples():
 
 
 def test_resolve_picks_minimal_bound():
-    pair = resolve(enumerate_overlaps(2)[0])
+    pair = enumerate_overlaps(2)[0]
     commons = common_reducts(pair)
-    assert pair.bound_found in commons
-    assert all(degree(pair.bound_found) <= degree(c) for c in commons)
+    bound = resolve(pair)
+    assert bound in commons
+    assert all(degree(bound) <= degree(c) for c in commons)
 
 
 def test_alternative_printed_form_does_not_join():
@@ -105,7 +107,7 @@ def test_alternative_printed_form_does_not_join():
             continue
         assert p.family == "EHH" and p.subcase == "k>i+1"
         assert alt not in common_reducts(p)
-        assert expected_bound(p) in common_reducts(p)
+        assert p.expected in common_reducts(p)
     # the well-formed instance from the derivation: parent e1 h4 h3
     pair = next(
         p for p in enumerate_overlaps(4) if render(p.parent) == "e1 h4 h3"
@@ -115,23 +117,56 @@ def test_alternative_printed_form_does_not_join():
 
 
 def test_disjoint_pairs_commute():
-    pairs = disjoint_critical_pairs(parse("e0 h0 e0 h0"))
-    assert len(pairs) == 1
-    pair = pairs[0]
+    w = parse("e0 h0 e0 h0")
+    assert [p for p, _ in redexes(w)] == [0, 2]  # one disjoint pair: h0 e0 is no redex
+    pair = disjoint_critical_pair(w)
     assert pair.left_reduct == pair.right_reduct == parse("e0 h0")
-    assert pair.bound_found == ()  # both vanishing steps applied directly
-    assert pair.bound_found in common_reducts(pair)
+    assert pair.expected == ()  # both vanishing steps applied directly
+    assert pair.expected in common_reducts(pair)
+    assert resolve(pair) == ()
+    assert disjoint_critical_pair(parse("e0 h0 h0")) is None  # overlapping redexes only
 
 
 def test_sampled_disjoint_parents_have_disjoint_redexes():
-    for w in sample_disjoint_parents(3):
-        ps = [p for p, _ in redexes(w)]
-        assert any(q - p >= 2 for p in ps for q in ps)
+    for max_index in (2, 3, 6):
+        for w in sample_disjoint_parents(max_index):
+            ps = [p for p, _ in redexes(w)]
+            assert any(q - p >= 2 for p in ps for q in ps)
+            # the scan stops inside length 4, and each sampled parent has exactly one disjoint pair
+            assert len(w) == 4 and sum(q - p >= 2 for p, q in combinations(ps, 2)) == 1
+    assert sample_disjoint_parents(6) == sample_disjoint_parents(3)
 
 
 def test_sample_disjoint_parents_count_is_exact():
     for max_index in (2, 3, 6):
         assert len(sample_disjoint_parents(max_index)) == confluence.DISJOINT_SAMPLES
+
+
+def test_every_expected_closed_form_is_a_common_reduct():
+    disjoint = [disjoint_critical_pair(w) for w in sample_disjoint_parents(6)]
+    for pair in enumerate_overlaps(6) + disjoint:
+        assert pair.expected in common_reducts(pair), render(pair.parent)
+
+
+def test_overlap_expected_is_the_subcase_closed_form():
+    forms = {(family, name): form for family, table in confluence._CASES.items() for name, _, form in table}
+    for pair in enumerate_overlaps(6):
+        assert pair.expected == forms[pair.family, pair.subcase](*(g.index for g in pair.parent))
+
+
+def test_local_confluence_audit_peak_memory():
+    # a fresh interpreter, so that the peak is this call's alone
+    script = (
+        "import tracemalloc\n"
+        "from adjmon.confluence import audit_local_confluence\n"
+        "tracemalloc.start()\n"
+        "assert audit_local_confluence(20).passed\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # bytes at the peak: about 0.8 MiB streaming the pairs, 8.2 MiB holding all 11,512 in one list
+    assert int(proc.stdout) < 4 * 2**20
 
 
 def test_audit_local_confluence_full():

@@ -135,7 +135,7 @@ REFERENCE_SIDES = {
     "eps*eta=1": lambda: (E0 + H0, ()),
     "eps*f(eta)=1": lambda: (E0 + parse("h1"), ()),
     "eps*f(eps)=eps^2": lambda: (E0 + parse("e1"), E0 + E0),
-    "eps*f^2(m)=f(m)*eps": lambda m: (E0 + shift_word(m, 2), shift_word(m) + E0),
+    "eps*f^2(m)=f(m)*eps": lambda m: (E0 + shift_word(shift_word(m)), shift_word(m) + E0),
     "f(m)*eta=eta*m": lambda m: (shift_word(m) + H0, H0 + m),
     "eps*f(eps*f(m))=eps*f(m)*eps": lambda m: (E0 + shift_word(E0 + shift_word(m)), E0 + shift_word(m) + E0),
     "m=eps*f(m)*eta": lambda m: (m, E0 + shift_word(m) + H0),
