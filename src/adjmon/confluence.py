@@ -87,9 +87,14 @@ class CriticalPair(NamedTuple):
     expected: Word  # the closed-form common reduct that the audit checks
 
 
+def _case(family: str, i: int, j: int, k: int) -> tuple:
+    """The first row of ``_CASES[family]`` whose guard holds at i, j, k."""
+    return next(row for row in _CASES[family] if row[1](i, j, k))
+
+
 def subcase(family: str, i: int, j: int, k: int) -> str | None:
     """The subcase of an overlap parent of the family with indices i, j, k."""
-    return next(name for name, guard, _ in _CASES[family] if guard(i, j, k))
+    return _case(family, i, j, k)[0]
 
 
 def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
@@ -110,7 +115,7 @@ def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
         if family not in _CASES:
             raise AssertionError(f"overlap outside the four families at {render(parent)}")
         i, j, k = (g.index for g in parent)
-        name, _, form = next(row for row in _CASES[family] if row[1](i, j, k))
+        name, _, form = _case(family, i, j, k)
         yield CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, name, form(i, j, k))
 
 
