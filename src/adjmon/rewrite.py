@@ -32,11 +32,9 @@ is the one leftmost-reduction loop; ``adjmon trace`` streams its steps.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from enum import Enum
 from functools import lru_cache
-from itertools import pairwise
 from typing import Iterator, NamedTuple
 
 from .words import EPS, ETA, Generator, Word, degree, eps, eta, letter
@@ -190,24 +188,51 @@ def normalize(w: Word) -> Word:
 
     With q merge points, the result is ``h_{a[0]} ... h_{a[p-1]}``
     followed by ``e_{merges[u] - u}`` for u = q-1 down to 0.
+
+    r and m are found by integer bisection over list positions, after
+    testing both ends: r = 0 when no gap is below k, r = ``len(a)`` when
+    the greatest gap is, and m = 0 or ``len(merges)`` likewise.  A letter
+    that lands at an end needs no search; at the back, no list shift.
     """
     a: list[int] = []
     merges: list[int] = []
-    gap = lambda t: a[t] + t  # noqa: E731
-    rank = lambda u: merges[u] - u  # noqa: E731
     for kind, k in reversed(w):
-        # gap(0) = a[0] is the least gap, so none lies below k unless it does
-        r = bisect_left(range(len(a)), k, key=gap) if a and a[0] < k else 0
+        n = len(a)
+        if not n or a[0] >= k:
+            r = 0
+        elif a[-1] + n - 1 < k:
+            r = n
+        else:
+            # the first t with a[t] + t >= k lies in [1, n-1]
+            r, hi = 1, n - 1
+            while r < hi:
+                t = (r + hi) >> 1
+                if a[t] + t < k:
+                    r = t + 1
+                else:
+                    hi = t
         if kind == ETA:
             a.insert(r, k - r)
-        elif r < len(a) and a[r] + r <= k + 1:
+        elif r < n and a[r] + r <= k + 1:
             del a[r]
         else:
-            if r < len(a):
+            if r < n:
                 a[r:] = [x - 1 for x in a[r:]]
             y = k - r
-            # rank(0) = merges[0] is the least rank, so none is <= y unless it is
-            m = bisect_right(range(len(merges)), y, key=rank) if merges and merges[0] <= y else 0
+            q = len(merges)
+            if not q or merges[0] > y:
+                m = 0
+            elif merges[-1] - q + 1 <= y:
+                m = q
+            else:
+                # the first u with merges[u] - u > y lies in [1, q-1]
+                m, hi = 1, q - 1
+                while m < hi:
+                    u = (m + hi) >> 1
+                    if merges[u] - u <= y:
+                        m = u + 1
+                    else:
+                        hi = u
             merges.insert(m, y + m)
     out = [letter(ETA, x) for x in a]
     out += [letter(EPS, merges[u] - u) for u in range(len(merges) - 1, -1, -1)]
@@ -222,14 +247,21 @@ def _leftmost_moves(letters: list) -> Iterator[tuple[int, RuleInstance]]:
     later, so the scan resumes there instead of from the front.
     """
     p = 0
-    while p < len(letters) - 1:
+    last = len(letters) - 1
+    while p < last:
         rule = match_rule(letters[p], letters[p + 1])
         if rule is None:
             p += 1
             continue
-        letters[p : p + 2] = rule.rhs
+        rhs = rule.rhs
+        if rhs:  # every rule but EpsEta_Zero keeps two letters
+            letters[p], letters[p + 1] = rhs
+        else:
+            del letters[p : p + 2]
+            last -= 2
         yield p, rule
-        p = max(p - 1, 0)
+        if p:
+            p -= 1
 
 
 def normalize_trace(w: Word) -> Trace:
@@ -243,7 +275,7 @@ def normalize_trace(w: Word) -> Trace:
 
 def is_normal(w: Word) -> bool:
     """True iff w contains no redex."""
-    return all(match_rule(x, y) is None for x, y in pairwise(w))
+    return not any(map(match_rule, w, w[1:]))
 
 
 class ReductionGraph(NamedTuple):

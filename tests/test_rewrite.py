@@ -2,12 +2,14 @@ import tracemalloc
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from adjmon.confluence import all_words
 from adjmon.rewrite import (
     MATCH_RULE_CACHE_SIZE,
     NotARedexError,
     RuleCase,
+    _leftmost_moves,
     apply,
     is_normal,
     match_rule,
@@ -17,7 +19,7 @@ from adjmon.rewrite import (
     redexes,
 )
 from adjmon.words import LETTER_CACHE_SIZE, Generator, _words_by_degree, degree, eps, eta, is_canonical_shape, letter, parse, render
-from conftest import small_words
+from conftest import letters, small_words
 
 BIG = 10**12
 
@@ -139,6 +141,12 @@ def test_normalize_long_and_huge_index_words():
     big = 10**12
     assert normalize(tuple(eps(i) for i in range(3000))) == (eps(0),) * 3000
     assert normalize((eps(0),) * 4000 + (eta(0),) * 4000) == ()
+    # the block families whose letters land at the back of a or merges
+    ups = tuple(eta(i) for i in range(2000))
+    downs = tuple(eps(i) for i in reversed(range(2000)))
+    assert normalize(ups) == ups
+    assert normalize(downs) == downs
+    assert normalize(ups[::-1]) == (eta(0),) * 2000
     # rewriting each of these takes more than 2 * 10**12 steps
     assert normalize((eps(big), eta(big))) == ()
     assert normalize((eta(5), eps(big), eta(big + 1), eps(3))) == parse("h5 e3")
@@ -163,6 +171,46 @@ def test_normalize_beyond_the_letter_cache():
     assert nf == normalize_trace(w).end
 
 
+@given(st.lists(letters(63), min_size=100, max_size=300).map(tuple))
+def test_normalize_matches_rewriting_long_words(w):
+    # long lists a and merges: both bisections run many iterations
+    assert normalize(w) == normalize_trace(w).end
+
+
+@pytest.mark.parametrize(
+    "word, nf",
+    [
+        # r, the number of gaps below k, for an eta: 0, len(a) and interior
+        ("h0 h5", "h0 h5"),
+        ("h5 h0", "h0 h4"),
+        ("h3 h0 h5", "h0 h2 h5"),
+        # the same three for an eps, which deletes a gap or lowers the gaps from r on
+        ("e0 h1 h4", "h4"),
+        ("e0 h2 h5", "h1 h4 e0"),
+        ("e9 h0 h2", "h0 h2 e7"),
+        ("e4 h0 h4", "h0"),
+        ("e3 h0 h5", "h0 h4 e2"),
+        # m, the number of merge points of rank <= y: 0, len(merges) and interior
+        ("e0 e5", "e4 e0"),
+        ("e5 e0", "e5 e0"),
+        ("e3 e0 e5", "e3 e3 e0"),
+    ],
+)
+def test_normalize_search_ends_and_interior(word, nf):
+    w = parse(word)
+    assert render(normalize(w)) == nf
+    assert normalize(w) == normalize_trace(w).end
+
+
+def test_normalize_search_interior_of_long_lists():
+    # gaps 0, 3, ..., 117: h61 lands at r = 21 of 40
+    w = (eta(61),) + tuple(eta(2 * t) for t in range(40))
+    assert normalize(w) == w[1:22] + (eta(40),) + w[22:] == normalize_trace(w).end
+    # merge ranks 0, 3, ..., 117: e50 lands at m = 17 of 40
+    w = (eps(50),) + tuple(eps(3 * t) for t in reversed(range(40)))
+    assert normalize(w) == normalize_trace(w).end
+
+
 @given(small_words())
 def test_trace_steps_chain_and_decompose(w):
     tr = normalize_trace(w)
@@ -185,6 +233,17 @@ def test_trace_end_is_the_last_replayed_word(w):
     steps = tr.steps
     assert [(s.position, s.rule) for s in steps] == list(tr.moves)
     assert tr.end == (steps[-1].after if steps else tr.start) == normalize(w)
+
+
+@given(small_words(max_len=12))
+@example(parse("e0 e1 e2 e3"))
+@example(parse("e0 e0 e0 h0 h0 h0"))
+def test_leftmost_moves_rewrite_before_each_yield(w):
+    # adjmon trace prints the list as it stands at each yield
+    buf = list(w)
+    seen = [(p, rule, tuple(buf)) for p, rule in _leftmost_moves(buf)]
+    assert seen == [(s.position, s.rule, s.after) for s in normalize_trace(w).steps]
+    assert tuple(buf) == normalize(w)
 
 
 def test_trace_memory_grows_with_its_steps_not_their_words():
