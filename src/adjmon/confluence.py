@@ -16,24 +16,24 @@ comparisons, every one with a known closed-form common reduct.  The
 subcase named "k>i+1" of EHH has two printed closed forms in circulation;
 the audit checks both and records which one joins.
 
-``rewrite.match_rule`` is the only rule table.  Overlap parents are the
-three-letter words in which it finds two redexes, classified by letter
-pattern; the oracle's one-step predecessors are the left-hand sides it
-maps onto each factor, plus inserted ``e0 h0``.  Each family's case
-analysis is one ordered table in ``_CASES``, a row per subcase holding its
-guard on the parent indices and its closed form; the subcase names, the
-classification of parents, the expected bounds and the set of subcases not
+``rewrite.RULES`` is the only rule table.  Overlap parents are the
+three-letter words in which ``match_rule`` finds two redexes, classified
+by letter pattern; the oracle's one-step predecessors are the left-hand
+sides ``rewrite.left_sides`` solves for each factor, plus inserted
+``e0 h0``.  Each family's case analysis is one ordered table in
+``_CASES``, a row per subcase holding its guard on the parent indices and
+its closed form; the subcase names, the classification of parents, each
+critical pair's closed form ``expected`` and the subcases not
 instantiated are all read from it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, islice, product
 from typing import Iterator, NamedTuple
 
-from .rewrite import RuleCase, apply, forward_steps, match_rule, normalize, reduction_graph, redexes
-from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_by_degree, all_words, degree, letter, render, word_key
+from .rewrite import RuleCase, apply, forward_steps, left_sides, match_rule, normalize, reduction_graph, redexes
+from .words import Word, _block_start, _heads, _words_by_degree, all_words, degree, letter, render, word_key
 from .words import eps as eps_letter
 from .words import eta as eta_letter
 
@@ -314,33 +314,20 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
 
 # --- equivalence oracle ------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _left_sides(x: Generator, y: Generator) -> tuple[Word, ...]:
-    """Every two-letter left-hand side that ``match_rule`` rewrites to ``x y``."""
-    total = x.index + y.index + 1
-    out = []
-    for n, a, b in product(range(total + 1), (ETA, EPS), (ETA, EPS)):
-        lhs = (letter(a, n), letter(b, total - n))
-        rule = match_rule(*lhs)
-        if rule is not None and rule.rhs == (x, y):
-            out.append(lhs)
-    return tuple(out)
-
-
 def inverse_steps(w: Word, max_degree: int) -> list[Word]:
     """One-step predecessors of w with degree <= max_degree: every factor
     replaced by a left-hand side that rewrites to it, then the vanishing
     rule's left-hand side inserted at every position.
     """
-    # Two facts, both checked by audit_termination, make this complete:
-    # every non-vanishing step lowers degree by exactly 1 (so a factor's
-    # left-hand sides have index sum one higher), and e0 h0 is the only
+    # left_sides solves every rule for its left-hand sides.  Two facts, both
+    # checked by audit_termination, make the degree filters exact: every
+    # non-vanishing step lowers degree by exactly 1, and e0 h0 is the only
     # left-hand side that vanishes.  Predecessors thus have degree d+1 or d+2.
     d = degree(w)
     parents: list[Word] = []
     if d + 1 <= max_degree:
         for p in range(len(w) - 1):
-            parents.extend(w[:p] + lhs + w[p + 2 :] for lhs in _left_sides(w[p], w[p + 1]))
+            parents.extend(w[:p] + lhs + w[p + 2 :] for lhs in left_sides(w[p], w[p + 1]))
     if d + 2 <= max_degree:
         parents.extend(w[:p] + (eps_letter(0), eta_letter(0)) + w[p:] for p in range(len(w) + 1))
     return parents

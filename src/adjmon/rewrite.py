@@ -1,25 +1,18 @@
 """The rewrite relation on words: redexes, steps, traces, normal forms.
 
-Every redex is a two-letter factor.  The seven rule cases are:
-
-    EpsEps            eps_i eps_j  ->  eps_{j-1} eps_i     (j > i)
-    EtaEta            eta_j eta_i  ->  eta_i eta_{j-1}     (j > i)
-    EpsEta_JGtIPlus1  eps_i eta_j  ->  eta_{j-1} eps_i     (j > i+1)
-    EpsEta_IGtJ       eps_i eta_j  ->  eta_j eps_{i-1}     (i > j)
-    EpsEta_IEqJPos    eps_i eta_i  ->  eps_{i-1} eta_i     (i > 0)
-    EpsEta_JEqIPlus1  eps_i eta_{i+1}  ->  eps_i eta_i
-    EpsEta_Zero       eps_0 eta_0  ->  1
-
-The five eps-eta conditions partition all index pairs, so each factor
+Every redex is a two-letter factor.  The seven rule cases are the rows
+of ``RULES``, each a guard on the indices i, j of a factor and a
+right-hand side affine in them; the guards are disjoint, so each factor
 matches at most one rule.  Every step lowers ``degree`` by exactly 1
 (EpsEta_Zero: by 2), which bounds all reduction sequences.  A word is
 normal iff it is an eta block with non-decreasing indices followed by an
 eps block with non-increasing indices.
 
-``match_rule`` is the rule table.  It is memoized per letter pair: every
-caller gets one shared, immutable ``RuleInstance`` per pair, and the
-cache keeps at most ``MATCH_RULE_CACHE_SIZE`` pairs, so words with many
-distinct huge indices do not grow it without bound.
+``match_rule`` walks ``RULES``, and ``left_sides`` inverts them, solving
+each row's right-hand side for (i, j).  Both are memoized per letter
+pair and keep at most ``MATCH_RULE_CACHE_SIZE`` pairs, so words with many
+distinct huge indices do not grow them without bound; every caller of
+``match_rule`` gets one shared, immutable ``RuleInstance`` per pair.
 
 ``normalize`` performs no rewrite step: it reads the canonical form off
 the monotone map of the naturals that a word denotes.  ``normalize_trace``,
@@ -37,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .words import EPS, ETA, Generator, Word, degree, eps, eta, letter
+from .words import EPS, ETA, Generator, Word, degree, letter, letter_key
 
 
 class RuleCase(str, Enum):
@@ -64,39 +57,57 @@ class RuleInstance(NamedTuple):
 # The audit battery and the queries touch fewer than 24 * 24 letter pairs.
 MATCH_RULE_CACHE_SIZE = 4096
 
+INF = float("inf")
+ANY = (-INF, INF)
+I, J = 0, 1  # a right-hand index reads the left-hand letter's: x's (i) or y's (j)
+
+# The seven rules, a row each, for a factor x y with indices i and j:
+# (case, (x.kind, y.kind), bounds on j - i, bounds on i, right-hand side),
+# a right-hand letter (kind, I or J, c) having index i + c or j + c.  The
+# guards are disjoint, so the order of the rows does not matter.
+RULES = (
+    (RuleCase.EPS_EPS, (EPS, EPS), (1, INF), ANY, ((EPS, J, -1), (EPS, I, 0))),  # e_i e_j -> e_{j-1} e_i (j > i)
+    (RuleCase.ETA_ETA, (ETA, ETA), (-INF, -1), ANY, ((ETA, J, 0), (ETA, I, -1))),  # h_i h_j -> h_j h_{i-1} (i > j)
+    (RuleCase.EPS_ETA_FAR, (EPS, ETA), (2, INF), ANY, ((ETA, J, -1), (EPS, I, 0))),  # e_i h_j -> h_{j-1} e_i (j > i+1)
+    (RuleCase.EPS_ETA_PAST, (EPS, ETA), (-INF, -1), ANY, ((ETA, J, 0), (EPS, I, -1))),  # e_i h_j -> h_j e_{i-1} (i > j)
+    (RuleCase.EPS_ETA_EQUAL, (EPS, ETA), (0, 0), (1, INF), ((EPS, I, -1), (ETA, J, 0))),  # e_i h_i -> e_{i-1} h_i (i > 0)
+    (RuleCase.EPS_ETA_NEXT, (EPS, ETA), (1, 1), ANY, ((EPS, I, 0), (ETA, J, -1))),  # e_i h_{i+1} -> e_i h_i
+    (RuleCase.EPS_ETA_ZERO, (EPS, ETA), (0, 0), (0, 0), ()),  # e_0 h_0 -> 1
+)
+
 
 @lru_cache(maxsize=MATCH_RULE_CACHE_SIZE)
 def match_rule(x: Generator, y: Generator) -> RuleInstance | None:
-    """The unique rule whose left-hand side is the factor ``x y``, if any.
+    """The row of ``RULES`` whose left-hand side is the factor ``x y``, if any.
 
-    Memoized: equal letter pairs get the same ``RuleInstance``, which is
-    immutable, as are its letters, so callers share it.  The least recently
-    used pairs are dropped beyond ``MATCH_RULE_CACHE_SIZE``.
+    Memoized: equal letter pairs share one immutable ``RuleInstance``, and
+    the least recently used pairs are dropped beyond ``MATCH_RULE_CACHE_SIZE``.
     """
-    if x.kind == EPS:
-        i = x.index
-        if y.kind == EPS:
-            j = y.index
-            if j > i:
-                return RuleInstance(RuleCase.EPS_EPS, (x, y), (eps(j - 1), eps(i)))
-            return None
-        j = y.index
-        if j > i + 1:
-            return RuleInstance(RuleCase.EPS_ETA_FAR, (x, y), (eta(j - 1), eps(i)))
-        if i > j:
-            return RuleInstance(RuleCase.EPS_ETA_PAST, (x, y), (eta(j), eps(i - 1)))
-        if i == j:
-            if i == 0:
-                return RuleInstance(RuleCase.EPS_ETA_ZERO, (x, y), ())
-            return RuleInstance(RuleCase.EPS_ETA_EQUAL, (x, y), (eps(i - 1), eta(i)))
-        # j == i + 1
-        return RuleInstance(RuleCase.EPS_ETA_NEXT, (x, y), (eps(i), eta(i)))
-    if y.kind == ETA:
-        j, i = x.index, y.index
-        if j > i:
-            return RuleInstance(RuleCase.ETA_ETA, (x, y), (eta(i), eta(j - 1)))
-        return None
-    return None  # an eta followed by an eps is never a redex
+    kinds, i, j = (x.kind, y.kind), x.index, y.index
+    for row in RULES:
+        if row[1] == kinds:
+            case, _, (lo, hi), (i_lo, i_hi), rhs = row
+            if lo <= j - i <= hi and i_lo <= i <= i_hi:
+                return RuleInstance(case, (x, y), tuple([letter(k, (i, j)[v] + c) for k, v, c in rhs]))
+    return None
+
+
+@lru_cache(maxsize=MATCH_RULE_CACHE_SIZE)
+def left_sides(x: Generator, y: Generator) -> tuple[Word, ...]:
+    """Every two-letter left-hand side that a row of ``RULES`` rewrites to
+    ``x y``, by first index, then eta before eps.  A row with the kinds of
+    ``x y`` reads i in one right-hand letter and j in the other, with a
+    constant <= 0, so it is solved for naturals (i, j) by two subtractions,
+    then its guard is checked there.  Memoized like ``match_rule``.
+    """
+    out = []
+    for _, (a, b), (lo, hi), (i_lo, i_hi), rhs in RULES:
+        if len(rhs) == 2 and (rhs[0][0], rhs[1][0]) == (x.kind, y.kind):
+            solved = {v: g.index - c for (_, v, c), g in zip(rhs, (x, y))}
+            i, j = solved[I], solved[J]
+            if lo <= j - i <= hi and i_lo <= i <= i_hi:
+                out.append((letter(a, i), letter(b, j)))
+    return tuple(sorted(out, key=lambda lhs: (lhs[0].index, *map(letter_key, lhs))))
 
 
 def redexes(w: Word) -> list[tuple[int, RuleInstance]]:

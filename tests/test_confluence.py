@@ -350,6 +350,17 @@ def test_inverse_steps_match_brute_force_predecessors():
             assert set(inverse_steps(w, bound)) == {u for u in preds if degree(u) <= bound}
 
 
+def test_inverse_steps_at_huge_indices():
+    # every parent of h_n e_n is a rule's left-hand side solved for its indices, or has e0 h0 inserted
+    n = 10**12
+    w = parse(f"h{n} e{n}")
+    before = rewrite.match_rule.cache_info().currsize
+    parents = inverse_steps(w, 10**13)
+    assert rewrite.match_rule.cache_info().currsize - before <= 4
+    assert parents[0] == parse(f"e{n + 1} h{n}")
+    assert len(parents) == 1 + 3 and all(w in forward_steps(p) for p in parents)
+
+
 def test_equivalent_bounded_examples():
     assert equivalent_bounded(parse("e0 h0"), (), 6).equivalent
     assert equivalent_bounded(parse("e0 h1"), (), 9).equivalent

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import example, given
@@ -6,19 +7,24 @@ from hypothesis import strategies as st
 
 from adjmon.confluence import all_words
 from adjmon.rewrite import (
+    I,
+    J,
     MATCH_RULE_CACHE_SIZE,
+    RULES,
     NotARedexError,
     RuleCase,
+    RuleInstance,
     _leftmost_moves,
     apply,
     is_normal,
+    left_sides,
     match_rule,
     normalize,
     normalize_trace,
     reduction_graph,
     redexes,
 )
-from adjmon.words import LETTER_CACHE_SIZE, Generator, _words_by_degree, degree, eps, eta, is_canonical_shape, letter, parse, render
+from adjmon.words import EPS, ETA, LETTER_CACHE_SIZE, Generator, _words_by_degree, degree, eps, eta, is_canonical_shape, letter, parse, render
 from conftest import letters, small_words
 
 BIG = 10**12
@@ -82,6 +88,99 @@ def test_is_normal_beyond_the_match_rule_cache():
     for word, normal in ((w, True), (w + (eps(BIG), eta(BIG)), False), ((eps(BIG),) + w, False)):
         assert is_normal(word) == is_canonical_shape(word) == normal
         assert match_rule.cache_info().currsize <= MATCH_RULE_CACHE_SIZE
+
+
+# The rules written as an if/else ladder, and their inversion by a scan over
+# every index split: independent references for RULES, match_rule and left_sides.
+def _ladder(x, y):
+    if x.kind == EPS:
+        i = x.index
+        if y.kind == EPS:
+            j = y.index
+            if j > i:
+                return RuleInstance(RuleCase.EPS_EPS, (x, y), (eps(j - 1), eps(i)))
+            return None
+        j = y.index
+        if j > i + 1:
+            return RuleInstance(RuleCase.EPS_ETA_FAR, (x, y), (eta(j - 1), eps(i)))
+        if i > j:
+            return RuleInstance(RuleCase.EPS_ETA_PAST, (x, y), (eta(j), eps(i - 1)))
+        if i == j:
+            if i == 0:
+                return RuleInstance(RuleCase.EPS_ETA_ZERO, (x, y), ())
+            return RuleInstance(RuleCase.EPS_ETA_EQUAL, (x, y), (eps(i - 1), eta(i)))
+        # j == i + 1
+        return RuleInstance(RuleCase.EPS_ETA_NEXT, (x, y), (eps(i), eta(i)))
+    if y.kind == ETA:
+        j, i = x.index, y.index
+        if j > i:
+            return RuleInstance(RuleCase.ETA_ETA, (x, y), (eta(i), eta(j - 1)))
+        return None
+    return None
+
+
+def _scan(x, y):
+    total = x.index + y.index + 1
+    out = []
+    for n, a, b in product(range(total + 1), (ETA, EPS), (ETA, EPS)):
+        lhs = (letter(a, n), letter(b, total - n))
+        rule = _ladder(*lhs)
+        if rule is not None and rule.rhs == (x, y):
+            out.append(lhs)
+    return tuple(out)
+
+
+def _pairs(max_index):
+    indices = range(max_index + 1)
+    return [(letter(a, i), letter(b, j)) for a, b in product((ETA, EPS), repeat=2) for i in indices for j in indices]
+
+
+def test_match_rule_agrees_with_the_ladder():
+    for x, y in _pairs(40):
+        rule = match_rule(x, y)
+        assert rule == _ladder(x, y)
+        assert rule is None or all(g is letter(*g) for g in rule.rhs)  # shared letters
+
+
+@given(letters(BIG), letters(BIG))
+@example(eps(BIG), eta(BIG))
+@example(eps(0), eta(0))
+@example(eps(BIG), eta(BIG + 1))
+def test_match_rule_agrees_with_the_ladder_at_huge_indices(x, y):
+    assert match_rule(x, y) == _ladder(x, y)
+
+
+def test_left_sides_equal_the_scan_in_order():
+    for x, y in _pairs(24):
+        if x.index + y.index <= 24:
+            assert left_sides(x, y) == _scan(x, y)
+
+
+def test_rule_guards_are_disjoint():
+    def fires(row, x, y):
+        _, kinds, (lo, hi), (i_lo, i_hi), _ = row
+        return kinds == (x.kind, y.kind) and lo <= y.index - x.index <= hi and i_lo <= x.index <= i_hi
+
+    assert [row[0] for row in RULES] == list(RuleCase)
+    for x, y in _pairs(40):
+        assert sum(fires(row, x, y) for row in RULES) <= 1
+    # each two-letter right-hand side reads i once and j once, with constants <= 0, as left_sides solves it
+    assert all(sorted(v for _, v, _ in rhs) == [I, J] and all(c <= 0 for *_, c in rhs) for *_, rhs in RULES if rhs)
+
+
+@given(letters(BIG), letters(BIG))
+@example(eps(BIG), eta(BIG))
+@example(eps(BIG), eta(BIG + 1))
+@example(eta(BIG + 1), eta(BIG))
+def test_left_sides_invert_match_rule_at_huge_indices(a, b):
+    targets = [(a, b)]
+    rule = match_rule(a, b)
+    if rule is not None and rule.rhs:
+        assert (a, b) in left_sides(*rule.rhs)
+        targets.append(rule.rhs)
+    for x, y in targets:
+        for lhs in left_sides(x, y):
+            assert match_rule(*lhs).rhs == (x, y)
 
 
 def test_apply_examples():
