@@ -16,15 +16,15 @@ comparisons, every one with a known closed-form common reduct.  The
 subcase named "k>i+1" of EHH has two printed closed forms in circulation;
 the audit checks both and records which one joins.
 
-``rewrite.RULES`` is the only rule table.  Overlap parents are the
-three-letter words in which ``match_rule`` finds two redexes, classified
-by letter pattern; the oracle's one-step predecessors are the left-hand
-sides ``rewrite.left_sides`` solves for each factor, plus inserted
-``e0 h0``.  Each family's case analysis is one ordered table in
-``_CASES``, a row per subcase holding its guard on the parent indices and
-its closed form; the subcase names, the classification of parents, each
-critical pair's closed form ``expected`` and the subcases not
-instantiated are all read from it.
+``rewrite`` owns the rule relation in both directions: overlap parents
+are the three-letter words in which ``match_rule`` finds two redexes,
+and the oracle's one-step predecessors are ``rewrite.inverse_steps``.
+Each family's case analysis is one ordered table of data in ``_CASES``,
+a row per subcase holding its guard, bounds on the difference of two
+parent indices, and its closed form, a ``rewrite.RULES`` template; the
+subcase names, the classification of parents, each critical pair's
+closed form ``expected`` and the subcases not instantiated are all read
+from it.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from __future__ import annotations
 from itertools import chain, combinations, combinations_with_replacement, islice, product
 from typing import Iterator, NamedTuple
 
-from .rewrite import RuleCase, apply, forward_steps, left_sides, match_rule, normalize, reduction_graph, redexes
-from .words import Word, _block_start, _heads, _words_by_degree, all_words, degree, letter, render, word_key
-from .words import eps as eps_letter
-from .words import eta as eta_letter
+from .rewrite import INF, I, J, K, RuleCase, apply, forward_steps, instantiate, inverse_steps, match_rule, normalize
+from .rewrite import reduction_graph, redexes
+from .words import EPS, ETA, Word, _block_start, _heads, _words_by_degree, all_words, degree, letter, render, word_key
 
 DISJOINT = "DISJOINT"
 EEE = "EEE"
@@ -47,35 +46,35 @@ DISJOINT_SAMPLES = 32  # the disjoint-redex parents that audit_local_confluence 
 # the population that `adjmon audit` cross-checks the oracle on: words of length <= 3, indices <= 2
 ORACLE_MAX_LEN, ORACLE_MAX_INDEX = 3, 2
 
+ALWAYS = (I, J, -INF, INF)  # the guard of a family's last row
 # Each overlap family's case analysis, as an ordered table of rows
-# (subcase, guard, closed form) over the parent indices i, j, k: the first
-# row whose guard holds names the subcase, and its closed form is the known
-# common reduct.  EEE and HHH are not split.
+# (subcase, guard, closed form) over the parent indices I, J, K: the first
+# row whose guard (u, v, lo, hi) holds, lo <= index u - index v <= hi, names
+# the subcase, and its closed form, a template in the format of
+# ``rewrite.RULES``, is the known common reduct.  EEE and HHH are not split.
 _CASES = {
-    EEE: ((None, lambda i, j, k: True, lambda i, j, k: (eps_letter(k - 2), eps_letter(j - 1), eps_letter(i))),),
-    HHH: ((None, lambda i, j, k: True, lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eta_letter(i - 2))),),
+    EEE: ((None, ALWAYS, ((EPS, K, -2), (EPS, J, -1), (EPS, I, 0))),),
+    HHH: ((None, ALWAYS, ((ETA, K, 0), (ETA, J, -1), (ETA, I, -2))),),
     EEH: (
-        ("k>j+1", lambda i, j, k: k > j + 1, lambda i, j, k: (eta_letter(k - 2), eps_letter(j - 1), eps_letter(i))),
-        ("k=j+1", lambda i, j, k: k == j + 1, lambda i, j, k: (eps_letter(i),)),
-        ("k=j", lambda i, j, k: k == j, lambda i, j, k: (eps_letter(i),)),
-        ("i+1<k<j", lambda i, j, k: i + 1 < k, lambda i, j, k: (eta_letter(k - 1), eps_letter(j - 2), eps_letter(i))),
-        ("k=i+1<j", lambda i, j, k: k == i + 1, lambda i, j, k: (eps_letter(j - 1),)),
-        ("k=i", lambda i, j, k: k == i, lambda i, j, k: (eps_letter(j - 1),)),
-        ("k<i", lambda i, j, k: True, lambda i, j, k: (eta_letter(k), eps_letter(j - 2), eps_letter(i - 1))),
+        ("k>j+1", (K, J, 2, INF), ((ETA, K, -2), (EPS, J, -1), (EPS, I, 0))),
+        ("k=j+1", (K, J, 1, 1), ((EPS, I, 0),)),
+        ("k=j", (K, J, 0, 0), ((EPS, I, 0),)),
+        ("i+1<k<j", (K, I, 2, INF), ((ETA, K, -1), (EPS, J, -2), (EPS, I, 0))),
+        ("k=i+1<j", (K, I, 1, 1), ((EPS, J, -1),)),
+        ("k=i", (K, I, 0, 0), ((EPS, J, -1),)),
+        ("k<i", ALWAYS, ((ETA, K, 0), (EPS, J, -2), (EPS, I, -1))),
     ),
     EHH: (
-        ("i>j", lambda i, j, k: i > j, lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eps_letter(i - 2))),
-        ("i=j", lambda i, j, k: i == j, lambda i, j, k: (eta_letter(k),)),
-        ("i=j-1", lambda i, j, k: i == j - 1, lambda i, j, k: (eta_letter(k),)),
-        ("k<i<j-1", lambda i, j, k: k < i, lambda i, j, k: (eta_letter(k), eta_letter(j - 2), eps_letter(i - 1))),
-        ("k=i<j-1", lambda i, j, k: k == i, lambda i, j, k: (eta_letter(j - 1),)),
-        ("k=i+1", lambda i, j, k: k == i + 1, lambda i, j, k: (eta_letter(j - 1),)),
-        ("k>i+1", lambda i, j, k: True, lambda i, j, k: (eta_letter(k - 1), eta_letter(j - 2), eps_letter(i))),
+        ("i>j", (I, J, 1, INF), ((ETA, K, 0), (ETA, J, -1), (EPS, I, -2))),
+        ("i=j", (I, J, 0, 0), ((ETA, K, 0),)),
+        ("i=j-1", (I, J, -1, -1), ((ETA, K, 0),)),
+        ("k<i<j-1", (I, K, 1, INF), ((ETA, K, 0), (ETA, J, -2), (EPS, I, -1))),
+        ("k=i<j-1", (I, K, 0, 0), ((ETA, J, -1),)),
+        ("k=i+1", (K, I, 1, 1), ((ETA, J, -1),)),
+        ("k>i+1", ALWAYS, ((ETA, K, -1), (ETA, J, -2), (EPS, I, 0))),
     ),
 }
-
-EEH_SUBCASES = tuple(name for name, _, _ in _CASES[EEH])
-EHH_SUBCASES = tuple(name for name, _, _ in _CASES[EHH])
+_ALTERNATIVE = {(EHH, "k>i+1"): ((EPS, K, 0), (ETA, J, -2), (ETA, I, -1))}  # the other printed closed form
 
 
 class CriticalPair(NamedTuple):
@@ -87,14 +86,17 @@ class CriticalPair(NamedTuple):
     expected: Word  # the closed-form common reduct that the audit checks
 
 
-def _case(family: str, i: int, j: int, k: int) -> tuple:
-    """The first row of ``_CASES[family]`` whose guard holds at i, j, k."""
-    return next(row for row in _CASES[family] if row[1](i, j, k))
+def _case(family: str, indices: tuple[int, ...]) -> tuple:
+    """The first row of ``_CASES[family]`` whose guard holds at the indices."""
+    for row in _CASES[family]:
+        u, v, lo, hi = row[1]
+        if lo <= indices[u] - indices[v] <= hi:
+            return row
 
 
 def subcase(family: str, i: int, j: int, k: int) -> str | None:
     """The subcase of an overlap parent of the family with indices i, j, k."""
-    return _case(family, i, j, k)[0]
+    return _case(family, (i, j, k))[0]
 
 
 def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
@@ -107,16 +109,16 @@ def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
     """
     if max_index < 2:
         raise ValueError("max_index must be >= 2 to instantiate every subcase family")
-    letters = [letter(kind, n) for kind in "he" for n in range(max_index + 1)]
+    letters = [letter(kind, n) for kind in (ETA, EPS) for n in range(max_index + 1)]
     for parent in product(letters, repeat=3):
         if match_rule(*parent[:2]) is None or match_rule(*parent[1:]) is None:
             continue
         family = "".join(g.kind for g in parent).upper()
         if family not in _CASES:
             raise AssertionError(f"overlap outside the four families at {render(parent)}")
-        i, j, k = (g.index for g in parent)
-        name, _, form = _case(family, i, j, k)
-        yield CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, name, form(i, j, k))
+        indices = tuple(g.index for g in parent)
+        name, _, form = _case(family, indices)
+        yield CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, name, instantiate(form, indices))
 
 
 def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
@@ -148,9 +150,7 @@ def sample_disjoint_parents(max_index: int) -> list[Word]:
 
 def common_reducts(pair: CriticalPair) -> frozenset[Word]:
     """Words reachable from both reducts (breadth-first over full graphs)."""
-    left = reduction_graph(pair.left_reduct).nodes
-    right = reduction_graph(pair.right_reduct).nodes
-    return frozenset(left & right)
+    return frozenset(reduction_graph(pair.left_reduct).nodes & reduction_graph(pair.right_reduct).nodes)
 
 
 def _least(commons: frozenset[Word]) -> Word | None:
@@ -159,18 +159,14 @@ def _least(commons: frozenset[Word]) -> Word | None:
 
 
 def resolve(pair: CriticalPair) -> Word | None:
-    """The least common reduct of the pair, or None when none exists
-    (which would falsify local confluence).
-    """
+    """The least common reduct of the pair, or None when none exists (which would falsify local confluence)."""
     return _least(common_reducts(pair))
 
 
 def alternative_bound(pair: CriticalPair) -> Word | None:
-    """The other printed closed form for EHH/"k>i+1"; undefined when i = 0."""
-    if pair.family != EHH or pair.subcase != "k>i+1":
-        return None
-    i, j, k = (g.index for g in pair.parent)
-    return (eps_letter(k), eta_letter(j - 2), eta_letter(i - 1)) if i >= 1 else None
+    """The other printed closed form for EHH/"k>i+1"; None where it has a negative index (i = 0)."""
+    form = _ALTERNATIVE.get((pair.family, pair.subcase))
+    return None if form is None else instantiate(form, tuple(g.index for g in pair.parent))
 
 
 class SubcaseRow(NamedTuple):
@@ -313,25 +309,6 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
 
 
 # --- equivalence oracle ------------------------------------------------------
-
-def inverse_steps(w: Word, max_degree: int) -> list[Word]:
-    """One-step predecessors of w with degree <= max_degree: every factor
-    replaced by a left-hand side that rewrites to it, then the vanishing
-    rule's left-hand side inserted at every position.
-    """
-    # left_sides solves every rule for its left-hand sides.  Two facts, both
-    # checked by audit_termination, make the degree filters exact: every
-    # non-vanishing step lowers degree by exactly 1, and e0 h0 is the only
-    # left-hand side that vanishes.  Predecessors thus have degree d+1 or d+2.
-    d = degree(w)
-    parents: list[Word] = []
-    if d + 1 <= max_degree:
-        for p in range(len(w) - 1):
-            parents.extend(w[:p] + lhs + w[p + 2 :] for lhs in left_sides(w[p], w[p + 1]))
-    if d + 2 <= max_degree:
-        parents.extend(w[:p] + (eps_letter(0), eta_letter(0)) + w[p:] for p in range(len(w) + 1))
-    return parents
-
 
 class OracleVerdict(NamedTuple):
     equivalent: bool

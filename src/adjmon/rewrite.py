@@ -1,18 +1,21 @@
 """The rewrite relation on words: redexes, steps, traces, normal forms.
 
 Every redex is a two-letter factor.  The seven rule cases are the rows
-of ``RULES``, each a guard on the indices i, j of a factor and a
-right-hand side affine in them; the guards are disjoint, so each factor
-matches at most one rule.  Every step lowers ``degree`` by exactly 1
-(EpsEta_Zero: by 2), which bounds all reduction sequences.  A word is
-normal iff it is an eta block with non-decreasing indices followed by an
-eps block with non-increasing indices.
+of ``RULES``, each a guard on the indices i, j of a factor and a template
+right-hand side: letters (kind, I or J, c) of index i + c or j + c, built
+by ``instantiate``, which ``confluence._CASES`` shares.  The guards are
+disjoint, so each factor matches at most one rule.  Every step lowers
+``degree`` by exactly 1 (EpsEta_Zero: by 2), which bounds all reduction
+sequences.  A word is normal iff it is an eta block with non-decreasing
+indices followed by an eps block with non-increasing indices.
 
 ``match_rule`` walks ``RULES``, and ``left_sides`` inverts them, solving
 each row's right-hand side for (i, j).  Both are memoized per letter
 pair and keep at most ``MATCH_RULE_CACHE_SIZE`` pairs, so words with many
 distinct huge indices do not grow them without bound; every caller of
 ``match_rule`` gets one shared, immutable ``RuleInstance`` per pair.
+``inverse_steps`` lists a word's one-step predecessors from ``left_sides``
+and ``VANISHING``, the left-hand sides of the rows with an empty right-hand side.
 
 ``normalize`` performs no rewrite step: it reads the canonical form off
 the monotone map of the naturals that a word denotes.  ``normalize_trace``,
@@ -59,12 +62,12 @@ MATCH_RULE_CACHE_SIZE = 4096
 
 INF = float("inf")
 ANY = (-INF, INF)
-I, J = 0, 1  # a right-hand index reads the left-hand letter's: x's (i) or y's (j)
+I, J, K = 0, 1, 2  # a template letter's index reads the first, second or third of the given indices
 
 # The seven rules, a row each, for a factor x y with indices i and j:
 # (case, (x.kind, y.kind), bounds on j - i, bounds on i, right-hand side),
-# a right-hand letter (kind, I or J, c) having index i + c or j + c.  The
-# guards are disjoint, so the order of the rows does not matter.
+# the right-hand side a template over (i, j).  The guards are disjoint, so
+# the order of the rows does not matter.
 RULES = (
     (RuleCase.EPS_EPS, (EPS, EPS), (1, INF), ANY, ((EPS, J, -1), (EPS, I, 0))),  # e_i e_j -> e_{j-1} e_i (j > i)
     (RuleCase.ETA_ETA, (ETA, ETA), (-INF, -1), ANY, ((ETA, J, 0), (ETA, I, -1))),  # h_i h_j -> h_j h_{i-1} (i > j)
@@ -76,6 +79,12 @@ RULES = (
 )
 
 
+def instantiate(template: tuple, indices: tuple[int, ...]) -> Word | None:
+    """The word of a template, its letter (kind, v, c) at index indices[v] + c; None if one is negative."""
+    spelled = [(kind, indices[v] + c) for kind, v, c in template]
+    return None if any(n < 0 for _, n in spelled) else tuple([letter(kind, n) for kind, n in spelled])
+
+
 @lru_cache(maxsize=MATCH_RULE_CACHE_SIZE)
 def match_rule(x: Generator, y: Generator) -> RuleInstance | None:
     """The row of ``RULES`` whose left-hand side is the factor ``x y``, if any.
@@ -84,11 +93,9 @@ def match_rule(x: Generator, y: Generator) -> RuleInstance | None:
     the least recently used pairs are dropped beyond ``MATCH_RULE_CACHE_SIZE``.
     """
     kinds, i, j = (x.kind, y.kind), x.index, y.index
-    for row in RULES:
-        if row[1] == kinds:
-            case, _, (lo, hi), (i_lo, i_hi), rhs = row
-            if lo <= j - i <= hi and i_lo <= i <= i_hi:
-                return RuleInstance(case, (x, y), tuple([letter(k, (i, j)[v] + c) for k, v, c in rhs]))
+    for case, row_kinds, (lo, hi), (i_lo, i_hi), rhs in RULES:
+        if row_kinds == kinds and lo <= j - i <= hi and i_lo <= i <= i_hi:
+            return RuleInstance(case, (x, y), instantiate(rhs, (i, j)))
     return None
 
 
@@ -110,14 +117,30 @@ def left_sides(x: Generator, y: Generator) -> tuple[Word, ...]:
     return tuple(sorted(out, key=lambda lhs: (lhs[0].index, *map(letter_key, lhs))))
 
 
+# The left-hand sides that vanish, (e0 h0,): each row's guard pins i, and j - i.
+VANISHING = tuple((letter(a, i), letter(b, i + d)) for _, (a, b), (d, _), (i, _), rhs in RULES if not rhs)
+
+
+def inverse_steps(w: Word, max_degree: int) -> list[Word]:
+    """One-step predecessors of w with degree <= max_degree: every factor
+    replaced by a left-hand side that rewrites to it, which adds exactly 1
+    to the degree (audit_termination checks the drops), then each of
+    ``VANISHING`` inserted at every position.
+    """
+    d = degree(w)
+    parents: list[Word] = []
+    if d + 1 <= max_degree:
+        for p in range(len(w) - 1):
+            parents.extend(w[:p] + lhs + w[p + 2 :] for lhs in left_sides(w[p], w[p + 1]))
+    for lhs in VANISHING:
+        if d + degree(lhs) <= max_degree:
+            parents.extend(w[:p] + lhs + w[p:] for p in range(len(w) + 1))
+    return parents
+
+
 def redexes(w: Word) -> list[tuple[int, RuleInstance]]:
     """All redex positions of w with their rule instances, left to right."""
-    out = []
-    for p in range(len(w) - 1):
-        rule = match_rule(w[p], w[p + 1])
-        if rule is not None:
-            out.append((p, rule))
-    return out
+    return [(p, rule) for p, rule in enumerate(map(match_rule, w, w[1:])) if rule is not None]
 
 
 def forward_steps(w: Word) -> list[Word]:

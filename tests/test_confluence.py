@@ -4,12 +4,12 @@ import sys
 import pytest
 from collections import Counter
 from itertools import combinations
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adjmon import confluence, rewrite
 from adjmon.confluence import (
-    EEH_SUBCASES,
-    EHH_SUBCASES,
+    CriticalPair,
     all_words,
     alternative_bound,
     audit_local_confluence,
@@ -26,8 +26,9 @@ from adjmon.confluence import (
     sample_disjoint_parents,
 )
 from adjmon import cli
-from adjmon.rewrite import RuleCase, RuleInstance, reduction_graph, redexes
-from adjmon.words import Generator, _block_start, _words_by_degree, degree, is_canonical_shape, parse, render
+from adjmon.rewrite import I, J, RuleCase, RuleInstance, instantiate, reduction_graph, redexes
+from adjmon.words import EPS, Generator, _block_start, _words_by_degree, degree, is_canonical_shape, letter, parse, render
+from adjmon.words import eps as eps_letter
 from adjmon.words import eta as eta_letter
 from conftest import small_words
 
@@ -63,15 +64,16 @@ def test_overlap_parents_reduce_to_both_reducts():
 def test_subcases_partition():
     from adjmon.confluence import subcase
 
+    names = {family: {name for name, _, _ in table} for family, table in confluence._CASES.items()}
     r = range(7)
     eeh = {(i, j, k): subcase("EEH", i, j, k) for i in r for j in r for k in r if i < j}
-    assert set(eeh.values()) == set(EEH_SUBCASES)
+    assert set(eeh.values()) == names["EEH"]
     assert eeh[(0, 1, 3)] == "k>j+1"
     assert eeh[(0, 1, 2)] == "k=j+1"
     assert eeh[(0, 3, 2)] == "i+1<k<j"
     assert eeh[(1, 2, 0)] == "k<i"
     ehh = {(i, j, k): subcase("EHH", i, j, k) for i in r for j in r for k in r if j > k}
-    assert set(ehh.values()) == set(EHH_SUBCASES)
+    assert set(ehh.values()) == names["EHH"]
     assert ehh[(2, 1, 0)] == "i>j"
     assert ehh[(0, 3, 2)] == "k>i+1"
     assert ehh[(1, 3, 0)] == "k<i<j-1"
@@ -145,7 +147,115 @@ def test_sample_disjoint_parents_count_is_exact():
 def test_overlap_expected_is_the_subcase_closed_form():
     forms = {(family, name): form for family, table in confluence._CASES.items() for name, _, form in table}
     for pair in enumerate_overlaps(6):
-        assert pair.expected == forms[pair.family, pair.subcase](*(g.index for g in pair.parent))
+        assert pair.expected == instantiate(forms[pair.family, pair.subcase], tuple(g.index for g in pair.parent))
+
+
+# The overlap case table as it was written before it became data: guards and
+# closed forms as functions of the parent indices i, j, k.  The data table
+# must agree with it on every parent.
+_REFERENCE_CASES = {
+    "EEE": ((None, lambda i, j, k: True, lambda i, j, k: (eps_letter(k - 2), eps_letter(j - 1), eps_letter(i))),),
+    "HHH": ((None, lambda i, j, k: True, lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eta_letter(i - 2))),),
+    "EEH": (
+        ("k>j+1", lambda i, j, k: k > j + 1, lambda i, j, k: (eta_letter(k - 2), eps_letter(j - 1), eps_letter(i))),
+        ("k=j+1", lambda i, j, k: k == j + 1, lambda i, j, k: (eps_letter(i),)),
+        ("k=j", lambda i, j, k: k == j, lambda i, j, k: (eps_letter(i),)),
+        ("i+1<k<j", lambda i, j, k: i + 1 < k, lambda i, j, k: (eta_letter(k - 1), eps_letter(j - 2), eps_letter(i))),
+        ("k=i+1<j", lambda i, j, k: k == i + 1, lambda i, j, k: (eps_letter(j - 1),)),
+        ("k=i", lambda i, j, k: k == i, lambda i, j, k: (eps_letter(j - 1),)),
+        ("k<i", lambda i, j, k: True, lambda i, j, k: (eta_letter(k), eps_letter(j - 2), eps_letter(i - 1))),
+    ),
+    "EHH": (
+        ("i>j", lambda i, j, k: i > j, lambda i, j, k: (eta_letter(k), eta_letter(j - 1), eps_letter(i - 2))),
+        ("i=j", lambda i, j, k: i == j, lambda i, j, k: (eta_letter(k),)),
+        ("i=j-1", lambda i, j, k: i == j - 1, lambda i, j, k: (eta_letter(k),)),
+        ("k<i<j-1", lambda i, j, k: k < i, lambda i, j, k: (eta_letter(k), eta_letter(j - 2), eps_letter(i - 1))),
+        ("k=i<j-1", lambda i, j, k: k == i, lambda i, j, k: (eta_letter(j - 1),)),
+        ("k=i+1", lambda i, j, k: k == i + 1, lambda i, j, k: (eta_letter(j - 1),)),
+        ("k>i+1", lambda i, j, k: True, lambda i, j, k: (eta_letter(k - 1), eta_letter(j - 2), eps_letter(i))),
+    ),
+}
+
+# the index order of each family's overlap parents, as the module docstring states it
+_IS_PARENT = {
+    "EEE": lambda i, j, k: i < j < k,
+    "HHH": lambda i, j, k: i > j > k,
+    "EEH": lambda i, j, k: i < j,
+    "EHH": lambda i, j, k: j > k,
+}
+
+
+def _reference_alternative_bound(family, name, i, j, k):
+    if family != "EHH" or name != "k>i+1":
+        return None
+    return (eps_letter(k), eta_letter(j - 2), eta_letter(i - 1)) if i >= 1 else None
+
+
+def _table_mismatches(triples):
+    """The (family, i, j, k) at which the data table and the reference disagree
+    on the subcase, the closed form or the alternative form."""
+    bad = []
+    for family, is_parent in _IS_PARENT.items():
+        for i, j, k in triples:
+            if not is_parent(i, j, k):
+                continue
+            name, _, form = next(row for row in _REFERENCE_CASES[family] if row[1](i, j, k))
+            pair = CriticalPair(tuple(letter(c.lower(), n) for c, n in zip(family, (i, j, k))), (), (), family, name, ())
+            got = confluence._case(family, (i, j, k))
+            if (got[0], instantiate(got[2], (i, j, k)), alternative_bound(pair)) != (
+                name, form(i, j, k), _reference_alternative_bound(family, name, i, j, k)
+            ):
+                bad.append((family, i, j, k))
+    return bad
+
+
+_SMALL_TRIPLES = [(i, j, k) for i in range(13) for j in range(13) for k in range(13)]
+
+
+def test_case_table_matches_the_reference_on_small_indices():
+    assert _table_mismatches(_SMALL_TRIPLES) == []
+    # the alternative form is undefined at i = 0 and defined from i = 1
+    pair = next(p for p in enumerate_overlaps(3) if render(p.parent) == "e0 h3 h2")
+    assert pair.subcase == "k>i+1" and alternative_bound(pair) is None
+
+
+_near = st.builds(
+    lambda n, d: tuple(n + x for x in d), st.integers(3, 10**12 - 3), st.tuples(*[st.integers(-3, 3)] * 3)
+)
+
+
+@given(st.one_of(st.tuples(*[st.integers(0, 10**12)] * 3), _near))
+@example((10**12 - 2, 10**12, 10**12 - 1))
+@example((0, 10**12, 10**12 - 1))
+def test_case_table_matches_the_reference_at_huge_indices(triple):
+    assert _table_mismatches([triple]) == []
+
+
+def _replace_row(monkeypatch, family, name, **fields):
+    position = {"guard": 1, "form": 2}
+    table = [list(row) for row in confluence._CASES[family]]
+    for row in table:
+        if row[0] == name:
+            for field, value in fields.items():
+                row[position[field]] = value
+    monkeypatch.setitem(confluence._CASES, family, tuple(map(tuple, table)))
+
+
+def test_a_wrong_closed_form_constant_shows_on_its_row_only(monkeypatch):
+    _replace_row(monkeypatch, "EEH", "k=j", form=((EPS, I, 1),))  # e_{i+1} instead of e_i
+    report = audit_local_confluence(6)
+    assert report.passed  # the pairs still join; only the closed form is wrong
+    short = {(r.family, r.subcase) for r in report.rows if r.formula_matches < r.instances}
+    assert short == {("EEH", "k=j")}
+
+
+def test_a_widened_guard_fails_the_reference(monkeypatch):
+    _replace_row(monkeypatch, "EHH", "i=j-1", guard=(I, J, -2, -1))
+    assert _table_mismatches(_SMALL_TRIPLES)
+    monkeypatch.undo()
+    # a widening that an earlier row already covers changes nothing: "i>j" matches i - j = 1 first
+    _replace_row(monkeypatch, "EHH", "i=j", guard=(I, J, 0, 1))
+    assert _table_mismatches(_SMALL_TRIPLES) == []
 
 
 def test_local_confluence_audit_peak_memory():
@@ -324,6 +434,10 @@ def test_termination_reports_faulty_rule_exactly(monkeypatch, case, rhs, sound):
 
 
 # --- bidirectional oracle -----------------------------------------------------
+
+def test_inverse_steps_live_in_the_rule_layer():
+    assert confluence.inverse_steps is rewrite.inverse_steps
+
 
 def test_inverse_steps_are_exact_parents():
     for w in all_words(3, 2):

@@ -11,11 +11,13 @@ from adjmon.rewrite import (
     J,
     MATCH_RULE_CACHE_SIZE,
     RULES,
+    VANISHING,
     NotARedexError,
     RuleCase,
     RuleInstance,
     _leftmost_moves,
     apply,
+    inverse_steps,
     is_normal,
     left_sides,
     match_rule,
@@ -166,6 +168,15 @@ def test_rule_guards_are_disjoint():
         assert sum(fires(row, x, y) for row in RULES) <= 1
     # each two-letter right-hand side reads i once and j once, with constants <= 0, as left_sides solves it
     assert all(sorted(v for _, v, _ in rhs) == [I, J] and all(c <= 0 for *_, c in rhs) for *_, rhs in RULES if rhs)
+
+
+def test_rule_table_states_the_degree_facts_inverse_steps_rests_on():
+    # inverse_steps admits a replaced factor at degree d + 1 and an inserted vanishing side at d + its degree;
+    # audit_termination checks the same drops on words, these checks tie them to the rows themselves
+    assert all(sum(c for *_, c in rhs) == -1 for *_, rhs in RULES if len(rhs) == 2)
+    assert all(degree(lhs) == 2 for lhs in VANISHING)
+    assert VANISHING == (parse("e0 h0"),)
+    assert inverse_steps((), 2) == [parse("e0 h0")] and inverse_steps((), 1) == []
 
 
 @given(letters(BIG), letters(BIG))
