@@ -6,9 +6,8 @@ and the bare token ``1`` for the identity.  Exit status: 0 for answered
 queries and passing reports, 1 for failed reports or unjoinable pairs,
 2 for usage or word-syntax errors, for bounds below their minimum, for
 ``trace`` runs over :data:`TRACE_BUDGET`, for an ``oracle`` input of
-degree over ``--max-degree``, for audit and oracle bounds over
-:data:`AUDIT_MAX_WORDS` words and for ``axioms`` and ``ncheck`` suites over
-:data:`AUDIT_MAX_WORDS` instances,
+degree over ``--max-degree`` and for audit and oracle bounds over
+:data:`AUDIT_MAX_WORDS` words,
 3 for an internal error (a computed canonical form that is not
 canonical), and 141 (128 + SIGPIPE), without a traceback, when stdout is
 closed before the output is written, as by ``adjmon answer | head -1``.
@@ -20,7 +19,6 @@ record at a time, so its text and its JSON come from the same record.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from itertools import chain
@@ -65,9 +63,8 @@ TRACE_BUDGET = 10**7
 # words of length <= --max-len, over 2 (--max-index + 1) letters.  Python 3.11.7,
 # 2-CPU Intel Xeon: termination at (5, 6), 579,195 words, takes 1.6 s and 57 MB,
 # at (6, 4), 1,111,111 words, 2.3 s and 93 MB; the overlaps at 100^3 words 14-15 s and 17 MB.
-# `axioms` and `ncheck` are held to as many instances: `ncheck --max-len 4
-# --max-index 3`, 245,520 instances, takes 2.7 s.  The oracle's universe, the 3^d words of degree
-# <= --max-degree, is held to it too: `audit --max-degree 12`, 531,441 words, takes 1.8-2.0 s and 42 MB.
+# The oracle's universe, the 3^d words of degree <= --max-degree, is held to it too:
+# `audit --max-degree 12`, 531,441 words, takes 1.8-2.0 s and 42 MB.
 AUDIT_MAX_WORDS = 10**6
 
 
@@ -87,24 +84,6 @@ def _check_audit_words(max_index: int, max_len: int = -1) -> None:
         if words > AUDIT_MAX_WORDS:
             count = f"{words:,}" if len(lengths) <= 65 else f"more than {letters}^64"
             raise ValueError(f"{what} would enumerate {count} words, over the limit of {AUDIT_MAX_WORDS:,}")
-
-
-def _check_suite_instances(args, suite, name: str) -> None:
-    """Refuse an identity suite that would check more than AUDIT_MAX_WORDS instances.
-
-    A row of arity a checks pop^a instances, where pop = C(L + 2I + 2, L) is
-    the number of canonical words of length <= L over indices <= I: an
-    h-block and an e-block, multisets over I + 1 indices each.
-    """
-    n, k = args.max_len + 2 * args.max_index + 2, min(args.max_len, 2 * args.max_index + 2)
-    # C(n, k) grows with k up to n / 2, so past k = 64 C(n, 64) is a lower bound, over the limit already
-    instances = sum(math.comb(n, min(k, 64)) ** arity for _, arity, _, _ in suite)
-    if instances > AUDIT_MAX_WORDS:
-        count = f"{instances:,}" if k <= 64 else "more than 10^37"  # C(n, k) >= C(130, 65) > 10^37
-        raise ValueError(
-            f"--max-len {args.max_len} --max-index {args.max_index}: the {name} would check {count} instances, "
-            f"over the limit of {AUDIT_MAX_WORDS:,}"
-        )
 
 
 def cmd_trace(args) -> int:
@@ -187,9 +166,7 @@ def _check_at_least(args, minimum: int, *flags: str) -> None:
 
 def cmd_axioms(args) -> int:
     from . import monoid
-    _check_at_least(args, 1, "--max-len", "--max-index")
-    _check_suite_instances(args, monoid._AXIOMS, "identity suite")
-    return _identity_records(args, monoid.check_axioms(args.max_len, args.max_index), "axiom")
+    return _identity_records(args, monoid.check_axioms(), "axiom")
 
 
 def cmd_ncheck(args) -> int:
@@ -202,9 +179,7 @@ def cmd_ncheck(args) -> int:
                             "witness": None if res.witness is None else str(res.witness)},
              [f"member: witness {res.witness}" if res.member else "not a member"])
         return 0
-    _check_at_least(args, 1, "--max-len", "--max-index")
-    _check_suite_instances(args, monoid._N_CLOSURE, "closure suite")
-    return _identity_records(args, monoid.check_N_closure(args.max_len, args.max_index), "submonoid")
+    return _identity_records(args, monoid.check_N_closure(), "submonoid")
 
 
 def _condition_line(c: monoid.ConditionResult) -> str:
@@ -372,14 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
 
-    p = add("axioms", cmd_axioms, "verify the defining identity suite within bounds")
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--max-index", type=int, default=3)
+    add("axioms", cmd_axioms, "verify the defining identity suite at fixed bounds")
 
     p = add("ncheck", cmd_ncheck, "submonoid closure checks, or membership of a word")
     p.add_argument("word", nargs="?", default=None)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--max-index", type=int, default=2)
 
     add("iso", cmd_iso, "evaluate the conditions equivalent to the adjunction being an iso")
 

@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple
 
 from .rewrite import INF, I, J, K, RuleCase, apply, forward_steps, instantiate, inverse_steps, match_rule, normalize
 from .rewrite import reduction_graph, redexes
-from .words import EPS, ETA, Word, _block_start, _heads, _words_by_degree, all_words, degree, letter, render, word_key
+from .words import EPS, ETA, Word, _block_start, _heads, _words_by_degree, all_words, alphabet, degree, render, word_key
 
 DISJOINT = "DISJOINT"
 EEE = "EEE"
@@ -109,8 +109,7 @@ def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
     """
     if max_index < 2:
         raise ValueError("max_index must be >= 2 to instantiate every subcase family")
-    letters = [letter(kind, n) for kind in (ETA, EPS) for n in range(max_index + 1)]
-    for parent in product(letters, repeat=3):
+    for parent in product(alphabet(max_index), repeat=3):
         if match_rule(*parent[:2]) is None or match_rule(*parent[1:]) is None:
             continue
         family = "".join(g.kind for g in parent).upper()
@@ -262,7 +261,7 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
     """
     if max_len < 1 or max_index < 1:
         raise ValueError("bounds must be >= 1")
-    letters = [w[0] for w in all_words(1, max_index) if w]
+    letters = alphabet(max_index)
     size, number = len(letters), {g: c for c, g in enumerate(letters)}
     table: list[tuple | None] = []  # at a L + b, for letters a b: (change of w per L^(n-2-p), want, drop)
     for (a, x), (b, y) in product(enumerate(letters), repeat=2):

@@ -170,14 +170,14 @@ def _check_suite(suite, max_len: int, max_index: int) -> IdentityReport:
     return IdentityReport(tuple(results))
 
 
-def check_axioms(max_len: int, max_index: int) -> IdentityReport:
+def check_axioms(max_len: int = 4, max_index: int = 3) -> IdentityReport:
     """Verify the defining identity suite over all elements within bounds,
     normalizing both sides of each instance.
     """
     return _check_suite(_AXIOMS, max_len, max_index)
 
 
-def check_N_closure(max_len: int, max_index: int) -> IdentityReport:
+def check_N_closure(max_len: int = 3, max_index: int = 2) -> IdentityReport:
     """Closure of the counit-shift submonoid under products, plus the
     recovery identity n = eps*f(n*eta) for each member n = eps*f(m).
     """

@@ -150,12 +150,14 @@ def render(w: Word) -> str:
 
 # --- enumeration ------------------------------------------------------------
 
+def alphabet(max_index: int) -> list[Generator]:
+    """The letters of index <= max_index in ``letter_key`` order: every eta, then every eps."""
+    return [letter(kind, n) for kind in (ETA, EPS) for n in range(max_index + 1)]
+
+
 def all_words(max_len: int, max_index: int):
     """Every word within the bounds, in (length, letterwise) order."""
-    letters = sorted(
-        (letter(kind, n) for kind in (ETA, EPS) for n in range(max_index + 1)),
-        key=letter_key,
-    )
+    letters = alphabet(max_index)
     for length in range(max_len + 1):
         yield from product(letters, repeat=length)
 

@@ -1,8 +1,6 @@
-import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -131,13 +129,6 @@ def test_unknown_verb_exit_2():
     assert exc.value.code == 2
 
 
-def test_axioms(capsys):
-    code, out, _ = run(capsys, "axioms", "--max-len", "2", "--max-index", "2")
-    assert code == 0
-    assert "eps*eta=1  PASS (1 instances)" in out
-    assert "FAIL" not in out
-
-
 def test_axioms_golden(capsys):
     code, out, _ = run(capsys, "axioms")
     assert code == 0
@@ -191,10 +182,10 @@ def test_identity_failure_lines(capsys, monkeypatch, verb, word, line):
     # normalize answers h7 for the one side word of the instance that is to fail
     real, bad = monoid.normalize, parse(word)
     monkeypatch.setattr(monoid, "normalize", lambda w: parse("h7") if w == bad else real(w))
-    code, out, _ = run(capsys, verb, "--max-len", "2", "--max-index", "2")
+    code, out, _ = run(capsys, verb)
     assert code == 1
     assert [text for text in out.splitlines() if "FAIL" in text] == [line]
-    code, out, _ = run(capsys, verb, "--max-len", "2", "--max-index", "2", "--json")
+    code, out, _ = run(capsys, verb, "--json")
     assert code == 1
     failed = [r["counterexample"] for r in map(json.loads, out.splitlines()) if not r["pass"]]
     at = line.split(" FAIL at ")[1].split(": ")[0] if " FAIL at " in line else None  # a ground identity has none
@@ -228,7 +219,7 @@ def test_audit_failure_rows(capsys, monkeypatch):
 
 
 def test_ncheck_closure_and_membership(capsys):
-    code, out, _ = run(capsys, "ncheck", "--max-len", "2", "--max-index", "2")
+    code, out, _ = run(capsys, "ncheck")
     assert code == 0
     assert "n=eps*f(n*eta)  PASS" in out
     code, out, _ = run(capsys, "ncheck", "1")
@@ -379,16 +370,21 @@ REMOVED_FLAGS = {
     ("audit", "--oracle-index"): confluence.ORACLE_MAX_INDEX,
     ("audit", "--disjoint-samples"): confluence.DISJOINT_SAMPLES,
     ("answer", "--max-index"): 6,  # the overlap index bound of `adjmon answer`'s certificate
+    ("axioms", "--max-len"): 4,  # the suites' bounds, the defaults of check_axioms and check_N_closure
+    ("axioms", "--max-index"): 3,
+    ("ncheck", "--max-len"): 3,
+    ("ncheck", "--max-index"): 2,
 }
 
 
 def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
-    """Run argv, which must exit 2 with no output and before any audit; return its stderr."""
+    """Run argv, which must exit 2 with no output and before any audit or suite; return its stderr."""
     def never(*args):
-        raise AssertionError("an audit ran before its arguments were checked")
+        raise AssertionError("an audit or suite ran before its arguments were checked")
 
     monkeypatch.setattr(confluence, "audit_termination", never)
     monkeypatch.setattr(confluence, "audit_local_confluence", never)
+    monkeypatch.setattr(monoid, "_check_suite", never)
     try:
         code = main(list(argv))
     except SystemExit as exc:  # refused by the argument parser
@@ -400,6 +396,15 @@ def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
 
 def parser_refusal(flag: str, value: str) -> str:
     return f"adjmon: error: unrecognized arguments: {flag} {value}\n"
+
+
+def refused_flags(err: str) -> list[str]:
+    """The flags named in the parser's refusal, the last line of err.  Only
+    the flags: ``ncheck`` with no word takes the first value for its word.
+    """
+    head, _, refused = err.splitlines()[-1].partition("unrecognized arguments: ")
+    assert head == "adjmon: error: "
+    return [a for a in refused.split() if a.startswith("--")]
 
 
 def test_audit_empty_oracle_population_exit_2(capsys, monkeypatch):
@@ -441,14 +446,17 @@ def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
         ("audit", "--oracle-index", "1"),
         ("audit", "--disjoint-samples", "0"),
         ("answer", "--max-index", "6"),
+        ("axioms", "--max-len", "4"),
+        ("ncheck", "h0 e0", "--max-index", "2"),
         ("audit", "--oracle-len", "0"),
         ("answer", "--max-index", "50"),
+        ("ncheck", "h0 e0", "--max-len", "0"),  # with a word, ncheck takes no suite bound either
     ],
     ids=" ".join,
 )
 def test_removed_flag_refused_before_any_audit(capsys, monkeypatch, argv):
     err = refused_before_any_audit(capsys, monkeypatch, *argv)
-    assert err.endswith(parser_refusal(argv[1], argv[2]))
+    assert err.endswith(parser_refusal(*argv[-2:]))
 
 
 @pytest.mark.parametrize(
@@ -463,14 +471,12 @@ def test_removed_flag_refused_before_any_audit(capsys, monkeypatch, argv):
     ids=" ".join,
 )
 def test_bound_below_1_refused_naming_its_flag(capsys, monkeypatch, argv):
-    def never(*args):
-        raise AssertionError("a check ran before its bounds were checked")
-
-    monkeypatch.setattr(confluence, "audit_termination", never)
-    monkeypatch.setattr(confluence, "audit_local_confluence", never)
-    monkeypatch.setattr(monoid, "_check_suite", never)
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", f"adjmon: {argv[1]} {argv[2]}: the bound must be >= 1\n")
+    err = refused_before_any_audit(capsys, monkeypatch, *argv)
+    if argv[:2] in REMOVED_FLAGS:  # the suites' bounds are fixed: the parser refuses the flag
+        assert REMOVED_FLAGS[argv[:2]] >= 1
+        assert refused_flags(err) == [argv[1]]
+    else:
+        assert err == f"adjmon: {argv[1]} {argv[2]}: the bound must be >= 1\n"
 
 
 @pytest.mark.parametrize(
@@ -525,26 +531,9 @@ def test_audit_word_limit(capsys):
     ],
 )
 def test_suite_instance_limit(capsys, monkeypatch, argv, count):
-    def never(*args):
-        raise AssertionError("a suite ran before its size was checked")
-
-    monkeypatch.setattr(monoid, "_check_suite", never)
-    verb, _, max_len, _, max_index = argv.split()
-    suite = "identity" if verb == "axioms" else "closure"
-    assert run(capsys, *argv.split()) == (
-        2,
-        "",
-        f"adjmon: --max-len {max_len} --max-index {max_index}: the {suite} suite would check {count} instances, "
-        "over the limit of 1,000,000\n",
-    )
-
-
-def test_suite_instance_count_is_the_population_formula():
-    # C(L + 2I + 2, L) canonical words of length <= L over indices <= I
-    for max_len, max_index in ((3, 2), (4, 3), (5, 4)):
-        assert len(monoid.elements(max_len, max_index)) == math.comb(max_len + 2 * max_index + 2, max_len)
-    # ncheck at (4, 3) checks 495^2 + 495 = 245,520 instances, within the limit
-    cli._check_suite_instances(argparse.Namespace(max_len=4, max_index=3), monoid._N_CLOSURE, "closure suite")
+    # each run would check `count` instances: the parser refuses it before any suite runs
+    err = refused_before_any_audit(capsys, monkeypatch, *argv.split())
+    assert refused_flags(err) == ["--max-len", "--max-index"], count
 
 
 def test_audit(capsys):
@@ -761,7 +750,7 @@ def _loaded_by_main(*argv):
         (["f", "h0"], ["adjmon.monoid"]),
         (["iso"], ["adjmon.monoid"]),
         (["ncheck", "h0 e0"], ["adjmon.monoid"]),
-        (["axioms", "--max-len", "1", "--max-index", "1"], ["adjmon.monoid"]),
+        (["axioms"], ["adjmon.monoid"]),
         (["audit", "--max-index", "2", "--skip-oracle", "--skip-termination"], ["adjmon.confluence"]),
         (["oracle", "h0 e0", "1", "--max-degree", "2"], ["adjmon.confluence"]),
         (["answer"], ["adjmon.confluence", "adjmon.monoid"]),

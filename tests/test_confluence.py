@@ -296,6 +296,8 @@ def test_audit_local_confluence_low_bound_reports_missing():
         ("EHH", "k<i<j-1"),
         ("EHH", "k>i+1"),
     }
+    with pytest.raises(KeyError):  # a subcase with no instance has no row
+        report.row("EEH", "k>j+1")
 
 
 # --- termination --------------------------------------------------------------
@@ -306,6 +308,9 @@ def test_audit_termination():
     assert report.words_checked == 259
     assert not report.bad_steps
     assert report.longest_chain <= 9
+    for bounds in ((0, 2), (3, 0)):
+        with pytest.raises(ValueError, match="bounds must be >= 1"):
+            audit_termination(*bounds)
 
 
 def test_termination_chain_examples():

@@ -1,3 +1,4 @@
+import math
 from functools import lru_cache
 from itertools import product
 
@@ -125,6 +126,13 @@ def test_check_axioms_specific_instances():
 def test_check_axioms_rejects_bad_bounds():
     with pytest.raises(ValueError):
         check_axioms(0, 3)
+
+
+def test_element_count_is_the_population_formula():
+    # C(L + 2I + 2, L) canonical words of length <= L over indices <= I:
+    # an h-block and an e-block, multisets over I + 1 indices each
+    for max_len, max_index in ((3, 2), (4, 3), (5, 4)):
+        assert len(elements(max_len, max_index)) == math.comb(max_len + 2 * max_index + 2, max_len)
 
 
 E0, H0 = parse("e0"), parse("h0")
