@@ -33,7 +33,7 @@ from itertools import chain, combinations, combinations_with_replacement, islice
 from typing import Iterator, NamedTuple
 
 from .rewrite import INF, I, J, K, RuleCase, apply, forward_steps, instantiate, inverse_steps, match_rule, normalize
-from .rewrite import reduction_graph, redexes
+from .rewrite import collector_paused, reduction_graph, redexes
 from .words import EPS, ETA, Word, _block_start, _heads, _words_by_degree, all_words, alphabet, degree, render, word_key
 
 DISJOINT = "DISJOINT"
@@ -314,12 +314,15 @@ class OracleVerdict(NamedTuple):
     explored: int
 
 
+@collector_paused
 def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
     """Are u and v connected by rewrite steps taken in either direction,
     never passing through a word of degree beyond max_degree?
 
     Works on raw words, without canonical forms or any confluence
-    assumption.
+    assumption.  Runs with the collector paused (``collector_paused``):
+    the words it keeps, in ``seen`` and the frontier, hold no reference
+    cycle.
     """
     if degree(u) > max_degree or degree(v) > max_degree:
         raise ValueError("input degree exceeds the oracle bound")
@@ -341,10 +344,13 @@ def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
     return OracleVerdict(False, len(seen))
 
 
+@collector_paused
 def connected_components(max_degree: int) -> dict[Word, int]:
     """Component id of every word of degree <= max_degree under the
     undirected step relation, restricted to that universe: the labels of
-    ``_component_labels``, keyed by the words they number.
+    ``_component_labels``, keyed by the words they number.  Runs with the
+    collector paused (``collector_paused``): the words and the dict hold no
+    reference cycle.
     """
     labels = _component_labels(max_degree)
     return {w: c for level, ids in zip(_words_by_degree(max_degree), labels) for w, c in zip(level, ids)}
@@ -413,6 +419,7 @@ class CrossCheckReport(NamedTuple):
         return not self.discrepancies
 
 
+@collector_paused
 def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCheckReport:
     """Against every word pair within bounds: the bounded bidirectional
     closure must agree with canonical-form equality.  The closure is read
@@ -428,7 +435,9 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
     the map from component to canonical form is well defined and injective.
     A word that breaks either adds one discrepancy, paired with the first
     word of its component or of its canonical form.  The sample is every
-    stride-th pair.
+    stride-th pair.  Runs with the collector paused (``collector_paused``),
+    as do the searches it calls: the labels, the population and the
+    searches' words hold no reference cycle.
     """
     if max_len < 1 or max_index < 0:
         raise ValueError("the oracle population needs max_len >= 1 and max_index >= 0")

@@ -28,12 +28,38 @@ is the one leftmost-reduction loop; ``adjmon trace`` streams its steps.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterator, NamedTuple
 
 from .words import EPS, ETA, Generator, Word, degree, letter, letter_key
+
+
+def collector_paused(fn):
+    """Run fn with the cyclic garbage collector disabled, for the bulk
+    builders of words.  A word holds ``Generator``s, a tuple subclass the
+    collector never untracks, so while a large structure of words is
+    built, each older-generation collection walks all the words built so
+    far again, and frees nothing: the words form no reference cycle.  The
+    collector is enabled again on return or raise only if it was enabled
+    on entry, so nested calls and a caller's own ``gc.disable()`` hold.
+    The pause is process-wide: cycles that a concurrent thread makes
+    meanwhile wait for a collection until the call ends.
+    """
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class RuleCase(str, Enum):
@@ -119,6 +145,7 @@ def left_sides(x: Generator, y: Generator) -> tuple[Word, ...]:
 
 # The left-hand sides that vanish, (e0 h0,): each row's guard pins i, and j - i.
 VANISHING = tuple((letter(a, i), letter(b, i + d)) for _, (a, b), (d, _), (i, _), rhs in RULES if not rhs)
+_VANISHING_DEGREES = tuple((lhs, degree(lhs)) for lhs in VANISHING)
 
 
 def inverse_steps(w: Word, max_degree: int) -> list[Word]:
@@ -132,8 +159,8 @@ def inverse_steps(w: Word, max_degree: int) -> list[Word]:
     if d + 1 <= max_degree:
         for p in range(len(w) - 1):
             parents.extend(w[:p] + lhs + w[p + 2 :] for lhs in left_sides(w[p], w[p + 1]))
-    for lhs in VANISHING:
-        if d + degree(lhs) <= max_degree:
+    for lhs, added in _VANISHING_DEGREES:
+        if d + added <= max_degree:
             parents.extend(w[:p] + lhs + w[p:] for p in range(len(w) + 1))
     return parents
 
@@ -298,9 +325,12 @@ def _leftmost_moves(letters: list) -> Iterator[tuple[int, RuleInstance]]:
             p -= 1
 
 
+@collector_paused
 def normalize_trace(w: Word) -> Trace:
     """Reduce the leftmost redex until none remains, recording the position
     and rule of every step; ``end`` is the word the rewriting leaves.
+    Runs with the collector paused (``collector_paused``): the moves hold
+    no reference cycle.
     """
     letters = list(w)
     moves = tuple(_leftmost_moves(letters))

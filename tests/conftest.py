@@ -1,3 +1,6 @@
+import gc
+
+import pytest
 from hypothesis import strategies as st
 
 from adjmon.words import EPS, ETA, Generator
@@ -9,3 +12,11 @@ def letters(max_index: int = 5):
 
 def small_words(max_len: int = 6, max_index: int = 5):
     return st.lists(letters(max_index), max_size=max_len).map(tuple)
+
+
+@pytest.fixture
+def collector_on():
+    """The cyclic garbage collector enabled for the test, and again after it, whatever the test left."""
+    gc.enable()
+    yield
+    gc.enable()

@@ -1,3 +1,4 @@
+import gc
 import subprocess
 import sys
 
@@ -677,3 +678,76 @@ def test_components_hold_no_words_after_return():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 2**20  # bytes still held; 3^10 words take about 6 MB
+
+
+# --- the collector pause ------------------------------------------------------
+
+# Each paused builder, called at a small bound, with a function it calls through confluence's namespace.
+PAUSED = {
+    "connected_components": (lambda: connected_components(4), "_component_labels"),
+    "cross_check_oracle": (lambda: cross_check_oracle(2, 1, 6), "normalize"),
+    "equivalent_bounded": (lambda: equivalent_bounded(parse("h0 e0"), (), 6), "forward_steps"),
+}
+
+
+def _spy(monkeypatch, name, fail=False):
+    """Record whether the collector is enabled at each call of confluence.<name>, and optionally raise there."""
+    real, seen = getattr(confluence, name), []
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        if fail:
+            raise RuntimeError(name)
+        return real(*args)
+
+    monkeypatch.setattr(confluence, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", PAUSED)
+def test_paused_builders_run_with_the_collector_off(name, monkeypatch, collector_on):
+    call, inner = PAUSED[name]
+    seen = _spy(monkeypatch, inner)
+    call()
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", PAUSED)
+def test_paused_builders_restore_the_collector_on_raise(name, monkeypatch, collector_on):
+    call, inner = PAUSED[name]
+    _spy(monkeypatch, inner, fail=True)
+    with pytest.raises(RuntimeError):
+        call()
+    assert gc.isenabled()
+
+
+def test_paused_builders_restore_the_collector_after_a_refused_bound(collector_on):
+    with pytest.raises(ValueError):
+        cross_check_oracle(0, 0, 9)
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        equivalent_bounded(parse("h9"), (), 9)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", PAUSED)
+def test_paused_builders_leave_a_disabled_collector_disabled(name, collector_on):
+    gc.disable()
+    PAUSED[name][0]()
+    assert not gc.isenabled()
+
+
+def test_nested_paused_calls_leave_the_collector_enabled(monkeypatch, collector_on):
+    # each spot search is paused itself, inside cross_check_oracle's pause
+    real, after = confluence.equivalent_bounded, []
+
+    def search(*args):
+        verdict = real(*args)
+        after.append(gc.isenabled())
+        return verdict
+
+    monkeypatch.setattr(confluence, "equivalent_bounded", search)
+    assert cross_check_oracle(2, 1, 6).passed
+    assert after and not any(after)
+    assert gc.isenabled()

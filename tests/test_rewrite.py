@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from adjmon import rewrite
 from adjmon.confluence import all_words
 from adjmon.rewrite import (
     I,
@@ -177,6 +179,24 @@ def test_rule_table_states_the_degree_facts_inverse_steps_rests_on():
     assert all(degree(lhs) == 2 for lhs in VANISHING)
     assert VANISHING == (parse("e0 h0"),)
     assert inverse_steps((), 2) == [parse("e0 h0")] and inverse_steps((), 1) == []
+
+
+def test_inverse_steps_order():
+    # replaced factors left to right, each in left_sides order, then each vanishing side at every position
+    def reference(w, max_degree):
+        d, parents = degree(w), []
+        if d + 1 <= max_degree:
+            for p in range(len(w) - 1):
+                parents.extend(w[:p] + lhs + w[p + 2 :] for lhs in left_sides(w[p], w[p + 1]))
+        for lhs in VANISHING:
+            if d + degree(lhs) <= max_degree:
+                parents.extend(w[:p] + lhs + w[p:] for p in range(len(w) + 1))
+        return parents
+
+    for level in _words_by_degree(6):
+        for w in level:
+            for bound in range(degree(w), degree(w) + 3):
+                assert inverse_steps(w, bound) == reference(w, bound)
 
 
 @given(letters(BIG), letters(BIG))
@@ -436,3 +456,30 @@ def test_graph_deduplicates_nodes():
     g = reduction_graph(w)
     assert g.successors[w] == (parse("e0 h0"),)
     assert g.sinks == {()}
+
+
+# --- the collector pause ------------------------------------------------------
+
+def test_normalize_trace_pauses_the_collector(monkeypatch, collector_on):
+    real, seen = rewrite._leftmost_moves, []
+
+    def moves(letters):
+        seen.append(gc.isenabled())
+        return real(letters)
+
+    monkeypatch.setattr(rewrite, "_leftmost_moves", moves)
+    assert normalize_trace(parse("e1 h1")).end == ()
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_normalize_trace_restores_the_collector_on_raise(collector_on):
+    with pytest.raises(TypeError):
+        normalize_trace(None)
+    assert gc.isenabled()
+
+
+def test_normalize_trace_leaves_a_disabled_collector_disabled(collector_on):
+    gc.disable()
+    assert normalize_trace(parse("e1 h1")).end == ()
+    assert not gc.isenabled()
