@@ -64,7 +64,7 @@ TRACE_BUDGET = 10**7
 # 2-CPU Intel Xeon: termination at (5, 6), 579,195 words, takes 1.6 s and 57 MB,
 # at (6, 4), 1,111,111 words, 2.3 s and 93 MB; the overlaps at 100^3 words 14-15 s and 17 MB.
 # The oracle's universe, the 3^d words of degree <= --max-degree, is held to it too:
-# `audit --max-degree 12`, 531,441 words, takes 1.6-2.2 s (median 1.9 s) and 42 MB,
+# `audit --max-degree 12`, 531,441 words, takes 1.4-1.9 s (median 1.6 s) and 42 MB,
 # its oracle run with the cyclic garbage collector paused.
 AUDIT_MAX_WORDS = 10**6
 

@@ -45,6 +45,10 @@ def collector_paused(fn):
     far again, and frees nothing: the words form no reference cycle.  The
     collector is enabled again on return or raise only if it was enabled
     on entry, so nested calls and a caller's own ``gc.disable()`` hold.
+    The call then collects the two younger generations itself, one pass
+    over what it left allocated, which moves its words to the oldest
+    generation: that pass is owed either way, and made here its cost
+    stays with the call instead of falling on whatever allocates next.
     The pause is process-wide: cycles that a concurrent thread makes
     meanwhile wait for a collection until the call ends.
     """
@@ -58,6 +62,7 @@ def collector_paused(fn):
         finally:
             if enabled:
                 gc.enable()
+                gc.collect(1)
 
     return paused
 

@@ -20,3 +20,17 @@ def collector_on():
     gc.enable()
     yield
     gc.enable()
+
+
+@pytest.fixture
+def collections():
+    """The generation of every garbage collection that starts while the test runs, in order."""
+    seen = []
+
+    def record(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.callbacks.append(record)
+    yield seen
+    gc.callbacks.remove(record)

@@ -738,6 +738,20 @@ def test_paused_builders_leave_a_disabled_collector_disabled(name, collector_on)
     assert not gc.isenabled()
 
 
+@pytest.mark.parametrize("name", PAUSED)
+def test_paused_builders_end_with_one_collection_of_the_younger_generations(name, collector_on, collections):
+    # cross_check_oracle's nested spot searches run none of their own
+    PAUSED[name][0]()
+    assert collections == [1]
+
+
+@pytest.mark.parametrize("name", PAUSED)
+def test_paused_builders_collect_nothing_under_a_disabled_collector(name, collector_on, collections):
+    gc.disable()
+    PAUSED[name][0]()
+    assert collections == []
+
+
 def test_nested_paused_calls_leave_the_collector_enabled(monkeypatch, collector_on):
     # each spot search is paused itself, inside cross_check_oracle's pause
     real, after = confluence.equivalent_bounded, []

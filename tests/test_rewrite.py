@@ -483,3 +483,11 @@ def test_normalize_trace_leaves_a_disabled_collector_disabled(collector_on):
     gc.disable()
     assert normalize_trace(parse("e1 h1")).end == ()
     assert not gc.isenabled()
+
+
+def test_normalize_trace_ends_with_one_collection_of_the_younger_generations(collector_on, collections):
+    assert normalize_trace(parse("e1 h1")).end == ()
+    assert collections == [1]
+    gc.disable()
+    assert normalize_trace(parse("e1 h1")).end == ()
+    assert collections == [1]
