@@ -222,7 +222,7 @@ def cmd_audit(args) -> int:
     if not args.skip_oracle:
         _check_oracle_degree(args.max_degree)
         _check_at_least(args, oracle_len * (oracle_index + 1), "--max-degree")  # the population's greatest degree
-    _check_at_least(args, 2, "--max-index")  # indices up to 2 instantiate every overlap family
+    _check_at_least(args, confluence.MIN_OVERLAP_INDEX, "--max-index")
     if not args.skip_termination:
         _check_at_least(args, 1, "--max-len")
     _check_audit_words(args.max_index, -1 if args.skip_termination else args.max_len)

@@ -20,11 +20,11 @@ the audit checks both and records which one joins.
 are the three-letter words in which ``match_rule`` finds two redexes,
 and the oracle's one-step predecessors are ``rewrite.inverse_steps``.
 Each family's case analysis is one ordered table of data in ``_CASES``,
-a row per subcase holding its guard, bounds on the difference of two
-parent indices, and its closed form, a ``rewrite.RULES`` template; the
-subcase names, the classification of parents, each critical pair's
-closed form ``expected`` and the subcases not instantiated are all read
-from it.
+in the format of ``rewrite.RULES`` over the parent indices I, J, K: a row
+per subcase, the first whose guard holds (``rewrite.first_row``), holding
+its closed form; a family's last row has the empty guard.  The subcase
+names, the classification of parents, each critical pair's closed form
+``expected`` and the subcases not instantiated are all read from it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from itertools import chain, combinations, combinations_with_replacement, islice
 from typing import Iterator, NamedTuple
 
 from .rewrite import INF, I, J, K, RuleCase, apply, forward_steps, instantiate, inverse_steps, match_rule, normalize
-from .rewrite import collector_paused, reduction_graph, redexes
+from .rewrite import collector_paused, first_row, reduction_graph, redexes
 from .words import EPS, ETA, Word, _block_start, _heads, _words_by_degree, all_words, alphabet, degree, render, word_key
 
 DISJOINT = "DISJOINT"
@@ -45,33 +45,30 @@ EHH = "EHH"
 DISJOINT_SAMPLES = 32  # the disjoint-redex parents that audit_local_confluence samples
 # the population that `adjmon audit` cross-checks the oracle on: words of length <= 3, indices <= 2
 ORACLE_MAX_LEN, ORACLE_MAX_INDEX = 3, 2
+MIN_OVERLAP_INDEX = 2  # the least max_index at which every overlap family has a parent (all subcases: 3)
 
-ALWAYS = (I, J, -INF, INF)  # the guard of a family's last row
-# Each overlap family's case analysis, as an ordered table of rows
-# (subcase, guard, closed form) over the parent indices I, J, K: the first
-# row whose guard (u, v, lo, hi) holds, lo <= index u - index v <= hi, names
-# the subcase, and its closed form, a template in the format of
-# ``rewrite.RULES``, is the known common reduct.  EEE and HHH are not split.
+# Each overlap family's subcases, (subcase, guard, closed form) rows over the
+# parent indices; the closed form is the known common reduct.  EEE and HHH are not split.
 _CASES = {
-    EEE: ((None, ALWAYS, ((EPS, K, -2), (EPS, J, -1), (EPS, I, 0))),),
-    HHH: ((None, ALWAYS, ((ETA, K, 0), (ETA, J, -1), (ETA, I, -2))),),
+    EEE: ((None, (), ((EPS, K, -2), (EPS, J, -1), (EPS, I, 0))),),
+    HHH: ((None, (), ((ETA, K, 0), (ETA, J, -1), (ETA, I, -2))),),
     EEH: (
-        ("k>j+1", (K, J, 2, INF), ((ETA, K, -2), (EPS, J, -1), (EPS, I, 0))),
-        ("k=j+1", (K, J, 1, 1), ((EPS, I, 0),)),
-        ("k=j", (K, J, 0, 0), ((EPS, I, 0),)),
-        ("i+1<k<j", (K, I, 2, INF), ((ETA, K, -1), (EPS, J, -2), (EPS, I, 0))),
-        ("k=i+1<j", (K, I, 1, 1), ((EPS, J, -1),)),
-        ("k=i", (K, I, 0, 0), ((EPS, J, -1),)),
-        ("k<i", ALWAYS, ((ETA, K, 0), (EPS, J, -2), (EPS, I, -1))),
+        ("k>j+1", ((K, J, 2, INF),), ((ETA, K, -2), (EPS, J, -1), (EPS, I, 0))),
+        ("k=j+1", ((K, J, 1, 1),), ((EPS, I, 0),)),
+        ("k=j", ((K, J, 0, 0),), ((EPS, I, 0),)),
+        ("i+1<k<j", ((K, I, 2, INF),), ((ETA, K, -1), (EPS, J, -2), (EPS, I, 0))),
+        ("k=i+1<j", ((K, I, 1, 1),), ((EPS, J, -1),)),
+        ("k=i", ((K, I, 0, 0),), ((EPS, J, -1),)),
+        ("k<i", (), ((ETA, K, 0), (EPS, J, -2), (EPS, I, -1))),
     ),
     EHH: (
-        ("i>j", (I, J, 1, INF), ((ETA, K, 0), (ETA, J, -1), (EPS, I, -2))),
-        ("i=j", (I, J, 0, 0), ((ETA, K, 0),)),
-        ("i=j-1", (I, J, -1, -1), ((ETA, K, 0),)),
-        ("k<i<j-1", (I, K, 1, INF), ((ETA, K, 0), (ETA, J, -2), (EPS, I, -1))),
-        ("k=i<j-1", (I, K, 0, 0), ((ETA, J, -1),)),
-        ("k=i+1", (K, I, 1, 1), ((ETA, J, -1),)),
-        ("k>i+1", ALWAYS, ((ETA, K, -1), (ETA, J, -2), (EPS, I, 0))),
+        ("i>j", ((I, J, 1, INF),), ((ETA, K, 0), (ETA, J, -1), (EPS, I, -2))),
+        ("i=j", ((I, J, 0, 0),), ((ETA, K, 0),)),
+        ("i=j-1", ((I, J, -1, -1),), ((ETA, K, 0),)),
+        ("k<i<j-1", ((I, K, 1, INF),), ((ETA, K, 0), (ETA, J, -2), (EPS, I, -1))),
+        ("k=i<j-1", ((I, K, 0, 0),), ((ETA, J, -1),)),
+        ("k=i+1", ((K, I, 1, 1),), ((ETA, J, -1),)),
+        ("k>i+1", (), ((ETA, K, -1), (ETA, J, -2), (EPS, I, 0))),
     ),
 }
 _ALTERNATIVE = {(EHH, "k>i+1"): ((EPS, K, 0), (ETA, J, -2), (ETA, I, -1))}  # the other printed closed form
@@ -86,17 +83,9 @@ class CriticalPair(NamedTuple):
     expected: Word  # the closed-form common reduct that the audit checks
 
 
-def _case(family: str, indices: tuple[int, ...]) -> tuple:
-    """The first row of ``_CASES[family]`` whose guard holds at the indices."""
-    for row in _CASES[family]:
-        u, v, lo, hi = row[1]
-        if lo <= indices[u] - indices[v] <= hi:
-            return row
-
-
 def subcase(family: str, i: int, j: int, k: int) -> str | None:
     """The subcase of an overlap parent of the family with indices i, j, k."""
-    return _case(family, (i, j, k))[0]
+    return first_row(_CASES[family], (i, j, k))[0]
 
 
 def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
@@ -107,8 +96,8 @@ def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
     The parents come from a blind scan of all three-letter words with
     ``match_rule``; an overlap outside the four families is a hard error.
     """
-    if max_index < 2:
-        raise ValueError("max_index must be >= 2 to instantiate every subcase family")
+    if max_index < MIN_OVERLAP_INDEX:
+        raise ValueError(f"max_index must be >= {MIN_OVERLAP_INDEX} to instantiate every overlap family")
     for parent in product(alphabet(max_index), repeat=3):
         if match_rule(*parent[:2]) is None or match_rule(*parent[1:]) is None:
             continue
@@ -116,7 +105,7 @@ def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
         if family not in _CASES:
             raise AssertionError(f"overlap outside the four families at {render(parent)}")
         indices = tuple(g.index for g in parent)
-        name, _, form = _case(family, indices)
+        name, _, form = first_row(_CASES[family], indices)
         yield CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, name, instantiate(form, indices))
 
 

@@ -1,15 +1,19 @@
 """The rewrite relation on words: redexes, steps, traces, normal forms.
 
 Every redex is a two-letter factor.  The seven rule cases are the rows
-of ``RULES``, each a guard on the indices i, j of a factor and a template
-right-hand side: letters (kind, I or J, c) of index i + c or j + c, built
-by ``instantiate``, which ``confluence._CASES`` shares.  The guards are
-disjoint, so each factor matches at most one rule.  Every step lowers
-``degree`` by exactly 1 (EpsEta_Zero: by 2), which bounds all reduction
-sequences.  A word is normal iff it is an eta block with non-decreasing
-indices followed by an eps block with non-increasing indices.
+of ``RULES``, keyed by the kinds of a factor: each a guard on its indices
+i, j and a template right-hand side, letters (kind, I or J, c) of index
+i + c or j + c, built by ``instantiate``.  ``confluence._CASES`` has the
+same format.  A guard is a tuple of bounds (u, v, lo, hi), each meaning
+lo <= index u - index v <= hi, where v may be the zero slot O, read as 0;
+``first_row``, the one reader of guards, picks a table's first row whose
+guard holds.  The guards of ``RULES`` are disjoint, so each factor
+matches at most one rule.  Every step lowers ``degree`` by exactly 1
+(EpsEta_Zero: by 2), which bounds all reduction sequences.  A word is
+normal iff it is an eta block with non-decreasing indices followed by an
+eps block with non-increasing indices.
 
-``match_rule`` walks ``RULES``, and ``left_sides`` inverts them, solving
+``match_rule`` reads ``RULES``, and ``left_sides`` inverts it, solving
 each row's right-hand side for (i, j).  Both are memoized per letter
 pair and keep at most ``MATCH_RULE_CACHE_SIZE`` pairs, so words with many
 distinct huge indices do not grow them without bound; every caller of
@@ -70,10 +74,10 @@ def collector_paused(fn):
 class RuleCase(str, Enum):
     EPS_EPS = "EpsEps"
     ETA_ETA = "EtaEta"
-    EPS_ETA_FAR = "EpsEta_JGtIPlus1"
     EPS_ETA_PAST = "EpsEta_IGtJ"
     EPS_ETA_EQUAL = "EpsEta_IEqJPos"
     EPS_ETA_NEXT = "EpsEta_JEqIPlus1"
+    EPS_ETA_FAR = "EpsEta_JGtIPlus1"
     EPS_ETA_ZERO = "EpsEta_Zero"
 
     def __str__(self) -> str:  # tag as it appears in traces and reports
@@ -92,22 +96,29 @@ class RuleInstance(NamedTuple):
 MATCH_RULE_CACHE_SIZE = 4096
 
 INF = float("inf")
-ANY = (-INF, INF)
-I, J, K = 0, 1, 2  # a template letter's index reads the first, second or third of the given indices
+I, J, K, O = 0, 1, 2, -1  # slots: the first, second or third of the given indices, and O, the zero slot
 
-# The seven rules, a row each, for a factor x y with indices i and j:
-# (case, (x.kind, y.kind), bounds on j - i, bounds on i, right-hand side),
-# the right-hand side a template over (i, j).  The guards are disjoint, so
-# the order of the rows does not matter.
-RULES = (
-    (RuleCase.EPS_EPS, (EPS, EPS), (1, INF), ANY, ((EPS, J, -1), (EPS, I, 0))),  # e_i e_j -> e_{j-1} e_i (j > i)
-    (RuleCase.ETA_ETA, (ETA, ETA), (-INF, -1), ANY, ((ETA, J, 0), (ETA, I, -1))),  # h_i h_j -> h_j h_{i-1} (i > j)
-    (RuleCase.EPS_ETA_FAR, (EPS, ETA), (2, INF), ANY, ((ETA, J, -1), (EPS, I, 0))),  # e_i h_j -> h_{j-1} e_i (j > i+1)
-    (RuleCase.EPS_ETA_PAST, (EPS, ETA), (-INF, -1), ANY, ((ETA, J, 0), (EPS, I, -1))),  # e_i h_j -> h_j e_{i-1} (i > j)
-    (RuleCase.EPS_ETA_EQUAL, (EPS, ETA), (0, 0), (1, INF), ((EPS, I, -1), (ETA, J, 0))),  # e_i h_i -> e_{i-1} h_i (i > 0)
-    (RuleCase.EPS_ETA_NEXT, (EPS, ETA), (1, 1), ANY, ((EPS, I, 0), (ETA, J, -1))),  # e_i h_{i+1} -> e_i h_i
-    (RuleCase.EPS_ETA_ZERO, (EPS, ETA), (0, 0), (0, 0), ()),  # e_0 h_0 -> 1
-)
+# The seven rules, for a factor x y with indices i and j: rows (case, guard,
+# right-hand side) keyed by (x.kind, y.kind), the right-hand side a template
+# over (i, j).  The guards are disjoint, so the order of a pattern's rows
+# does not matter; they go by ascending j - i, the vanishing rule last.
+RULES = {
+    (EPS, EPS): ((RuleCase.EPS_EPS, ((J, I, 1, INF),), ((EPS, J, -1), (EPS, I, 0))),),  # e_i e_j -> e_{j-1} e_i (j > i)
+    (ETA, ETA): ((RuleCase.ETA_ETA, ((J, I, -INF, -1),), ((ETA, J, 0), (ETA, I, -1))),),  # h_i h_j -> h_j h_{i-1} (i > j)
+    (EPS, ETA): (
+        (RuleCase.EPS_ETA_PAST, ((J, I, -INF, -1),), ((ETA, J, 0), (EPS, I, -1))),  # e_i h_j -> h_j e_{i-1} (i > j)
+        (RuleCase.EPS_ETA_EQUAL, ((J, I, 0, 0), (I, O, 1, INF)), ((EPS, I, -1), (ETA, J, 0))),  # e_i h_i -> e_{i-1} h_i (i > 0)
+        (RuleCase.EPS_ETA_NEXT, ((J, I, 1, 1),), ((EPS, I, 0), (ETA, J, -1))),  # e_i h_{i+1} -> e_i h_i
+        (RuleCase.EPS_ETA_FAR, ((J, I, 2, INF),), ((ETA, J, -1), (EPS, I, 0))),  # e_i h_j -> h_{j-1} e_i (j > i+1)
+        (RuleCase.EPS_ETA_ZERO, ((I, O, 0, 0), (J, O, 0, 0)), ()),  # e_0 h_0 -> 1
+    ),
+}
+
+
+def first_row(rows: tuple, indices: tuple[int, ...]) -> tuple | None:
+    """The first of the rows (name, guard, template) whose guard holds at the indices, if any."""
+    at = (*indices, 0)  # slot O, the last, reads 0
+    return next((row for row in rows if all(lo <= at[u] - at[v] <= hi for u, v, lo, hi in row[1])), None)
 
 
 def instantiate(template: tuple, indices: tuple[int, ...]) -> Word | None:
@@ -123,11 +134,9 @@ def match_rule(x: Generator, y: Generator) -> RuleInstance | None:
     Memoized: equal letter pairs share one immutable ``RuleInstance``, and
     the least recently used pairs are dropped beyond ``MATCH_RULE_CACHE_SIZE``.
     """
-    kinds, i, j = (x.kind, y.kind), x.index, y.index
-    for case, row_kinds, (lo, hi), (i_lo, i_hi), rhs in RULES:
-        if row_kinds == kinds and lo <= j - i <= hi and i_lo <= i <= i_hi:
-            return RuleInstance(case, (x, y), instantiate(rhs, (i, j)))
-    return None
+    indices = (x.index, y.index)
+    row = first_row(RULES.get((x.kind, y.kind), ()), indices)
+    return None if row is None else RuleInstance(row[0], (x, y), instantiate(row[2], indices))
 
 
 @lru_cache(maxsize=MATCH_RULE_CACHE_SIZE)
@@ -136,20 +145,21 @@ def left_sides(x: Generator, y: Generator) -> tuple[Word, ...]:
     ``x y``, by first index, then eta before eps.  A row with the kinds of
     ``x y`` reads i in one right-hand letter and j in the other, with a
     constant <= 0, so it is solved for naturals (i, j) by two subtractions,
-    then its guard is checked there.  Memoized like ``match_rule``.
+    and kept if ``first_row`` picks it there.  Memoized like ``match_rule``.
     """
     out = []
-    for _, (a, b), (lo, hi), (i_lo, i_hi), rhs in RULES:
-        if len(rhs) == 2 and (rhs[0][0], rhs[1][0]) == (x.kind, y.kind):
-            solved = {v: g.index - c for (_, v, c), g in zip(rhs, (x, y))}
-            i, j = solved[I], solved[J]
-            if lo <= j - i <= hi and i_lo <= i <= i_hi:
-                out.append((letter(a, i), letter(b, j)))
+    for (a, b), rows in RULES.items():
+        for row in rows:
+            if [kind for kind, _, _ in row[2]] == [x.kind, y.kind]:
+                (_, i), (_, j) = sorted((v, g.index - c) for (_, v, c), g in zip(row[2], (x, y)))  # by slot: I, then J
+                if first_row(rows, (i, j)) is row:
+                    out.append((letter(a, i), letter(b, j)))
     return tuple(sorted(out, key=lambda lhs: (lhs[0].index, *map(letter_key, lhs))))
 
 
-# The left-hand sides that vanish, (e0 h0,): each row's guard pins i, and j - i.
-VANISHING = tuple((letter(a, i), letter(b, i + d)) for _, (a, b), (d, _), (i, _), rhs in RULES if not rhs)
+# The left-hand sides that vanish, (e0 h0,): each row's guard pins i, then j, by its low bound.
+VANISHING = tuple(tuple(letter(kind, lo) for kind, (*_, lo, _) in zip(kinds, guard))
+                  for kinds, rows in RULES.items() for _, guard, rhs in rows if not rhs)
 _VANISHING_DEGREES = tuple((lhs, degree(lhs)) for lhs in VANISHING)
 
 

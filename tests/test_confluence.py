@@ -27,7 +27,7 @@ from adjmon.confluence import (
     sample_disjoint_parents,
 )
 from adjmon import cli
-from adjmon.rewrite import I, J, RuleCase, RuleInstance, instantiate, reduction_graph, redexes
+from adjmon.rewrite import I, J, K, O, RuleCase, RuleInstance, instantiate, reduction_graph, redexes
 from adjmon.words import EPS, Generator, _block_start, _words_by_degree, degree, is_canonical_shape, letter, parse, render
 from adjmon.words import eps as eps_letter
 from adjmon.words import eta as eta_letter
@@ -52,8 +52,10 @@ def test_enumerate_overlaps_examples():
 
 
 def test_enumerate_overlaps_requires_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_index must be >= 2 to instantiate every overlap family"):
         enumerate_overlaps(1)
+    # the least bound at which every family has a parent; every subcase needs 3
+    assert {p.family for p in enumerate_overlaps(confluence.MIN_OVERLAP_INDEX)} == {"EEE", "HHH", "EEH", "EHH"}
 
 
 def test_overlap_parents_reduce_to_both_reducts():
@@ -202,7 +204,7 @@ def _table_mismatches(triples):
                 continue
             name, _, form = next(row for row in _REFERENCE_CASES[family] if row[1](i, j, k))
             pair = CriticalPair(tuple(letter(c.lower(), n) for c, n in zip(family, (i, j, k))), (), (), family, name, ())
-            got = confluence._case(family, (i, j, k))
+            got = rewrite.first_row(confluence._CASES[family], (i, j, k))
             if (got[0], instantiate(got[2], (i, j, k)), alternative_bound(pair)) != (
                 name, form(i, j, k), _reference_alternative_bound(family, name, i, j, k)
             ):
@@ -251,12 +253,28 @@ def test_a_wrong_closed_form_constant_shows_on_its_row_only(monkeypatch):
 
 
 def test_a_widened_guard_fails_the_reference(monkeypatch):
-    _replace_row(monkeypatch, "EHH", "i=j-1", guard=(I, J, -2, -1))
+    _replace_row(monkeypatch, "EHH", "i=j-1", guard=((I, J, -2, -1),))
     assert _table_mismatches(_SMALL_TRIPLES)
     monkeypatch.undo()
     # a widening that an earlier row already covers changes nothing: "i>j" matches i - j = 1 first
-    _replace_row(monkeypatch, "EHH", "i=j", guard=(I, J, 0, 1))
+    _replace_row(monkeypatch, "EHH", "i=j", guard=((I, J, 0, 1),))
     assert _table_mismatches(_SMALL_TRIPLES) == []
+
+
+def test_both_tables_share_the_one_guard_format():
+    # every bound of every row is (u, v, lo, hi) with lo <= hi, u a slot of the row's pattern, v another or O
+    tables = [((I, J), rows) for rows in rewrite.RULES.values()]
+    tables += [((I, J, K), rows) for rows in confluence._CASES.values()]
+    for slots, rows in tables:
+        for _, guard, _ in rows:
+            assert isinstance(guard, tuple)
+            for bound in guard:
+                u, v, lo, hi = bound
+                assert u in slots and v in set(slots) - {u} | {O} and lo <= hi
+    # the overlap tables are first-match: each family ends in a row that always holds
+    assert all(rows[-1][1] == () for rows in confluence._CASES.values())
+    # the least bound at which every subcase has an instance
+    assert audit_local_confluence(3).not_instantiated == ()
 
 
 def test_local_confluence_audit_peak_memory():

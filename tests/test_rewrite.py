@@ -9,16 +9,18 @@ from hypothesis import strategies as st
 from adjmon import rewrite
 from adjmon.confluence import all_words
 from adjmon.rewrite import (
+    INF,
     I,
     J,
+    O,
     MATCH_RULE_CACHE_SIZE,
-    RULES,
     VANISHING,
     NotARedexError,
     RuleCase,
     RuleInstance,
     _leftmost_moves,
     apply,
+    first_row,
     inverse_steps,
     is_normal,
     left_sides,
@@ -160,25 +162,75 @@ def test_left_sides_equal_the_scan_in_order():
             assert left_sides(x, y) == _scan(x, y)
 
 
-def test_rule_guards_are_disjoint():
-    def fires(row, x, y):
-        _, kinds, (lo, hi), (i_lo, i_hi), _ = row
-        return kinds == (x.kind, y.kind) and lo <= y.index - x.index <= hi and i_lo <= x.index <= i_hi
+def _rule_rows():
+    """(kinds, row) for every row of RULES, in table order."""
+    return [(kinds, row) for kinds, rows in rewrite.RULES.items() for row in rows]
 
-    assert [row[0] for row in RULES] == list(RuleCase)
-    for x, y in _pairs(40):
-        assert sum(fires(row, x, y) for row in RULES) <= 1
+
+def _rule_guards_are_disjoint():
+    # a row fires on a factor of its kinds whose indices satisfy its guard, read alone
+    def fires(kinds, row, x, y):
+        return kinds == (x.kind, y.kind) and first_row((row,), (x.index, y.index)) is row
+
+    return all(sum(fires(kinds, row, x, y) for kinds, row in _rule_rows()) <= 1 for x, y in _pairs(40))
+
+
+def test_rule_guards_are_disjoint():
+    assert [row[0] for _, row in _rule_rows()] == list(RuleCase)
+    assert _rule_guards_are_disjoint()
     # each two-letter right-hand side reads i once and j once, with constants <= 0, as left_sides solves it
-    assert all(sorted(v for _, v, _ in rhs) == [I, J] and all(c <= 0 for *_, c in rhs) for *_, rhs in RULES if rhs)
+    rhss = [rhs for _, (*_, rhs) in _rule_rows() if rhs]
+    assert all(sorted(v for _, v, _ in rhs) == [I, J] and all(c <= 0 for *_, c in rhs) for rhs in rhss)
 
 
 def test_rule_table_states_the_degree_facts_inverse_steps_rests_on():
     # inverse_steps admits a replaced factor at degree d + 1 and an inserted vanishing side at d + its degree;
     # audit_termination checks the same drops on words, these checks tie them to the rows themselves
-    assert all(sum(c for *_, c in rhs) == -1 for *_, rhs in RULES if len(rhs) == 2)
+    assert all(sum(c for *_, c in rhs) == -1 for _, (*_, rhs) in _rule_rows() if len(rhs) == 2)
     assert all(degree(lhs) == 2 for lhs in VANISHING)
     assert VANISHING == (parse("e0 h0"),)
     assert inverse_steps((), 2) == [parse("e0 h0")] and inverse_steps((), 1) == []
+
+
+@pytest.fixture
+def mutated_rules(monkeypatch):
+    """Replace one guard of RULES for the test, with the rule caches cleared
+    on the way in and out: a cached match would hide the mutation, and one
+    made under it would leak into later tests."""
+
+    def mutate(case, guard):
+        table = {kinds: tuple((name, guard if name is case else g, rhs) for name, g, rhs in rows)
+                 for kinds, rows in rewrite.RULES.items()}
+        monkeypatch.setattr(rewrite, "RULES", table)
+        match_rule.cache_clear()
+        left_sides.cache_clear()
+
+    yield mutate
+    monkeypatch.undo()
+    match_rule.cache_clear()
+    left_sides.cache_clear()
+
+
+def _agrees_with_the_ladder():
+    return all(match_rule(x, y) == _ladder(x, y) for x, y in _pairs(40))
+
+
+def _agrees_with_the_scan():
+    return all(left_sides(x, y) == _scan(x, y) for x, y in _pairs(24) if x.index + y.index <= 24)
+
+
+def test_a_widened_rule_guard_fails_disjointness_and_the_ladder(mutated_rules):
+    # e_i h_{i+2} now also matches EpsEta_JEqIPlus1, which is read before EpsEta_JGtIPlus1 and wins there
+    mutated_rules(RuleCase.EPS_ETA_NEXT, ((J, I, 1, 2),))
+    assert not _rule_guards_are_disjoint()
+    assert not _agrees_with_the_ladder()
+
+
+def test_a_raised_rule_bound_fails_the_scan(mutated_rules):
+    mutated_rules(RuleCase.EPS_ETA_EQUAL, ((J, I, 0, 0), (I, O, 2, INF)))  # e1 h1 no longer rewrites
+    assert _rule_guards_are_disjoint()  # narrowing a guard keeps the rows disjoint
+    assert not _agrees_with_the_scan()
+    assert left_sides(eps(0), eta(1)) == () and _scan(eps(0), eta(1)) == (parse("e1 h1"),)
 
 
 def test_inverse_steps_order():
