@@ -6,8 +6,9 @@ and the bare token ``1`` for the identity.  Exit status: 0 for answered
 queries and passing reports, 1 for failed reports or unjoinable pairs,
 2 for usage or word-syntax errors, for bounds below their minimum, for
 ``trace`` runs over :data:`TRACE_BUDGET`, for an ``oracle`` input of
-degree over ``--max-degree`` and for audit and oracle bounds over
-:data:`AUDIT_MAX_WORDS` words,
+degree over ``--max-degree``, for audit and oracle bounds over
+:data:`AUDIT_MAX_WORDS` words and for a number to print of more digits than
+Python prints (``sys.get_int_max_str_digits()``),
 3 for an internal error (a computed canonical form that is not
 canonical), and 141 (128 + SIGPIPE), without a traceback, when stdout is
 closed before the output is written, as by ``adjmon answer | head -1``.
@@ -75,12 +76,11 @@ def _check_oracle_degree(max_degree: int) -> None:
                          f"over the limit of {AUDIT_MAX_WORDS:,}")
 
 
-def _check_audit_words(max_index: int, max_len: int = -1) -> None:
-    """Refuse an overlap scan, or a termination audit up to max_len (-1: none), over the limit."""
+def _check_audit_words(max_index: int, max_len: int) -> None:
+    """Refuse the overlap scan, or the termination audit up to max_len, over the limit."""
     letters = 2 * max_index + 2
-    scans = {f"--max-index {max_index}: the overlap scan": range(3, 4)}
-    scans[f"--max-len {max_len} --max-index {max_index}: the termination audit"] = range(max_len + 1)
-    for what, lengths in scans.items():
+    for what, lengths in ((f"--max-index {max_index}: the overlap scan", range(3, 4)),
+                          (f"--max-len {max_len} --max-index {max_index}: the termination audit", range(max_len + 1))):
         words = sum(letters**n for n in lengths[:65])  # 2^64 words are over the limit already
         if words > AUDIT_MAX_WORDS:
             count = f"{words:,}" if len(lengths) <= 65 else f"more than {letters}^64"
@@ -157,12 +157,10 @@ def _identity_records(args, report: monoid.IdentityReport, kind: str) -> int:
     return 0 if report.passed else 1
 
 
-def _check_at_least(args, minimum: int, *flags: str) -> None:
+def _check_at_least(flag: str, value: int, minimum: int) -> None:
     """Refuse a bound below minimum, naming its flag and value."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value < minimum:
-            raise ValueError(f"{flag} {value}: the bound must be >= {minimum}")
+    if value < minimum:
+        raise ValueError(f"{flag} {value}: the bound must be >= {minimum}")
 
 
 def cmd_axioms(args) -> int:
@@ -219,22 +217,19 @@ def cmd_audit(args) -> int:
     from . import confluence
     oracle_len, oracle_index = confluence.ORACLE_MAX_LEN, confluence.ORACLE_MAX_INDEX
     # every bound is checked before the first audit runs
-    if not args.skip_oracle:
-        _check_oracle_degree(args.max_degree)
-        _check_at_least(args, oracle_len * (oracle_index + 1), "--max-degree")  # the population's greatest degree
-    _check_at_least(args, confluence.MIN_OVERLAP_INDEX, "--max-index")
-    if not args.skip_termination:
-        _check_at_least(args, 1, "--max-len")
-    _check_audit_words(args.max_index, -1 if args.skip_termination else args.max_len)
-    term = None if args.skip_termination else confluence.audit_termination(args.max_len, args.max_index)
+    _check_oracle_degree(args.max_degree)
+    _check_at_least("--max-degree", args.max_degree, oracle_len * (oracle_index + 1))  # the population's top degree
+    _check_at_least("--max-index", args.max_index, confluence.MIN_OVERLAP_INDEX)
+    _check_at_least("--max-len", args.max_len, 1)
+    _check_audit_words(args.max_index, args.max_len)
+    term = confluence.audit_termination(args.max_len, args.max_index)
     conf = confluence.audit_local_confluence(args.max_index)
-    oracle = None if args.skip_oracle else confluence.cross_check_oracle(oracle_len, oracle_index, args.max_degree)
-    ok = all(report.passed for report in (term, conf, oracle) if report is not None)
-    if term is not None:
-        _out(args, lambda: {"record": "termination", "words": term.words_checked, "steps": term.steps_checked,
-                            "longest_chain": term.longest_chain, "pass": term.passed},
-             [f"termination: {term.words_checked} words, {term.steps_checked} steps, "
-              f"longest chain {term.longest_chain}  {'PASS' if term.passed else 'FAIL'}"])
+    oracle = confluence.cross_check_oracle(oracle_len, oracle_index, args.max_degree)
+    ok = term.passed and conf.passed and oracle.passed
+    _out(args, lambda: {"record": "termination", "words": term.words_checked, "steps": term.steps_checked,
+                        "longest_chain": term.longest_chain, "pass": term.passed},
+         [f"termination: {term.words_checked} words, {term.steps_checked} steps, "
+          f"longest chain {term.longest_chain}  {'PASS' if term.passed else 'FAIL'}"])
     header = f"{'family':9s} {'subcase':10s} {'instances':>9s} {'joinable':>8s}  {'sample bound':14s} formula"
     _out(args, None, [f"local confluence (max index {conf.max_index}):", header])
     for r in conf.rows:  # the record's keys are SubcaseRow's field names
@@ -244,13 +239,12 @@ def cmd_audit(args) -> int:
         _out(args, lambda: {"record": "not_instantiated", "family": family, "subcase": subcase},
              [f"{family} {subcase}  NOT INSTANTIATED at this index bound"])
     _out(args, None, [f"joinable: {'PASS' if conf.passed else 'FAIL (NOT_JOINABLE pairs present)'}"])
-    if oracle is not None:
-        bad = len(oracle.discrepancies)
-        _out(args, lambda: {"record": "oracle_cross_check", "population": oracle.population,
-                            "pairs": oracle.pairs_checked, "spot_checked": oracle.spot_checked,
-                            "discrepancies": bad, "pass": oracle.passed},
-             [f"oracle cross-check: population {oracle.population}, pairs {oracle.pairs_checked}, "
-              f"spot-checked {oracle.spot_checked}, discrepancies {bad}  {'PASS' if oracle.passed else 'FAIL'}"])
+    bad = len(oracle.discrepancies)
+    _out(args, lambda: {"record": "oracle_cross_check", "population": oracle.population,
+                        "pairs": oracle.pairs_checked, "spot_checked": oracle.spot_checked,
+                        "discrepancies": bad, "pass": oracle.passed},
+         [f"oracle cross-check: population {oracle.population}, pairs {oracle.pairs_checked}, "
+          f"spot-checked {oracle.spot_checked}, discrepancies {bad}  {'PASS' if oracle.passed else 'FAIL'}"])
     _out(args, lambda: {"record": "audit_summary", "pass": ok}, [f"audit: {'PASS' if ok else 'FAIL'}"])
     return 0 if ok else 1
 
@@ -359,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-index", type=int, default=6, help="index bound for overlaps/termination")
     p.add_argument("--max-len", type=int, default=4, help="word length bound for termination")
     p.add_argument("--max-degree", type=int, default=9, help="oracle degree bound")
-    p.add_argument("--skip-oracle", action="store_true")
-    p.add_argument("--skip-termination", action="store_true")
 
     p = add("oracle", cmd_oracle, "bounded bidirectional equivalence search for two words")
     p.add_argument("left")
@@ -389,6 +381,9 @@ def main(argv=None) -> int:
         print(f"adjmon: internal error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
+        if "integer string conversion" in str(exc):  # Python's own, raised while printing a number
+            limit = sys.get_int_max_str_digits()
+            exc = f"a number to print has more than {limit:,} digits, the most that Python prints"
         print(f"adjmon: {exc}", file=sys.stderr)
         return 2
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -196,11 +197,11 @@ def test_audit_failure_rows(capsys, monkeypatch):
     real = confluence.common_reducts
     monkeypatch.setattr(confluence, "common_reducts", lambda pair: frozenset() if pair.family == "EEE" else real(pair))
     monkeypatch.setattr(confluence, "normalize", lambda w: w)  # every word its own canonical form
-    args = ("audit", "--max-index", "2", "--skip-termination")
+    args = ("audit", "--max-index", "2", "--max-len", "1")
     code, out, _ = run(capsys, *args)
     assert code == 1
     lines = out.splitlines()
-    assert lines[3] == "EEE       -                  1        0  NOT_JOINABLE   0/1"  # after the DISJOINT row
+    assert lines[4] == "EEE       -                  1        0  NOT_JOINABLE   0/1"  # after the DISJOINT row
     # 259 words in 84 components: each word after the first of its component is a discrepancy
     assert lines[-3:] == [
         "joinable: FAIL (NOT_JOINABLE pairs present)",
@@ -210,7 +211,7 @@ def test_audit_failure_rows(capsys, monkeypatch):
     code, out, _ = run(capsys, *args, "--json")
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
-    assert records[1]["family"] == "EEE" and (records[1]["joinable"], records[1]["sample_bound"]) == (0, None)
+    assert records[2]["family"] == "EEE" and (records[2]["joinable"], records[2]["sample_bound"]) == (0, None)
     assert records[-2:] == [
         {"record": "oracle_cross_check", "population": 259, "pairs": 33670, "spot_checked": 25, "discrepancies": 175,
          "pass": False},
@@ -339,7 +340,7 @@ def test_oracle_degree_over_limit_exit_2(capsys):
 
 def test_oracle_cap_follows_audit_max_words(capsys, monkeypatch):
     # the oracle universe, the 3^d words of degree <= d, is held to AUDIT_MAX_WORDS: 3^12 = 531,441 <= 10^6 < 3^13
-    audit = ("audit", "--skip-termination", "--max-index", "2", "--max-degree")
+    audit = ("audit", "--max-len", "1", "--max-index", "2", "--max-degree")
     searched, real = [], confluence.cross_check_oracle
     # a cross-check over 3^12 words takes over a second: search 3^9 and record the bound the audit asked for
     monkeypatch.setattr(confluence, "cross_check_oracle", lambda n, i, d: searched.append(d) or real(n, i, 9))
@@ -374,7 +375,35 @@ REMOVED_FLAGS = {
     ("axioms", "--max-index"): 3,
     ("ncheck", "--max-len"): 3,
     ("ncheck", "--max-index"): 2,
+    ("audit", "--skip-oracle"): False,  # every audit runs termination, local confluence and the oracle cross-check
+    ("audit", "--skip-termination"): False,
 }
+
+# Every option and positional of each command, by its flag or its name: the settable values (ROADMAP aim 2).
+PARSER_SURFACE = {
+    "normalize": {"word", "--json"},
+    "trace": {"word", "--json"},
+    "degree": {"word", "--json"},
+    "f": {"word", "--json"},
+    "mul": {"left", "right", "--json"},
+    "eq": {"left", "right", "--json"},
+    "axioms": {"--json"},
+    "ncheck": {"word", "--json"},
+    "iso": {"--json"},
+    "audit": {"--max-index", "--max-len", "--max-degree", "--json"},
+    "oracle": {"left", "right", "--max-degree", "--json"},
+    "answer": {"--json"},
+}
+
+
+def test_parser_surface():
+    (verbs,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        verb: {max(a.option_strings, key=len, default=a.dest) for a in p._actions if a.dest != "help"}
+        for verb, p in verbs.choices.items()
+    }
+    assert surface == PARSER_SURFACE
+    assert not any(flag in PARSER_SURFACE[verb] for verb, flag in REMOVED_FLAGS)
 
 
 def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
@@ -384,6 +413,7 @@ def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
 
     monkeypatch.setattr(confluence, "audit_termination", never)
     monkeypatch.setattr(confluence, "audit_local_confluence", never)
+    monkeypatch.setattr(confluence, "cross_check_oracle", never)
     monkeypatch.setattr(monoid, "_check_suite", never)
     try:
         code = main(list(argv))
@@ -394,8 +424,8 @@ def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
     return err
 
 
-def parser_refusal(flag: str, value: str) -> str:
-    return f"adjmon: error: unrecognized arguments: {flag} {value}\n"
+def parser_refusal(*refused: str) -> str:
+    return f"adjmon: error: unrecognized arguments: {' '.join(refused)}\n"
 
 
 def refused_flags(err: str) -> list[str]:
@@ -410,7 +440,7 @@ def refused_flags(err: str) -> list[str]:
 def test_audit_empty_oracle_population_exit_2(capsys, monkeypatch):
     # the oracle population is fixed and not empty: asking for an empty one is refused by the parser
     assert confluence.ORACLE_MAX_LEN >= 1 and confluence.ORACLE_MAX_INDEX >= 0
-    err = refused_before_any_audit(capsys, monkeypatch, "audit", "--oracle-len", "-1", "--skip-termination",
+    err = refused_before_any_audit(capsys, monkeypatch, "audit", "--oracle-len", "-1", "--max-len", "1",
                                    "--max-index", "2")
     assert err.endswith(parser_refusal("--oracle-len", "-1"))
 
@@ -426,7 +456,7 @@ def test_audit_empty_oracle_population_exit_2(capsys, monkeypatch):
         ("answer", "--max-index", "1"),
         ("audit", "--max-len", "8"),
         ("audit", "--max-len", "1000000000"),
-        ("audit", "--max-index", "50", "--skip-termination"),
+        ("audit", "--max-index", "50", "--max-len", "1"),
     ],
     ids=" ".join,
 )
@@ -451,12 +481,17 @@ def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
         ("audit", "--oracle-len", "0"),
         ("answer", "--max-index", "50"),
         ("ncheck", "h0 e0", "--max-len", "0"),  # with a word, ncheck takes no suite bound either
+        ("audit", "--skip-oracle"),
+        ("audit", "--skip-termination"),
+        ("audit", "--max-len", "5", "--skip-oracle"),
     ],
     ids=" ".join,
 )
 def test_removed_flag_refused_before_any_audit(capsys, monkeypatch, argv):
     err = refused_before_any_audit(capsys, monkeypatch, *argv)
-    assert err.endswith(parser_refusal(*argv[-2:]))
+    flag = [a for a in argv if a.startswith("--")][-1]
+    assert (argv[0], flag) in REMOVED_FLAGS
+    assert err.endswith(parser_refusal(*argv[argv.index(flag):]))
 
 
 @pytest.mark.parametrize(
@@ -507,19 +542,38 @@ def test_oracle_input_over_bound_refused_naming_its_flag(capsys):
     assert (code, out, err) == (2, "", "adjmon: --max-degree 3: the bound must be >= 4, the degree of the input\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("degree", "h{N}"),  # the degree, 10^N
+        ("f", "h{N}"),  # the image's index
+        ("oracle", "h{N}", "1"),  # the input's degree, in the refusal
+        ("trace", "e{N} h{N}"),  # the step count, in the refusal
+        ("audit", "--max-index", "{M}"),  # the overlap scan's word count, in the refusal
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_number_over_digit_limit_refused(capsys, argv):
+    # parse takes an index of as many digits as Python reads; a number one digit longer is not printed
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * limit
+    assert parse(f"h{nines}")
+    code, out, err = run(capsys, *(a.format(N=nines, M=nines[: limit // 2]) for a in argv))
+    assert (code, out, err) == (2, "", f"adjmon: a number to print has more than {limit:,} digits, "
+                                       "the most that Python prints\n")
+
+
 def test_audit_word_limit(capsys):
     cli._check_audit_words(6, 5)  # (5, 6): 579,195 words, run by CI
-    cli._check_audit_words(49)  # 100^3 three-letter words
+    cli._check_audit_words(49, 1)  # 100^3 three-letter words
     code, out, err = run(capsys, "audit", "--max-len", "6", "--max-index", "4")
     assert (code, out) == (2, "")
     assert err == (
         "adjmon: --max-len 6 --max-index 4: the termination audit would enumerate 1,111,111 words, "
         "over the limit of 1,000,000\n"
     )
-    code, _, err = run(capsys, "audit", "--max-index", "50", "--skip-termination", "--skip-oracle")
+    code, _, err = run(capsys, "audit", "--max-index", "50", "--max-len", "1", "--max-degree", "9")
     assert code == 2 and "overlap scan would enumerate 1,061,208 words" in err
-    code, _, _ = run(capsys, "audit", "--max-len", "6", "--max-index", "4", "--skip-termination", "--skip-oracle")
-    assert code == 0
 
 
 @pytest.mark.parametrize(
@@ -555,7 +609,7 @@ def test_audit_default_bounds(capsys):
 
 
 def test_audit_json_stable(capsys):
-    args = ("audit", "--json", "--max-index", "2", "--skip-oracle", "--skip-termination")
+    args = ("audit", "--json", "--max-index", "2", "--max-len", "1", "--max-degree", "9")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -567,9 +621,10 @@ def test_audit_json_stable(capsys):
 
 
 def test_audit_table_golden(capsys):
-    code, out, _ = run(capsys, "audit", "--max-index", "6", "--skip-oracle", "--skip-termination")
+    code, out, _ = run(capsys, "audit", "--max-index", "6", "--max-len", "1", "--max-degree", "9")
     assert code == 0
     assert out.splitlines() == [
+        "termination: 15 words, 0 steps, longest chain 0  PASS",
         "local confluence (max index 6):",
         "family    subcase    instances joinable  sample bound   formula",
         "DISJOINT  -                 32       32  h0 h0 h0 h0    32/32",
@@ -590,14 +645,16 @@ def test_audit_table_golden(capsys):
         "EHH       k>i+1             20       20  h1 h1 e0       20/20 (alt printed form 0/10)",
         "HHH       -                 35       35  h0 h0 h0       35/35",
         "joinable: PASS",
+        "oracle cross-check: population 259, pairs 33670, spot-checked 25, discrepancies 0  PASS",
         "audit: PASS",
     ]
 
 
 def test_audit_json_golden(capsys):
-    code, out, _ = run(capsys, "audit", "--json", "--max-index", "6", "--skip-oracle", "--skip-termination")
+    code, out, _ = run(capsys, "audit", "--json", "--max-index", "6", "--max-len", "1", "--max-degree", "9")
     assert code == 0
     assert out.splitlines() == [
+        '{"longest_chain": 0, "pass": true, "record": "termination", "steps": 0, "words": 15}',
         '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "DISJOINT", "formula_matches": 32'
         ', "instances": 32, "joinable": 32, "record": "confluence_row", "sample_bound": "h0 h0 h0 h0", "subcase": null}',
         '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEE", "formula_matches": 35'
@@ -632,12 +689,14 @@ def test_audit_json_golden(capsys):
         ', "instances": 20, "joinable": 20, "record": "confluence_row", "sample_bound": "h1 h1 e0", "subcase": "k>i+1"}',
         '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "HHH", "formula_matches": 35'
         ', "instances": 35, "joinable": 35, "record": "confluence_row", "sample_bound": "h0 h0 h0", "subcase": null}',
+        '{"discrepancies": 0, "pairs": 33670, "pass": true, "population": 259, "record": "oracle_cross_check", '
+        '"spot_checked": 25}',
         '{"pass": true, "record": "audit_summary"}',
     ]
 
 
 def test_audit_disjoint_sample_count(capsys):
-    code, out, _ = run(capsys, "audit", "--json", "--max-index", "2", "--skip-oracle", "--skip-termination")
+    code, out, _ = run(capsys, "audit", "--json", "--max-index", "2", "--max-len", "1", "--max-degree", "9")
     assert code == 0
     rows = [r for r in map(json.loads, out.splitlines()) if r.get("family") == "DISJOINT"]
     assert [r["instances"] for r in rows] == [confluence.DISJOINT_SAMPLES]
@@ -751,7 +810,7 @@ def _loaded_by_main(*argv):
         (["iso"], ["adjmon.monoid"]),
         (["ncheck", "h0 e0"], ["adjmon.monoid"]),
         (["axioms"], ["adjmon.monoid"]),
-        (["audit", "--max-index", "2", "--skip-oracle", "--skip-termination"], ["adjmon.confluence"]),
+        (["audit", "--max-index", "2", "--max-len", "1", "--max-degree", "9"], ["adjmon.confluence"]),
         (["oracle", "h0 e0", "1", "--max-degree", "2"], ["adjmon.confluence"]),
         (["answer"], ["adjmon.confluence", "adjmon.monoid"]),
     ],

@@ -400,7 +400,7 @@ def test_termination_reports_non_decreasing_step(monkeypatch, capsys):
     report = audit_termination(3, 2)
     assert report.bad_steps == _termination_reference(3, 2)[2]
     assert (parse("h0 e0 e1"), 1, 0) in report.bad_steps  # a bad step past the first position
-    code = cli.main(["audit", "--max-len", "2", "--max-index", "2", "--skip-oracle"])
+    code = cli.main(["audit", "--max-len", "2", "--max-index", "2", "--max-degree", "9"])
     out = capsys.readouterr().out.splitlines()
     assert code == 1
     population, steps, _ = _termination_reference(2, 2)
