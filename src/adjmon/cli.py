@@ -60,10 +60,10 @@ def cmd_normalize(args) -> int:
 # under --json holds them all until the record is printed.
 TRACE_BUDGET = 10**7
 
-# `audit` scans the three-letter words for overlaps and checks termination on the
-# words of length <= --max-len, over 2 (--max-index + 1) letters.  Python 3.11.7,
-# 2-CPU Intel Xeon: termination at (5, 6), 579,195 words, takes 1.6 s and 57 MB,
-# at (6, 4), 1,111,111 words, 2.3 s and 93 MB; the overlaps at 100^3 words 14-15 s and 17 MB.
+# `audit` finds the overlaps among the three-letter words, joining their redex pairs, and
+# checks termination on the words of length <= --max-len, over 2 (--max-index + 1) letters.
+# Python 3.11.7, 2-CPU Intel Xeon: termination at (5, 6), 579,195 words, takes 1.6 s and
+# 57 MB, at (6, 4), 1,111,111 words, 2.3 s and 93 MB; the overlaps of 100^3 words 14-15 s and 18 MB.
 # The oracle's universe, the 3^d words of degree <= --max-degree, is held to it too:
 # `audit --max-degree 12`, 531,441 words, takes 1.4-1.9 s (median 1.6 s) and 42 MB,
 # its oracle run with the cyclic garbage collector paused.

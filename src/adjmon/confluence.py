@@ -16,9 +16,11 @@ comparisons, every one with a known closed-form common reduct.  The
 subcase named "k>i+1" of EHH has two printed closed forms in circulation;
 the audit checks both and records which one joins.
 
-``rewrite`` owns the rule relation in both directions: overlap parents
-are the three-letter words in which ``match_rule`` finds two redexes,
-and the oracle's one-step predecessors are ``rewrite.inverse_steps``.
+``rewrite`` owns the rule relation in both directions.  The audits read
+which letter pairs rewrite off one scan, ``_redex_pairs``: an overlap
+parent joins two redex pairs on a shared letter, a disjoint one sets two
+side by side, and the termination audit and the oracle's components take
+their steps from it; the oracle's predecessors are ``rewrite.inverse_steps``.
 Each family's case analysis is one ordered table of data in ``_CASES``,
 in the format of ``rewrite.RULES`` over the parent indices I, J, K: a row
 per subcase, the first whose guard holds (``rewrite.first_row``), holding
@@ -29,12 +31,13 @@ names, the classification of parents, each critical pair's closed form
 
 from __future__ import annotations
 
-from itertools import chain, combinations, combinations_with_replacement, islice, product
+from itertools import chain, combinations_with_replacement, groupby, islice, product
 from typing import Iterator, NamedTuple
 
-from .rewrite import INF, I, J, K, RuleCase, apply, forward_steps, instantiate, inverse_steps, match_rule, normalize
-from .rewrite import collector_paused, first_row, reduction_graph, redexes
-from .words import EPS, ETA, Word, _block_start, _heads, _words_by_degree, all_words, alphabet, degree, render, word_key
+from .rewrite import INF, I, J, K, RuleCase, RuleInstance, forward_steps, instantiate, inverse_steps, match_rule
+from .rewrite import collector_paused, first_row, normalize, reduction_graph
+from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_by_degree, all_words, alphabet, degree
+from .words import render, word_key
 
 DISJOINT = "DISJOINT"
 EEE = "EEE"
@@ -88,25 +91,34 @@ def subcase(family: str, i: int, j: int, k: int) -> str | None:
     return first_row(_CASES[family], (i, j, k))[0]
 
 
+def _redex_pairs(letters: list[Generator]) -> list[tuple[Generator, Generator, RuleInstance]]:
+    """Every pair x y of the letters that a rule rewrites, as (x, y, rule),
+    in scan order: a blind scan of all pairs with ``match_rule``.
+    """
+    return [(x, y, rule) for x, y in product(letters, repeat=2) if (rule := match_rule(x, y)) is not None]
+
+
 def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
     """Every three-letter parent with two overlapping redexes, indices
     bounded by max_index, tagged with family, subcase and closed form, in
     scan order, which is ``word_key`` order.
 
-    The parents come from a blind scan of all three-letter words with
-    ``match_rule``; an overlap outside the four families is a hard error.
+    A parent x y z joins the redex pairs x y and y z on their shared
+    letter; an overlap outside the four families is a hard error.
     """
     if max_index < MIN_OVERLAP_INDEX:
         raise ValueError(f"max_index must be >= {MIN_OVERLAP_INDEX} to instantiate every overlap family")
-    for parent in product(alphabet(max_index), repeat=3):
-        if match_rule(*parent[:2]) is None or match_rule(*parent[1:]) is None:
-            continue
-        family = "".join(g.kind for g in parent).upper()
-        if family not in _CASES:
-            raise AssertionError(f"overlap outside the four families at {render(parent)}")
-        indices = tuple(g.index for g in parent)
-        name, _, form = first_row(_CASES[family], indices)
-        yield CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, name, instantiate(form, indices))
+    pairs = _redex_pairs(alphabet(max_index))
+    starting = {y: [(z, right) for _, z, right in group] for y, group in groupby(pairs, lambda p: p[0])}  # y z by y
+    for x, y, left in pairs:
+        for z, right in starting.get(y, ()):
+            parent = (x, y, z)
+            family = "".join(g.kind for g in parent).upper()
+            if family not in _CASES:
+                raise AssertionError(f"overlap outside the four families at {render(parent)}")
+            indices = tuple(g.index for g in parent)
+            name, _, form = first_row(_CASES[family], indices)
+            yield CriticalPair(parent, left.rhs + (z,), (x,) + right.rhs, family, name, instantiate(form, indices))
 
 
 def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
@@ -114,26 +126,15 @@ def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
     return sorted(_overlap_pairs(max_index), key=lambda p: (p.family, word_key(p.parent)))
 
 
-def disjoint_critical_pair(w: Word) -> CriticalPair | None:
-    """The first critical pair of w from two non-overlapping redexes, with
-    the word that has both rewritten as its closed form; None if w has none.
+def _disjoint_pairs(max_index: int) -> Iterator[CriticalPair]:
+    """The first DISJOINT_SAMPLES parents x y u v of two side-by-side redex
+    pairs, indices bounded by min(max_index, 3), in scan order, which is
+    ``word_key`` order; the closed form rewrites both.  No shorter word has
+    disjoint redexes, so these are the first words with two.
     """
-    for p1, p2 in combinations([p for p, _ in redexes(w)], 2):
-        if p2 - p1 >= 2:
-            left = apply(w, p1)
-            # rewriting at p1 may shorten the word by 2 (the vanishing rule)
-            both = apply(left, p2 + len(left) - len(w))
-            return CriticalPair(w, left, apply(w, p2), DISJOINT, None, both)
-    return None
-
-
-def sample_disjoint_parents(max_index: int) -> list[Word]:
-    """The first DISJOINT_SAMPLES words, in enumeration order, carrying two
-    disjoint redexes.  All of them have length 4 and exactly one disjoint
-    pair, and the sample is the same for every max_index >= 3.
-    """
-    parents = (w for w in all_words(5, min(max_index, 3)) if disjoint_critical_pair(w) is not None)
-    return list(islice(parents, DISJOINT_SAMPLES))
+    pairs = _redex_pairs(alphabet(min(max_index, 3)))
+    for (x, y, left), (u, v, right) in islice(product(pairs, repeat=2), DISJOINT_SAMPLES):
+        yield CriticalPair((x, y, u, v), left.rhs + (u, v), (x, y) + right.rhs, DISJOINT, None, left.rhs + right.rhs)
 
 
 def common_reducts(pair: CriticalPair) -> frozenset[Word]:
@@ -190,23 +191,22 @@ class LocalConfluenceReport(NamedTuple):
 
 
 def audit_local_confluence(max_index: int = 6) -> LocalConfluenceReport:
-    """Resolve every overlap within the index bound plus a sample of
-    disjoint-redex parents; tally joinability and closed-form hits.
+    """Resolve every overlap within the index bound plus the disjoint-redex
+    sample of ``_disjoint_pairs``; tally joinability and closed-form hits,
+    and keep each row's first least common reduct as its sample bound.
     """
-    disjoint = map(disjoint_critical_pair, sample_disjoint_parents(max_index))
     rows: dict[tuple[str, str | None], SubcaseRow] = {}  # tallied as each pair is resolved
     unjoinable = []
-    for pair in chain(_overlap_pairs(max_index), disjoint):
+    for pair in chain(_overlap_pairs(max_index), _disjoint_pairs(max_index)):
         commons = common_reducts(pair)
-        bound = _least(commons)
-        if bound is None:
+        if not commons:
             unjoinable.append(pair)
         alt = alternative_bound(pair)
         key = (pair.family, pair.subcase)
-        r = rows.get(key) or SubcaseRow(pair.family, pair.subcase, 0, 0, bound, 0)
+        r = rows.get(key) or SubcaseRow(pair.family, pair.subcase, 0, 0, _least(commons), 0)
         rows[key] = r._replace(
             instances=r.instances + 1,
-            joinable=r.joinable + (bound is not None),
+            joinable=r.joinable + bool(commons),
             formula_matches=r.formula_matches + (pair.expected in commons),
             alt_formula_matches=r.alt_formula_matches + (alt is not None and alt in commons),
             alt_formula_applicable=r.alt_formula_applicable + (alt is not None),
@@ -252,20 +252,19 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
         raise ValueError("bounds must be >= 1")
     letters = alphabet(max_index)
     size, number = len(letters), {g: c for c, g in enumerate(letters)}
-    table: list[tuple | None] = []  # at a L + b, for letters a b: (change of w per L^(n-2-p), want, drop)
-    for (a, x), (b, y) in product(enumerate(letters), repeat=2):
-        rule = match_rule(x, y)
-        if rule is not None:
-            r = [number.get(g) for g in rule.rhs]
-            if not r:
-                change = None  # the letters vanish
-            elif len(r) == 2 and None not in r:
-                change = (r[0] - a) * size + r[1] - b
-            else:
-                change = False  # the reduct leaves the bounds
-            rule = (change, 2 if rule.case is RuleCase.EPS_ETA_ZERO else 1, degree(rule.lhs) - degree(rule.rhs))
-        table.append(rule)
-    pairs = len(table)
+    pairs = size * size
+    table: list[tuple | None] = [None] * pairs  # at a L + b, for letters a b: (change of w per L^(n-2-p), want, drop)
+    for x, y, rule in _redex_pairs(letters):
+        a, b = number[x], number[y]
+        r = [number.get(g) for g in rule.rhs]
+        if not r:
+            change = None  # the letters vanish
+        elif len(r) == 2 and None not in r:
+            change = (r[0] - a) * size + r[1] - b
+        else:
+            change = False  # the reduct leaves the bounds
+        want = 2 if rule.case is RuleCase.EPS_ETA_ZERO else 1
+        table[a * size + b] = (change, want, degree(rule.lhs) - degree(rule.rhs))
     start, deg, level = [0, 1], [0], [0]  # start[n]: the first number of length n
     for _ in range(max_len):
         level = [d + g.index + 1 for d in level for g in letters]
@@ -289,10 +288,10 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
                     if drop > 0 and chain[v] >= longest:
                         longest = chain[v] + 1
                 if drop != want or change is False:
-                    bad.append((w, p, drop))
+                    word = tuple([letters[i // size ** (n - 1 - q) % size] for q in range(n)])  # i's base-L digits
+                    bad.append((w, p, drop, word))
             chain[w] = longest
-    word = list(islice(all_words(max_len, max_index), max((w for w, _, _ in bad), default=-1) + 1))
-    bad_steps = tuple((word[w], p, drop) for w, p, drop in sorted(bad))
+    bad_steps = tuple((word, p, drop) for _, p, drop, word in sorted(bad))
     return TerminationReport(len(deg), steps, bad_steps, max(chain))
 
 
@@ -370,6 +369,7 @@ def _component_labels(max_degree: int) -> list[list[int]]:
             x = parent[x]
         return x
 
+    pairs = _redex_pairs(alphabet(max_degree - 2))  # a redex pair weighs 2 or more
     labels: list[list[list[int]]] = []  # labels[m][d][i]: component at level m of word i of degree d
     count: list[int] = []  # count[m]: components at level m, numbered from 0
     for m in range(max_degree + 1):
@@ -380,16 +380,14 @@ def _component_labels(max_degree: int) -> list[list[int]]:
         for d in range(1, m + 1):
             nodes.append([first[g] + c for g in _heads(d) for c in labels[m - g.index - 1][d - g.index - 1]])
         parent = list(range(size))
-        for d in range(2, m + 1):
-            for x in _heads(d):
-                for y in _heads(d - x.index - 1):
-                    rule = match_rule(x, y)
-                    if rule is not None:
-                        rest = d - degree((x, y))
-                        block, lower = len(nodes[rest]), rest + degree(rule.rhs)
-                        a, b = _block_start((x, y), d), _block_start(rule.rhs, lower)
-                        for u, v in set(zip(nodes[d][a : a + block], nodes[lower][b : b + block])):
-                            parent[find(v)] = find(u)
+        for x, y, rule in pairs:
+            weight = degree((x, y))
+            for d in range(weight, m + 1):
+                rest = d - weight
+                block, lower = len(nodes[rest]), rest + degree(rule.rhs)
+                a, b = _block_start((x, y), d), _block_start(rule.rhs, lower)
+                for u, v in set(zip(nodes[d][a : a + block], nodes[lower][b : b + block])):
+                    parent[find(v)] = find(u)
         roots: dict[int, int] = {}
         number = [roots.setdefault(find(n), len(roots)) for n in range(size)]
         labels.append([[number[n] for n in level] for level in nodes])

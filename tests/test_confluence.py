@@ -4,7 +4,7 @@ import sys
 
 import pytest
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice, product
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,17 +18,16 @@ from adjmon.confluence import (
     common_reducts,
     connected_components,
     cross_check_oracle,
-    disjoint_critical_pair,
     enumerate_overlaps,
     equivalent_bounded,
     forward_steps,
     inverse_steps,
     resolve,
-    sample_disjoint_parents,
 )
 from adjmon import cli
-from adjmon.rewrite import I, J, K, O, RuleCase, RuleInstance, instantiate, reduction_graph, redexes
-from adjmon.words import EPS, Generator, _block_start, _words_by_degree, degree, is_canonical_shape, letter, parse, render
+from adjmon.rewrite import I, J, K, O, RuleCase, RuleInstance, apply, instantiate, reduction_graph, redexes
+from adjmon.words import EPS, Generator, _block_start, _words_by_degree, alphabet, degree, is_canonical_shape, letter
+from adjmon.words import parse, render
 from adjmon.words import eps as eps_letter
 from adjmon.words import eta as eta_letter
 from conftest import small_words
@@ -49,6 +48,58 @@ def test_enumerate_overlaps_examples():
     parents = {render(p.parent): (p.family, p.subcase) for p in enumerate_overlaps(2)}
     assert parents["e0 e1 e2"] == ("EEE", None)
     assert parents["e0 e1 h2"] == ("EEH", "k=j+1")
+
+
+# The critical pairs as they were built before the audits read one scan of
+# the redex pairs (``confluence._redex_pairs``): the overlaps from a scan of
+# every three-letter word, the disjoint sample from a search of the redex
+# positions of every word of length <= 4.  The built pairs must equal them.
+def _scanned_overlap_pairs(max_index):
+    for parent in product(alphabet(max_index), repeat=3):
+        if confluence.match_rule(*parent[:2]) is None or confluence.match_rule(*parent[1:]) is None:
+            continue
+        family = "".join(g.kind for g in parent).upper()
+        if family not in confluence._CASES:
+            raise AssertionError(f"overlap outside the four families at {render(parent)}")
+        indices = tuple(g.index for g in parent)
+        name, _, form = rewrite.first_row(confluence._CASES[family], indices)
+        yield CriticalPair(parent, apply(parent, 0), apply(parent, 1), family, name, instantiate(form, indices))
+
+
+def _searched_disjoint_pair(w):
+    for p1, p2 in combinations([p for p, _ in redexes(w)], 2):
+        if p2 - p1 >= 2:
+            left = apply(w, p1)
+            # rewriting at p1 may shorten the word by 2 (the vanishing rule)
+            both = apply(left, p2 + len(left) - len(w))
+            return CriticalPair(w, left, apply(w, p2), confluence.DISJOINT, None, both)
+    return None
+
+
+def _searched_disjoint_parents(max_index):
+    parents = (w for w in all_words(5, min(max_index, 3)) if _searched_disjoint_pair(w) is not None)
+    return list(islice(parents, confluence.DISJOINT_SAMPLES))
+
+
+def test_overlap_pairs_match_the_word_scan():
+    for max_index in [*range(2, 13), 20]:
+        assert list(confluence._overlap_pairs(max_index)) == list(_scanned_overlap_pairs(max_index))
+
+
+def test_disjoint_pairs_match_the_redex_search():
+    for max_index in (2, 3, 6, 10):
+        searched = [_searched_disjoint_pair(w) for w in _searched_disjoint_parents(max_index)]
+        assert list(confluence._disjoint_pairs(max_index)) == searched
+
+
+def test_an_overlap_outside_the_families_is_a_hard_error(monkeypatch):
+    # a rule h0 e0 -> 1 makes h0 e0 h0, of letter pattern HEH, the first parent with two redexes
+    real = confluence.match_rule
+    vanishing = real(*parse("e0 h0"))
+    monkeypatch.setattr(confluence, "match_rule", lambda x, y: vanishing if (x, y) == parse("h0 e0") else real(x, y))
+    for overlaps in (enumerate_overlaps, lambda max_index: list(_scanned_overlap_pairs(max_index))):
+        with pytest.raises(AssertionError, match="^overlap outside the four families at h0 e0 h0$"):
+            overlaps(2)
 
 
 def test_enumerate_overlaps_requires_bound():
@@ -124,27 +175,32 @@ def test_alternative_printed_form_does_not_join():
 def test_disjoint_pairs_commute():
     w = parse("e0 h0 e0 h0")
     assert [p for p, _ in redexes(w)] == [0, 2]  # one disjoint pair: h0 e0 is no redex
-    pair = disjoint_critical_pair(w)
+    (pair,) = confluence._disjoint_pairs(0)  # e0 h0 is the one redex pair at index 0
+    assert pair.parent == w and pair == _searched_disjoint_pair(w)
     assert pair.left_reduct == pair.right_reduct == parse("e0 h0")
     assert pair.expected == ()  # both vanishing steps applied directly
     assert pair.expected in common_reducts(pair)
     assert resolve(pair) == ()
-    assert disjoint_critical_pair(parse("e0 h0 h0")) is None  # overlapping redexes only
+    assert _searched_disjoint_pair(parse("e0 h0 h0")) is None  # overlapping redexes only
+
+
+def _disjoint_parents(max_index):
+    return [pair.parent for pair in confluence._disjoint_pairs(max_index)]
 
 
 def test_sampled_disjoint_parents_have_disjoint_redexes():
     for max_index in (2, 3, 6):
-        for w in sample_disjoint_parents(max_index):
+        for w in _disjoint_parents(max_index):
             ps = [p for p, _ in redexes(w)]
             assert any(q - p >= 2 for p in ps for q in ps)
-            # the scan stops inside length 4, and each sampled parent has exactly one disjoint pair
+            # the sample stays inside length 4, and each sampled parent has exactly one disjoint pair
             assert len(w) == 4 and sum(q - p >= 2 for p, q in combinations(ps, 2)) == 1
-    assert sample_disjoint_parents(6) == sample_disjoint_parents(3)
+    assert _disjoint_parents(6) == _disjoint_parents(3)
 
 
 def test_sample_disjoint_parents_count_is_exact():
     for max_index in (2, 3, 6):
-        assert len(sample_disjoint_parents(max_index)) == confluence.DISJOINT_SAMPLES
+        assert len(_disjoint_parents(max_index)) == confluence.DISJOINT_SAMPLES
 
 
 def test_overlap_expected_is_the_subcase_closed_form():

@@ -68,6 +68,12 @@ def test_eps_eta_conditions_partition_index_pairs():
     assert all((i, j) in seen for i in range(8) for j in range(8))
 
 
+def test_rule_case_prints_as_its_tag():
+    # how a str-mixin Enum formats has changed between Python versions; the tag must not
+    for case in RuleCase:
+        assert str(case) == f"{case}" == case.value
+
+
 def test_match_rule_shares_one_instance_per_letter_pair():
     pairs = {
         RuleCase.EPS_EPS: (eps(1), eps(3)),
