@@ -23,12 +23,11 @@ import argparse
 import os
 import sys
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
+
+import adjmon as A  # A.monoid and A.confluence load on first access, as adjmon._DEFERRED says
 
 from . import rewrite, words
-
-if TYPE_CHECKING:  # monoid and confluence load inside the commands that call them
-    from . import confluence, monoid
 
 
 def _out(args, record: Callable[[], dict] | None, lines: Iterable = ()) -> None:
@@ -77,14 +76,16 @@ def _check_oracle_degree(max_degree: int) -> None:
 
 
 def _check_audit_words(max_index: int, max_len: int) -> None:
-    """Refuse the overlap scan, or the termination audit up to max_len, over the limit."""
+    """Refuse the overlap audit's three-letter words, or the termination audit's up to max_len, over the limit."""
     letters = 2 * max_index + 2
-    for what, lengths in ((f"--max-index {max_index}: the overlap scan", range(3, 4)),
-                          (f"--max-len {max_len} --max-index {max_index}: the termination audit", range(max_len + 1))):
-        words = sum(letters**n for n in lengths[:65])  # 2^64 words are over the limit already
-        if words > AUDIT_MAX_WORDS:
-            count = f"{words:,}" if len(lengths) <= 65 else f"more than {letters}^64"
-            raise ValueError(f"{what} would enumerate {count} words, over the limit of {AUDIT_MAX_WORDS:,}")
+    if letters**3 > AUDIT_MAX_WORDS:  # the words whose overlaps the join of the redex pairs covers
+        raise ValueError(f"--max-index {max_index}: the overlap audit would cover {letters**3:,} three-letter words, "
+                         f"over the limit of {AUDIT_MAX_WORDS:,}")
+    words = sum(letters**n for n in range(min(max_len, 64) + 1))  # 2^64 words are over the limit already
+    if words > AUDIT_MAX_WORDS:
+        count = f"{words:,}" if max_len <= 64 else f"more than {letters}^64"
+        raise ValueError(f"--max-len {max_len} --max-index {max_index}: the termination audit would enumerate "
+                         f"{count} words, over the limit of {AUDIT_MAX_WORDS:,}")
 
 
 def cmd_trace(args) -> int:
@@ -117,32 +118,30 @@ def cmd_degree(args) -> int:
 
 
 def cmd_f(args) -> int:
-    from . import monoid
     w = words.parse(args.word)
-    image = words.render(monoid.apply_f_word(w))
+    image = words.render(A.monoid.apply_f_word(w))
     _out(args, lambda: {"record": "f", "word": words.render(w), "image": image}, [image])
     return 0
 
 
 def cmd_mul(args) -> int:
-    from . import monoid
-    a = monoid.element(words.parse(args.left))
-    b = monoid.element(words.parse(args.right))
-    product = monoid.mul(a, b)
+    a = A.monoid.element(words.parse(args.left))
+    b = A.monoid.element(words.parse(args.right))
+    product = A.monoid.mul(a, b)
     _out(args, lambda: {"record": "mul", "left": str(a), "right": str(b), "product": str(product)}, [product])
     return 0
 
 
 def cmd_eq(args) -> int:
-    u = rewrite.normalize(words.parse(args.left))
-    v = rewrite.normalize(words.parse(args.right))
-    _out(args, lambda: {"record": "eq", "left": args.left, "right": args.right, "equal": u == v,
+    left, right = words.parse(args.left), words.parse(args.right)
+    u, v = rewrite.normalize(left), rewrite.normalize(right)
+    _out(args, lambda: {"record": "eq", "left": words.render(left), "right": words.render(right), "equal": u == v,
                         "normal_forms": [words.render(u), words.render(v)]},
          ["equal" if u == v else "not-equal"])
     return 0
 
 
-def _identity_records(args, report: monoid.IdentityReport, kind: str) -> int:
+def _identity_records(args, report: A.monoid.IdentityReport, kind: str) -> int:
     for r in report.results:
         c = r.counterexample
         if c is None:
@@ -164,37 +163,34 @@ def _check_at_least(flag: str, value: int, minimum: int) -> None:
 
 
 def cmd_axioms(args) -> int:
-    from . import monoid
-    return _identity_records(args, monoid.check_axioms(), "axiom")
+    return _identity_records(args, A.monoid.check_axioms(), "axiom")
 
 
 def cmd_ncheck(args) -> int:
-    from . import monoid
     if args.word is not None:
-        a = monoid.element(words.parse(args.word))
+        a = A.monoid.element(words.parse(args.word))
         # the only candidate witness, normalize(a*eta), has degree <= degree(a) + 1
-        res = monoid.in_N(a, words.degree(a.nf) + 1)
+        res = A.monoid.in_N(a, words.degree(a.nf) + 1)
         _out(args, lambda: {"record": "membership", "element": str(a), "member": res.member,
                             "witness": None if res.witness is None else str(res.witness)},
              [f"member: witness {res.witness}" if res.member else "not a member"])
         return 0
-    return _identity_records(args, monoid.check_N_closure(), "submonoid")
+    return _identity_records(args, A.monoid.check_N_closure(), "submonoid")
 
 
-def _condition_line(c: monoid.ConditionResult) -> str:
+def _condition_line(c: A.monoid.ConditionResult) -> str:
     at = f" at m={c.witness_at}" if c.witness_at is not None else ""
     status = "HOLDS" if c.holds else "DOES-NOT-HOLD"
     return f"{c.condition}  {status}{at}: lhs={words.render(c.lhs_nf)} rhs={words.render(c.rhs_nf)}"
 
 
-def _derived_line(criteria: monoid.IsoCriteriaReport) -> str:
+def _derived_line(criteria: A.monoid.IsoCriteriaReport) -> str:
     status = "HOLDS" if criteria.derived_holds else "DOES-NOT-HOLD"
     return f"derived (f surjective; f iso; N=M)  {status} [propagated by equivalence]"
 
 
 def cmd_iso(args) -> int:
-    from . import monoid
-    rep = monoid.iso_criteria_report()
+    rep = A.monoid.iso_criteria_report()
     for c in rep.conditions:
         _out(args, lambda: {"record": "iso_condition", "condition": c.condition, "holds": c.holds, "at": c.witness_at,
                             "lhs": words.render(c.lhs_nf), "rhs": words.render(c.rhs_nf)},
@@ -203,7 +199,7 @@ def cmd_iso(args) -> int:
     return 0
 
 
-def _row_line(r: confluence.SubcaseRow) -> str:
+def _row_line(r: A.confluence.SubcaseRow) -> str:
     formula = f"{r.formula_matches}/{r.instances}"
     if r.alt_formula_applicable:
         formula += f" (alt printed form {r.alt_formula_matches}/{r.alt_formula_applicable})"
@@ -214,17 +210,16 @@ def _row_line(r: confluence.SubcaseRow) -> str:
 
 
 def cmd_audit(args) -> int:
-    from . import confluence
-    oracle_len, oracle_index = confluence.ORACLE_MAX_LEN, confluence.ORACLE_MAX_INDEX
+    oracle_len, oracle_index = A.confluence.ORACLE_MAX_LEN, A.confluence.ORACLE_MAX_INDEX
     # every bound is checked before the first audit runs
     _check_oracle_degree(args.max_degree)
     _check_at_least("--max-degree", args.max_degree, oracle_len * (oracle_index + 1))  # the population's top degree
-    _check_at_least("--max-index", args.max_index, confluence.MIN_OVERLAP_INDEX)
+    _check_at_least("--max-index", args.max_index, A.confluence.MIN_OVERLAP_INDEX)
     _check_at_least("--max-len", args.max_len, 1)
     _check_audit_words(args.max_index, args.max_len)
-    term = confluence.audit_termination(args.max_len, args.max_index)
-    conf = confluence.audit_local_confluence(args.max_index)
-    oracle = confluence.cross_check_oracle(oracle_len, oracle_index, args.max_degree)
+    term = A.confluence.audit_termination(args.max_len, args.max_index)
+    conf = A.confluence.audit_local_confluence(args.max_index)
+    oracle = A.confluence.cross_check_oracle(oracle_len, oracle_index, args.max_degree)
     ok = term.passed and conf.passed and oracle.passed
     _out(args, lambda: {"record": "termination", "words": term.words_checked, "steps": term.steps_checked,
                         "longest_chain": term.longest_chain, "pass": term.passed},
@@ -250,14 +245,13 @@ def cmd_audit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import confluence
     u = words.parse(args.left)
     v = words.parse(args.right)
     _check_oracle_degree(args.max_degree)
     d = max(words.degree(u), words.degree(v))
     if d > args.max_degree:
         raise ValueError(f"--max-degree {args.max_degree}: the bound must be >= {d}, the degree of the input")
-    res = confluence.equivalent_bounded(u, v, args.max_degree)
+    res = A.confluence.equivalent_bounded(u, v, args.max_degree)
     # the record's other keys are OracleVerdict's field names
     _out(args, lambda: {"record": "oracle", "left": words.render(u), "right": words.render(v),
                         "max_degree": args.max_degree, **res._asdict()},
@@ -266,12 +260,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_answer(args) -> int:
-    from . import confluence, monoid
-    verdict = monoid.answer_open_question()
-    term = confluence.audit_termination(4, 3)
-    conf = confluence.audit_local_confluence(6)
+    verdict = A.monoid.answer_open_question()
+    term = A.confluence.audit_termination(4, 3)
+    conf = A.confluence.audit_local_confluence(6)
     certified = term.passed and conf.passed and conf.all_subcases_instantiated
-    ok = verdict.verdict == monoid.NOT_ISO and certified
+    ok = verdict.verdict == A.monoid.NOT_ISO and certified
     criteria = verdict.criteria
     _out(
         args,

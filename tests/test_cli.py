@@ -293,6 +293,10 @@ _ONE_LINE_GOLDENS = [
         ("eq", "e0 h1", "1", "--json"),
         '{"equal": true, "left": "e0 h1", "normal_forms": ["1", "1"], "record": "eq", "right": "1"}',
     ),
+    (  # the record renders the parsed words, not the argument text
+        ("eq", "η1  ε1", "1", "--json"),
+        '{"equal": false, "left": "h1 e1", "normal_forms": ["h1 e1", "1"], "record": "eq", "right": "1"}',
+    ),
     (
         ("trace", "e1 h1", "--json"),
         '{"normal_form": "1", "record": "trace", "start": "e1 h1", "steps": ['
@@ -549,7 +553,7 @@ def test_oracle_input_over_bound_refused_naming_its_flag(capsys):
         ("f", "h{N}"),  # the image's index
         ("oracle", "h{N}", "1"),  # the input's degree, in the refusal
         ("trace", "e{N} h{N}"),  # the step count, in the refusal
-        ("audit", "--max-index", "{M}"),  # the overlap scan's word count, in the refusal
+        ("audit", "--max-index", "{M}"),  # the overlap audit's word count, in the refusal
     ],
     ids=lambda argv: argv[0],
 )
@@ -573,7 +577,7 @@ def test_audit_word_limit(capsys):
         "over the limit of 1,000,000\n"
     )
     code, _, err = run(capsys, "audit", "--max-index", "50", "--max-len", "1", "--max-degree", "9")
-    assert code == 2 and "overlap scan would enumerate 1,061,208 words" in err
+    assert code == 2 and "overlap audit would cover 1,061,208 three-letter words" in err
 
 
 @pytest.mark.parametrize(
@@ -813,6 +817,7 @@ def _loaded_by_main(*argv):
         (["audit", "--max-index", "2", "--max-len", "1", "--max-degree", "9"], ["adjmon.confluence"]),
         (["oracle", "h0 e0", "1", "--max-degree", "2"], ["adjmon.confluence"]),
         (["answer"], ["adjmon.confluence", "adjmon.monoid"]),
+        (["ncheck"], ["adjmon.monoid"]),  # the closure suites
     ],
 )
 def test_commands_load_only_the_layers_they_call(argv, extra):
