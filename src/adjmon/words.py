@@ -5,10 +5,12 @@ monoid identity.  Letters compare by value, and the package builds each
 through :func:`letter`, which shares one immutable instance per value.  The
 text format is space-optional tokens ``h<k>`` / ``e<k>`` (Unicode aliases
 ``η<k>`` / ``ε<k>`` accepted on input), with the bare token ``1`` standing
-for the empty word.  ``degree`` is the additive measure that makes every
-rewrite step strictly decreasing.  The enumerators list words within
-bounds, all of them or only the canonical forms, in the deterministic
-order of ``word_key``.
+for the empty word.  :func:`parse` reads spaced letter tokens with a
+whitespace split and the token table, and any other text with the grammar;
+both readings give the same words and the same errors.  ``degree`` is the
+additive measure that makes every rewrite step strictly decreasing.  The
+enumerators list words within bounds, all of them or only the canonical
+forms, in the deterministic order of ``word_key``.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ class NotCanonicalError(ValueError):
 
 
 # The grammar of word text: letter tokens, run together or apart, or the lone
-# token 1.  re's \s is exactly str.isspace(); [0-9] keeps indices ASCII.
+# token 1.  re's \s is exactly str.isspace(), where str.split() splits; [0-9]
+# keeps indices ASCII.
 _WORD_TEXT = re.compile(r"\s*(?:1\s*|(?:[hηeε][0-9]+\s*)+)")
 _LETTER_TOKEN = re.compile(r"[hηeε][0-9]+")
 # One token of any text, good or bad (groups: token, 1, kind, digits); compiled
@@ -100,7 +103,13 @@ _SCAN = r"\s*((1)|([hηeε])([0-9]*)|\S)"
 
 @lru_cache(maxsize=LETTER_CACHE_SIZE)
 def _token_key(token: str) -> tuple[str, int]:
-    """(kind, index) of a letter token, the arguments of :func:`letter`."""
+    """(kind, index) of a letter token, the arguments of :func:`letter`.
+
+    Raises ValueError for any other piece of text: the pattern comes first,
+    since int() also reads ``_``, ``+``, ``-`` and non-ASCII digits.
+    """
+    if not _LETTER_TOKEN.fullmatch(token):
+        raise ValueError(f"not a letter token: {token!r}")
     return _KIND_ALIASES[token[0]], int(token[1:])
 
 
@@ -112,11 +121,21 @@ def _token_text(g: Generator) -> str:
 def parse(text: str) -> Word:
     """Parse word text; inverse of :func:`render` on canonical output.
 
-    Rejects malformed tokens and a ``1`` mixed with letter tokens; the
-    raised :class:`WordSyntaxError` points at the first bad token.
+    Reads text in two ways, with the same words and errors: spaced letter
+    tokens, as :func:`render` writes them, are split on whitespace and
+    looked up in the token table; any other text (run-together tokens,
+    the lone ``1``, an index over the digit limit, malformed input) is
+    matched against the grammar.  Rejects malformed tokens and a ``1``
+    mixed with letter tokens; the raised :class:`WordSyntaxError` points
+    at the first bad token.
     """
-    if _WORD_TEXT.fullmatch(text):
+    if tokens := text.split():
         try:  # a list sizes the tuple exactly; tuple() of an iterator over-allocates
+            return tuple([*starmap(letter, map(_token_key, tokens))])
+        except ValueError:  # a piece that is not one letter token, or an index int() refuses
+            pass
+    if _WORD_TEXT.fullmatch(text):
+        try:
             return tuple([*starmap(letter, map(_token_key, _LETTER_TOKEN.findall(text)))])
         except ValueError:  # int() refused an index of too many digits
             pass

@@ -167,12 +167,24 @@ def _outcome(parser, text):
 
 # letters, ASCII and other digits, the identity, and whitespace of one to three UTF-8 bytes
 _PARSER_ALPHABET = ["h", "e", "η", "ε", *"0123456789", "1", "x", "٣", " ", "\t", "\x1c", "\x85", "\u200b", "\u3000"]
+# characters that int() reads inside an index and the grammar refuses; U+FF11 is the fullwidth 1
+_PARSER_ALPHABET += ["_", "+", "-", "\uff11"]
 
 
 @given(st.text(alphabet=_PARSER_ALPHABET, max_size=40))
 @example("h" + "9" * 5000 + " x")
 @example("1 \u3000")
 @example("\x85")
+# int() reads each of these indices; the grammar does not
+@example("h1_0")
+@example("e+1 h0")
+@example("h-0")
+@example("h\uff11 e0")
+# texts that are not all spaced letter tokens: run-together, the identity, an index over the digit limit
+@example("h0e1 e2")
+@example(" 1 ")
+@example("1 h0")
+@example("e0 h" + "9" * 5000)
 def test_parse_agrees_with_reference(text):
     assert _outcome(parse, text) == _outcome(_reference_parse, text)
 
