@@ -59,10 +59,10 @@ def cmd_normalize(args) -> int:
 # under --json holds them all until the record is printed.
 TRACE_BUDGET = 10**7
 
-# `audit` finds the overlaps among the three-letter words, joining their redex pairs, and
-# checks termination on the words of length <= --max-len, over 2 (--max-index + 1) letters.
-# Python 3.11.7, 2-CPU Intel Xeon: termination at (5, 6), 579,195 words, takes 1.6 s and
-# 57 MB, at (6, 4), 1,111,111 words, 2.3 s and 93 MB; the overlaps of 100^3 words 14-15 s and 18 MB.
+# `audit` finds the overlaps of the three-letter words by joining their redex pairs, decides termination
+# on those pairs and measures chains on the words of length <= --max-len, over 2 (--max-index + 1) letters.
+# Python 3.11.7, 2-CPU Intel Xeon, fresh interpreters: termination at (5, 6), 579,195 words, takes 0.70-0.77 s
+# and 56 MB, at (6, 4), 1,111,111 words, 1.4-1.6 s and 93 MB; the overlaps of 100^3 words 14-15 s and 18 MB.
 # The oracle's universe, the 3^d words of degree <= --max-degree, is held to it too:
 # `audit --max-degree 12`, 531,441 words, takes 1.4-1.9 s (median 1.6 s) and 42 MB,
 # its oracle run with the cyclic garbage collector paused.
@@ -76,7 +76,7 @@ def _check_oracle_degree(max_degree: int) -> None:
 
 
 def _check_audit_words(max_index: int, max_len: int) -> None:
-    """Refuse the overlap audit's three-letter words, or the termination audit's up to max_len, over the limit."""
+    """Refuse the overlap audit's three-letter words, or the termination audit's chain walk up to max_len, over the limit."""
     letters = 2 * max_index + 2
     if letters**3 > AUDIT_MAX_WORDS:  # the words whose overlaps the join of the redex pairs covers
         raise ValueError(f"--max-index {max_index}: the overlap audit would cover {letters**3:,} three-letter words, "

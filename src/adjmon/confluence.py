@@ -225,74 +225,67 @@ class TerminationReport(NamedTuple):
     steps_checked: int
     bad_steps: tuple[tuple[Word, int, int], ...]  # (word, position, observed drop)
     longest_chain: int
+    bad_pairs: tuple[tuple[Generator, Generator, int], ...] = ()  # (x, y, observed drop)
 
     @property
     def passed(self) -> bool:
-        return not self.bad_steps
+        return not self.bad_pairs
 
 
 def audit_termination(max_len: int, max_index: int) -> TerminationReport:
-    """Check the degree drop of every redex of every word within bounds
-    (1 per step, 2 for the vanishing rule), and find the longest reduction
-    sequence.  Chains count only steps that lower the degree, so none is
-    longer than its start word's degree.
+    """Check every redex pair x y of the letters of index <= max_index: it
+    lowers the degree by the drop stated here, beside the rule table (1, or
+    2 for the vanishing rule), to a reduct of 0 or 2 of those letters.  As
+    ``degree`` is additive, that decides termination: a step anywhere drops
+    by its pair's drop, so a bad pair's occurrences in ``all_words(max_len,
+    max_index)`` are the bad steps, and the words of length n over L letters
+    hold (n - 1) P L^(n-2) steps, P the number of redex pairs.
 
-    A word w is handled by its number, its place in ``all_words(max_len,
-    max_index)``: over L = 2 (max_index + 1) letters, the words of length n
-    start at S(n) = L^0 + ... + L^(n-1), and letter p has place value
-    L^(n-1-p).  With i = w - S(n), a step at p from letters a b to r0 r1
-    gives w + (r0 - a) L^(n-1-p) + (r1 - b) L^(n-2-p), and one deleting them
-    S(n-2) + (i // L^(n-p)) L^(n-2-p) + (i mod L^(n-2-p)).  Every degree is
-    tabled first, as a reduct can come after its word (e0 e2 -> e1 e0), and
-    each drop is read from the table, so a wrong number shows as a bad step.
-    Chain lengths follow by length, then ascending degree; a step that does
-    not lower the degree or leaves the bounds is bad and left out of them.
+    The walk by word number only measures the longest reduction sequence
+    among those words, over the steps that stay within the bounds and lower
+    the degree, so no chain is longer than its start word's degree.  The
+    words of length n start at number S(n) = L^0 + ... + L^(n-1), and letter
+    p has place value L^(n-1-p).  With i = w - S(n), a step at p from
+    letters a b to r0 r1 gives w + (r0 - a) L^(n-1-p) + (r1 - b) L^(n-2-p),
+    and one deleting them S(n-2) + (i // L^(n-p)) L^(n-2-p) + (i mod
+    L^(n-2-p)).  A reduct can come after its word (e0 e2 -> e1 e0), so
+    chain lengths follow by length, then ascending degree.
     """
     if max_len < 1 or max_index < 1:
         raise ValueError("bounds must be >= 1")
     letters = alphabet(max_index)
-    size, number = len(letters), {g: c for c, g in enumerate(letters)}
-    pairs = size * size
-    table: list[tuple | None] = [None] * pairs  # at a L + b, for letters a b: (change of w per L^(n-2-p), want, drop)
-    for x, y, rule in _redex_pairs(letters):
-        a, b = number[x], number[y]
-        r = [number.get(g) for g in rule.rhs]
-        if not r:
-            change = None  # the letters vanish
-        elif len(r) == 2 and None not in r:
-            change = (r[0] - a) * size + r[1] - b
-        else:
-            change = False  # the reduct leaves the bounds
-        want = 2 if rule.case is RuleCase.EPS_ETA_ZERO else 1
-        table[a * size + b] = (change, want, degree(rule.lhs) - degree(rule.rhs))
+    size, number, redex_pairs = len(letters), {g: c for c, g in enumerate(letters)}, _redex_pairs(letters)
+    pairs, bad = size * size, {}
+    step: list = [False] * pairs  # at a L + b, for letters a b: the change of w per L^(n-2-p), None if they vanish
+    for x, y, rule in redex_pairs:
+        a, b, r = number[x], number[y], [number.get(g) for g in rule.rhs]
+        drop, inside = degree(rule.lhs) - degree(rule.rhs), len(r) in (0, 2) and None not in r
+        if drop != (2 if rule.case is RuleCase.EPS_ETA_ZERO else 1) or not inside:
+            bad[x, y] = drop
+        if inside and drop > 0:
+            step[a * size + b] = (r[0] - a) * size + r[1] - b if r else None
     start, deg, level = [0, 1], [0], [0]  # start[n]: the first number of length n
     for _ in range(max_len):
         level = [d + g.index + 1 for d in level for g in letters]
         deg += level
         start.append(len(deg))
-    chain, steps, bad = [0] * len(deg), 0, []
+    chain = [0] * len(deg)
     for n in range(2, max_len + 1):
         places = [size ** (n - 2 - p) for p in range(n - 1)]
         for w in sorted(range(start[n], start[n + 1]), key=deg.__getitem__):
-            i, d, longest = w - start[n], deg[w], 0
-            for p, place in enumerate(places):
+            i, longest = w - start[n], 0
+            for place in places:
                 hi = i // place
-                entry = table[hi % pairs]
-                if entry is None:
-                    continue
-                steps += 1
-                change, want, drop = entry
+                change = step[hi % pairs]
                 if change is not False:
                     v = w + change * place if change is not None else start[n - 2] + hi // pairs * place + i % place
-                    drop = d - deg[v]
-                    if drop > 0 and chain[v] >= longest:
+                    if chain[v] >= longest:
                         longest = chain[v] + 1
-                if drop != want or change is False:
-                    word = tuple([letters[i // size ** (n - 1 - q) % size] for q in range(n)])  # i's base-L digits
-                    bad.append((w, p, drop, word))
             chain[w] = longest
-    bad_steps = tuple((word, p, drop) for _, p, drop, word in sorted(bad))
-    return TerminationReport(len(deg), steps, bad_steps, max(chain))
+    steps = sum((n - 1) * len(redex_pairs) * size ** (n - 2) for n in range(2, max_len + 1))
+    bad_steps = tuple((w, p, bad[pair]) for w in all_words(max_len, max_index)
+                      for p, pair in enumerate(zip(w, w[1:])) if pair in bad) if bad else ()
+    return TerminationReport(len(deg), steps, bad_steps, max(chain), tuple((x, y, d) for (x, y), d in bad.items()))
 
 
 # --- equivalence oracle ------------------------------------------------------

@@ -25,7 +25,7 @@ from adjmon.confluence import (
     resolve,
 )
 from adjmon import cli
-from adjmon.rewrite import I, J, K, O, RuleCase, RuleInstance, apply, instantiate, reduction_graph, redexes
+from adjmon.rewrite import INF, I, J, K, O, RuleCase, RuleInstance, apply, instantiate, reduction_graph, redexes
 from adjmon.words import EPS, Generator, _block_start, _words_by_degree, alphabet, degree, is_canonical_shape, letter
 from adjmon.words import parse, render
 from adjmon.words import eps as eps_letter
@@ -327,6 +327,12 @@ def test_both_tables_share_the_one_guard_format():
             for bound in guard:
                 u, v, lo, hi = bound
                 assert u in slots and v in set(slots) - {u} | {O} and lo <= hi
+    # a vanishing row pins each slot, in slot order, to a natural: VANISHING builds its letters from the low bounds
+    for rows in rewrite.RULES.values():
+        for _, guard, rhs in rows:
+            if not rhs:
+                assert [u for u, *_ in guard] == [I, J]
+                assert all(v == O and lo == hi >= 0 for _, v, lo, hi in guard)
     # the overlap tables are first-match: each family ends in a row that always holds
     assert all(rows[-1][1] == () for rows in confluence._CASES.values())
     # the least bound at which every subcase has an instance
@@ -499,8 +505,10 @@ def test_termination_leaves_unsound_steps_out_of_chains(monkeypatch):
         (RuleCase.EPS_ETA_ZERO, lambda x, y: parse("h0"), False),
         # e_i h_i -> e_i h_{i+1} raises the degree, and leaves the bounds when i = max_index
         (RuleCase.EPS_ETA_EQUAL, lambda x, y: (x, eta_letter(y.index + 1)), False),
+        # e_i e_j -> e_{i+j} drops the degree by exactly 1, to a one-letter reduct outside the population
+        (RuleCase.EPS_EPS, lambda x, y: (eps_letter(x.index + y.index),), False),
     ],
-    ids=["equal-vanishes", "zero-to-one-letter", "index-out-of-bounds"],
+    ids=["equal-vanishes", "zero-to-one-letter", "index-out-of-bounds", "eps-to-one-letter"],
 )
 def test_termination_reports_faulty_rule_exactly(monkeypatch, case, rhs, sound):
     _patch_rule(monkeypatch, lambda x, y, rule: rule._replace(rhs=rhs(x, y)) if rule and rule.case is case else rule)
@@ -511,6 +519,111 @@ def test_termination_reports_faulty_rule_exactly(monkeypatch, case, rhs, sound):
     assert not report.passed
     if sound:  # every drop is positive, so the reference's chain lengths hold too
         _assert_matches_reference(report, 4, 2)
+
+
+def test_termination_fails_a_bad_pair_at_length_one(monkeypatch, capsys):
+    # no word of length <= 1 has a step, so only the pair check can see the swapped rule
+    _patch_rule(monkeypatch, _swap_eps)
+    report = audit_termination(1, 6)
+    assert (report.words_checked, report.steps_checked, report.bad_steps) == (15, 0, ())
+    assert not report.passed
+    assert report.bad_pairs == tuple((eps_letter(i), eps_letter(j), 0) for i in range(7) for j in range(i + 1, 7))
+    assert cli.main(["audit", "--max-len", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "termination: 15 words, 0 steps, longest chain 0  FAIL"
+
+
+# The termination audit as it was before the redex pairs decided it: every
+# step of every word within bounds, by word number, its drop read off a
+# table of every word's degree, with a bad step where that drop is not the
+# stated one or the reduct leaves the bounds.  Returns (words, steps, bad
+# steps, longest chain, passed).
+def _walked_termination(max_len, max_index):
+    letters = alphabet(max_index)
+    size, number = len(letters), {g: c for c, g in enumerate(letters)}
+    pairs = size * size
+    table = [None] * pairs  # at a L + b, for letters a b: (change of w per L^(n-2-p), want, drop)
+    for x, y, rule in confluence._redex_pairs(letters):
+        a, b = number[x], number[y]
+        r = [number.get(g) for g in rule.rhs]
+        if not r:
+            change = None  # the letters vanish
+        elif len(r) == 2 and None not in r:
+            change = (r[0] - a) * size + r[1] - b
+        else:
+            change = False  # the reduct leaves the bounds
+        want = 2 if rule.case is RuleCase.EPS_ETA_ZERO else 1
+        table[a * size + b] = (change, want, degree(rule.lhs) - degree(rule.rhs))
+    start, deg, level = [0, 1], [0], [0]  # start[n]: the first number of length n
+    for _ in range(max_len):
+        level = [d + g.index + 1 for d in level for g in letters]
+        deg += level
+        start.append(len(deg))
+    chain, steps, bad = [0] * len(deg), 0, []
+    for n in range(2, max_len + 1):
+        places = [size ** (n - 2 - p) for p in range(n - 1)]
+        for w in sorted(range(start[n], start[n + 1]), key=deg.__getitem__):
+            i, d, longest = w - start[n], deg[w], 0
+            for p, place in enumerate(places):
+                hi = i // place
+                entry = table[hi % pairs]
+                if entry is None:
+                    continue
+                steps += 1
+                change, want, drop = entry
+                if change is not False:
+                    v = w + change * place if change is not None else start[n - 2] + hi // pairs * place + i % place
+                    drop = d - deg[v]
+                    if drop > 0 and chain[v] >= longest:
+                        longest = chain[v] + 1
+                if drop != want or change is False:
+                    word = tuple([letters[i // size ** (n - 1 - q) % size] for q in range(n)])  # i's base-L digits
+                    bad.append((w, p, drop, word))
+            chain[w] = longest
+    bad_steps = tuple((word, p, drop) for _, p, drop, word in sorted(bad))
+    return len(deg), steps, bad_steps, max(chain), not bad_steps
+
+
+def _rule_mutants():
+    """Every +-1 mutant of a constant of RULES, a template offset or a finite
+    guard bound, as (case, guard, rhs) with the other of guard and rhs None."""
+    for rows in rewrite.RULES.values():
+        for case, guard, rhs in rows:
+            for b, bound in enumerate(guard):
+                for at, end in ((2, "lo"), (3, "hi")):
+                    for d in (-1, 1) if abs(bound[at]) != INF else ():
+                        moved = bound[:at] + (bound[at] + d,) + bound[at + 1 :]
+                        mutant = guard[:b] + (moved,) + guard[b + 1 :]
+                        yield pytest.param(case, mutant, None, id=f"{case}-guard{b}-{end}{d:+d}")
+            for t, (kind, slot, c) in enumerate(rhs):
+                for d in (-1, 1):
+                    mutant = rhs[:t] + ((kind, slot, c + d),) + rhs[t + 1 :]
+                    yield pytest.param(case, None, mutant, id=f"{case}-rhs{t}{d:+d}")
+
+
+def _audited(max_len, max_index):
+    report = audit_termination(max_len, max_index)
+    return (*report[:4], report.passed)
+
+
+def _outcome(audit, max_len, max_index):
+    """What the audit returns, or TypeError: a mutant that gives a reduct
+    letter a negative index leaves ``match_rule`` a right-hand side of None,
+    which neither audit reads."""
+    try:
+        return audit(max_len, max_index)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("case, guard, rhs", _rule_mutants())
+def test_termination_matches_the_walk_under_every_rule_mutant(mutated_rules, case, guard, rhs):
+    mutated_rules(case, guard, rhs)
+    walked = [_outcome(_walked_termination, n, 2) for n in range(1, 5)]
+    got = [_outcome(_audited, n, 2) for n in (1, 3, 4)]
+    assert got[1:] == walked[2:]
+    # no word of length 1 has a step: the walk passes vacuously there, and the pair check gives length 2's verdict
+    assert got[0] == (walked[0] if walked[0] is TypeError else (*walked[0][:4], walked[1][4]))
+    assert walked[0] is TypeError or walked[0][4]
 
 
 # --- bidirectional oracle -----------------------------------------------------

@@ -191,30 +191,11 @@ def test_rule_guards_are_disjoint():
 
 def test_rule_table_states_the_degree_facts_inverse_steps_rests_on():
     # inverse_steps admits a replaced factor at degree d + 1 and an inserted vanishing side at d + its degree;
-    # audit_termination checks the same drops on words, these checks tie them to the rows themselves
+    # audit_termination checks the same drops on the redex pairs, these checks tie them to the rows themselves
     assert all(sum(c for *_, c in rhs) == -1 for _, (*_, rhs) in _rule_rows() if len(rhs) == 2)
     assert all(degree(lhs) == 2 for lhs in VANISHING)
     assert VANISHING == (parse("e0 h0"),)
     assert inverse_steps((), 2) == [parse("e0 h0")] and inverse_steps((), 1) == []
-
-
-@pytest.fixture
-def mutated_rules(monkeypatch):
-    """Replace one guard of RULES for the test, with the rule caches cleared
-    on the way in and out: a cached match would hide the mutation, and one
-    made under it would leak into later tests."""
-
-    def mutate(case, guard):
-        table = {kinds: tuple((name, guard if name is case else g, rhs) for name, g, rhs in rows)
-                 for kinds, rows in rewrite.RULES.items()}
-        monkeypatch.setattr(rewrite, "RULES", table)
-        match_rule.cache_clear()
-        left_sides.cache_clear()
-
-    yield mutate
-    monkeypatch.undo()
-    match_rule.cache_clear()
-    left_sides.cache_clear()
 
 
 def _agrees_with_the_ladder():
