@@ -15,6 +15,8 @@ closed before the output is written, as by ``adjmon answer | head -1``.
 ``--json`` switches every command to line-delimited JSON records with
 stable ordering.  Each command prints its result through :func:`_out`, one
 record at a time, so its text and its JSON come from the same record.
+``audit`` and ``answer`` decide termination on the redex pairs alone: they
+call ``audit_termination`` at word length 1, where no word has a step.
 """
 
 from __future__ import annotations
@@ -59,33 +61,18 @@ def cmd_normalize(args) -> int:
 # under --json holds them all until the record is printed.
 TRACE_BUDGET = 10**7
 
-# `audit` finds the overlaps of the three-letter words by joining their redex pairs, decides termination
-# on those pairs and measures chains on the words of length <= --max-len, over 2 (--max-index + 1) letters.
-# Python 3.11.7, 2-CPU Intel Xeon, fresh interpreters: termination at (5, 6), 579,195 words, takes 0.70-0.77 s
-# and 56 MB, at (6, 4), 1,111,111 words, 1.4-1.6 s and 93 MB; the overlaps of 100^3 words 14-15 s and 18 MB.
+# `audit` finds the overlaps of the three-letter words over 2 (--max-index + 1) letters by joining their redex
+# pairs: those of 100^3 words take 14-15 s and 18 MB (Python 3.11.7, 2-CPU Intel Xeon, fresh interpreters).
 # The oracle's universe, the 3^d words of degree <= --max-degree, is held to it too:
 # `audit --max-degree 12`, 531,441 words, takes 1.4-1.9 s (median 1.6 s) and 42 MB,
 # its oracle run with the cyclic garbage collector paused.
 AUDIT_MAX_WORDS = 10**6
 
 
-def _check_oracle_degree(max_degree: int) -> None:
-    if 3 ** min(max_degree, 64) > AUDIT_MAX_WORDS:  # 3^64 words are over the limit already
-        raise ValueError(f"--max-degree {max_degree}: the oracle universe would enumerate 3^{max_degree} words, "
-                         f"over the limit of {AUDIT_MAX_WORDS:,}")
-
-
-def _check_audit_words(max_index: int, max_len: int) -> None:
-    """Refuse the overlap audit's three-letter words, or the termination audit's chain walk up to max_len, over the limit."""
-    letters = 2 * max_index + 2
-    if letters**3 > AUDIT_MAX_WORDS:  # the words whose overlaps the join of the redex pairs covers
-        raise ValueError(f"--max-index {max_index}: the overlap audit would cover {letters**3:,} three-letter words, "
-                         f"over the limit of {AUDIT_MAX_WORDS:,}")
-    words = sum(letters**n for n in range(min(max_len, 64) + 1))  # 2^64 words are over the limit already
-    if words > AUDIT_MAX_WORDS:
-        count = f"{words:,}" if max_len <= 64 else f"more than {letters}^64"
-        raise ValueError(f"--max-len {max_len} --max-index {max_index}: the termination audit would enumerate "
-                         f"{count} words, over the limit of {AUDIT_MAX_WORDS:,}")
+def _check_words(flag: str, value: int, count: int, what: str) -> None:
+    """Refuse flag's value if its audit would enumerate count words, over the limit; what says which."""
+    if count > AUDIT_MAX_WORDS:
+        raise ValueError(f"{flag} {value}: the {what}, over the limit of {AUDIT_MAX_WORDS:,}")
 
 
 def cmd_trace(args) -> int:
@@ -211,20 +198,21 @@ def _row_line(r: A.confluence.SubcaseRow) -> str:
 
 def cmd_audit(args) -> int:
     oracle_len, oracle_index = A.confluence.ORACLE_MAX_LEN, A.confluence.ORACLE_MAX_INDEX
-    # every bound is checked before the first audit runs
-    _check_oracle_degree(args.max_degree)
-    _check_at_least("--max-degree", args.max_degree, oracle_len * (oracle_index + 1))  # the population's top degree
+    d, letters = args.max_degree, 2 * args.max_index + 2
+    # every bound is checked before the first audit runs; 3^64 words are over the limit already
+    _check_words("--max-degree", d, 3 ** min(d, 64), f"oracle universe would enumerate 3^{d} words")
+    _check_at_least("--max-degree", d, oracle_len * (oracle_index + 1))  # the population's top degree
     _check_at_least("--max-index", args.max_index, A.confluence.MIN_OVERLAP_INDEX)
-    _check_at_least("--max-len", args.max_len, 1)
-    _check_audit_words(args.max_index, args.max_len)
-    term = A.confluence.audit_termination(args.max_len, args.max_index)
+    _check_words("--max-index", args.max_index, letters**3,  # the words whose overlaps the redex pairs' join covers
+                 f"overlap audit would cover {letters**3:,} three-letter words")
+    term = A.confluence.audit_termination(1, args.max_index)  # no word of length 1 has a step: the pairs decide
     conf = A.confluence.audit_local_confluence(args.max_index)
-    oracle = A.confluence.cross_check_oracle(oracle_len, oracle_index, args.max_degree)
+    oracle = A.confluence.cross_check_oracle(oracle_len, oracle_index, d)
     ok = term.passed and conf.passed and oracle.passed
-    _out(args, lambda: {"record": "termination", "words": term.words_checked, "steps": term.steps_checked,
-                        "longest_chain": term.longest_chain, "pass": term.passed},
-         [f"termination: {term.words_checked} words, {term.steps_checked} steps, "
-          f"longest chain {term.longest_chain}  {'PASS' if term.passed else 'FAIL'}"])
+    _out(args, lambda: {"record": "termination", "letters": letters, "pass": term.passed,
+                        "bad_pairs": [[words.render((x, y)), drop] for x, y, drop in term.bad_pairs]},
+         [f"termination: {letters} letters of index <= {args.max_index}, "
+          f"{len(term.bad_pairs)} bad pairs  {'PASS' if term.passed else 'FAIL'}"])
     header = f"{'family':9s} {'subcase':10s} {'instances':>9s} {'joinable':>8s}  {'sample bound':14s} formula"
     _out(args, None, [f"local confluence (max index {conf.max_index}):", header])
     for r in conf.rows:  # the record's keys are SubcaseRow's field names
@@ -247,7 +235,8 @@ def cmd_audit(args) -> int:
 def cmd_oracle(args) -> int:
     u = words.parse(args.left)
     v = words.parse(args.right)
-    _check_oracle_degree(args.max_degree)
+    _check_words("--max-degree", args.max_degree, 3 ** min(args.max_degree, 64),  # 3^64 words are over it already
+                 f"oracle universe would enumerate 3^{args.max_degree} words")
     d = max(words.degree(u), words.degree(v))
     if d > args.max_degree:
         raise ValueError(f"--max-degree {args.max_degree}: the bound must be >= {d}, the degree of the input")
@@ -261,7 +250,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_answer(args) -> int:
     verdict = A.monoid.answer_open_question()
-    term = A.confluence.audit_termination(4, 3)
+    term = A.confluence.audit_termination(1, 6)  # the redex pairs alone, at the overlaps' index bound
     conf = A.confluence.audit_local_confluence(6)
     certified = term.passed and conf.passed and conf.all_subcases_instantiated
     ok = verdict.verdict == A.monoid.NOT_ISO and certified
@@ -344,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("audit", cmd_audit, "termination + local confluence + oracle cross-check")
     p.add_argument("--max-index", type=int, default=6, help="index bound for overlaps/termination")
-    p.add_argument("--max-len", type=int, default=4, help="word length bound for termination")
     p.add_argument("--max-degree", type=int, default=9, help="oracle degree bound")
 
     p = add("oracle", cmd_oracle, "bounded bidirectional equivalence search for two words")

@@ -223,9 +223,8 @@ def audit_local_confluence(max_index: int = 6) -> LocalConfluenceReport:
 class TerminationReport(NamedTuple):
     words_checked: int
     steps_checked: int
-    bad_steps: tuple[tuple[Word, int, int], ...]  # (word, position, observed drop)
     longest_chain: int
-    bad_pairs: tuple[tuple[Generator, Generator, int], ...] = ()  # (x, y, observed drop)
+    bad_pairs: tuple[tuple[Generator, Generator, int | None], ...]  # (x, y, observed drop: None if no reduct)
 
     @property
     def passed(self) -> bool:
@@ -235,11 +234,11 @@ class TerminationReport(NamedTuple):
 def audit_termination(max_len: int, max_index: int) -> TerminationReport:
     """Check every redex pair x y of the letters of index <= max_index: it
     lowers the degree by the drop stated here, beside the rule table (1, or
-    2 for the vanishing rule), to a reduct of 0 or 2 of those letters.  As
-    ``degree`` is additive, that decides termination: a step anywhere drops
-    by its pair's drop, so a bad pair's occurrences in ``all_words(max_len,
-    max_index)`` are the bad steps, and the words of length n over L letters
-    hold (n - 1) P L^(n-2) steps, P the number of redex pairs.
+    2 for the vanishing rule), to a reduct of 0 or 2 of those letters; a pair
+    that misses is bad, its drop None where no reduct is built.  As ``degree``
+    is additive, that decides termination: a step anywhere drops by its
+    pair's drop, and the words of length n over L letters hold (n - 1) P
+    L^(n-2) steps, P the number of redex pairs.
 
     The walk by word number only measures the longest reduction sequence
     among those words, over the steps that stay within the bounds and lower
@@ -258,6 +257,9 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
     pairs, bad = size * size, {}
     step: list = [False] * pairs  # at a L + b, for letters a b: the change of w per L^(n-2-p), None if they vanish
     for x, y, rule in redex_pairs:
+        if rule.rhs is None:
+            bad[x, y] = None
+            continue
         a, b, r = number[x], number[y], [number.get(g) for g in rule.rhs]
         drop, inside = degree(rule.lhs) - degree(rule.rhs), len(r) in (0, 2) and None not in r
         if drop != (2 if rule.case is RuleCase.EPS_ETA_ZERO else 1) or not inside:
@@ -283,9 +285,7 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
                         longest = chain[v] + 1
             chain[w] = longest
     steps = sum((n - 1) * len(redex_pairs) * size ** (n - 2) for n in range(2, max_len + 1))
-    bad_steps = tuple((w, p, bad[pair]) for w in all_words(max_len, max_index)
-                      for p, pair in enumerate(zip(w, w[1:])) if pair in bad) if bad else ()
-    return TerminationReport(len(deg), steps, bad_steps, max(chain), tuple((x, y, d) for (x, y), d in bad.items()))
+    return TerminationReport(len(deg), steps, max(chain), tuple((x, y, d) for (x, y), d in bad.items()))
 
 
 # --- equivalence oracle ------------------------------------------------------

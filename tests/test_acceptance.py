@@ -104,7 +104,7 @@ def test_criterion_4_termination():
     with criterion(4, "every step drops degree by 1 (2 for the vanishing rule); chains <= degree"):
         report = audit_termination(max_len=4, max_index=3)
         assert report.passed
-        assert report.bad_steps == ()
+        assert report.bad_pairs == ()
         # the same facts observed on leftmost traces
         for w in all_words(3, 3):
             for s in normalize_trace(w).steps:

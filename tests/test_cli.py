@@ -12,7 +12,8 @@ from hypothesis import given
 
 from adjmon import cli, confluence, monoid, rewrite
 from adjmon.cli import main
-from adjmon.words import parse, render
+from adjmon.rewrite import I, J
+from adjmon.words import EPS, parse, render
 from conftest import small_words
 
 
@@ -197,7 +198,7 @@ def test_audit_failure_rows(capsys, monkeypatch):
     real = confluence.common_reducts
     monkeypatch.setattr(confluence, "common_reducts", lambda pair: frozenset() if pair.family == "EEE" else real(pair))
     monkeypatch.setattr(confluence, "normalize", lambda w: w)  # every word its own canonical form
-    args = ("audit", "--max-index", "2", "--max-len", "1")
+    args = ("audit", "--max-index", "2")
     code, out, _ = run(capsys, *args)
     assert code == 1
     lines = out.splitlines()
@@ -344,7 +345,7 @@ def test_oracle_degree_over_limit_exit_2(capsys):
 
 def test_oracle_cap_follows_audit_max_words(capsys, monkeypatch):
     # the oracle universe, the 3^d words of degree <= d, is held to AUDIT_MAX_WORDS: 3^12 = 531,441 <= 10^6 < 3^13
-    audit = ("audit", "--max-len", "1", "--max-index", "2", "--max-degree")
+    audit = ("audit", "--max-index", "2", "--max-degree")
     searched, real = [], confluence.cross_check_oracle
     # a cross-check over 3^12 words takes over a second: search 3^9 and record the bound the audit asked for
     monkeypatch.setattr(confluence, "cross_check_oracle", lambda n, i, d: searched.append(d) or real(n, i, 9))
@@ -381,6 +382,7 @@ REMOVED_FLAGS = {
     ("ncheck", "--max-index"): 2,
     ("audit", "--skip-oracle"): False,  # every audit runs termination, local confluence and the oracle cross-check
     ("audit", "--skip-termination"): False,
+    ("audit", "--max-len"): 1,  # audit and answer decide termination on the redex pairs, at word length 1
 }
 
 # Every option and positional of each command, by its flag or its name: the settable values (ROADMAP aim 2).
@@ -394,7 +396,7 @@ PARSER_SURFACE = {
     "axioms": {"--json"},
     "ncheck": {"word", "--json"},
     "iso": {"--json"},
-    "audit": {"--max-index", "--max-len", "--max-degree", "--json"},
+    "audit": {"--max-index", "--max-degree", "--json"},
     "oracle": {"left", "right", "--max-degree", "--json"},
     "answer": {"--json"},
 }
@@ -444,8 +446,7 @@ def refused_flags(err: str) -> list[str]:
 def test_audit_empty_oracle_population_exit_2(capsys, monkeypatch):
     # the oracle population is fixed and not empty: asking for an empty one is refused by the parser
     assert confluence.ORACLE_MAX_LEN >= 1 and confluence.ORACLE_MAX_INDEX >= 0
-    err = refused_before_any_audit(capsys, monkeypatch, "audit", "--oracle-len", "-1", "--max-len", "1",
-                                   "--max-index", "2")
+    err = refused_before_any_audit(capsys, monkeypatch, "audit", "--oracle-len", "-1", "--max-index", "2")
     assert err.endswith(parser_refusal("--oracle-len", "-1"))
 
 
@@ -460,7 +461,7 @@ def test_audit_empty_oracle_population_exit_2(capsys, monkeypatch):
         ("answer", "--max-index", "1"),
         ("audit", "--max-len", "8"),
         ("audit", "--max-len", "1000000000"),
-        ("audit", "--max-index", "50", "--max-len", "1"),
+        ("audit", "--max-index", "50"),
     ],
     ids=" ".join,
 )
@@ -487,7 +488,9 @@ def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
         ("ncheck", "h0 e0", "--max-len", "0"),  # with a word, ncheck takes no suite bound either
         ("audit", "--skip-oracle"),
         ("audit", "--skip-termination"),
-        ("audit", "--max-len", "5", "--skip-oracle"),
+        ("audit", "--max-index", "3", "--skip-oracle"),
+        ("audit", "--max-len", "1"),
+        ("audit", "--max-len", "4"),  # its old default
     ],
     ids=" ".join,
 )
@@ -567,17 +570,40 @@ def test_number_over_digit_limit_refused(capsys, argv):
                                        "the most that Python prints\n")
 
 
-def test_audit_word_limit(capsys):
-    cli._check_audit_words(6, 5)  # (5, 6): 579,195 words, run by CI
-    cli._check_audit_words(49, 1)  # 100^3 three-letter words
-    code, out, err = run(capsys, "audit", "--max-len", "6", "--max-index", "4")
-    assert (code, out) == (2, "")
-    assert err == (
-        "adjmon: --max-len 6 --max-index 4: the termination audit would enumerate 1,111,111 words, "
+def test_audit_word_limit(capsys, monkeypatch):
+    # --max-index 49 covers 100^3 three-letter words, at the limit: its audits run (the overlaps, 14 s, at index 2)
+    indices, real = [], confluence.audit_local_confluence
+    monkeypatch.setattr(confluence, "audit_local_confluence", lambda i: indices.append(i) or real(2))
+    assert run(capsys, "audit", "--max-index", "49")[0] == 0
+    assert indices == [49]
+    assert run(capsys, "audit", "--max-index", "50", "--max-degree", "9") == (2, "", (
+        "adjmon: --max-index 50: the overlap audit would cover 1,061,208 three-letter words, "
         "over the limit of 1,000,000\n"
-    )
-    code, _, err = run(capsys, "audit", "--max-index", "50", "--max-len", "1", "--max-degree", "9")
-    assert code == 2 and "overlap audit would cover 1,061,208 three-letter words" in err
+    ))
+
+
+def test_audit_and_answer_walk_no_word(capsys, monkeypatch):
+    # termination is decided on the redex pairs: both ask for the words of length <= 1, of which none has a step
+    bounds, real = [], confluence.audit_termination
+    monkeypatch.setattr(confluence, "audit_termination", lambda n, i: bounds.append((n, i)) or real(n, i))
+    assert run(capsys, "answer")[0] == 0
+    assert run(capsys, "audit", "--max-index", "3")[0] == 0
+    assert bounds == [(1, 6), (1, 3)]
+
+
+def test_termination_fails_under_a_swapped_rule(capsys, mutated_rules):
+    # e_i e_j -> e_j e_i keeps the degree: every pair e_i e_j (i < j) is bad, with drop 0
+    mutated_rules(rewrite.RuleCase.EPS_EPS, rhs=((EPS, J, 0), (EPS, I, 0)))
+    code, out, _ = run(capsys, "audit", "--json")
+    assert code == 1
+    assert json.loads(out.splitlines()[0]) == {
+        "record": "termination", "letters": 14, "pass": False,
+        "bad_pairs": [[f"e{i} e{j}", 0] for i in range(7) for j in range(i + 1, 7)],
+    }
+    assert json.loads(out.splitlines()[-1]) == {"record": "audit_summary", "pass": False}
+    code, out, _ = run(capsys, "answer")
+    assert code == 1
+    assert out.splitlines()[-1].startswith("certificate: termination FAIL, ")
 
 
 @pytest.mark.parametrize(
@@ -595,7 +621,7 @@ def test_suite_instance_limit(capsys, monkeypatch, argv, count):
 
 
 def test_audit(capsys):
-    code, out, _ = run(capsys, "audit", "--max-index", "3", "--max-len", "3")
+    code, out, _ = run(capsys, "audit", "--max-index", "3")
     assert code == 0
     assert "audit: PASS" in out
     assert "NOT_JOINABLE" not in out
@@ -613,7 +639,7 @@ def test_audit_default_bounds(capsys):
 
 
 def test_audit_json_stable(capsys):
-    args = ("audit", "--json", "--max-index", "2", "--max-len", "1", "--max-degree", "9")
+    args = ("audit", "--json", "--max-index", "2", "--max-degree", "9")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -625,10 +651,10 @@ def test_audit_json_stable(capsys):
 
 
 def test_audit_table_golden(capsys):
-    code, out, _ = run(capsys, "audit", "--max-index", "6", "--max-len", "1", "--max-degree", "9")
+    code, out, _ = run(capsys, "audit", "--max-index", "6", "--max-degree", "9")
     assert code == 0
     assert out.splitlines() == [
-        "termination: 15 words, 0 steps, longest chain 0  PASS",
+        "termination: 14 letters of index <= 6, 0 bad pairs  PASS",
         "local confluence (max index 6):",
         "family    subcase    instances joinable  sample bound   formula",
         "DISJOINT  -                 32       32  h0 h0 h0 h0    32/32",
@@ -655,10 +681,10 @@ def test_audit_table_golden(capsys):
 
 
 def test_audit_json_golden(capsys):
-    code, out, _ = run(capsys, "audit", "--json", "--max-index", "6", "--max-len", "1", "--max-degree", "9")
+    code, out, _ = run(capsys, "audit", "--json", "--max-index", "6", "--max-degree", "9")
     assert code == 0
     assert out.splitlines() == [
-        '{"longest_chain": 0, "pass": true, "record": "termination", "steps": 0, "words": 15}',
+        '{"bad_pairs": [], "letters": 14, "pass": true, "record": "termination"}',
         '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "DISJOINT", "formula_matches": 32'
         ', "instances": 32, "joinable": 32, "record": "confluence_row", "sample_bound": "h0 h0 h0 h0", "subcase": null}',
         '{"alt_formula_applicable": 0, "alt_formula_matches": 0, "family": "EEE", "formula_matches": 35'
@@ -700,7 +726,7 @@ def test_audit_json_golden(capsys):
 
 
 def test_audit_disjoint_sample_count(capsys):
-    code, out, _ = run(capsys, "audit", "--json", "--max-index", "2", "--max-len", "1", "--max-degree", "9")
+    code, out, _ = run(capsys, "audit", "--json", "--max-index", "2", "--max-degree", "9")
     assert code == 0
     rows = [r for r in map(json.loads, out.splitlines()) if r.get("family") == "DISJOINT"]
     assert [r["instances"] for r in rows] == [confluence.DISJOINT_SAMPLES]
@@ -814,7 +840,7 @@ def _loaded_by_main(*argv):
         (["iso"], ["adjmon.monoid"]),
         (["ncheck", "h0 e0"], ["adjmon.monoid"]),
         (["axioms"], ["adjmon.monoid"]),
-        (["audit", "--max-index", "2", "--max-len", "1", "--max-degree", "9"], ["adjmon.confluence"]),
+        (["audit", "--max-index", "2", "--max-degree", "9"], ["adjmon.confluence"]),
         (["oracle", "h0 e0", "1", "--max-degree", "2"], ["adjmon.confluence"]),
         (["answer"], ["adjmon.confluence", "adjmon.monoid"]),
         (["ncheck"], ["adjmon.monoid"]),  # the closure suites

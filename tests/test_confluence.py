@@ -387,7 +387,7 @@ def test_audit_termination():
     report = audit_termination(3, 2)
     assert report.passed
     assert report.words_checked == 259
-    assert not report.bad_steps
+    assert not report.bad_pairs
     assert report.longest_chain <= 9
     for bounds in ((0, 2), (3, 0)):
         with pytest.raises(ValueError, match="bounds must be >= 1"):
@@ -417,11 +417,17 @@ def _termination_reference(max_len, max_index):
     return population, steps, tuple(bad)
 
 
+def _bad_pairs(bad_steps):
+    """The letter pairs that bad steps rewrite, with their drops, by first
+    occurrence: as every pair is a word of length 2, in scan order."""
+    return tuple(dict.fromkeys((w[p], w[p + 1], drop) for w, p, drop in bad_steps))
+
+
 def _assert_matches_reference(report, max_len, max_index):
     population, steps, bad = _termination_reference(max_len, max_index)
     chains = [reduction_graph(w).longest_chain() for w in population]
     assert (report.words_checked, report.steps_checked, report.longest_chain) == (len(population), steps, max(chains))
-    assert report.bad_steps == bad
+    assert report.bad_pairs == _bad_pairs(bad)
     assert all(c <= degree(w) for w, c in zip(population, chains))
 
 
@@ -457,17 +463,16 @@ def test_termination_reports_non_decreasing_step(monkeypatch, capsys):
     _patch_rule(monkeypatch, _swap_eps)
     report = audit_termination(2, 1)
     assert not report.passed
-    assert report.bad_steps == ((parse("e0 e1"), 0, 0),)
+    assert report.bad_pairs == ((*parse("e0 e1"), 0),)
     assert (report.words_checked, report.steps_checked) == (21, 6)
     report = audit_termination(3, 2)
-    assert report.bad_steps == _termination_reference(3, 2)[2]
-    assert (parse("h0 e0 e1"), 1, 0) in report.bad_steps  # a bad step past the first position
-    code = cli.main(["audit", "--max-len", "2", "--max-index", "2", "--max-degree", "9"])
+    bad_steps = _termination_reference(3, 2)[2]
+    assert (parse("h0 e0 e1"), 1, 0) in bad_steps  # the pair's step past the first position is bad too
+    assert report.bad_pairs == _bad_pairs(bad_steps) == tuple((*parse(w), 0) for w in ("e0 e1", "e0 e2", "e1 e2"))
+    code = cli.main(["audit", "--max-index", "2", "--max-degree", "9"])
     out = capsys.readouterr().out.splitlines()
     assert code == 1
-    population, steps, _ = _termination_reference(2, 2)
-    assert out[0].startswith(f"termination: {len(population)} words, {steps} steps, ")
-    assert out[0].endswith("  FAIL")
+    assert out[0] == "termination: 6 letters of index <= 2, 3 bad pairs  FAIL"
     assert out[-1] == "audit: FAIL"
 
 
@@ -492,7 +497,7 @@ def test_termination_leaves_unsound_steps_out_of_chains(monkeypatch):
 
     _patch_rule(monkeypatch, patch)
     report = audit_termination(2, 1)
-    assert report.bad_steps == ((parse("e1 e1"), 0, 0),)
+    assert report.bad_pairs == ((*parse("e1 e1"), 0),)
     assert report.longest_chain == 3
 
 
@@ -514,8 +519,8 @@ def test_termination_reports_faulty_rule_exactly(monkeypatch, case, rhs, sound):
     _patch_rule(monkeypatch, lambda x, y, rule: rule._replace(rhs=rhs(x, y)) if rule and rule.case is case else rule)
     population, steps, bad = _termination_reference(4, 2)
     report = audit_termination(4, 2)
-    assert (report.words_checked, report.steps_checked, report.bad_steps) == (len(population), steps, bad)
-    assert any(p >= 1 for _, p, _ in report.bad_steps)
+    assert (report.words_checked, report.steps_checked, report.bad_pairs) == (len(population), steps, _bad_pairs(bad))
+    assert any(p >= 1 for _, p, _ in bad)  # the bad pairs' steps past the first position are bad too
     assert not report.passed
     if sound:  # every drop is positive, so the reference's chain lengths hold too
         _assert_matches_reference(report, 4, 2)
@@ -525,11 +530,11 @@ def test_termination_fails_a_bad_pair_at_length_one(monkeypatch, capsys):
     # no word of length <= 1 has a step, so only the pair check can see the swapped rule
     _patch_rule(monkeypatch, _swap_eps)
     report = audit_termination(1, 6)
-    assert (report.words_checked, report.steps_checked, report.bad_steps) == (15, 0, ())
+    assert (report.words_checked, report.steps_checked) == (15, 0)
     assert not report.passed
     assert report.bad_pairs == tuple((eps_letter(i), eps_letter(j), 0) for i in range(7) for j in range(i + 1, 7))
-    assert cli.main(["audit", "--max-len", "1"]) == 1
-    assert capsys.readouterr().out.splitlines()[0] == "termination: 15 words, 0 steps, longest chain 0  FAIL"
+    assert cli.main(["audit"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "termination: 14 letters of index <= 6, 21 bad pairs  FAIL"
 
 
 # The termination audit as it was before the redex pairs decided it: every
@@ -602,15 +607,15 @@ def _rule_mutants():
 
 def _audited(max_len, max_index):
     report = audit_termination(max_len, max_index)
-    return (*report[:4], report.passed)
+    return report.words_checked, report.steps_checked, report.longest_chain, report.bad_pairs, report.passed
 
 
-def _outcome(audit, max_len, max_index):
-    """What the audit returns, or TypeError: a mutant that gives a reduct
+def _walked(max_len, max_index):
+    """What the walk returns, or TypeError: a mutant that gives a reduct
     letter a negative index leaves ``match_rule`` a right-hand side of None,
-    which neither audit reads."""
+    which the walk does not read."""
     try:
-        return audit(max_len, max_index)
+        return _walked_termination(max_len, max_index)
     except TypeError:
         return TypeError
 
@@ -618,12 +623,22 @@ def _outcome(audit, max_len, max_index):
 @pytest.mark.parametrize("case, guard, rhs", _rule_mutants())
 def test_termination_matches_the_walk_under_every_rule_mutant(mutated_rules, case, guard, rhs):
     mutated_rules(case, guard, rhs)
-    walked = [_outcome(_walked_termination, n, 2) for n in range(1, 5)]
-    got = [_outcome(_audited, n, 2) for n in (1, 3, 4)]
-    assert got[1:] == walked[2:]
+    walked = [_walked(n, 2) for n in range(1, 5)]
+    got = [_audited(n, 2) for n in (1, 3, 4)]
+    unbuilt = tuple((x, y, None) for x, y, rule in confluence._redex_pairs(alphabet(2)) if rule.rhs is None)
+    if unbuilt:
+        # the walk cannot read a reduct of None; the audit fails, listing each such pair with no drop
+        assert walked == [TypeError] * 4
+        for _, _, _, pairs, passed in got:
+            assert not passed and tuple(p for p in pairs if p[2] is None) == unbuilt
+        return
+    # every length's bad steps rewrite the same pairs, those of length 2, which the audit lists
+    pairs = _bad_pairs(walked[1][2])
+    assert all(_bad_pairs(walk[2]) == pairs for walk in walked[2:])
     # no word of length 1 has a step: the walk passes vacuously there, and the pair check gives length 2's verdict
-    assert got[0] == (walked[0] if walked[0] is TypeError else (*walked[0][:4], walked[1][4]))
-    assert walked[0] is TypeError or walked[0][4]
+    assert walked[0][2] == () and walked[0][4]
+    for report, (words, steps, _, longest, _) in zip(got, (walked[0], *walked[2:])):
+        assert report == (words, steps, longest, pairs, not pairs)
 
 
 # --- bidirectional oracle -----------------------------------------------------
