@@ -64,7 +64,7 @@ TRACE_BUDGET = 10**7
 # `audit` finds the overlaps of the three-letter words over 2 (--max-index + 1) letters by joining their redex
 # pairs: those of 100^3 words take 14-15 s and 18 MB (Python 3.11.7, 2-CPU Intel Xeon, fresh interpreters).
 # The oracle's universe, the 3^d words of degree <= --max-degree, is held to it too:
-# `audit --max-degree 12`, 531,441 words, takes 1.4-1.9 s (median 1.6 s) and 42 MB,
+# `audit --max-degree 12`, 531,441 words, takes 0.7-1.0 s (median 0.8 s) and 42 MB,
 # its oracle run with the cyclic garbage collector paused.
 AUDIT_MAX_WORDS = 10**6
 

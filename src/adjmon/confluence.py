@@ -31,6 +31,7 @@ names, the classification of parents, each critical pair's closed form
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, combinations_with_replacement, groupby, islice, product
 from typing import Iterator, NamedTuple
 
@@ -415,9 +416,15 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
     the map from component to canonical form is well defined and injective.
     A word that breaks either adds one discrepancy, paired with the first
     word of its component or of its canonical form.  The sample is every
-    stride-th pair.  Runs with the collector paused (``collector_paused``),
-    as do the searches it calls: the labels, the population and the
-    searches' words hold no reference cycle.
+    stride-th pair (u, v).  Its search starts from the endpoint whose
+    component, counted off the labels, holds fewer words, u on a tie: a
+    negative search walks the whole component of its start word.  Steps
+    connect in both directions, so the verdict is the same from either end,
+    and it is still compared with the labels and recorded as (u, v): a wrong
+    label can slow a search down, never hide a discrepancy.  Runs with the
+    collector paused (``collector_paused``), as do the searches it calls:
+    the labels, the population and the searches' words hold no reference
+    cycle.
     """
     if max_len < 1 or max_index < 0:
         raise ValueError("the oracle population needs max_len >= 1 and max_index >= 0")
@@ -439,8 +446,10 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
             discrepancies.append((v, w, False, True))
     pairs = len(population) * (len(population) + 1) // 2
     stride = max(1, pairs // 25)
+    size = Counter(chain.from_iterable(labels))  # component -> its words within max_degree
     for u, v in islice(combinations_with_replacement(population, 2), stride - 1, None, stride):
-        verdict = equivalent_bounded(u, v, max_degree).equivalent
+        start, end = (v, u) if size[component[v]] < size[component[u]] else (u, v)
+        verdict = equivalent_bounded(start, end, max_degree).equivalent
         if verdict != (component[u] == component[v]):
             discrepancies.append((u, v, verdict, not verdict))  # the search, then the components
     return CrossCheckReport(len(population), pairs, tuple(discrepancies), pairs // stride)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import combinations_with_replacement, pairwise, product, starmap
+from operator import attrgetter
 from typing import NamedTuple
 
 ETA = "h"
@@ -64,9 +65,12 @@ def concat(u: Word, v: Word) -> Word:
     return u + v
 
 
+_index = attrgetter("index")
+
+
 def degree(w: Word) -> int:
     """Sum of (index + 1) over the letters; additive under concat."""
-    return sum(g.index + 1 for g in w)
+    return sum(map(_index, w)) + len(w)
 
 
 def letter_key(g: Generator) -> tuple[int, int]:

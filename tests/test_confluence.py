@@ -691,12 +691,23 @@ def test_equivalent_bounded_examples():
     assert not res.equivalent
     labels = connected_components(8)  # a negative answer explored the whole component of h0 e0 within the bound
     assert res.explored == sum(c == labels[parse("h0 e0")] for c in labels.values())
+    assert equivalent_bounded((), parse("h0 e0"), 8).explored == sum(c == labels[()] for c in labels.values())
 
 
 @given(small_words(max_len=3, max_index=2))
 @settings(max_examples=25, deadline=None)
 def test_equivalent_bounded_reflexive(w):
     assert equivalent_bounded(w, w, 9).equivalent
+
+
+@given(small_words(max_len=3, max_index=1), small_words(max_len=3, max_index=1), st.integers(0, 7))
+@example(parse("h0 e0"), (), 7)
+@example(parse("e0 h0"), (), 6)
+@settings(max_examples=50, deadline=None)
+def test_equivalent_bounded_symmetric(u, v, bound):
+    # the cross-check starts each spot search from either end, so the verdict must not depend on the end
+    d = max(degree(u), degree(v), bound)  # <= 7: three letters of index <= 1 weigh at most 6
+    assert equivalent_bounded(u, v, d).equivalent == equivalent_bounded(v, u, d).equivalent
 
 
 def test_equivalent_bounded_rejects_oversized_input():
@@ -824,8 +835,15 @@ def stride_loop_spot_pairs(population):
     return out
 
 
-@pytest.mark.parametrize("max_len, max_index", [(3, 2), (2, 1), (1, 0)])
-def test_cross_check_spot_pairs_follow_the_stride_loop(monkeypatch, max_len, max_index):
+def smaller_class_first(pairs, max_degree):
+    """Each pair turned to start at the endpoint whose class holds fewer words; a tie keeps its order."""
+    component = connected_components(max_degree)
+    size = Counter(component.values())
+    return [min(p, p[::-1], key=lambda pair: size[component[pair[0]]]) for p in pairs]
+
+
+def record_searches(monkeypatch):
+    """Every spot search the cross-check runs, as its (start, end), in order."""
     real, searched = confluence.equivalent_bounded, []
 
     def record(u, v, max_degree):
@@ -833,10 +851,44 @@ def test_cross_check_spot_pairs_follow_the_stride_loop(monkeypatch, max_len, max
         return real(u, v, max_degree)
 
     monkeypatch.setattr(confluence, "equivalent_bounded", record)
+    return searched
+
+
+@pytest.mark.parametrize("max_len, max_index", [(3, 2), (2, 1), (1, 0)])
+def test_cross_check_spot_pairs_follow_the_stride_loop(monkeypatch, max_len, max_index):
+    searched = record_searches(monkeypatch)
     report = cross_check_oracle(max_len, max_index, 9)
     assert report.passed
-    assert searched == stride_loop_spot_pairs(list(all_words(max_len, max_index)))
+    assert searched == smaller_class_first(stride_loop_spot_pairs(list(all_words(max_len, max_index))), 9)
     assert report.spot_checked == len(searched)
+
+
+@pytest.mark.parametrize("max_len, max_index, pair, fault, search", [
+    (3, 2, ("h0 e0", "e0 h0 e2"), "merged", False),  # classes of 580 and 80 words
+    (2, 2, ("h0 e0", "e1 h0"), "split", True),  # one class of 580 words
+])
+def test_a_wrong_label_turns_a_search_but_cannot_hide_its_pair(monkeypatch, max_len, max_index, pair, fault, search):
+    u, v = map(parse, pair)
+    real = confluence._component_labels
+
+    def faulty(max_degree):
+        labels = real(max_degree)
+        (du, iu), (dv, iv) = ((degree(w), _block_start(w, degree(w))) for w in (u, v))
+        if fault == "merged":  # v's whole class takes u's label: a tie, so u starts
+            old, new = labels[dv][iv], labels[du][iu]
+            return [[new if c == old else c for c in level] for level in labels]
+        labels[dv][iv] = max(map(max, labels)) + 1  # v alone in a class of one, so v starts
+        return labels
+
+    searched = record_searches(monkeypatch)
+    assert cross_check_oracle(max_len, max_index, 9).passed
+    before = [s for s in searched if {u, v} == set(s)]
+    searched.clear()
+    monkeypatch.setattr(confluence, "_component_labels", faulty)
+    report = cross_check_oracle(max_len, max_index, 9)
+    assert [s for s in searched if {u, v} == set(s)] == [before[0][::-1]] and len(before) == 1
+    assert equivalent_bounded(u, v, 9).equivalent is search
+    assert (u, v, search, not search) in report.discrepancies
 
 
 def test_cross_check_builds_no_universe(monkeypatch):
