@@ -269,6 +269,11 @@ def normalize(w: Word) -> Word:
     testing both ends: r = 0 when no gap is below k, r = ``len(a)`` when
     the greatest gap is, and m = 0 or ``len(merges)`` likewise.  A letter
     that lands at an end needs no search; at the back, no list shift.
+    As ``a`` is non-decreasing and ``a[r] >= k - r``, ``a[-1] == k - r``
+    (eta) or ``a[-1] == a[r]`` (eps deleting) means ``a[r:]`` is one run
+    of equal values, where a copy added or deleted anywhere gives the same
+    list; so ``h0^n`` and ``e0^n h0^n`` shift none: a list of over 64 values
+    is updated at its back (a shorter one's shift costs less than the test).
     """
     a: list[int] = []
     merges: list[int] = []
@@ -288,9 +293,15 @@ def normalize(w: Word) -> Word:
                 else:
                     hi = t
         if kind == ETA:
-            a.insert(r, k - r)
+            if n > 64 and a[-1] == k - r:
+                a.append(k - r)
+            else:
+                a.insert(r, k - r)
         elif r < n and a[r] + r <= k + 1:
-            del a[r]
+            if n > 64 and a[-1] == a[r]:
+                a.pop()
+            else:
+                del a[r]
         else:
             if r < n:
                 a[r:] = [x - 1 for x in a[r:]]

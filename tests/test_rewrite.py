@@ -309,8 +309,12 @@ def test_normalize_matches_rewriting(w):
 def test_normalize_long_and_huge_index_words():
     big = 10**12
     assert normalize(tuple(eps(i) for i in range(3000))) == (eps(0),) * 3000
+    # the families whose letters land at the back of a or merges: e0^n h0^n and h0^n update a run of equal
+    # values at the back of a, h(n-1) ... h0 appends to a and e(n-1) ... e0 to merges; h0 ... h(n-1) inserts
+    # at the front of a
     assert normalize((eps(0),) * 4000 + (eta(0),) * 4000) == ()
-    # the block families whose letters land at the back of a or merges
+    assert normalize((eta(0),) * 4000) == (eta(0),) * 4000
+    assert normalize(tuple(eta(i) for i in reversed(range(4000)))) == (eta(0),) * 4000
     ups = tuple(eta(i) for i in range(2000))
     downs = tuple(eps(i) for i in reversed(range(2000)))
     assert normalize(ups) == ups
@@ -346,6 +350,13 @@ def test_normalize_matches_rewriting_long_words(w):
     assert normalize(w) == normalize_trace(w).end
 
 
+@given(st.lists(st.tuples(letters(7), st.integers(1, 60)), max_size=12))
+def test_normalize_matches_rewriting_on_runs(runs):
+    # each run repeats one letter: long runs of equal values in a, updated at its back when they reach it
+    w = tuple(g for g, count in runs for _ in range(count))
+    assert normalize(w) == normalize_trace(w).end
+
+
 @pytest.mark.parametrize(
     "word, nf",
     [
@@ -359,6 +370,12 @@ def test_normalize_matches_rewriting_long_words(w):
         ("e9 h0 h2", "h0 h2 e7"),
         ("e4 h0 h4", "h0"),
         ("e3 h0 h5", "h0 h4 e2"),
+        # a run of equal values from r on, in a list of more than 64: updated at the back of a when the run
+        # reaches the back, at r when it stops short; an eta, then an eps that deletes a gap
+        pytest.param("h0 " * 65 + "h0", "h0 " * 65 + "h0", id="h0^66"),
+        pytest.param("h0 " * 66 + "h70", "h0 " * 66 + "h70", id="h0^66 h70"),
+        pytest.param("e0 " + "h0 " * 65 + "h0", "h0 " * 64 + "h0", id="e0 h0^66"),
+        pytest.param("e0 " + "h0 " * 65 + "h70", "h0 " * 64 + "h70", id="e0 h0^65 h70"),
         # m, the number of merge points of rank <= y: 0, len(merges) and interior
         ("e0 e5", "e4 e0"),
         ("e5 e0", "e5 e0"),
