@@ -173,7 +173,9 @@ def _condition_line(c: A.monoid.ConditionResult) -> str:
 
 def _derived_line(criteria: A.monoid.IsoCriteriaReport) -> str:
     status = "HOLDS" if criteria.derived_holds else "DOES-NOT-HOLD"
-    return f"derived (f surjective; f iso; N=M)  {status} [propagated by equivalence]"
+    witnesses = [f"{words.render(w)} not in {where}" for w, where in
+                 ((criteria.not_in_f_image, "f(M)"), (criteria.not_in_N, "N")) if w is not None]
+    return f"derived (f surjective; f iso; N=M)  {status}" + (": " + ", ".join(witnesses) if witnesses else "")
 
 
 def cmd_iso(args) -> int:
@@ -182,7 +184,9 @@ def cmd_iso(args) -> int:
         _out(args, lambda: {"record": "iso_condition", "condition": c.condition, "holds": c.holds, "at": c.witness_at,
                             "lhs": words.render(c.lhs_nf), "rhs": words.render(c.rhs_nf)},
              [_condition_line(c)])
-    _out(args, lambda: {"record": "iso_derived", "holds": rep.derived_holds}, [_derived_line(rep)])
+    _out(args, lambda: {"record": "iso_derived", "holds": rep.derived_holds,
+                        "not_in_f_image": _render_opt(rep.not_in_f_image), "not_in_N": _render_opt(rep.not_in_N)},
+         [_derived_line(rep)])
     return 0
 
 

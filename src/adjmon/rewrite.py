@@ -22,7 +22,13 @@ distinct huge indices do not grow them without bound; every caller of
 and ``VANISHING``, the left-hand sides of the rows with an empty right-hand side.
 
 ``normalize`` performs no rewrite step: it reads the canonical form off
-the monotone map of the naturals that a word denotes.  ``normalize_trace``,
+the monotone map of the naturals that a word denotes, as a fold over the
+word's letters, right to left, into a state of two lists.  ``_read`` is
+the fold and ``_form`` writes a state's canonical form.  ``_read`` takes
+an iterable of letters, not one letter per call, so that ``normalize``
+pays one call per word, whatever its length.  ``StateMemo`` interns the
+states and memoizes their transitions, for a batch of words whose
+suffixes recur: the identity suites.  ``normalize_trace``,
 ``reduction_graph``, ``forward_steps`` and the audits rewrite, and they
 are the reference ``normalize`` is tested against.  A trace records each
 step as its position and rule, O(1) per step, and ``Trace.steps``
@@ -36,7 +42,7 @@ import gc
 from collections import deque
 from enum import Enum
 from functools import lru_cache, wraps
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .words import EPS, ETA, Generator, Word, degree, letter, letter_key
 
@@ -274,10 +280,24 @@ def normalize(w: Word) -> Word:
     of equal values, where a copy added or deleted anywhere gives the same
     list; so ``h0^n`` and ``e0^n h0^n`` shift none: a list of over 64 values
     is updated at its back (a shorter one's shift costs less than the test).
+
+    The fold is ``_read`` and the output ``_form``.  ``_read`` takes the
+    letters as one iterable, so a word costs one call at any length.
+    ``StateMemo`` memoizes the fold's states, for a batch of words whose
+    suffixes recur.
     """
     a: list[int] = []
     merges: list[int] = []
-    for kind, k in reversed(w):
+    _read(a, merges, reversed(w))
+    return _form(a, merges)
+
+
+def _read(a: list[int], merges: list[int], letters: Iterable[Generator]) -> None:
+    """Prepend ``letters``, in the order given, to the map that the lists
+    ``a`` and ``merges`` describe, updating both in place: the fold of
+    ``normalize``, which passes a word's letters right to left.
+    """
+    for kind, k in letters:
         n = len(a)
         if not n or a[0] >= k:
             r = 0
@@ -321,9 +341,61 @@ def normalize(w: Word) -> Word:
                     else:
                         hi = u
             merges.insert(m, y + m)
+
+
+def _form(a: Sequence[int], merges: Sequence[int]) -> Word:
+    """The canonical form of the map that ``a`` and ``merges`` describe:
+    ``h_{a[0]} ... h_{a[p-1]}``, then ``e_{merges[u] - u}`` for u from the
+    last merge point down to 0."""
     out = [letter(ETA, x) for x in a]
     out += [letter(EPS, merges[u] - u) for u in range(len(merges) - 1, -1, -1)]
     return tuple(out)
+
+
+class StateMemo:
+    """``normalize`` through a memo of its fold's states, for one batch of
+    words whose suffixes recur, as the identity suites' sides do.
+
+    A state is the pair (a, merges) that ``_read`` leaves after a suffix,
+    interned as an int: 0 is the empty word's.  Each state keeps its
+    transitions, letter -> state, so a suffix read once is looked up letter
+    by letter by every later word that ends with it.  A letter not seen at
+    its state before is read by ``_read`` into lists copied from the state,
+    and a run of such letters into the same lists.  ``_form`` runs only for
+    a state that a word ends on, once: building a form for every new state
+    costs more than the memo saves.  Nothing bounds the memo; it is meant
+    to die with its batch.
+    """
+
+    def __init__(self) -> None:
+        self._states: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+        self._ids = {((), ()): 0}
+        self._moves: list[dict[Generator, int]] = [{}]
+        self._forms: dict[int, Word] = {}
+
+    def normalize(self, w: Word) -> Word:
+        """``normalize(w)``, reading only the letters that no earlier word
+        read at the same state."""
+        states, ids, moves = self._states, self._ids, self._moves
+        s, a = 0, None  # a and merges: the lists of state s, while a run of new letters is read
+        for x in reversed(w):
+            t = moves[s].get(x)
+            if t is None:
+                if a is None:
+                    a, merges = map(list, states[s])
+                _read(a, merges, (x,))
+                state = (tuple(a), tuple(merges))
+                t = moves[s][x] = ids.setdefault(state, len(states))
+                if t == len(states):
+                    states.append(state)
+                    moves.append({})
+            else:
+                a = None
+            s = t
+        form = self._forms.get(s)
+        if form is None:
+            form = self._forms[s] = _form(*states[s])
+        return form
 
 
 def _leftmost_moves(letters: list) -> Iterator[tuple[int, RuleInstance]]:

@@ -181,9 +181,9 @@ def test_ncheck_golden(capsys):
     ],
 )
 def test_identity_failure_lines(capsys, monkeypatch, verb, word, line):
-    # normalize answers h7 for the one side word of the instance that is to fail
-    real, bad = monoid.normalize, parse(word)
-    monkeypatch.setattr(monoid, "normalize", lambda w: parse("h7") if w == bad else real(w))
+    # the suites' memo answers h7 for the one side word of the instance that is to fail
+    real, bad = rewrite.StateMemo.normalize, parse(word)
+    monkeypatch.setattr(rewrite.StateMemo, "normalize", lambda memo, w: parse("h7") if w == bad else real(memo, w))
     code, out, _ = run(capsys, verb)
     assert code == 1
     assert [text for text in out.splitlines() if "FAIL" in text] == [line]
@@ -246,7 +246,7 @@ _ISO_LINES = [
     "f(eps)=eps  DOES-NOT-HOLD: lhs=e1 rhs=e0",
     "eta*eps=1  DOES-NOT-HOLD: lhs=h0 e0 rhs=1",
     "f(m)=eta*m*eps  DOES-NOT-HOLD at m=1: lhs=1 rhs=h0 e0",
-    "derived (f surjective; f iso; N=M)  DOES-NOT-HOLD [propagated by equivalence]",
+    "derived (f surjective; f iso; N=M)  DOES-NOT-HOLD: h0 not in f(M), h0 e0 not in N",
 ]
 
 
@@ -265,7 +265,7 @@ def test_iso_json_golden(capsys):
         '{"at": null, "condition": "eta*eps=1", "holds": false, "lhs": "h0 e0", "record": "iso_condition", "rhs": "1"}',
         '{"at": "1", "condition": "f(m)=eta*m*eps", "holds": false, "lhs": "1", "record": "iso_condition", '
         '"rhs": "h0 e0"}',
-        '{"holds": false, "record": "iso_derived"}',
+        '{"holds": false, "not_in_N": "h0 e0", "not_in_f_image": "h0", "record": "iso_derived"}',
     ]
 
 

@@ -822,6 +822,26 @@ def test_cross_check_names_a_pair_of_split_components(monkeypatch):
     assert ((), parse("h0 e0"), False, True) in report.discrepancies
 
 
+def test_cross_check_catches_a_class_split_by_its_labels(monkeypatch):
+    # at these defaults no spot search checks a connected pair of distinct words, so a label that splits a
+    # class is caught by the one-pass partition comparison alone; e1 h0 and h0 e0 are one class
+    real, split = confluence._component_labels, parse("e1 h0")
+    d = degree(split)
+    i = _block_start(split, d)
+
+    def labels(max_degree):
+        out = real(max_degree)
+        assert sum(level.count(out[d][i]) for level in out) > 1  # a class of more than one word
+        out[d][i] = max(map(max, out)) + 1  # a label of its own
+        return out
+
+    monkeypatch.setattr(confluence, "_component_labels", labels)
+    report = cross_check_oracle(3, 2, 9)
+    assert not report.passed
+    assert any(split in (u, v) for u, v, _, _ in report.discrepancies)
+    assert (parse("h0 e0"), split, False, True) in report.discrepancies
+
+
 def stride_loop_spot_pairs(population):
     """The pairs the former O(n^2) loop re-verified: every stride-th in order."""
     pairs = len(population) * (len(population) + 1) // 2

@@ -1,6 +1,8 @@
+import gc
 import math
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import given
 from adjmon import monoid
 from adjmon.monoid import (
     Element,
+    MembershipResult,
     answer_open_question,
     apply_f,
     apply_f_word,
@@ -255,6 +258,33 @@ def test_in_N_product_witness_matches_closure_form():
     assert res.witness.nf == expected
 
 
+@pytest.mark.parametrize(
+    "check, suite, row",
+    [
+        (check_axioms, "_AXIOMS", ("m=f(m) at length 3", 1, lambda f, m: (m, f(m) if len(m) == 3 else m), "m={}")),
+        (check_N_closure, "_N_CLOSURE", ("m1*m2=m2*m1", 2, lambda f, m1, m2: (m1 + m2, m2 + m1), "m1={} m2={}")),
+    ],
+)
+def test_suite_memo_keeps_every_verdict(monkeypatch, check, suite, row):
+    # a false row added to the suite: the memo and plain normalize find the same counterexample
+    monkeypatch.setattr(monoid, suite, getattr(monoid, suite) + (row,))
+    memoized = check()
+    monkeypatch.setattr(monoid, "StateMemo", lambda: SimpleNamespace(normalize=normalize))
+    plain = check()
+    assert memoized == plain
+    failed = [r for r in memoized.results if not r.passed]
+    assert [r.identity for r in failed] == [row[0]] and failed[0].instances > 2
+
+
+@pytest.mark.parametrize("check", [check_axioms, check_N_closure])
+def test_suites_run_with_the_collector_paused(check, monkeypatch, collector_on, collections):
+    # the memo's dicts hold letters, which the collector never untracks: its collections would walk them all
+    real, seen = monoid.normal_words, []
+    monkeypatch.setattr(monoid, "normal_words", lambda *bounds: seen.append(gc.isenabled()) or real(*bounds))
+    assert check(2, 1).passed
+    assert seen == [False] and gc.isenabled() and collections == [1]
+
+
 def test_iso_criteria_report():
     rep = iso_criteria_report()
     assert [c.condition for c in rep.conditions] == [
@@ -269,6 +299,17 @@ def test_iso_criteria_report():
     assert render(by_name["f(eta)=eta"].lhs_nf) == "h1"
     assert render(by_name["eta*eps=1"].lhs_nf) == "h0 e0"
     assert by_name["f(m)=eta*m*eps"].witness_at == "1"
+    # the derived conditions are decided by two witnesses, each checked here by its own criterion
+    assert (render(rep.not_in_f_image), render(rep.not_in_N)) == ("h0", "h0 e0")
+    assert all(g.index >= 1 for m in elements(3, 2) for g in apply_f(m).nf)  # f(M) has no index-0 letter
+    assert not in_N(element(rep.not_in_N), 3).member
+
+
+def test_iso_derived_one_witness_decides(monkeypatch):
+    # were h0 e0 in N, one witness would still decide the derived conditions false
+    monkeypatch.setattr(monoid, "in_N", lambda a, bound: MembershipResult(True, a))
+    rep = iso_criteria_report()
+    assert (render(rep.not_in_f_image), rep.not_in_N, rep.derived_holds) == ("h0", None, False)
 
 
 def test_answer_open_question():

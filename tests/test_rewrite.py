@@ -18,6 +18,7 @@ from adjmon.rewrite import (
     NotARedexError,
     RuleCase,
     RuleInstance,
+    StateMemo,
     _leftmost_moves,
     apply,
     first_row,
@@ -355,6 +356,25 @@ def test_normalize_matches_rewriting_on_runs(runs):
     # each run repeats one letter: long runs of equal values in a, updated at its back when they reach it
     w = tuple(g for g, count in runs for _ in range(count))
     assert normalize(w) == normalize_trace(w).end
+
+
+def test_state_memo_matches_normalize_on_every_word_of_degree_9():
+    # one memo for all 19,683 words in _words_by_degree order: the rest r of each word x r was read before it,
+    # so each word adds at most one transition, x at the state of r
+    memo = StateMemo()
+    ws = [w for level in _words_by_degree(9) for w in level]
+    assert len(ws) == 19683
+    assert [memo.normalize(w) for w in ws] == list(map(normalize, ws))
+    assert sum(map(len, memo._moves)) < len(ws) < sum(map(len, ws))
+
+
+@given(st.lists(st.lists(st.one_of(letters(3), letters(BIG)), max_size=12).map(tuple), min_size=1, max_size=8))
+def test_state_memo_matches_normalize_at_huge_indices(ws):
+    # through one memo: every word, its suffix after one letter, and every word again, which walks only
+    # transitions already made
+    memo = StateMemo()
+    for w in ws + [w[1:] for w in ws] + ws:
+        assert memo.normalize(w) == normalize(w)
 
 
 @pytest.mark.parametrize(
