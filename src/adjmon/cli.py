@@ -64,8 +64,7 @@ TRACE_BUDGET = 10**7
 # `audit` finds the overlaps of the three-letter words over 2 (--max-index + 1) letters by joining their redex
 # pairs: those of 100^3 words take 14-15 s and 18 MB (Python 3.11.7, 2-CPU Intel Xeon, fresh interpreters).
 # The oracle's universe, the 3^d words of degree <= --max-degree, is held to it too:
-# `audit --max-degree 12`, 531,441 words, takes 0.7-1.0 s (median 0.8 s) and 42 MB,
-# its oracle run with the cyclic garbage collector paused.
+# `audit --max-degree 12`, 531,441 words, takes 1.1-1.4 s (median 1.3 s) and 42 MB.
 AUDIT_MAX_WORDS = 10**6
 
 
@@ -73,6 +72,11 @@ def _check_words(flag: str, value: int, count: int, what: str) -> None:
     """Refuse flag's value if its audit would enumerate count words, over the limit; what says which."""
     if count > AUDIT_MAX_WORDS:
         raise ValueError(f"{flag} {value}: the {what}, over the limit of {AUDIT_MAX_WORDS:,}")
+
+
+def _check_oracle_degree(d: int) -> None:
+    """Refuse --max-degree d if the oracle's universe, the 3^d words of degree <= d, is over the limit."""
+    _check_words("--max-degree", d, 3 ** min(d, 64), f"oracle universe would enumerate 3^{d} words")  # 3^64 is over it
 
 
 def cmd_trace(args) -> int:
@@ -203,8 +207,7 @@ def _row_line(r: A.confluence.SubcaseRow) -> str:
 def cmd_audit(args) -> int:
     oracle_len, oracle_index = A.confluence.ORACLE_MAX_LEN, A.confluence.ORACLE_MAX_INDEX
     d, letters = args.max_degree, 2 * args.max_index + 2
-    # every bound is checked before the first audit runs; 3^64 words are over the limit already
-    _check_words("--max-degree", d, 3 ** min(d, 64), f"oracle universe would enumerate 3^{d} words")
+    _check_oracle_degree(d)  # every bound is checked before the first audit runs
     _check_at_least("--max-degree", d, oracle_len * (oracle_index + 1))  # the population's top degree
     _check_at_least("--max-index", args.max_index, A.confluence.MIN_OVERLAP_INDEX)
     _check_words("--max-index", args.max_index, letters**3,  # the words whose overlaps the redex pairs' join covers
@@ -239,8 +242,7 @@ def cmd_audit(args) -> int:
 def cmd_oracle(args) -> int:
     u = words.parse(args.left)
     v = words.parse(args.right)
-    _check_words("--max-degree", args.max_degree, 3 ** min(args.max_degree, 64),  # 3^64 words are over it already
-                 f"oracle universe would enumerate 3^{args.max_degree} words")
+    _check_oracle_degree(args.max_degree)
     d = max(words.degree(u), words.degree(v))
     if d > args.max_degree:
         raise ValueError(f"--max-degree {args.max_degree}: the bound must be >= {d}, the degree of the input")

@@ -400,7 +400,6 @@ class CrossCheckReport(NamedTuple):
         return not self.discrepancies
 
 
-@collector_paused
 def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCheckReport:
     """Against every word pair within bounds: the bounded bidirectional
     closure must agree with canonical-form equality.  The closure is read
@@ -421,10 +420,8 @@ def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCh
     negative search walks the whole component of its start word.  Steps
     connect in both directions, so the verdict is the same from either end,
     and it is still compared with the labels and recorded as (u, v): a wrong
-    label can slow a search down, never hide a discrepancy.  Runs with the
-    collector paused (``collector_paused``), as do the searches it calls:
-    the labels, the population and the searches' words hold no reference
-    cycle.
+    label can slow a search down, never hide a discrepancy.  Only the
+    searches run with the collector paused (``equivalent_bounded``).
     """
     if max_len < 1 or max_index < 0:
         raise ValueError("the oracle population needs max_len >= 1 and max_index >= 0")

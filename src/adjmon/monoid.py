@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
-from .rewrite import StateMemo, collector_paused, is_normal, normalize
+from .rewrite import StateMemo, is_normal, normalize
 from .words import EMPTY, NotCanonicalError, Word, concat, degree, letter, normal_words, render
 from .words import normal_words_of_degree  # noqa: F401  (bench/spans.py wraps monoid.normal_words_of_degree)
 from .words import eps as eps_letter
@@ -148,37 +148,34 @@ _N_CLOSURE = (
 )
 
 
-@collector_paused
 def _check_suite(suite, max_len: int, max_index: int) -> IdentityReport:
-    """Normalize both sides of each row of the suite at every instantiation
+    """Compare both sides of each row of the suite at every instantiation
     by canonical words within bounds; a row's counterexample is its first
     failure in population order.
 
-    The sides go through one ``StateMemo`` per call: they are products of
-    a few pieces over one population, so their suffixes recur, and most
-    letters are a lookup of a transition read before (93 % of them in
-    ``check_N_closure(3, 2)``).  The memo dies with the call.  The query
-    path (``element``, ``mul``, ``in_N``) stays on plain ``normalize``: a
-    query's word rarely revisits a state, so a memo would cost more there
-    than it saves, and would have to be kept and bounded between calls.
-    Runs with the collector paused (``collector_paused``): the memo keeps
-    letters, which the collector never untracks, in a dict per state, and
-    no reference cycle; with the collector on, its collections cost
-    ``check_axioms(5, 4)`` more than the memo saves.
+    The sides go through one ``StateMemo`` per call and are compared by
+    their state numbers, one per canonical form; forms are written only
+    for a counterexample.  The sides are products of a few pieces over one
+    population, so their suffixes recur, and most letters are a lookup of
+    a transition read before (93 % of them in ``check_N_closure(3, 2)``).
+    The memo dies with the call.  The query path (``element``, ``mul``,
+    ``in_N``) stays on plain ``normalize``: a query's word rarely revisits
+    a state, so a memo would cost more there than it saves, and would have
+    to be kept and bounded between calls.
     """
     if max_len < 1 or max_index < 1:
         raise ValueError("bounds must be >= 1")
     pop = normal_words(max_len, max_index)
     f = lru_cache(maxsize=None)(shift_word)
-    nf = StateMemo().normalize
+    memo = StateMemo()
     results = []
     for name, arity, sides, label in suite:
         count, bad = 0, None
         for ws in product(pop, repeat=arity):
             count += 1
-            lhs, rhs = map(nf, sides(f, *ws))
+            lhs, rhs = map(memo.state, sides(f, *ws))
             if lhs != rhs:
-                bad = Counterexample(label and label.format(*map(render, ws)), lhs, rhs)
+                bad = Counterexample(label and label.format(*map(render, ws)), memo.form(lhs), memo.form(rhs))
                 break
         results.append(IdentityResult(name, count, bad))
     return IdentityReport(tuple(results))

@@ -26,9 +26,9 @@ the monotone map of the naturals that a word denotes, as a fold over the
 word's letters, right to left, into a state of two lists.  ``_read`` is
 the fold and ``_form`` writes a state's canonical form.  ``_read`` takes
 an iterable of letters, not one letter per call, so that ``normalize``
-pays one call per word, whatever its length.  ``StateMemo`` interns the
-states and memoizes their transitions, for a batch of words whose
-suffixes recur: the identity suites.  ``normalize_trace``,
+pays one call per word, whatever its length.  ``StateMemo`` numbers the
+states, one number per canonical form, and memoizes their transitions,
+for the identity suites, whose sides' suffixes recur.  ``normalize_trace``,
 ``reduction_graph``, ``forward_steps`` and the audits rewrite, and they
 are the reference ``normalize`` is tested against.  A trace records each
 step as its position and rule, O(1) per step, and ``Trace.steps``
@@ -283,8 +283,8 @@ def normalize(w: Word) -> Word:
 
     The fold is ``_read`` and the output ``_form``.  ``_read`` takes the
     letters as one iterable, so a word costs one call at any length.
-    ``StateMemo`` memoizes the fold's states, for a batch of words whose
-    suffixes recur.
+    ``StateMemo`` interns the fold's states, one number per canonical form,
+    for a batch of words whose suffixes recur.
     """
     a: list[int] = []
     merges: list[int] = []
@@ -353,29 +353,28 @@ def _form(a: Sequence[int], merges: Sequence[int]) -> Word:
 
 
 class StateMemo:
-    """``normalize`` through a memo of its fold's states, for one batch of
+    """The fold of ``normalize`` over interned states, for one batch of
     words whose suffixes recur, as the identity suites' sides do.
 
     A state is the pair (a, merges) that ``_read`` leaves after a suffix,
-    interned as an int: 0 is the empty word's.  Each state keeps its
-    transitions, letter -> state, so a suffix read once is looked up letter
-    by letter by every later word that ends with it.  A letter not seen at
-    its state before is read by ``_read`` into lists copied from the state,
-    and a run of such letters into the same lists.  ``_form`` runs only for
-    a state that a word ends on, once: building a form for every new state
-    costs more than the memo saves.  Nothing bounds the memo; it is meant
-    to die with its batch.
+    interned as an int, 0 the empty word's.  ``_form`` writes a state's
+    canonical form, which gives the state back, so two words leave one
+    state exactly when their forms are equal.  Each state keeps its
+    transitions, letter -> state: a suffix read once is looked up letter
+    by letter by every later word that ends with it.  A letter new at its
+    state is read by ``_read`` into lists copied from the state, and a run
+    of such letters into the same lists.  Nothing bounds the memo; it is
+    meant to die with its batch.
     """
 
     def __init__(self) -> None:
         self._states: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
         self._ids = {((), ()): 0}
         self._moves: list[dict[Generator, int]] = [{}]
-        self._forms: dict[int, Word] = {}
 
-    def normalize(self, w: Word) -> Word:
-        """``normalize(w)``, reading only the letters that no earlier word
-        read at the same state."""
+    def state(self, w: Word) -> int:
+        """The number of the state that w leaves, reading only the letters
+        that no earlier word read at the same state."""
         states, ids, moves = self._states, self._ids, self._moves
         s, a = 0, None  # a and merges: the lists of state s, while a run of new letters is read
         for x in reversed(w):
@@ -392,10 +391,11 @@ class StateMemo:
             else:
                 a = None
             s = t
-        form = self._forms.get(s)
-        if form is None:
-            form = self._forms[s] = _form(*states[s])
-        return form
+        return s
+
+    def form(self, s: int) -> Word:
+        """The canonical form of the words that leave state s."""
+        return _form(*self._states[s])
 
 
 def _leftmost_moves(letters: list) -> Iterator[tuple[int, RuleInstance]]:

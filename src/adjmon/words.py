@@ -6,11 +6,11 @@ through :func:`letter`, which shares one immutable instance per value.  The
 text format is space-optional tokens ``h<k>`` / ``e<k>`` (Unicode aliases
 ``η<k>`` / ``ε<k>`` accepted on input), with the bare token ``1`` standing
 for the empty word.  :func:`parse` reads spaced letter tokens with a
-whitespace split and the token table, and any other text with the grammar;
-both readings give the same words and the same errors.  ``degree`` is the
-additive measure that makes every rewrite step strictly decreasing.  The
-enumerators list words within bounds, all of them or only the canonical
-forms, in the deterministic order of ``word_key``.
+whitespace split and the token table, and any other text one token at a
+time; both readings give the same words and the same errors.  ``degree``
+is the additive measure that makes every rewrite step strictly
+decreasing.  The enumerators list words within bounds, all of them or
+only the canonical forms, in the deterministic order of ``word_key``.
 """
 
 from __future__ import annotations
@@ -95,13 +95,12 @@ class NotCanonicalError(ValueError):
     """An :class:`adjmon.monoid.Element` was given a word that is not a canonical form."""
 
 
-# The grammar of word text: letter tokens, run together or apart, or the lone
-# token 1.  re's \s is exactly str.isspace(), where str.split() splits; [0-9]
-# keeps indices ASCII.
-_WORD_TEXT = re.compile(r"\s*(?:1\s*|(?:[hηeε][0-9]+\s*)+)")
+# Word text is letter tokens, run together or apart, or the lone token 1.
+# re's \s is exactly str.isspace(), where str.split() splits; [0-9] keeps
+# indices ASCII.
 _LETTER_TOKEN = re.compile(r"[hηeε][0-9]+")
 # One token of any text, good or bad (groups: token, 1, kind, digits); compiled
-# by re on first use, when the grammar rejects a text.
+# by re on first use, when the whitespace split refuses a text.
 _SCAN = r"\s*((1)|([hηeε])([0-9]*)|\S)"
 
 
@@ -129,41 +128,42 @@ def parse(text: str) -> Word:
     tokens, as :func:`render` writes them, are split on whitespace and
     looked up in the token table; any other text (run-together tokens,
     the lone ``1``, an index over the digit limit, malformed input) is
-    matched against the grammar.  Rejects malformed tokens and a ``1``
-    mixed with letter tokens; the raised :class:`WordSyntaxError` points
-    at the first bad token.
+    read token by token by ``_scan``.  Rejects malformed tokens and a
+    ``1`` mixed with letter tokens; the raised :class:`WordSyntaxError`
+    points at the first bad token.
     """
     if tokens := text.split():
         try:  # a list sizes the tuple exactly; tuple() of an iterator over-allocates
             return tuple([*starmap(letter, map(_token_key, tokens))])
         except ValueError:  # a piece that is not one letter token, or an index int() refuses
             pass
-    if _WORD_TEXT.fullmatch(text):
-        try:
-            return tuple([*starmap(letter, map(_token_key, _LETTER_TOKEN.findall(text)))])
-        except ValueError:  # int() refused an index of too many digits
-            pass
-    raise _first_fault(text)
+    return _scan(text)
 
 
-def _first_fault(text: str) -> WordSyntaxError:
-    """The error for the first bad token of a text that the grammar or int() rejects."""
-    seen = identity = False
+def _scan(text: str) -> Word:
+    """The word of a text, read one token at a time; raises the error for
+    its first bad token."""
+    out: list[Generator] = []
+    identity = False
     for m in re.finditer(_SCAN, text):
         token, one, kind, digits = m.groups()
         start = m.start(1)
         if not (one or kind):
-            return WordSyntaxError(f"unexpected character {token!r}", text, start)
+            raise WordSyntaxError(f"unexpected character {token!r}", text, start)
         if kind and not digits:
-            return WordSyntaxError(f"missing index after {kind!r}", text, start)
-        if identity or one and seen:
-            return WordSyntaxError("token '1' mixed with other tokens", text, start)
+            raise WordSyntaxError(f"missing index after {kind!r}", text, start)
+        if identity or one and out:
+            raise WordSyntaxError("token '1' mixed with other tokens", text, start)
+        if one:
+            identity = True
+            continue
         try:
-            int(digits or 0)  # digits is None for the token 1
+            out.append(letter(_KIND_ALIASES[kind], int(digits)))
         except ValueError:
-            return WordSyntaxError(f"index after {kind!r} has too many digits", text, start)
-        seen, identity = True, bool(one)
-    return WordSyntaxError("empty input (write '1' for the identity)", text, 0)
+            raise WordSyntaxError(f"index after {kind!r} has too many digits", text, start) from None
+    if not (out or identity):
+        raise WordSyntaxError("empty input (write '1' for the identity)", text, 0)
+    return tuple(out)
 
 
 def render(w: Word) -> str:

@@ -181,9 +181,9 @@ def test_ncheck_golden(capsys):
     ],
 )
 def test_identity_failure_lines(capsys, monkeypatch, verb, word, line):
-    # the suites' memo answers h7 for the one side word of the instance that is to fail
-    real, bad = rewrite.StateMemo.normalize, parse(word)
-    monkeypatch.setattr(rewrite.StateMemo, "normalize", lambda memo, w: parse("h7") if w == bad else real(memo, w))
+    # the suites' memo reads h7 in place of the one side word of the instance that is to fail
+    real, bad = rewrite.StateMemo.state, parse(word)
+    monkeypatch.setattr(rewrite.StateMemo, "state", lambda memo, w: real(memo, parse("h7") if w == bad else w))
     code, out, _ = run(capsys, verb)
     assert code == 1
     assert [text for text in out.splitlines() if "FAIL" in text] == [line]

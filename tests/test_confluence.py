@@ -959,7 +959,6 @@ def test_components_hold_no_words_after_return():
 # Each paused builder, called at a small bound, with a function it calls through confluence's namespace.
 PAUSED = {
     "connected_components": (lambda: connected_components(4), "_component_labels"),
-    "cross_check_oracle": (lambda: cross_check_oracle(2, 1, 6), "normalize"),
     "equivalent_bounded": (lambda: equivalent_bounded(parse("h0 e0"), (), 6), "forward_steps"),
 }
 
@@ -1014,7 +1013,6 @@ def test_paused_builders_leave_a_disabled_collector_disabled(name, collector_on)
 
 @pytest.mark.parametrize("name", PAUSED)
 def test_paused_builders_end_with_one_collection_of_the_younger_generations(name, collector_on, collections):
-    # cross_check_oracle's nested spot searches run none of their own
     PAUSED[name][0]()
     assert collections == [1]
 
@@ -1024,18 +1022,3 @@ def test_paused_builders_collect_nothing_under_a_disabled_collector(name, collec
     gc.disable()
     PAUSED[name][0]()
     assert collections == []
-
-
-def test_nested_paused_calls_leave_the_collector_enabled(monkeypatch, collector_on):
-    # each spot search is paused itself, inside cross_check_oracle's pause
-    real, after = confluence.equivalent_bounded, []
-
-    def search(*args):
-        verdict = real(*args)
-        after.append(gc.isenabled())
-        return verdict
-
-    monkeypatch.setattr(confluence, "equivalent_bounded", search)
-    assert cross_check_oracle(2, 1, 6).passed
-    assert after and not any(after)
-    assert gc.isenabled()

@@ -364,8 +364,17 @@ def test_state_memo_matches_normalize_on_every_word_of_degree_9():
     memo = StateMemo()
     ws = [w for level in _words_by_degree(9) for w in level]
     assert len(ws) == 19683
-    assert [memo.normalize(w) for w in ws] == list(map(normalize, ws))
+    assert [memo.form(memo.state(w)) for w in ws] == list(map(normalize, ws))
     assert sum(map(len, memo._moves)) < len(ws) < sum(map(len, ws))
+
+
+def test_state_memo_numbers_each_canonical_form_once_on_every_word_of_degree_9():
+    # two words share a state number exactly when normalize gives them the same form: the pairs (form, number)
+    # are a bijection
+    memo = StateMemo()
+    pairs = {(normalize(w), memo.state(w)) for level in _words_by_degree(9) for w in level}
+    forms, numbers = zip(*pairs)
+    assert len(pairs) == len(set(forms)) == len(set(numbers)) < 19683
 
 
 @given(st.lists(st.lists(st.one_of(letters(3), letters(BIG)), max_size=12).map(tuple), min_size=1, max_size=8))
@@ -374,7 +383,16 @@ def test_state_memo_matches_normalize_at_huge_indices(ws):
     # transitions already made
     memo = StateMemo()
     for w in ws + [w[1:] for w in ws] + ws:
-        assert memo.normalize(w) == normalize(w)
+        assert memo.form(memo.state(w)) == normalize(w)
+
+
+@given(st.lists(st.lists(st.one_of(letters(2), letters(BIG)), max_size=6).map(tuple), min_size=2, max_size=8))
+def test_state_memo_numbers_agree_with_forms_at_huge_indices(ws):
+    # every pair of the words and their canonical forms through one memo: equal numbers exactly when the forms are
+    memo = StateMemo()
+    ws += [normalize(w) for w in ws]
+    for u, v in product(ws, repeat=2):
+        assert (memo.state(u) == memo.state(v)) == (normalize(u) == normalize(v))
 
 
 @pytest.mark.parametrize(
