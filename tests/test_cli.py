@@ -343,6 +343,16 @@ def test_oracle_degree_over_limit_exit_2(capsys):
     assert 3**11 <= cli.AUDIT_MAX_WORDS  # the benchmark's connected_components(11)
 
 
+@pytest.mark.parametrize("degree", [64, 10**9])
+@pytest.mark.parametrize("verb", [("audit",), ("oracle", "h0 e0", "1")])
+def test_oracle_degree_refusal_does_not_count_the_universe(capsys, verb, degree):
+    # 3^64 is over the limit already, so a larger bound is refused without computing 3^degree
+    assert run(capsys, *verb, "--max-degree", str(degree)) == (2, "", (
+        f"adjmon: --max-degree {degree}: the oracle universe would enumerate 3^{degree} words, "
+        "over the limit of 1,000,000\n"
+    ))
+
+
 def test_oracle_cap_follows_audit_max_words(capsys, monkeypatch):
     # the oracle universe, the 3^d words of degree <= d, is held to AUDIT_MAX_WORDS: 3^12 = 531,441 <= 10^6 < 3^13
     audit = ("audit", "--max-index", "2", "--max-degree")

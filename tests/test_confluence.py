@@ -1022,3 +1022,27 @@ def test_paused_builders_collect_nothing_under_a_disabled_collector(name, collec
     gc.disable()
     PAUSED[name][0]()
     assert collections == []
+
+
+def test_nested_paused_calls_leave_the_collector_enabled(collector_on):
+    # each paused builder called inside another pause: the inner calls leave the collector off, the outer turns it on
+    after = []
+
+    @rewrite.collector_paused
+    def outer():
+        for call, _ in PAUSED.values():
+            call()
+            after.append(gc.isenabled())
+
+    outer()
+    assert after == [False] * len(PAUSED)
+    assert gc.isenabled()
+
+
+def test_cross_check_oracle_pauses_only_its_spot_searches(monkeypatch, collector_on):
+    # its own normalize calls run with the collector on; each spot search pauses it
+    outside, inside = _spy(monkeypatch, "normalize"), _spy(monkeypatch, "forward_steps")
+    assert cross_check_oracle(2, 1, 6).passed
+    assert outside and all(outside)
+    assert inside and not any(inside)
+    assert gc.isenabled()

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given
 
-from adjmon import monoid
+from adjmon import monoid, rewrite
 from adjmon.monoid import (
     Element,
     MembershipResult,
@@ -273,6 +273,23 @@ def test_suite_memo_keeps_every_verdict(monkeypatch, check, suite, row):
     assert memoized == plain
     failed = [r for r in memoized.results if not r.passed]
     assert [r.identity for r in failed] == [row[0]] and failed[0].instances > 2
+
+
+@pytest.mark.parametrize("check, suite", [(check_axioms, "_AXIOMS"), (check_N_closure, "_N_CLOSURE")])
+def test_suites_write_forms_only_for_a_counterexample(monkeypatch, check, suite):
+    # the sides are compared by state number; a form is written for each side of a counterexample, and no other
+    real, written = rewrite.StateMemo.form, []
+
+    def form(memo, s):
+        written.append(real(memo, s))
+        return written[-1]
+
+    monkeypatch.setattr(rewrite.StateMemo, "form", form)
+    assert check(2, 1).passed and written == []
+    row = ("m*h0=h0*m", 1, lambda f, m: (m + parse("h0"), parse("h0") + m), "m={}")
+    monkeypatch.setattr(monoid, suite, getattr(monoid, suite) + (row,))
+    bad = check(2, 1).results[-1].counterexample
+    assert written == [bad.lhs_nf, bad.rhs_nf] and bad.lhs_nf != bad.rhs_nf
 
 
 def test_iso_criteria_report():
