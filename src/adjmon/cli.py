@@ -256,8 +256,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_answer(args) -> int:
     verdict = A.monoid.answer_open_question()
-    term = A.confluence.audit_termination(1, 6)  # the redex pairs alone, at the overlaps' index bound
-    conf = A.confluence.audit_local_confluence(6)
+    conf = A.confluence.audit_local_confluence()
+    term = A.confluence.audit_termination(1, conf.max_index)  # the redex pairs alone, at the overlaps' index bound
     certified = term.passed and conf.passed and conf.all_subcases_instantiated
     ok = verdict.verdict == A.monoid.NOT_ISO and certified
     criteria = verdict.criteria

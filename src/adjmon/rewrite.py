@@ -23,12 +23,12 @@ and ``VANISHING``, the left-hand sides of the rows with an empty right-hand side
 
 ``normalize`` performs no rewrite step: it reads the canonical form off
 the monotone map of the naturals that a word denotes, as a fold over the
-word's letters, right to left, into a state of two lists.  ``_read`` is
-the fold and ``_form`` writes a state's canonical form.  ``_read`` takes
-an iterable of letters, not one letter per call, so that ``normalize``
-pays one call per word, whatever its length.  ``StateMemo`` numbers the
-states, one number per canonical form, and memoizes their transitions,
-for the identity suites, whose sides' suffixes recur.  ``normalize_trace``,
+word's letters, right to left, into a state of two lists, and writes
+the state's canonical form.  ``_read`` is the fold.  It takes an iterable
+of letters, not one letter per call, so that ``normalize`` pays one call
+per word, whatever its length.  ``StateMemo`` numbers the states, one
+number per canonical form, and memoizes their transitions, for the
+identity suites, whose sides' suffixes recur.  ``normalize_trace``,
 ``reduction_graph``, ``forward_steps`` and the audits rewrite, and they
 are the reference ``normalize`` is tested against.  A trace records each
 step as its position and rule, O(1) per step, and ``Trace.steps``
@@ -42,7 +42,7 @@ import gc
 from collections import deque
 from enum import Enum
 from functools import lru_cache, wraps
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .words import EPS, ETA, Generator, Word, degree, letter, letter_key
 
@@ -281,15 +281,17 @@ def normalize(w: Word) -> Word:
     list; so ``h0^n`` and ``e0^n h0^n`` shift none: a list of over 64 values
     is updated at its back (a shorter one's shift costs less than the test).
 
-    The fold is ``_read`` and the output ``_form``.  ``_read`` takes the
-    letters as one iterable, so a word costs one call at any length.
-    ``StateMemo`` interns the fold's states, one number per canonical form,
-    for a batch of words whose suffixes recur.
+    The fold is ``_read``.  It takes the letters as one iterable, so a
+    word costs one call at any length.  ``StateMemo`` interns the fold's
+    states, one number per canonical form, for a batch of words whose
+    suffixes recur.
     """
     a: list[int] = []
     merges: list[int] = []
     _read(a, merges, reversed(w))
-    return _form(a, merges)
+    out = [letter(ETA, x) for x in a]
+    out += [letter(EPS, merges[u] - u) for u in range(len(merges) - 1, -1, -1)]
+    return tuple(out)
 
 
 def _read(a: list[int], merges: list[int], letters: Iterable[Generator]) -> None:
@@ -343,23 +345,15 @@ def _read(a: list[int], merges: list[int], letters: Iterable[Generator]) -> None
             merges.insert(m, y + m)
 
 
-def _form(a: Sequence[int], merges: Sequence[int]) -> Word:
-    """The canonical form of the map that ``a`` and ``merges`` describe:
-    ``h_{a[0]} ... h_{a[p-1]}``, then ``e_{merges[u] - u}`` for u from the
-    last merge point down to 0."""
-    out = [letter(ETA, x) for x in a]
-    out += [letter(EPS, merges[u] - u) for u in range(len(merges) - 1, -1, -1)]
-    return tuple(out)
-
-
 class StateMemo:
     """The fold of ``normalize`` over interned states, for one batch of
     words whose suffixes recur, as the identity suites' sides do.
 
     A state is the pair (a, merges) that ``_read`` leaves after a suffix,
-    interned as an int, 0 the empty word's.  ``_form`` writes a state's
-    canonical form, which gives the state back, so two words leave one
-    state exactly when their forms are equal.  Each state keeps its
+    interned as an int, 0 the empty word's.  A state and the canonical
+    form that ``normalize`` writes from it determine each other, so two
+    words leave one state exactly when their forms are equal.  The memo
+    writes no form.  Each state keeps its
     transitions, letter -> state: a suffix read once is looked up letter
     by letter by every later word that ends with it.  A letter new at its
     state is read by ``_read`` into lists copied from the state, and a run
@@ -392,10 +386,6 @@ class StateMemo:
                 a = None
             s = t
         return s
-
-    def form(self, s: int) -> Word:
-        """The canonical form of the words that leave state s."""
-        return _form(*self._states[s])
 
 
 def _leftmost_moves(letters: list) -> Iterator[tuple[int, RuleInstance]]:

@@ -181,9 +181,11 @@ def test_ncheck_golden(capsys):
     ],
 )
 def test_identity_failure_lines(capsys, monkeypatch, verb, word, line):
-    # the suites' memo reads h7 in place of the one side word of the instance that is to fail
+    # the suites' memo, and normalize for the counterexample's forms, read h7 in place of the one side word of the
+    # instance that is to fail
     real, bad = rewrite.StateMemo.state, parse(word)
     monkeypatch.setattr(rewrite.StateMemo, "state", lambda memo, w: real(memo, parse("h7") if w == bad else w))
+    monkeypatch.setattr(monoid, "normalize", lambda w: rewrite.normalize(parse("h7") if w == bad else w))
     code, out, _ = run(capsys, verb)
     assert code == 1
     assert [text for text in out.splitlines() if "FAIL" in text] == [line]
@@ -380,21 +382,6 @@ def test_oracle_negative_json_keys(capsys):
     assert sorted(record) == ["equivalent", "explored", "left", "max_degree", "record", "right"]
 
 
-# Flags that became constants, with the value each is fixed at; the parser refuses them.
-REMOVED_FLAGS = {
-    ("audit", "--oracle-len"): confluence.ORACLE_MAX_LEN,
-    ("audit", "--oracle-index"): confluence.ORACLE_MAX_INDEX,
-    ("audit", "--disjoint-samples"): confluence.DISJOINT_SAMPLES,
-    ("answer", "--max-index"): 6,  # the overlap index bound of `adjmon answer`'s certificate
-    ("axioms", "--max-len"): 4,  # the suites' bounds, the defaults of check_axioms and check_N_closure
-    ("axioms", "--max-index"): 3,
-    ("ncheck", "--max-len"): 3,
-    ("ncheck", "--max-index"): 2,
-    ("audit", "--skip-oracle"): False,  # every audit runs termination, local confluence and the oracle cross-check
-    ("audit", "--skip-termination"): False,
-    ("audit", "--max-len"): 1,  # audit and answer decide termination on the redex pairs, at word length 1
-}
-
 # Every option and positional of each command, by its flag or its name: the settable values (ROADMAP aim 2).
 PARSER_SURFACE = {
     "normalize": {"word", "--json"},
@@ -419,7 +406,6 @@ def test_parser_surface():
         for verb, p in verbs.choices.items()
     }
     assert surface == PARSER_SURFACE
-    assert not any(flag in PARSER_SURFACE[verb] for verb, flag in REMOVED_FLAGS)
 
 
 def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
@@ -440,116 +426,43 @@ def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
     return err
 
 
-def parser_refusal(*refused: str) -> str:
-    return f"adjmon: error: unrecognized arguments: {' '.join(refused)}\n"
-
-
-def refused_flags(err: str) -> list[str]:
-    """The flags named in the parser's refusal, the last line of err.  Only
-    the flags: ``ncheck`` with no word takes the first value for its word.
-    """
-    head, _, refused = err.splitlines()[-1].partition("unrecognized arguments: ")
-    assert head == "adjmon: error: "
-    return [a for a in refused.split() if a.startswith("--")]
-
-
-def test_audit_empty_oracle_population_exit_2(capsys, monkeypatch):
-    # the oracle population is fixed and not empty: asking for an empty one is refused by the parser
-    assert confluence.ORACLE_MAX_LEN >= 1 and confluence.ORACLE_MAX_INDEX >= 0
-    err = refused_before_any_audit(capsys, monkeypatch, "audit", "--oracle-len", "-1", "--max-index", "2")
-    assert err.endswith(parser_refusal("--oracle-len", "-1"))
+@pytest.mark.parametrize(
+    "argv",
+    # each positional is given a word, so the parser reads the value as the flag's, whatever the command
+    [(verb, *("h0" for name in surface if not name.startswith("--")), flag, "1")
+     for verb, surface in PARSER_SURFACE.items() for flag in ("--max-len", "--max-index") if flag not in surface],
+    ids=" ".join,
+)
+def test_flag_outside_the_surface_refused_before_any_audit(capsys, monkeypatch, argv):
+    err = refused_before_any_audit(capsys, monkeypatch, *argv)
+    assert err.endswith(f"adjmon: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("audit", "--oracle-len", "-1"),
-        ("audit", "--oracle-index", "-1"),
         ("audit", "--max-degree", "8"),
         ("audit", "--max-index", "1"),
-        ("audit", "--disjoint-samples", "-1"),
-        ("answer", "--max-index", "1"),
-        ("audit", "--max-len", "8"),
-        ("audit", "--max-len", "1000000000"),
         ("audit", "--max-index", "50"),
     ],
     ids=" ".join,
 )
 def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
     err = refused_before_any_audit(capsys, monkeypatch, *argv)
-    if argv[:2] in REMOVED_FLAGS:
-        assert err.endswith(parser_refusal(argv[1], argv[2]))
-    else:
-        assert err.startswith("adjmon: ")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # in-range values first, then out-of-range ones: a removed flag is refused whatever its value
-        ("audit", "--oracle-len", "2"),
-        ("audit", "--oracle-index", "1"),
-        ("audit", "--disjoint-samples", "0"),
-        ("answer", "--max-index", "6"),
-        ("axioms", "--max-len", "4"),
-        ("ncheck", "h0 e0", "--max-index", "2"),
-        ("audit", "--oracle-len", "0"),
-        ("answer", "--max-index", "50"),
-        ("ncheck", "h0 e0", "--max-len", "0"),  # with a word, ncheck takes no suite bound either
-        ("audit", "--skip-oracle"),
-        ("audit", "--skip-termination"),
-        ("audit", "--max-index", "3", "--skip-oracle"),
-        ("audit", "--max-len", "1"),
-        ("audit", "--max-len", "4"),  # its old default
-    ],
-    ids=" ".join,
-)
-def test_removed_flag_refused_before_any_audit(capsys, monkeypatch, argv):
-    err = refused_before_any_audit(capsys, monkeypatch, *argv)
-    flag = [a for a in argv if a.startswith("--")][-1]
-    assert (argv[0], flag) in REMOVED_FLAGS
-    assert err.endswith(parser_refusal(*argv[argv.index(flag):]))
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("audit", "--max-len", "0"),
-        ("axioms", "--max-len", "0"),
-        ("axioms", "--max-index", "0"),
-        ("ncheck", "--max-len", "0"),
-        ("ncheck", "--max-index", "-1"),
-    ],
-    ids=" ".join,
-)
-def test_bound_below_1_refused_naming_its_flag(capsys, monkeypatch, argv):
-    err = refused_before_any_audit(capsys, monkeypatch, *argv)
-    if argv[:2] in REMOVED_FLAGS:  # the suites' bounds are fixed: the parser refuses the flag
-        assert REMOVED_FLAGS[argv[:2]] >= 1
-        assert refused_flags(err) == [argv[1]]
-    else:
-        assert err == f"adjmon: {argv[1]} {argv[2]}: the bound must be >= 1\n"
+    assert err.startswith("adjmon: ")
 
 
 @pytest.mark.parametrize(
     "argv, minimum",
     [
         ("audit --max-index 1", 2),
-        ("answer --max-index 1", 2),
-        ("audit --oracle-index -1", 0),
-        ("audit --disjoint-samples -1", 0),
         ("audit --max-degree 8", 9),  # the oracle population's words: length <= 3, each letter of degree <= 2 + 1
     ],
 )
 def test_bound_refused_naming_its_flag(capsys, monkeypatch, argv, minimum):
-    command, flag, value = argv.split()
+    _, flag, value = argv.split()
     err = refused_before_any_audit(capsys, monkeypatch, *argv.split())
-    if (command, flag) in REMOVED_FLAGS:
-        # the flag is gone, and the value it is fixed at still meets the bound it was checked against
-        assert REMOVED_FLAGS[command, flag] >= minimum
-        assert err.endswith(parser_refusal(flag, value))
-    else:
-        assert err == f"adjmon: {flag} {value}: the bound must be >= {minimum}\n"
+    assert err == f"adjmon: {flag} {value}: the bound must be >= {minimum}\n"
 
 
 def test_oracle_input_over_bound_refused_naming_its_flag(capsys):
@@ -614,20 +527,6 @@ def test_termination_fails_under_a_swapped_rule(capsys, mutated_rules):
     code, out, _ = run(capsys, "answer")
     assert code == 1
     assert out.splitlines()[-1].startswith("certificate: termination FAIL, ")
-
-
-@pytest.mark.parametrize(
-    "argv, count",
-    [
-        ("ncheck --max-len 6 --max-index 6", "1,502,376,360"),  # 38,760^2 + 38,760
-        ("axioms --max-len 8 --max-index 8", "6,249,103"),  # 3 + 4 * 1,562,275
-        ("axioms --max-len 100 --max-index 100", "more than 10^37"),
-    ],
-)
-def test_suite_instance_limit(capsys, monkeypatch, argv, count):
-    # each run would check `count` instances: the parser refuses it before any suite runs
-    err = refused_before_any_audit(capsys, monkeypatch, *argv.split())
-    assert refused_flags(err) == ["--max-len", "--max-index"], count
 
 
 def test_audit(capsys):

@@ -25,7 +25,7 @@ from adjmon.confluence import (
     resolve,
 )
 from adjmon import cli
-from adjmon.rewrite import INF, I, J, K, O, RuleCase, RuleInstance, apply, instantiate, reduction_graph, redexes
+from adjmon.rewrite import INF, I, J, K, O, RuleCase, RuleInstance, apply, instantiate, normalize_trace, reduction_graph, redexes
 from adjmon.words import EPS, Generator, _block_start, _words_by_degree, alphabet, degree, is_canonical_shape, letter
 from adjmon.words import parse, render
 from adjmon.words import eps as eps_letter
@@ -956,16 +956,17 @@ def test_components_hold_no_words_after_return():
 
 # --- the collector pause ------------------------------------------------------
 
-# Each paused builder, called at a small bound, with a function it calls through confluence's namespace.
+# Each paused builder, called at a small bound, with a function it calls through the namespace of a module.
 PAUSED = {
-    "connected_components": (lambda: connected_components(4), "_component_labels"),
-    "equivalent_bounded": (lambda: equivalent_bounded(parse("h0 e0"), (), 6), "forward_steps"),
+    "connected_components": (lambda: connected_components(4), confluence, "_component_labels"),
+    "equivalent_bounded": (lambda: equivalent_bounded(parse("h0 e0"), (), 6), confluence, "forward_steps"),
+    "normalize_trace": (lambda: normalize_trace(parse("e1 h1")), rewrite, "_leftmost_moves"),
 }
 
 
-def _spy(monkeypatch, name, fail=False):
-    """Record whether the collector is enabled at each call of confluence.<name>, and optionally raise there."""
-    real, seen = getattr(confluence, name), []
+def _spy(monkeypatch, module, name, fail=False):
+    """Record whether the collector is enabled at each call of module.<name>, and optionally raise there."""
+    real, seen = getattr(module, name), []
 
     def spy(*args):
         seen.append(gc.isenabled())
@@ -973,14 +974,22 @@ def _spy(monkeypatch, name, fail=False):
             raise RuntimeError(name)
         return real(*args)
 
-    monkeypatch.setattr(confluence, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return seen
+
+
+def test_paused_names_every_paused_builder():
+    # every wrapper that collector_paused makes runs one code object: PAUSED names each attribute that runs it
+    paused = rewrite.collector_paused(len).__code__
+    wrapped = {name for module in (rewrite, confluence) for name, value in vars(module).items()
+               if getattr(value, "__code__", None) is paused}
+    assert wrapped == set(PAUSED)
 
 
 @pytest.mark.parametrize("name", PAUSED)
 def test_paused_builders_run_with_the_collector_off(name, monkeypatch, collector_on):
-    call, inner = PAUSED[name]
-    seen = _spy(monkeypatch, inner)
+    call, module, inner = PAUSED[name]
+    seen = _spy(monkeypatch, module, inner)
     call()
     assert seen and not any(seen)
     assert gc.isenabled()
@@ -988,17 +997,14 @@ def test_paused_builders_run_with_the_collector_off(name, monkeypatch, collector
 
 @pytest.mark.parametrize("name", PAUSED)
 def test_paused_builders_restore_the_collector_on_raise(name, monkeypatch, collector_on):
-    call, inner = PAUSED[name]
-    _spy(monkeypatch, inner, fail=True)
+    call, module, inner = PAUSED[name]
+    _spy(monkeypatch, module, inner, fail=True)
     with pytest.raises(RuntimeError):
         call()
     assert gc.isenabled()
 
 
 def test_paused_builders_restore_the_collector_after_a_refused_bound(collector_on):
-    with pytest.raises(ValueError):
-        cross_check_oracle(0, 0, 9)
-    assert gc.isenabled()
     with pytest.raises(ValueError):
         equivalent_bounded(parse("h9"), (), 9)
     assert gc.isenabled()
@@ -1030,7 +1036,7 @@ def test_nested_paused_calls_leave_the_collector_enabled(collector_on):
 
     @rewrite.collector_paused
     def outer():
-        for call, _ in PAUSED.values():
+        for call, *_ in PAUSED.values():
             call()
             after.append(gc.isenabled())
 
@@ -1041,7 +1047,7 @@ def test_nested_paused_calls_leave_the_collector_enabled(collector_on):
 
 def test_cross_check_oracle_pauses_only_its_spot_searches(monkeypatch, collector_on):
     # its own normalize calls run with the collector on; each spot search pauses it
-    outside, inside = _spy(monkeypatch, "normalize"), _spy(monkeypatch, "forward_steps")
+    outside, inside = _spy(monkeypatch, confluence, "normalize"), _spy(monkeypatch, confluence, "forward_steps")
     assert cross_check_oracle(2, 1, 6).passed
     assert outside and all(outside)
     assert inside and not any(inside)

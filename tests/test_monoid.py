@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given
 
-from adjmon import monoid, rewrite
+from adjmon import monoid
 from adjmon.monoid import (
     Element,
     MembershipResult,
@@ -268,7 +268,7 @@ def test_suite_memo_keeps_every_verdict(monkeypatch, check, suite, row):
     # a false row added to the suite: the memo's state numbers and plain normalize's forms find the same counterexample
     monkeypatch.setattr(monoid, suite, getattr(monoid, suite) + (row,))
     memoized = check()
-    monkeypatch.setattr(monoid, "StateMemo", lambda: SimpleNamespace(state=normalize, form=lambda nf: nf))
+    monkeypatch.setattr(monoid, "StateMemo", lambda: SimpleNamespace(state=normalize))
     plain = check()
     assert memoized == plain
     failed = [r for r in memoized.results if not r.passed]
@@ -277,14 +277,14 @@ def test_suite_memo_keeps_every_verdict(monkeypatch, check, suite, row):
 
 @pytest.mark.parametrize("check, suite", [(check_axioms, "_AXIOMS"), (check_N_closure, "_N_CLOSURE")])
 def test_suites_write_forms_only_for_a_counterexample(monkeypatch, check, suite):
-    # the sides are compared by state number; a form is written for each side of a counterexample, and no other
-    real, written = rewrite.StateMemo.form, []
+    # the sides are compared by state number; normalize writes a form for each side of a counterexample, and no other
+    written = []
 
-    def form(memo, s):
-        written.append(real(memo, s))
+    def normalize_spy(w):
+        written.append(normalize(w))
         return written[-1]
 
-    monkeypatch.setattr(rewrite.StateMemo, "form", form)
+    monkeypatch.setattr(monoid, "normalize", normalize_spy)
     assert check(2, 1).passed and written == []
     row = ("m*h0=h0*m", 1, lambda f, m: (m + parse("h0"), parse("h0") + m), "m={}")
     monkeypatch.setattr(monoid, suite, getattr(monoid, suite) + (row,))
