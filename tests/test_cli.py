@@ -428,9 +428,11 @@ def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
 
 @pytest.mark.parametrize(
     "argv",
+    # each bound flag that some command takes, and --max-len, which none takes now, on every command without it;
     # each positional is given a word, so the parser reads the value as the flag's, whatever the command
     [(verb, *("h0" for name in surface if not name.startswith("--")), flag, "1")
-     for verb, surface in PARSER_SURFACE.items() for flag in ("--max-len", "--max-index") if flag not in surface],
+     for verb, surface in PARSER_SURFACE.items()
+     for flag in ("--max-len", "--max-index", "--max-degree") if flag not in surface],
     ids=" ".join,
 )
 def test_flag_outside_the_surface_refused_before_any_audit(capsys, monkeypatch, argv):
