@@ -4,18 +4,19 @@ Words on the command line use the grammar of :mod:`adjmon.words`:
 tokens ``h<k>`` / ``e<k>`` (or ``η<k>`` / ``ε<k>``), optional whitespace,
 and the bare token ``1`` for the identity.  Exit status: 0 for answered
 queries and passing reports, 1 for failed reports or unjoinable pairs,
-2 for usage or word-syntax errors, for bounds below their minimum, for
-``trace`` runs over :data:`TRACE_BUDGET`, for an ``oracle`` input of
-degree over ``--max-degree``, for audit and oracle bounds over
-:data:`AUDIT_MAX_WORDS` words and for a number to print of more digits than
-Python prints (``sys.get_int_max_str_digits()``),
+2 for usage or word-syntax errors, for ``trace`` runs over
+:data:`TRACE_BUDGET`, for an ``oracle`` ``--max-degree`` below the degree
+of its input or with a universe over :data:`AUDIT_MAX_WORDS` words and for
+a number to print of more digits than Python prints
+(``sys.get_int_max_str_digits()``),
 3 for an internal error (a computed canonical form that is not
 canonical), and 141 (128 + SIGPIPE), without a traceback, when stdout is
 closed before the output is written, as by ``adjmon answer | head -1``.
 ``--json`` switches every command to line-delimited JSON records with
 stable ordering.  Each command prints its result through :func:`_out`, one
 record at a time, so its text and its JSON come from the same record.
-``audit`` and ``answer`` decide termination on the redex pairs alone: they
+``audit`` and ``answer`` take no bound: they run the audits at the
+library's defaults, and decide termination on the redex pairs alone: they
 call ``audit_termination`` at word length 1, where no word has a step.
 """
 
@@ -61,22 +62,17 @@ def cmd_normalize(args) -> int:
 # under --json holds them all until the record is printed.
 TRACE_BUDGET = 10**7
 
-# `audit` finds the overlaps of the three-letter words over 2 (--max-index + 1) letters by joining their redex
-# pairs: those of 100^3 words take 14-15 s and 18 MB (Python 3.11.7, 2-CPU Intel Xeon, fresh interpreters).
-# The oracle's universe, the 3^d words of degree <= --max-degree, is held to it too:
-# `audit --max-degree 12`, 531,441 words, takes 1.1-1.4 s (median 1.3 s) and 42 MB.
+# The oracle's universe, the 3^d words of degree <= --max-degree, is held to this many words. At d = 12, 531,441
+# words, `oracle "h0 e0" "1"` takes 0.36-0.48 s and 16 MB, and `cross_check_oracle(3, 2, 12)` 1.2-1.5 s and 41 MB
+# (Python 3.11.7, 2-CPU Intel Xeon, fresh interpreters).
 AUDIT_MAX_WORDS = 10**6
-
-
-def _check_words(flag: str, value: int, count: int, what: str) -> None:
-    """Refuse flag's value if its audit would enumerate count words, over the limit; what says which."""
-    if count > AUDIT_MAX_WORDS:
-        raise ValueError(f"{flag} {value}: the {what}, over the limit of {AUDIT_MAX_WORDS:,}")
 
 
 def _check_oracle_degree(d: int) -> None:
     """Refuse --max-degree d if the oracle's universe, the 3^d words of degree <= d, is over the limit."""
-    _check_words("--max-degree", d, 3 ** min(d, 64), f"oracle universe would enumerate 3^{d} words")  # 3^64 is over it
+    if 3 ** min(d, 64) > AUDIT_MAX_WORDS:  # 3^64 is over it
+        raise ValueError(f"--max-degree {d}: the oracle universe would enumerate 3^{d} words, "
+                         f"over the limit of {AUDIT_MAX_WORDS:,}")
 
 
 def cmd_trace(args) -> int:
@@ -147,12 +143,6 @@ def _identity_records(args, report: A.monoid.IdentityReport, kind: str) -> int:
     return 0 if report.passed else 1
 
 
-def _check_at_least(flag: str, value: int, minimum: int) -> None:
-    """Refuse a bound below minimum, naming its flag and value."""
-    if value < minimum:
-        raise ValueError(f"{flag} {value}: the bound must be >= {minimum}")
-
-
 def cmd_axioms(args) -> int:
     return _identity_records(args, A.monoid.check_axioms(), "axiom")
 
@@ -205,20 +195,14 @@ def _row_line(r: A.confluence.SubcaseRow) -> str:
 
 
 def cmd_audit(args) -> int:
-    oracle_len, oracle_index = A.confluence.ORACLE_MAX_LEN, A.confluence.ORACLE_MAX_INDEX
-    d, letters = args.max_degree, 2 * args.max_index + 2
-    _check_oracle_degree(d)  # every bound is checked before the first audit runs
-    _check_at_least("--max-degree", d, oracle_len * (oracle_index + 1))  # the population's top degree
-    _check_at_least("--max-index", args.max_index, A.confluence.MIN_OVERLAP_INDEX)
-    _check_words("--max-index", args.max_index, letters**3,  # the words whose overlaps the redex pairs' join covers
-                 f"overlap audit would cover {letters**3:,} three-letter words")
-    term = A.confluence.audit_termination(1, args.max_index)  # no word of length 1 has a step: the pairs decide
-    conf = A.confluence.audit_local_confluence(args.max_index)
-    oracle = A.confluence.cross_check_oracle(oracle_len, oracle_index, d)
+    conf = A.confluence.audit_local_confluence()
+    term = A.confluence.audit_termination(1, conf.max_index)  # no word of length 1 has a step: the pairs decide
+    oracle = A.confluence.cross_check_oracle()
+    letters = 2 * conf.max_index + 2
     ok = term.passed and conf.passed and oracle.passed
     _out(args, lambda: {"record": "termination", "letters": letters, "pass": term.passed,
                         "bad_pairs": [[words.render((x, y)), drop] for x, y, drop in term.bad_pairs]},
-         [f"termination: {letters} letters of index <= {args.max_index}, "
+         [f"termination: {letters} letters of index <= {conf.max_index}, "
           f"{len(term.bad_pairs)} bad pairs  {'PASS' if term.passed else 'FAIL'}"])
     header = f"{'family':9s} {'subcase':10s} {'instances':>9s} {'joinable':>8s}  {'sample bound':14s} formula"
     _out(args, None, [f"local confluence (max index {conf.max_index}):", header])
@@ -337,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("iso", cmd_iso, "evaluate the conditions equivalent to the adjunction being an iso")
 
-    p = add("audit", cmd_audit, "termination + local confluence + oracle cross-check")
-    p.add_argument("--max-index", type=int, default=6, help="index bound for overlaps/termination")
-    p.add_argument("--max-degree", type=int, default=9, help="oracle degree bound")
+    add("audit", cmd_audit, "termination + local confluence + oracle cross-check")
 
     p = add("oracle", cmd_oracle, "bounded bidirectional equivalence search for two words")
     p.add_argument("left")

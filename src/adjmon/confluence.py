@@ -47,8 +47,6 @@ EEH = "EEH"
 EHH = "EHH"
 
 DISJOINT_SAMPLES = 32  # the disjoint-redex parents that audit_local_confluence samples
-# the population that `adjmon audit` cross-checks the oracle on: words of length <= 3, indices <= 2
-ORACLE_MAX_LEN, ORACLE_MAX_INDEX = 3, 2
 MIN_OVERLAP_INDEX = 2  # the least max_index at which every overlap family has a parent (all subcases: 3)
 
 # Each overlap family's subcases, (subcase, guard, closed form) rows over the
@@ -400,9 +398,11 @@ class CrossCheckReport(NamedTuple):
         return not self.discrepancies
 
 
-def cross_check_oracle(max_len: int, max_index: int, max_degree: int) -> CrossCheckReport:
-    """Against every word pair within bounds: the bounded bidirectional
-    closure must agree with canonical-form equality.  The closure is read
+def cross_check_oracle(max_len: int = 3, max_index: int = 2, max_degree: int = 9) -> CrossCheckReport:
+    """Against every pair of words of length <= max_len and indices <=
+    max_index, the bidirectional closure within degree <= max_degree must
+    agree with canonical-form equality; `adjmon audit` runs the defaults,
+    3, 2 and 9, on 259 words.  The closure is read
     off ``_component_labels(max_degree)`` by word number, so no other word
     of its universe is built; a deterministic sample of pairs is
     re-verified with the per-pair search, ``equivalent_bounded``.

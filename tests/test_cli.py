@@ -200,18 +200,17 @@ def test_audit_failure_rows(capsys, monkeypatch):
     real = confluence.common_reducts
     monkeypatch.setattr(confluence, "common_reducts", lambda pair: frozenset() if pair.family == "EEE" else real(pair))
     monkeypatch.setattr(confluence, "normalize", lambda w: w)  # every word its own canonical form
-    args = ("audit", "--max-index", "2")
-    code, out, _ = run(capsys, *args)
+    code, out, _ = run(capsys, "audit")
     assert code == 1
     lines = out.splitlines()
-    assert lines[4] == "EEE       -                  1        0  NOT_JOINABLE   0/1"  # after the DISJOINT row
+    assert lines[4] == "EEE       -                 35        0  NOT_JOINABLE   0/35"  # after the DISJOINT row
     # 259 words in 84 components: each word after the first of its component is a discrepancy
     assert lines[-3:] == [
         "joinable: FAIL (NOT_JOINABLE pairs present)",
         "oracle cross-check: population 259, pairs 33670, spot-checked 25, discrepancies 175  FAIL",
         "audit: FAIL",
     ]
-    code, out, _ = run(capsys, *args, "--json")
+    code, out, _ = run(capsys, "audit", "--json")
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
     assert records[2]["family"] == "EEE" and (records[2]["joinable"], records[2]["sample_bound"]) == (0, None)
@@ -334,22 +333,21 @@ def test_one_line_golden(capsys, argv, line):
 
 def test_oracle_degree_over_limit_exit_2(capsys):
     # refused before any search: 3^40 words would never finish
-    for argv in (["audit", "--max-degree", "40"], ["oracle", "h0 e0", "1", "--max-degree", "40"]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "adjmon.cli", *argv], capture_output=True, text=True, timeout=10
-        )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == (
-            "adjmon: --max-degree 40: the oracle universe would enumerate 3^40 words, over the limit of 1,000,000\n"
-        )
+    proc = subprocess.run(
+        [sys.executable, "-m", "adjmon.cli", "oracle", "h0 e0", "1", "--max-degree", "40"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "adjmon: --max-degree 40: the oracle universe would enumerate 3^40 words, over the limit of 1,000,000\n"
+    )
     assert 3**11 <= cli.AUDIT_MAX_WORDS  # the benchmark's connected_components(11)
 
 
 @pytest.mark.parametrize("degree", [64, 10**9])
-@pytest.mark.parametrize("verb", [("audit",), ("oracle", "h0 e0", "1")])
-def test_oracle_degree_refusal_does_not_count_the_universe(capsys, verb, degree):
+def test_oracle_degree_refusal_does_not_count_the_universe(capsys, degree):
     # 3^64 is over the limit already, so a larger bound is refused without computing 3^degree
-    assert run(capsys, *verb, "--max-degree", str(degree)) == (2, "", (
+    assert run(capsys, "oracle", "h0 e0", "1", "--max-degree", str(degree)) == (2, "", (
         f"adjmon: --max-degree {degree}: the oracle universe would enumerate 3^{degree} words, "
         "over the limit of 1,000,000\n"
     ))
@@ -357,22 +355,14 @@ def test_oracle_degree_refusal_does_not_count_the_universe(capsys, verb, degree)
 
 def test_oracle_cap_follows_audit_max_words(capsys, monkeypatch):
     # the oracle universe, the 3^d words of degree <= d, is held to AUDIT_MAX_WORDS: 3^12 = 531,441 <= 10^6 < 3^13
-    audit = ("audit", "--max-index", "2", "--max-degree")
-    searched, real = [], confluence.cross_check_oracle
-    # a cross-check over 3^12 words takes over a second: search 3^9 and record the bound the audit asked for
-    monkeypatch.setattr(confluence, "cross_check_oracle", lambda n, i, d: searched.append(d) or real(n, i, 9))
     for cap in (12, 9):
         if cap < 12:
             monkeypatch.setattr(cli, "AUDIT_MAX_WORDS", 3**cap)
-        assert run(capsys, *audit, str(cap))[0] == 0
         assert run(capsys, "oracle", "e0 h1", "1", "--max-degree", str(cap)) == (0, "equivalent\n", "")
-        refusal = (
+        assert run(capsys, "oracle", "h0 e0", "1", "--max-degree", str(cap + 1)) == (2, "", (
             f"adjmon: --max-degree {cap + 1}: the oracle universe would enumerate 3^{cap + 1} words, "
             f"over the limit of {cli.AUDIT_MAX_WORDS:,}\n"
-        )
-        for argv in (audit, ("oracle", "h0 e0", "1", "--max-degree")):
-            assert run(capsys, *argv, str(cap + 1)) == (2, "", refusal)
-    assert searched == [12, 9]
+        ))
 
 
 def test_oracle_negative_json_keys(capsys):
@@ -393,7 +383,7 @@ PARSER_SURFACE = {
     "axioms": {"--json"},
     "ncheck": {"word", "--json"},
     "iso": {"--json"},
-    "audit": {"--max-index", "--max-degree", "--json"},
+    "audit": {"--json"},
     "oracle": {"left", "right", "--max-degree", "--json"},
     "answer": {"--json"},
 }
@@ -408,8 +398,16 @@ def test_parser_surface():
     assert surface == PARSER_SURFACE
 
 
-def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
-    """Run argv, which must exit 2 with no output and before any audit or suite; return its stderr."""
+@pytest.mark.parametrize(
+    "argv",
+    # each bound flag that some command takes, and --max-len and --max-index, which none takes now, on every command
+    # without it; each positional is given a word, so the parser reads the value as the flag's, whatever the command
+    [(verb, *("h0" for name in surface if not name.startswith("--")), flag, "1")
+     for verb, surface in PARSER_SURFACE.items()
+     for flag in ("--max-len", "--max-index", "--max-degree") if flag not in surface],
+    ids=" ".join,
+)
+def test_flag_outside_the_surface_refused_before_any_audit(capsys, monkeypatch, argv):
     def never(*args):
         raise AssertionError("an audit or suite ran before its arguments were checked")
 
@@ -417,54 +415,11 @@ def refused_before_any_audit(capsys, monkeypatch, *argv) -> str:
     monkeypatch.setattr(confluence, "audit_local_confluence", never)
     monkeypatch.setattr(confluence, "cross_check_oracle", never)
     monkeypatch.setattr(monoid, "_check_suite", never)
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # refused by the argument parser
-        code = exc.code
+    with pytest.raises(SystemExit) as exc:  # refused by the argument parser
+        main(list(argv))
     out, err = capsys.readouterr()
-    assert (code, out) == (2, "")
-    return err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    # each bound flag that some command takes, and --max-len, which none takes now, on every command without it;
-    # each positional is given a word, so the parser reads the value as the flag's, whatever the command
-    [(verb, *("h0" for name in surface if not name.startswith("--")), flag, "1")
-     for verb, surface in PARSER_SURFACE.items()
-     for flag in ("--max-len", "--max-index", "--max-degree") if flag not in surface],
-    ids=" ".join,
-)
-def test_flag_outside_the_surface_refused_before_any_audit(capsys, monkeypatch, argv):
-    err = refused_before_any_audit(capsys, monkeypatch, *argv)
+    assert (exc.value.code, out) == (2, "")
     assert err.endswith(f"adjmon: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("audit", "--max-degree", "8"),
-        ("audit", "--max-index", "1"),
-        ("audit", "--max-index", "50"),
-    ],
-    ids=" ".join,
-)
-def test_bad_audit_bounds_refused_before_any_audit(capsys, monkeypatch, argv):
-    err = refused_before_any_audit(capsys, monkeypatch, *argv)
-    assert err.startswith("adjmon: ")
-
-
-@pytest.mark.parametrize(
-    "argv, minimum",
-    [
-        ("audit --max-index 1", 2),
-        ("audit --max-degree 8", 9),  # the oracle population's words: length <= 3, each letter of degree <= 2 + 1
-    ],
-)
-def test_bound_refused_naming_its_flag(capsys, monkeypatch, argv, minimum):
-    _, flag, value = argv.split()
-    err = refused_before_any_audit(capsys, monkeypatch, *argv.split())
-    assert err == f"adjmon: {flag} {value}: the bound must be >= {minimum}\n"
 
 
 def test_oracle_input_over_bound_refused_naming_its_flag(capsys):
@@ -481,7 +436,6 @@ def test_oracle_input_over_bound_refused_naming_its_flag(capsys):
         ("f", "h{N}"),  # the image's index
         ("oracle", "h{N}", "1"),  # the input's degree, in the refusal
         ("trace", "e{N} h{N}"),  # the step count, in the refusal
-        ("audit", "--max-index", "{M}"),  # the overlap audit's word count, in the refusal
     ],
     ids=lambda argv: argv[0],
 )
@@ -490,21 +444,9 @@ def test_number_over_digit_limit_refused(capsys, argv):
     limit = sys.get_int_max_str_digits()
     nines = "9" * limit
     assert parse(f"h{nines}")
-    code, out, err = run(capsys, *(a.format(N=nines, M=nines[: limit // 2]) for a in argv))
+    code, out, err = run(capsys, *(a.format(N=nines) for a in argv))
     assert (code, out, err) == (2, "", f"adjmon: a number to print has more than {limit:,} digits, "
                                        "the most that Python prints\n")
-
-
-def test_audit_word_limit(capsys, monkeypatch):
-    # --max-index 49 covers 100^3 three-letter words, at the limit: its audits run (the overlaps, 14 s, at index 2)
-    indices, real = [], confluence.audit_local_confluence
-    monkeypatch.setattr(confluence, "audit_local_confluence", lambda i: indices.append(i) or real(2))
-    assert run(capsys, "audit", "--max-index", "49")[0] == 0
-    assert indices == [49]
-    assert run(capsys, "audit", "--max-index", "50", "--max-degree", "9") == (2, "", (
-        "adjmon: --max-index 50: the overlap audit would cover 1,061,208 three-letter words, "
-        "over the limit of 1,000,000\n"
-    ))
 
 
 def test_audit_and_answer_walk_no_word(capsys, monkeypatch):
@@ -512,8 +454,8 @@ def test_audit_and_answer_walk_no_word(capsys, monkeypatch):
     bounds, real = [], confluence.audit_termination
     monkeypatch.setattr(confluence, "audit_termination", lambda n, i: bounds.append((n, i)) or real(n, i))
     assert run(capsys, "answer")[0] == 0
-    assert run(capsys, "audit", "--max-index", "3")[0] == 0
-    assert bounds == [(1, 6), (1, 3)]
+    assert run(capsys, "audit")[0] == 0
+    assert bounds == [(1, 6), (1, 6)]
 
 
 def test_termination_fails_under_a_swapped_rule(capsys, mutated_rules):
@@ -531,17 +473,11 @@ def test_termination_fails_under_a_swapped_rule(capsys, mutated_rules):
     assert out.splitlines()[-1].startswith("certificate: termination FAIL, ")
 
 
-def test_audit(capsys):
-    code, out, _ = run(capsys, "audit", "--max-index", "3")
+def test_audit_default_bounds(capsys):
+    code, out, _ = run(capsys, "audit")
     assert code == 0
     assert "audit: PASS" in out
     assert "NOT_JOINABLE" not in out
-
-
-def test_audit_default_bounds(capsys):
-    code, out, _ = run(capsys, "audit", "--max-index", "6")
-    assert code == 0
-    assert "audit: PASS" in out
     assert "NOT INSTANTIATED" not in out
     # per-family table columns are present
     header = next(line for line in out.splitlines() if line.startswith("family"))
@@ -550,7 +486,7 @@ def test_audit_default_bounds(capsys):
 
 
 def test_audit_json_stable(capsys):
-    args = ("audit", "--json", "--max-index", "2", "--max-degree", "9")
+    args = ("audit", "--json")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -562,7 +498,7 @@ def test_audit_json_stable(capsys):
 
 
 def test_audit_table_golden(capsys):
-    code, out, _ = run(capsys, "audit", "--max-index", "6", "--max-degree", "9")
+    code, out, _ = run(capsys, "audit")
     assert code == 0
     assert out.splitlines() == [
         "termination: 14 letters of index <= 6, 0 bad pairs  PASS",
@@ -589,10 +525,11 @@ def test_audit_table_golden(capsys):
         "oracle cross-check: population 259, pairs 33670, spot-checked 25, discrepancies 0  PASS",
         "audit: PASS",
     ]
+    assert int(out.splitlines()[3].split()[2]) == confluence.DISJOINT_SAMPLES  # the DISJOINT row's instances
 
 
 def test_audit_json_golden(capsys):
-    code, out, _ = run(capsys, "audit", "--json", "--max-index", "6", "--max-degree", "9")
+    code, out, _ = run(capsys, "audit", "--json")
     assert code == 0
     assert out.splitlines() == [
         '{"bad_pairs": [], "letters": 14, "pass": true, "record": "termination"}',
@@ -634,13 +571,6 @@ def test_audit_json_golden(capsys):
         '"spot_checked": 25}',
         '{"pass": true, "record": "audit_summary"}',
     ]
-
-
-def test_audit_disjoint_sample_count(capsys):
-    code, out, _ = run(capsys, "audit", "--json", "--max-index", "2", "--max-degree", "9")
-    assert code == 0
-    rows = [r for r in map(json.loads, out.splitlines()) if r.get("family") == "DISJOINT"]
-    assert [r["instances"] for r in rows] == [confluence.DISJOINT_SAMPLES]
 
 
 def test_answer(capsys):
@@ -751,7 +681,7 @@ def _loaded_by_main(*argv):
         (["iso"], ["adjmon.monoid"]),
         (["ncheck", "h0 e0"], ["adjmon.monoid"]),
         (["axioms"], ["adjmon.monoid"]),
-        (["audit", "--max-index", "2", "--max-degree", "9"], ["adjmon.confluence"]),
+        (["audit"], ["adjmon.confluence"]),
         (["oracle", "h0 e0", "1", "--max-degree", "2"], ["adjmon.confluence"]),
         (["answer"], ["adjmon.confluence", "adjmon.monoid"]),
         (["ncheck"], ["adjmon.monoid"]),  # the closure suites
