@@ -381,6 +381,21 @@ def test_audit_local_confluence_low_bound_reports_missing():
         report.row("EEH", "k>j+1")
 
 
+@pytest.mark.parametrize("max_index", range(1, 8))
+def test_audit_local_confluence_at_every_index_bound(max_index):
+    # `adjmon audit` runs index 6 alone; the library takes any bound from MIN_OVERLAP_INDEX up
+    if max_index < confluence.MIN_OVERLAP_INDEX:
+        with pytest.raises(ValueError, match="max_index must be >= 2 to instantiate every overlap family"):
+            audit_local_confluence(max_index)
+        return
+    report = audit_local_confluence(max_index)
+    assert report.passed
+    assert {r.family for r in report.rows} == {"DISJOINT", "EEE", "HHH", "EEH", "EHH"}
+    assert report.all_subcases_instantiated == (max_index >= 3)
+    assert all(r.joinable == r.formula_matches == r.instances for r in report.rows)
+    assert report.row("DISJOINT").instances == confluence.DISJOINT_SAMPLES
+
+
 # --- termination --------------------------------------------------------------
 
 def test_audit_termination():
@@ -791,6 +806,15 @@ def test_cross_check_oracle_small():
 def test_cross_check_oracle_rejects_small_bound():
     with pytest.raises(ValueError):
         cross_check_oracle(3, 2, 8)
+
+
+@pytest.mark.parametrize("max_len, max_index", [(1, 0), (2, 1), (3, 2), (2, 3)])
+def test_cross_check_oracle_least_degree_is_the_population_top_degree(max_len, max_index):
+    # the population's top degree, max_len letters of degree max_index + 1, is the least bound it runs at
+    top = max_len * (max_index + 1)
+    assert cross_check_oracle(max_len, max_index, top).passed
+    with pytest.raises(ValueError, match="max_degree too small for the word population"):
+        cross_check_oracle(max_len, max_index, top - 1)
 
 
 def test_cross_check_oracle_rejects_empty_population():
