@@ -5,19 +5,19 @@ tokens ``h<k>`` / ``e<k>`` (or ``η<k>`` / ``ε<k>``), optional whitespace,
 and the bare token ``1`` for the identity.  Exit status: 0 for answered
 queries and passing reports, 1 for failed reports or unjoinable pairs,
 2 for usage or word-syntax errors, for ``trace`` runs over
-:data:`TRACE_BUDGET`, for an ``oracle`` ``--max-degree`` below the degree
-of its input or with a universe over :data:`AUDIT_MAX_WORDS` words and for
-a number to print of more digits than Python prints
-(``sys.get_int_max_str_digits()``),
+:data:`TRACE_BUDGET`, for ``oracle`` inputs whose universe is over
+:data:`AUDIT_MAX_WORDS` words and for a number to print of more digits than
+Python prints (``sys.get_int_max_str_digits()``),
 3 for an internal error (a computed canonical form that is not
 canonical), and 141 (128 + SIGPIPE), without a traceback, when stdout is
 closed before the output is written, as by ``adjmon answer | head -1``.
 ``--json`` switches every command to line-delimited JSON records with
 stable ordering.  Each command prints its result through :func:`_out`, one
 record at a time, so its text and its JSON come from the same record.
-``audit`` and ``answer`` take no bound: they run the audits at the
-library's defaults, and decide termination on the redex pairs alone: they
-call ``audit_termination`` at word length 1, where no word has a step.
+No command takes a bound: ``audit`` and ``answer`` run the audits at the
+library's defaults, deciding termination on the redex pairs alone (word
+length 1, where no word has a step), and ``oracle`` searches at its inputs'
+degree: the least bound and, as ``equivalent_bounded`` says, enough.
 """
 
 from __future__ import annotations
@@ -62,16 +62,16 @@ def cmd_normalize(args) -> int:
 # under --json holds them all until the record is printed.
 TRACE_BUDGET = 10**7
 
-# The oracle's universe, the 3^d words of degree <= --max-degree, is held to this many words. At d = 12, 531,441
-# words, `oracle "h0 e0" "1"` takes 0.36-0.48 s and 16 MB, and `cross_check_oracle(3, 2, 12)` 1.2-1.5 s and 41 MB
-# (Python 3.11.7, 2-CPU Intel Xeon, fresh interpreters).
+# The oracle's universe, the 3^d words of degree <= d, the inputs' degree, is held to this many words. At d = 12,
+# 531,441 words, `oracle "h0 h0 h0 e0 h0 e0 h0 e0 h0 e0 h1" "1"` (the largest class, 11,271 words explored) takes
+# 0.32-0.37 s and 16 MB, and `cross_check_oracle(3, 2, 12)` 1.2-1.3 s and 41 MB (Python 3.11.7, 2-CPU Xeon, fresh).
 AUDIT_MAX_WORDS = 10**6
 
 
 def _check_oracle_degree(d: int) -> None:
-    """Refuse --max-degree d if the oracle's universe, the 3^d words of degree <= d, is over the limit."""
+    """Refuse inputs of degree d if the oracle's universe, the 3^d words of degree <= d, is over the limit."""
     if 3 ** min(d, 64) > AUDIT_MAX_WORDS:  # 3^64 is over it
-        raise ValueError(f"--max-degree {d}: the oracle universe would enumerate 3^{d} words, "
+        raise ValueError(f"the input has degree {d}: the oracle universe would enumerate 3^{d} words, "
                          f"over the limit of {AUDIT_MAX_WORDS:,}")
 
 
@@ -226,15 +226,13 @@ def cmd_audit(args) -> int:
 def cmd_oracle(args) -> int:
     u = words.parse(args.left)
     v = words.parse(args.right)
-    _check_oracle_degree(args.max_degree)
-    d = max(words.degree(u), words.degree(v))
-    if d > args.max_degree:
-        raise ValueError(f"--max-degree {args.max_degree}: the bound must be >= {d}, the degree of the input")
-    res = A.confluence.equivalent_bounded(u, v, args.max_degree)
+    d = max(words.degree(u), words.degree(v))  # the least bound the library accepts, and enough: see equivalent_bounded
+    _check_oracle_degree(d)
+    res = A.confluence.equivalent_bounded(u, v, d)
     # the record's other keys are OracleVerdict's field names
     _out(args, lambda: {"record": "oracle", "left": words.render(u), "right": words.render(v),
-                        "max_degree": args.max_degree, **res._asdict()},
-         ["equivalent" if res.equivalent else f"not-equivalent-within-bound (degree <= {args.max_degree})"])
+                        "max_degree": d, **res._asdict()},
+         ["equivalent" if res.equivalent else f"not-equivalent-within-bound (degree <= {d})"])
     return 0
 
 
@@ -326,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("oracle", cmd_oracle, "bounded bidirectional equivalence search for two words")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--max-degree", type=int, default=9)
 
     add("answer", cmd_answer, "the question's verdict with witnesses and certificate")
 

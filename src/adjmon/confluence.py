@@ -85,11 +85,6 @@ class CriticalPair(NamedTuple):
     expected: Word  # the closed-form common reduct that the audit checks
 
 
-def subcase(family: str, i: int, j: int, k: int) -> str | None:
-    """The subcase of an overlap parent of the family with indices i, j, k."""
-    return first_row(_CASES[family], (i, j, k))[0]
-
-
 def _redex_pairs(letters: list[Generator]) -> list[tuple[Generator, Generator, RuleInstance]]:
     """Every pair x y of the letters that a rule rewrites, as (x, y, rule),
     in scan order: a blind scan of all pairs with ``match_rule``.
@@ -303,6 +298,10 @@ def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
     assumption.  Runs with the collector paused (``collector_paused``):
     the words it keeps, in ``seen`` and the frontier, hold no reference
     cycle.
+
+    Every bound >= max(degree u, degree v) gives the same verdict: by
+    Newman's lemma rewriting is Church-Rosser, so equivalent words meet in
+    their normal form, u ->* nf <-* v, by steps that each lower the degree.
     """
     if degree(u) > max_degree or degree(v) > max_degree:
         raise ValueError("input degree exceeds the oracle bound")

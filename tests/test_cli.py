@@ -270,14 +270,6 @@ def test_iso_json_golden(capsys):
     ]
 
 
-def test_oracle(capsys):
-    code, out, _ = run(capsys, "oracle", "e0 h1", "1")
-    assert (code, out.strip()) == (0, "equivalent")
-    code, out, _ = run(capsys, "oracle", "h0 e0", "1", "--max-degree", "8")
-    assert code == 0
-    assert out.startswith("not-equivalent-within-bound (degree <= 8)")
-
-
 # (argv, the one line it prints) for the commands whose output is one line
 _ONE_LINE_GOLDENS = [
     (("normalize", "e0 h1", "--json"), '{"input": "e0 h1", "normal_form": "1", "record": "normalize"}'),
@@ -309,19 +301,19 @@ _ONE_LINE_GOLDENS = [
     (("ncheck", "e0"), "member: witness 1"),
     (("ncheck", "e0", "--json"), '{"element": "e0", "member": true, "record": "membership", "witness": "1"}'),
     (("oracle", "e0 h1", "1"), "equivalent"),
-    (
+    (  # the oracle searches at the degree of its inputs
         ("oracle", "e0 h1", "1", "--json"),
-        '{"equivalent": true, "explored": 7, "left": "e0 h1", "max_degree": 9, "record": "oracle", "right": "1"}',
+        '{"equivalent": true, "explored": 3, "left": "e0 h1", "max_degree": 3, "record": "oracle", "right": "1"}',
     ),
-    (("oracle", "h0 e0", "1"), "not-equivalent-within-bound (degree <= 9)"),
+    (("oracle", "h0 e0", "1"), "not-equivalent-within-bound (degree <= 2)"),
     (
         ("oracle", "h0 e0", "1", "--json"),
-        '{"equivalent": false, "explored": 580, "left": "h0 e0", "max_degree": 9, "record": "oracle", "right": "1"}',
+        '{"equivalent": false, "explored": 1, "left": "h0 e0", "max_degree": 2, "record": "oracle", "right": "1"}',
     ),
-    (("oracle", "h0 e0", "1", "--max-degree", "3"), "not-equivalent-within-bound (degree <= 3)"),
+    (("oracle", "h1 e1", "1"), "not-equivalent-within-bound (degree <= 4)"),
     (
-        ("oracle", "h0 e0", "1", "--max-degree", "3", "--json"),
-        '{"equivalent": false, "explored": 2, "left": "h0 e0", "max_degree": 3, "record": "oracle", "right": "1"}',
+        ("oracle", "h1 e1", "1", "--json"),
+        '{"equivalent": false, "explored": 1, "left": "h1 e1", "max_degree": 4, "record": "oracle", "right": "1"}',
     ),
 ]
 
@@ -334,21 +326,21 @@ def test_one_line_golden(capsys, argv, line):
 def test_oracle_degree_over_limit_exit_2(capsys):
     # refused before any search: 3^40 words would never finish
     proc = subprocess.run(
-        [sys.executable, "-m", "adjmon.cli", "oracle", "h0 e0", "1", "--max-degree", "40"],
+        [sys.executable, "-m", "adjmon.cli", "oracle", "h39", "1"],
         capture_output=True, text=True, timeout=10,
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "adjmon: --max-degree 40: the oracle universe would enumerate 3^40 words, over the limit of 1,000,000\n"
+        "adjmon: the input has degree 40: the oracle universe would enumerate 3^40 words, over the limit of 1,000,000\n"
     )
     assert 3**11 <= cli.AUDIT_MAX_WORDS  # the benchmark's connected_components(11)
 
 
-@pytest.mark.parametrize("degree", [64, 10**9])
-def test_oracle_degree_refusal_does_not_count_the_universe(capsys, degree):
-    # 3^64 is over the limit already, so a larger bound is refused without computing 3^degree
-    assert run(capsys, "oracle", "h0 e0", "1", "--max-degree", str(degree)) == (2, "", (
-        f"adjmon: --max-degree {degree}: the oracle universe would enumerate 3^{degree} words, "
+@pytest.mark.parametrize("index", [63, 10**9 - 1])
+def test_oracle_degree_refusal_does_not_count_the_universe(capsys, index):
+    # 3^64 is over the limit already, so an input of larger degree is refused without computing 3^degree
+    assert run(capsys, "oracle", f"h{index}", "1") == (2, "", (
+        f"adjmon: the input has degree {index + 1}: the oracle universe would enumerate 3^{index + 1} words, "
         "over the limit of 1,000,000\n"
     ))
 
@@ -358,15 +350,25 @@ def test_oracle_cap_follows_audit_max_words(capsys, monkeypatch):
     for cap in (12, 9):
         if cap < 12:
             monkeypatch.setattr(cli, "AUDIT_MAX_WORDS", 3**cap)
-        assert run(capsys, "oracle", "e0 h1", "1", "--max-degree", str(cap)) == (0, "equivalent\n", "")
-        assert run(capsys, "oracle", "h0 e0", "1", "--max-degree", str(cap + 1)) == (2, "", (
-            f"adjmon: --max-degree {cap + 1}: the oracle universe would enumerate 3^{cap + 1} words, "
+        assert run(capsys, "oracle", f"h{cap - 1}", "1") == (0, f"not-equivalent-within-bound (degree <= {cap})\n", "")
+        assert run(capsys, "oracle", f"h{cap}", "1") == (2, "", (
+            f"adjmon: the input has degree {cap + 1}: the oracle universe would enumerate 3^{cap + 1} words, "
             f"over the limit of {cli.AUDIT_MAX_WORDS:,}\n"
         ))
 
 
+def test_oracle_agrees_with_eq_on_the_largest_class(capsys):
+    # this word's class, 11,271 words, is the largest within degree 12, the most that the oracle explores
+    word = "h0 h0 h0 e0 h0 e0 h0 e0 h0 e0 h1"
+    assert run(capsys, "eq", word, "1") == (0, "not-equal\n", "")
+    code, out, err = run(capsys, "oracle", word, "1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"record": "oracle", "left": word, "right": "1", "equivalent": False,
+                               "explored": 11271, "max_degree": 12}
+
+
 def test_oracle_negative_json_keys(capsys):
-    code, out, _ = run(capsys, "oracle", "h0 e0", "1", "--max-degree", "4", "--json")
+    code, out, _ = run(capsys, "oracle", "h0 e0", "1", "--json")
     record = json.loads(out)
     assert code == 0 and record["equivalent"] is False
     assert sorted(record) == ["equivalent", "explored", "left", "max_degree", "record", "right"]
@@ -384,7 +386,7 @@ PARSER_SURFACE = {
     "ncheck": {"word", "--json"},
     "iso": {"--json"},
     "audit": {"--json"},
-    "oracle": {"left", "right", "--max-degree", "--json"},
+    "oracle": {"left", "right", "--json"},
     "answer": {"--json"},
 }
 
@@ -400,11 +402,11 @@ def test_parser_surface():
 
 @pytest.mark.parametrize(
     "argv",
-    # each bound flag that some command takes, and --max-len and --max-index, which none takes now, on every command
-    # without it; each positional is given a word, so the parser reads the value as the flag's, whatever the command
+    # each bound flag that a command once took, --max-len, --max-index and --max-degree, on every command; each
+    # positional is given a word, so the parser reads the value as the flag's, whatever the command
     [(verb, *("h0" for name in surface if not name.startswith("--")), flag, "1")
      for verb, surface in PARSER_SURFACE.items()
-     for flag in ("--max-len", "--max-index", "--max-degree") if flag not in surface],
+     for flag in ("--max-len", "--max-index", "--max-degree")],
     ids=" ".join,
 )
 def test_flag_outside_the_surface_refused_before_any_audit(capsys, monkeypatch, argv):
@@ -420,13 +422,6 @@ def test_flag_outside_the_surface_refused_before_any_audit(capsys, monkeypatch, 
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert err.endswith(f"adjmon: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
-
-
-def test_oracle_input_over_bound_refused_naming_its_flag(capsys):
-    code, out, err = run(capsys, "oracle", "h0 e0", "1", "--max-degree", "0")
-    assert (code, out, err) == (2, "", "adjmon: --max-degree 0: the bound must be >= 2, the degree of the input\n")
-    code, out, err = run(capsys, "oracle", "1", "h3", "--max-degree", "3", "--json")
-    assert (code, out, err) == (2, "", "adjmon: --max-degree 3: the bound must be >= 4, the degree of the input\n")
 
 
 @pytest.mark.parametrize(
@@ -682,7 +677,7 @@ def _loaded_by_main(*argv):
         (["ncheck", "h0 e0"], ["adjmon.monoid"]),
         (["axioms"], ["adjmon.monoid"]),
         (["audit"], ["adjmon.confluence"]),
-        (["oracle", "h0 e0", "1", "--max-degree", "2"], ["adjmon.confluence"]),
+        (["oracle", "h0 e0", "1"], ["adjmon.confluence"]),
         (["answer"], ["adjmon.confluence", "adjmon.monoid"]),
         (["ncheck"], ["adjmon.monoid"]),  # the closure suites
     ],

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 from collections import Counter
-from itertools import combinations, islice, product
+from itertools import combinations, combinations_with_replacement, islice, product
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -116,7 +116,8 @@ def test_overlap_parents_reduce_to_both_reducts():
 
 
 def test_subcases_partition():
-    from adjmon.confluence import subcase
+    def subcase(family, i, j, k):
+        return rewrite.first_row(confluence._CASES[family], (i, j, k))[0]
 
     names = {family: {name for name, _, _ in table} for family, table in confluence._CASES.items()}
     r = range(7)
@@ -723,6 +724,15 @@ def test_equivalent_bounded_symmetric(u, v, bound):
 def test_equivalent_bounded_rejects_oversized_input():
     with pytest.raises(ValueError):
         equivalent_bounded(parse("h9"), (), 9)
+
+
+def test_least_bound_decides_canonical_form_equality():
+    # Church-Rosser: u ->* nf <-* v never leaves max(degree u, degree v), the bound `adjmon oracle` searches at
+    universe = [w for level in _words_by_degree(5) for w in level]
+    nf = {w: rewrite.normalize(w) for w in universe}
+    assert len(universe) == 243
+    for u, v in combinations_with_replacement(universe, 2):
+        assert equivalent_bounded(u, v, max(degree(u), degree(v))).equivalent == (nf[u] == nf[v]), (u, v)
 
 
 def test_components_agree_with_per_pair_search():
