@@ -4,20 +4,22 @@ Words on the command line use the grammar of :mod:`adjmon.words`:
 tokens ``h<k>`` / ``e<k>`` (or ``η<k>`` / ``ε<k>``), optional whitespace,
 and the bare token ``1`` for the identity.  Exit status: 0 for answered
 queries and passing reports, 1 for failed reports or unjoinable pairs,
-2 for usage or word-syntax errors, for ``trace`` runs over
-:data:`TRACE_BUDGET`, for ``oracle`` inputs whose universe is over
-:data:`AUDIT_MAX_WORDS` words and for a number to print of more digits than
+2 for usage or word-syntax errors, for ``trace`` and ``oracle`` runs over
+:data:`TRACE_BUDGET` and for a number to print of more digits than
 Python prints (``sys.get_int_max_str_digits()``),
 3 for an internal error (a computed canonical form that is not
-canonical), and 141 (128 + SIGPIPE), without a traceback, when stdout is
-closed before the output is written, as by ``adjmon answer | head -1``.
+canonical, or not the word that the rewriting ends at), and 141
+(128 + SIGPIPE), without a traceback, when stdout is closed before the
+output is written, as by ``adjmon answer | head -1``.
 ``--json`` switches every command to line-delimited JSON records with
 stable ordering.  Each command prints its result through :func:`_out`, one
-record at a time, so its text and its JSON come from the same record.
+record at a time, so its text and its JSON come from the same record;
+``trace --json`` writes its one record a step at a time.
 No command takes a bound: ``audit`` and ``answer`` run the audits at the
 library's defaults, deciding termination on the redex pairs alone (word
-length 1, where no word has a step), and ``oracle`` searches at its inputs'
-degree: the least bound and, as ``equivalent_bounded`` says, enough.
+length 1, where no word has a step), and ``oracle`` rewrites both words to
+their normal forms, which are equal exactly when the words are, as
+rewriting terminates and is locally confluent (Newman's lemma).
 """
 
 from __future__ import annotations
@@ -58,42 +60,44 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-# `trace` prints the word after every step, at most steps * len(w) letters, and
-# under --json holds them all until the record is printed.
+# `trace` prints the word after every step, at most steps * len(w) letters; `oracle` rewrites as many.
 TRACE_BUDGET = 10**7
 
-# The oracle's universe, the 3^d words of degree <= d, the inputs' degree, is held to this many words. At d = 12,
-# 531,441 words, `oracle "h0 h0 h0 e0 h0 e0 h0 e0 h0 e0 h1" "1"` (the largest class, 11,271 words explored) takes
-# 0.32-0.37 s and 16 MB, and `cross_check_oracle(3, 2, 12)` 1.2-1.3 s and 41 MB (Python 3.11.7, 2-CPU Xeon, fresh).
-AUDIT_MAX_WORDS = 10**6
 
-
-def _check_oracle_degree(d: int) -> None:
-    """Refuse inputs of degree d if the oracle's universe, the 3^d words of degree <= d, is over the limit."""
-    if 3 ** min(d, 64) > AUDIT_MAX_WORDS:  # 3^64 is over it
-        raise ValueError(f"the input has degree {d}: the oracle universe would enumerate 3^{d} words, "
-                         f"over the limit of {AUDIT_MAX_WORDS:,}")
-
-
-def cmd_trace(args) -> int:
-    w = words.parse(args.word)
+def _normal_form_within_budget(verb: str, w: words.Word) -> words.Word:
+    """The canonical form of w, once the leftmost rewriting of w is known to fit :data:`TRACE_BUDGET`."""
     nf = rewrite.normalize(w)
     # every step lowers the degree by 1, except EpsEta_Zero: by 2, deleting 2 letters
     steps = words.degree(w) - words.degree(nf) - (len(w) - len(nf)) // 2
     if steps * len(w) > TRACE_BUDGET:
         raise ValueError(
-            f"trace would take {steps} steps on a word of {len(w)} letters, "
-            f"over the budget of {TRACE_BUDGET} letters printed, or held under --json"
+            f"{verb} would take {steps} steps on a word of {len(w)} letters, "
+            f"over the budget of {TRACE_BUDGET} steps x letters"
         )
+    return nf
+
+
+def cmd_trace(args) -> int:
+    w = words.parse(args.word)
+    nf = _normal_form_within_budget("trace", w)
     letters = list(w)
     moves = rewrite._leftmost_moves(letters)  # rewrites letters in place, step by step
     start = words.render(w)
-
-    def record() -> dict:
-        steps = [{"position": p, "case": rule.case.value, "after": words.render(letters)} for p, rule in moves]
-        return {"record": "trace", "start": start, "steps": steps, "normal_form": words.render(letters)}
-
-    _out(args, record, chain([start], (f"{words.render(letters)}  [{rule.case.value} @ {p}]" for p, rule in moves)))
+    if not args.json:
+        _out(args, None, chain([start], (f"{words.render(letters)}  [{rule.case.value} @ {p}]" for p, rule in moves)))
+        return 0
+    import json
+    # the record's sorted keys put normal_form before steps, so the line is written a step at a time: the record with
+    # no step, up to its closing "]}", then each step, then "]}"
+    head = json.dumps({"normal_form": words.render(nf), "record": "trace", "start": start, "steps": []}, sort_keys=True)
+    write = sys.stdout.write
+    write(head[:-2])
+    for i, (p, rule) in enumerate(moves):
+        step = {"after": words.render(letters), "case": rule.case.value, "position": p}
+        write((", " if i else "") + json.dumps(step, sort_keys=True))
+    if tuple(letters) != nf:
+        raise words.NotCanonicalError(f"the rewriting ends at {words.render(letters)}, not at {words.render(nf)}")
+    write("]}\n")
     return 0
 
 
@@ -224,15 +228,15 @@ def cmd_audit(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    u = words.parse(args.left)
-    v = words.parse(args.right)
-    d = max(words.degree(u), words.degree(v))  # the least bound the library accepts, and enough: see equivalent_bounded
-    _check_oracle_degree(d)
-    res = A.confluence.equivalent_bounded(u, v, d)
-    # the record's other keys are OracleVerdict's field names
-    _out(args, lambda: {"record": "oracle", "left": words.render(u), "right": words.render(v),
-                        "max_degree": d, **res._asdict()},
-         ["equivalent" if res.equivalent else f"not-equivalent-within-bound (degree <= {d})"])
+    pair = words.parse(args.left), words.parse(args.right)
+    for w in pair:
+        _normal_form_within_budget("oracle", w)
+    ends = [list(w) for w in pair]
+    steps = [sum(1 for _ in rewrite._leftmost_moves(end)) for end in ends]  # each rewritten in place, by the rules
+    nfs = [words.render(end) for end in ends]
+    _out(args, lambda: {"record": "oracle", "left": words.render(pair[0]), "right": words.render(pair[1]),
+                        "equivalent": nfs[0] == nfs[1], "normal_forms": nfs, "steps": steps},
+         ["equivalent" if nfs[0] == nfs[1] else "not-equivalent"])
     return 0
 
 
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("audit", cmd_audit, "termination + local confluence + oracle cross-check")
 
-    p = add("oracle", cmd_oracle, "bounded bidirectional equivalence search for two words")
+    p = add("oracle", cmd_oracle, "decide two words' equivalence by rewriting both to normal form")
     p.add_argument("left")
     p.add_argument("right")
 

@@ -71,6 +71,24 @@ def test_trace_text_is_the_replayed_trace(w):
     ]
 
 
+@given(small_words())
+def test_trace_json_streams_the_record(w):
+    # the line is written a step at a time; its bytes are those of the whole record
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["trace", render(w), "--json"]) == 0
+    trace = rewrite.normalize_trace(w)
+    steps = [{"position": s.position, "case": s.rule.case.value, "after": render(s.after)} for s in trace.steps]
+    record = {"record": "trace", "start": render(w), "steps": steps, "normal_form": render(trace.end)}
+    assert out.getvalue() == json.dumps(record, sort_keys=True) + "\n"
+
+
+def test_trace_json_ending_off_the_canonical_form_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(rewrite, "normalize", lambda w: parse("h0"))
+    code, _, err = run(capsys, "trace", "e0 h1", "--json")
+    assert (code, err) == (3, "adjmon: internal error: the rewriting ends at 1, not at h0\n")
+
+
 def test_trace_json_fields(capsys):
     code, out, _ = run(capsys, "trace", "e0 h0", "--json")
     record = json.loads(out)
@@ -100,7 +118,7 @@ def test_trace_over_budget_exit_2(capsys):
         2,
         "",
         "adjmon: trace would take 2000000000001 steps on a word of 2 letters, "
-        "over the budget of 10000000 letters printed, or held under --json\n",
+        "over the budget of 10000000 steps x letters\n",
     )
     # e0 ... e149: 11,175 steps of 150 letters, within the budget
     code, out, _ = run(capsys, "trace", " ".join(f"e{i}" for i in range(150)))
@@ -301,19 +319,22 @@ _ONE_LINE_GOLDENS = [
     (("ncheck", "e0"), "member: witness 1"),
     (("ncheck", "e0", "--json"), '{"element": "e0", "member": true, "record": "membership", "witness": "1"}'),
     (("oracle", "e0 h1", "1"), "equivalent"),
-    (  # the oracle searches at the degree of its inputs
+    (  # each word rewritten to its normal form, with its step count
         ("oracle", "e0 h1", "1", "--json"),
-        '{"equivalent": true, "explored": 3, "left": "e0 h1", "max_degree": 3, "record": "oracle", "right": "1"}',
+        '{"equivalent": true, "left": "e0 h1", "normal_forms": ["1", "1"], "record": "oracle", "right": "1", '
+        '"steps": [2, 0]}',
     ),
-    (("oracle", "h0 e0", "1"), "not-equivalent-within-bound (degree <= 2)"),
+    (("oracle", "h0 e0", "1"), "not-equivalent"),
     (
         ("oracle", "h0 e0", "1", "--json"),
-        '{"equivalent": false, "explored": 1, "left": "h0 e0", "max_degree": 2, "record": "oracle", "right": "1"}',
+        '{"equivalent": false, "left": "h0 e0", "normal_forms": ["h0 e0", "1"], "record": "oracle", "right": "1", '
+        '"steps": [0, 0]}',
     ),
-    (("oracle", "h1 e1", "1"), "not-equivalent-within-bound (degree <= 4)"),
+    (("oracle", "h1 e1", "1"), "not-equivalent"),
     (
         ("oracle", "h1 e1", "1", "--json"),
-        '{"equivalent": false, "explored": 1, "left": "h1 e1", "max_degree": 4, "record": "oracle", "right": "1"}',
+        '{"equivalent": false, "left": "h1 e1", "normal_forms": ["h1 e1", "1"], "record": "oracle", "right": "1", '
+        '"steps": [0, 0]}',
     ),
 ]
 
@@ -323,55 +344,47 @@ def test_one_line_golden(capsys, argv, line):
     assert run(capsys, *argv) == (0, line + "\n", "")
 
 
-def test_oracle_degree_over_limit_exit_2(capsys):
-    # refused before any search: 3^40 words would never finish
-    proc = subprocess.run(
-        [sys.executable, "-m", "adjmon.cli", "oracle", "h39", "1"],
-        capture_output=True, text=True, timeout=10,
-    )
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
-        "adjmon: the input has degree 40: the oracle universe would enumerate 3^40 words, over the limit of 1,000,000\n"
-    )
-    assert 3**11 <= cli.AUDIT_MAX_WORDS  # the benchmark's connected_components(11)
-
-
-@pytest.mark.parametrize("index", [63, 10**9 - 1])
-def test_oracle_degree_refusal_does_not_count_the_universe(capsys, index):
-    # 3^64 is over the limit already, so an input of larger degree is refused without computing 3^degree
-    assert run(capsys, "oracle", f"h{index}", "1") == (2, "", (
-        f"adjmon: the input has degree {index + 1}: the oracle universe would enumerate 3^{index + 1} words, "
-        "over the limit of 1,000,000\n"
-    ))
-
-
-def test_oracle_cap_follows_audit_max_words(capsys, monkeypatch):
-    # the oracle universe, the 3^d words of degree <= d, is held to AUDIT_MAX_WORDS: 3^12 = 531,441 <= 10^6 < 3^13
-    for cap in (12, 9):
-        if cap < 12:
-            monkeypatch.setattr(cli, "AUDIT_MAX_WORDS", 3**cap)
-        assert run(capsys, "oracle", f"h{cap - 1}", "1") == (0, f"not-equivalent-within-bound (degree <= {cap})\n", "")
-        assert run(capsys, "oracle", f"h{cap}", "1") == (2, "", (
-            f"adjmon: the input has degree {cap + 1}: the oracle universe would enumerate 3^{cap + 1} words, "
-            f"over the limit of {cli.AUDIT_MAX_WORDS:,}\n"
-        ))
-
-
 def test_oracle_agrees_with_eq_on_the_largest_class(capsys):
-    # this word's class, 11,271 words, is the largest within degree 12, the most that the oracle explores
+    # this word's class, 11,271 words, is the largest within degree 12; the rewriting takes 5 steps
     word = "h0 h0 h0 e0 h0 e0 h0 e0 h0 e0 h1"
     assert run(capsys, "eq", word, "1") == (0, "not-equal\n", "")
     code, out, err = run(capsys, "oracle", word, "1", "--json")
     assert (code, err) == (0, "")
     assert json.loads(out) == {"record": "oracle", "left": word, "right": "1", "equivalent": False,
-                               "explored": 11271, "max_degree": 12}
+                               "normal_forms": ["h0 h0 h0", "1"], "steps": [5, 0]}
 
 
-def test_oracle_negative_json_keys(capsys):
-    code, out, _ = run(capsys, "oracle", "h0 e0", "1", "--json")
+def test_oracle_agrees_with_eq_on_every_word_of_degree_at_most_6():
+    parser = cli.build_parser()  # one parser for the 1,458 runs; main builds one per run
+
+    def record(*argv):
+        args, out = parser.parse_args(argv), io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert args.func(args) == 0
+        return json.loads(out.getvalue())
+
+    universe = [w for level in confluence._words_by_degree(6) for w in level]
+    assert len(universe) == 729
+    for w in universe:
+        oracle, eq = record("oracle", render(w), "1", "--json"), record("eq", render(w), "1", "--json")
+        assert (oracle["equivalent"], oracle["normal_forms"]) == (eq["equal"], eq["normal_forms"]), w
+
+
+def test_oracle_answers_at_any_degree(capsys):
+    # no universe is built: h12, of degree 13, is already normal
+    assert run(capsys, "oracle", "h12", "1") == (0, "not-equivalent\n", "")
+    # each step makes new letters: 20,001 steps on a word of 2 letters
+    code, out, err = run(capsys, "oracle", "e10000 h10000", "1", "--json")
+    assert (code, err) == (0, "")
     record = json.loads(out)
-    assert code == 0 and record["equivalent"] is False
-    assert sorted(record) == ["equivalent", "explored", "left", "max_degree", "record", "right"]
+    assert (record["equivalent"], record["normal_forms"], record["steps"]) == (True, ["1", "1"], [20001, 0])
+
+
+def test_oracle_over_budget_exit_2(capsys):
+    assert run(capsys, "oracle", "e1000000000000 h1000000000000", "1") == (2, "", (
+        "adjmon: oracle would take 2000000000001 steps on a word of 2 letters, "
+        "over the budget of 10000000 steps x letters\n"
+    ))
 
 
 # Every option and positional of each command, by its flag or its name: the settable values (ROADMAP aim 2).
@@ -429,7 +442,7 @@ def test_flag_outside_the_surface_refused_before_any_audit(capsys, monkeypatch, 
     [
         ("degree", "h{N}"),  # the degree, 10^N
         ("f", "h{N}"),  # the image's index
-        ("oracle", "h{N}", "1"),  # the input's degree, in the refusal
+        ("oracle", "e{N} h{N}", "1"),  # the step count, in the refusal
         ("trace", "e{N} h{N}"),  # the step count, in the refusal
     ],
     ids=lambda argv: argv[0],
@@ -677,7 +690,7 @@ def _loaded_by_main(*argv):
         (["ncheck", "h0 e0"], ["adjmon.monoid"]),
         (["axioms"], ["adjmon.monoid"]),
         (["audit"], ["adjmon.confluence"]),
-        (["oracle", "h0 e0", "1"], ["adjmon.confluence"]),
+        (["oracle", "h0 e0", "1"], []),
         (["answer"], ["adjmon.confluence", "adjmon.monoid"]),
         (["ncheck"], ["adjmon.monoid"]),  # the closure suites
     ],

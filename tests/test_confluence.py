@@ -727,7 +727,7 @@ def test_equivalent_bounded_rejects_oversized_input():
 
 
 def test_least_bound_decides_canonical_form_equality():
-    # Church-Rosser: u ->* nf <-* v never leaves max(degree u, degree v), the bound `adjmon oracle` searches at
+    # Church-Rosser: u ->* nf <-* v never leaves max(degree u, degree v), so the least bound decides
     universe = [w for level in _words_by_degree(5) for w in level]
     nf = {w: rewrite.normalize(w) for w in universe}
     assert len(universe) == 243
