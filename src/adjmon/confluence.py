@@ -31,8 +31,7 @@ names, the classification of parents, each critical pair's closed form
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain, combinations_with_replacement, groupby, islice, product
+from itertools import chain, groupby, islice, product
 from typing import Iterator, NamedTuple
 
 from .rewrite import INF, I, J, K, RuleCase, RuleInstance, forward_steps, instantiate, inverse_steps, match_rule
@@ -390,7 +389,7 @@ def _component_labels(max_degree: int) -> list[list[int]]:
 class CrossCheckReport(NamedTuple):
     population: int
     pairs_checked: int
-    discrepancies: tuple[tuple[Word, Word, bool, bool], ...]  # (u, v, oracle, nf-equal)
+    discrepancies: tuple[tuple[Word, Word, bool, bool], ...]  # (u, v, oracle, nf-equal) or (w, nf, search, same label)
     spot_checked: int
 
     @property
@@ -404,8 +403,8 @@ def cross_check_oracle(max_len: int = 3, max_index: int = 2, max_degree: int = 9
     agree with canonical-form equality; `adjmon audit` runs the defaults,
     3, 2 and 9, on 259 words.  The closure is read
     off ``_component_labels(max_degree)`` by word number, so no other word
-    of its universe is built; a deterministic sample of pairs is
-    re-verified with the per-pair search, ``equivalent_bounded``.
+    of its universe is built; a deterministic sample of words is searched
+    against their canonical forms with ``equivalent_bounded``.
 
     The two sides are independent procedures: the closure rewrites words
     with the rules and never forms a canonical form, while ``normalize``
@@ -414,14 +413,11 @@ def cross_check_oracle(max_len: int = 3, max_index: int = 2, max_degree: int = 9
     One pass compares the partitions: they agree on every pair exactly when
     the map from component to canonical form is well defined and injective.
     A word that breaks either adds one discrepancy, paired with the first
-    word of its component or of its canonical form.  The sample is every
-    stride-th pair (u, v).  Its search starts from the endpoint whose
-    component, counted off the labels, holds fewer words, u on a tie: a
-    negative search walks the whole component of its start word.  Steps
-    connect in both directions, so the verdict is the same from either end,
-    and it is still compared with the labels and recorded as (u, v): a wrong
-    label can slow a search down, never hide a discrepancy.  Only the
-    searches run with the collector paused (``equivalent_bounded``).
+    word of its component or of its canonical form.  Every stride-th word
+    w, 25 at the defaults, is searched against its form nf: w must reach nf
+    by steps either way through no word of degree over max_degree, and their
+    labels must agree.  A form heavier than that is recorded with no search.
+    Only the searches run with the collector paused (``equivalent_bounded``).
     """
     if max_len < 1 or max_index < 0:
         raise ValueError("the oracle population needs max_len >= 1 and max_index >= 0")
@@ -430,23 +426,25 @@ def cross_check_oracle(max_len: int = 3, max_index: int = 2, max_degree: int = 9
     population = list(all_words(max_len, max_index))
     labels = _component_labels(max_degree)
     component = {w: labels[degree(w)][_block_start(w, degree(w))] for w in population}
+    forms = {w: normalize(w) for w in population}
     discrepancies = []
     first_of_component: dict[int, tuple[Word, Word]] = {}  # component -> (first word, its canonical form)
     first_of_form: dict[Word, Word] = {}
-    for w in population:
-        nf = normalize(w)
+    for w, nf in forms.items():
         u, form = first_of_component.setdefault(component[w], (w, nf))
         v = first_of_form.setdefault(nf, w)
         if form != nf:
             discrepancies.append((u, w, True, False))
         elif component[v] != component[w]:
             discrepancies.append((v, w, False, True))
+    stride = max(1, len(population) // 25)
+    sample = list(forms.items())[stride - 1 :: stride]
+    for w, nf in sample:
+        d = degree(nf)
+        inside = d <= max_degree  # a form outside the universe gets no search and no label
+        verdict = inside and equivalent_bounded(w, nf, max_degree).equivalent
+        same = inside and component[w] == labels[d][_block_start(nf, d)]
+        if not (verdict and same):
+            discrepancies.append((w, nf, verdict, same))  # the search, then the components
     pairs = len(population) * (len(population) + 1) // 2
-    stride = max(1, pairs // 25)
-    size = Counter(chain.from_iterable(labels))  # component -> its words within max_degree
-    for u, v in islice(combinations_with_replacement(population, 2), stride - 1, None, stride):
-        start, end = (v, u) if size[component[v]] < size[component[u]] else (u, v)
-        verdict = equivalent_bounded(start, end, max_degree).equivalent
-        if verdict != (component[u] == component[v]):
-            discrepancies.append((u, v, verdict, not verdict))  # the search, then the components
-    return CrossCheckReport(len(population), pairs, tuple(discrepancies), pairs // stride)
+    return CrossCheckReport(len(population), pairs, tuple(discrepancies), len(sample))

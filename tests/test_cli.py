@@ -89,14 +89,6 @@ def test_trace_json_ending_off_the_canonical_form_exit_3(capsys, monkeypatch):
     assert (code, err) == (3, "adjmon: internal error: the rewriting ends at 1, not at h0\n")
 
 
-def test_trace_json_fields(capsys):
-    code, out, _ = run(capsys, "trace", "e0 h0", "--json")
-    record = json.loads(out)
-    assert record["start"] == "e0 h0"
-    assert record["normal_form"] == "1"
-    assert record["steps"] == [{"position": 0, "case": "EpsEta_Zero", "after": "1"}]
-
-
 def test_normalize_huge_index_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "adjmon.cli", "normalize", "e1000000000000 h1000000000000"],
@@ -237,6 +229,16 @@ def test_audit_failure_rows(capsys, monkeypatch):
          "pass": False},
         {"record": "audit_summary", "pass": False},
     ]
+
+
+def test_audit_reports_a_form_heavier_than_the_oracle_universe(capsys, monkeypatch):
+    # h0 h2 is the first sampled word; a form of degree 14 lies outside the universe of degree <= 9
+    real, sampled = confluence.normalize, parse("h0 h2")
+    heavy = sampled + parse("h9")
+    monkeypatch.setattr(confluence, "normalize", lambda w: real(w) + parse("h9") if w == sampled else real(w))
+    assert (sampled, heavy, False, False) in confluence.cross_check_oracle().discrepancies
+    code, out, err = run(capsys, "audit")
+    assert (code, out.splitlines()[-1], err) == (1, "audit: FAIL", "")
 
 
 def test_ncheck_closure_and_membership(capsys):

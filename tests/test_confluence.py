@@ -27,7 +27,7 @@ from adjmon.confluence import (
 from adjmon import cli
 from adjmon.rewrite import INF, I, J, K, O, RuleCase, RuleInstance, apply, instantiate, normalize_trace, reduction_graph, redexes
 from adjmon.words import EPS, Generator, _block_start, _words_by_degree, alphabet, degree, is_canonical_shape, letter
-from adjmon.words import parse, render
+from adjmon.words import ETA, parse, render
 from adjmon.words import eps as eps_letter
 from adjmon.words import eta as eta_letter
 from conftest import small_words
@@ -716,7 +716,7 @@ def test_equivalent_bounded_reflexive(w):
 @example(parse("e0 h0"), (), 6)
 @settings(max_examples=50, deadline=None)
 def test_equivalent_bounded_symmetric(u, v, bound):
-    # the cross-check starts each spot search from either end, so the verdict must not depend on the end
+    # steps connect both ways, so the verdict must not depend on the end the search starts from
     d = max(degree(u), degree(v), bound)  # <= 7: three letters of index <= 1 weigh at most 6
     assert equivalent_bounded(u, v, d).equivalent == equivalent_bounded(v, u, d).equivalent
 
@@ -851,10 +851,13 @@ def test_cross_check_names_a_pair_of_split_components(monkeypatch):
     assert ((), parse("h0 e0"), False, True) in report.discrepancies
 
 
-def test_cross_check_catches_a_class_split_by_its_labels(monkeypatch):
-    # at these defaults no spot search checks a connected pair of distinct words, so a label that splits a
-    # class is caught by the one-pass partition comparison alone; e1 h0 and h0 e0 are one class
-    real, split = confluence._component_labels, parse("e1 h0")
+@pytest.mark.parametrize("split, first, sampled", [
+    ("e1 h0", "h0 e0", False),  # not sampled at these defaults: the one-pass partition comparison alone catches it
+    ("h2 h0", "h0 h1", True),  # sampled: its search reaches its form h0 h1, its label does not
+], ids=["unsampled", "sampled"])
+def test_cross_check_catches_a_class_split_by_its_labels(monkeypatch, split, first, sampled):
+    # a label of its own splits the class of split, which holds first, the first word of its canonical form
+    real, split, first = confluence._component_labels, parse(split), parse(first)
     d = degree(split)
     i = _block_start(split, d)
 
@@ -866,29 +869,8 @@ def test_cross_check_catches_a_class_split_by_its_labels(monkeypatch):
 
     monkeypatch.setattr(confluence, "_component_labels", labels)
     report = cross_check_oracle(3, 2, 9)
-    assert not report.passed
-    assert any(split in (u, v) for u, v, _, _ in report.discrepancies)
-    assert (parse("h0 e0"), split, False, True) in report.discrepancies
-
-
-def stride_loop_spot_pairs(population):
-    """The pairs the former O(n^2) loop re-verified: every stride-th in order."""
-    pairs = len(population) * (len(population) + 1) // 2
-    stride = max(1, pairs // 25)
-    seen, out = 0, []
-    for a, u in enumerate(population):
-        for v in population[a:]:
-            seen += 1
-            if seen % stride == 0:
-                out.append((u, v))
-    return out
-
-
-def smaller_class_first(pairs, max_degree):
-    """Each pair turned to start at the endpoint whose class holds fewer words; a tie keeps its order."""
-    component = connected_components(max_degree)
-    size = Counter(component.values())
-    return [min(p, p[::-1], key=lambda pair: size[component[pair[0]]]) for p in pairs]
+    assert (first, split, False, True) in report.discrepancies
+    assert [e for e in report.discrepancies if e[0] == split] == [(split, first, True, False)] * sampled
 
 
 def record_searches(monkeypatch):
@@ -904,40 +886,45 @@ def record_searches(monkeypatch):
 
 
 @pytest.mark.parametrize("max_len, max_index", [(3, 2), (2, 1), (1, 0)])
-def test_cross_check_spot_pairs_follow_the_stride_loop(monkeypatch, max_len, max_index):
+def test_cross_check_searches_each_sampled_word_against_its_form(monkeypatch, max_len, max_index):
     searched = record_searches(monkeypatch)
     report = cross_check_oracle(max_len, max_index, 9)
+    population = list(all_words(max_len, max_index))
+    stride = max(1, len(population) // 25)
     assert report.passed
-    assert searched == smaller_class_first(stride_loop_spot_pairs(list(all_words(max_len, max_index))), 9)
+    assert searched == [(w, rewrite.normalize(w)) for w in population[stride - 1 :: stride]]
     assert report.spot_checked == len(searched)
 
 
-@pytest.mark.parametrize("max_len, max_index, pair, fault, search", [
-    (3, 2, ("h0 e0", "e0 h0 e2"), "merged", False),  # classes of 580 and 80 words
-    (2, 2, ("h0 e0", "e1 h0"), "split", True),  # one class of 580 words
-])
-def test_a_wrong_label_turns_a_search_but_cannot_hide_its_pair(monkeypatch, max_len, max_index, pair, fault, search):
-    u, v = map(parse, pair)
-    real = confluence._component_labels
+def _reversed_etas(w):
+    nf = rewrite.normalize(w)
+    etas = sum(g.kind == ETA for g in nf)
+    return nf[:etas][::-1] + nf[etas:]
 
-    def faulty(max_degree):
-        labels = real(max_degree)
-        (du, iu), (dv, iv) = ((degree(w), _block_start(w, degree(w))) for w in (u, v))
-        if fault == "merged":  # v's whole class takes u's label: a tie, so u starts
-            old, new = labels[dv][iv], labels[du][iu]
-            return [[new if c == old else c for c in level] for level in labels]
-        labels[dv][iv] = max(map(max, labels)) + 1  # v alone in a class of one, so v starts
-        return labels
 
-    searched = record_searches(monkeypatch)
-    assert cross_check_oracle(max_len, max_index, 9).passed
-    before = [s for s in searched if {u, v} == set(s)]
-    searched.clear()
-    monkeypatch.setattr(confluence, "_component_labels", faulty)
-    report = cross_check_oracle(max_len, max_index, 9)
-    assert [s for s in searched if {u, v} == set(s)] == [before[0][::-1]] and len(before) == 1
-    assert equivalent_bounded(u, v, 9).equivalent is search
-    assert (u, v, search, not search) in report.discrepancies
+def _swapped_one_and_h0_e0(w):
+    nf = rewrite.normalize(w)
+    return {(): parse("h0 e0"), parse("h0 e0"): ()}.get(nf, nf)
+
+
+def _unshifted_eps(w):
+    # each eps letter written as e_{merges[u]}, not e_{merges[u] - u}
+    a, merges = [], []
+    rewrite._read(a, merges, reversed(w))
+    return tuple(map(eta_letter, a)) + tuple(map(eps_letter, reversed(merges)))
+
+
+@pytest.mark.parametrize("writer, count, first", [
+    (_reversed_etas, 6, ("h0 h2", "h2 h0", False, False)),
+    (_swapped_one_and_h0_e0, 1, ("e2 h2", "h0 e0", False, False)),
+    (_unshifted_eps, 4, ("e0 e1", "e1 e0", False, False)),
+], ids=["eta block reversed", "1 and h0 e0 swapped", "eps unshifted"])
+def test_cross_check_catches_a_wrong_form_writer(monkeypatch, writer, count, first):
+    # each writer keeps the partition of the population; only the spot searches see its forms
+    monkeypatch.setattr(confluence, "normalize", writer)
+    report = cross_check_oracle()
+    assert len(report.discrepancies) == count
+    assert report.discrepancies[0] == (parse(first[0]), parse(first[1]), *first[2:])
 
 
 def test_cross_check_builds_no_universe(monkeypatch):
