@@ -31,11 +31,12 @@ names, the classification of parents, each critical pair's closed form
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, groupby, islice, product
 from typing import Iterator, NamedTuple
 
 from .rewrite import INF, I, J, K, RuleCase, RuleInstance, forward_steps, instantiate, inverse_steps, match_rule
-from .rewrite import collector_paused, first_row, normalize, reduction_graph
+from .rewrite import _leftmost_moves, collector_paused, first_row, normalize, reduction_graph
 from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_by_degree, all_words, alphabet, degree
 from .words import render, word_key
 
@@ -81,7 +82,7 @@ class CriticalPair(NamedTuple):
     right_reduct: Word
     family: str
     subcase: str | None
-    expected: Word  # the closed-form common reduct that the audit checks
+    expected: Word | None  # the closed-form common reduct that the audit checks; None if an index is negative
 
 
 def _redex_pairs(letters: list[Generator]) -> list[tuple[Generator, Generator, RuleInstance]]:
@@ -133,6 +134,20 @@ def _disjoint_pairs(max_index: int) -> Iterator[CriticalPair]:
 def common_reducts(pair: CriticalPair) -> frozenset[Word]:
     """Words reachable from both reducts (breadth-first over full graphs)."""
     return frozenset(reduction_graph(pair.left_reduct).nodes & reduction_graph(pair.right_reduct).nodes)
+
+
+def _rewrites_to_expected(pair: CriticalPair) -> bool:
+    """Does the leftmost rewriting of each reduct, cut at the reduct's
+    degree in steps, end at the closed form ``expected``?  Every step lowers
+    the degree, so the cut ends no rewriting of ``RULES``; it ends one that
+    a changed table keeps going.  A None closed form is never reached.
+    """
+    for reduct in (pair.left_reduct, pair.right_reduct):
+        letters = list(reduct)
+        deque(islice(_leftmost_moves(letters), degree(reduct)), maxlen=0)
+        if tuple(letters) != pair.expected:  # never equal to None
+            return False
+    return True
 
 
 def _least(commons: frozenset[Word]) -> Word | None:
@@ -187,16 +202,30 @@ def audit_local_confluence(max_index: int = 6) -> LocalConfluenceReport:
     """Resolve every overlap within the index bound plus the disjoint-redex
     sample of ``_disjoint_pairs``; tally joinability and closed-form hits,
     and keep each row's first least common reduct as its sample bound.
+
+    A pair is joinable as soon as one common reduct is exhibited (Huet's
+    critical-pair lemma), and every closed form in ``_CASES`` is canonical,
+    so the one leftmost rewriting of each reduct (``_rewrites_to_expected``)
+    already reaches it: that real rewriting sequence shows ``expected`` to
+    be a common reduct, which is all the tallies read of a pair after its
+    row's first and without an alternative closed form.  The full graphs of
+    ``common_reducts`` are built only for the rest: each row's first pair,
+    whose least common reduct is the sample bound, the pairs with the
+    alternative form, and those whose closed form is None or not reached
+    (a disjoint parent's that keeps a redex, or any under a changed table).
+    So every tally is the one the full graphs give.
     """
     rows: dict[tuple[str, str | None], SubcaseRow] = {}  # tallied as each pair is resolved
     unjoinable = []
     for pair in chain(_overlap_pairs(max_index), _disjoint_pairs(max_index)):
-        commons = common_reducts(pair)
-        if not commons:
-            unjoinable.append(pair)
         alt = alternative_bound(pair)
         key = (pair.family, pair.subcase)
-        r = rows.get(key) or SubcaseRow(pair.family, pair.subcase, 0, 0, _least(commons), 0)
+        r = rows.get(key)
+        witnessed = r is not None and alt is None and _rewrites_to_expected(pair)
+        commons = frozenset({pair.expected}) if witnessed else common_reducts(pair)
+        if not commons:
+            unjoinable.append(pair)
+        r = r or SubcaseRow(pair.family, pair.subcase, 0, 0, _least(commons), 0)
         rows[key] = r._replace(
             instances=r.instances + 1,
             joinable=r.joinable + bool(commons),

@@ -207,8 +207,10 @@ def test_identity_failure_lines(capsys, monkeypatch, verb, word, line):
 
 
 def test_audit_failure_rows(capsys, monkeypatch):
-    real = confluence.common_reducts
+    # no EEE pair joins: neither its rewriting to the closed form nor its full graphs show a common reduct
+    real, witness = confluence.common_reducts, confluence._rewrites_to_expected
     monkeypatch.setattr(confluence, "common_reducts", lambda pair: frozenset() if pair.family == "EEE" else real(pair))
+    monkeypatch.setattr(confluence, "_rewrites_to_expected", lambda pair: pair.family != "EEE" and witness(pair))
     monkeypatch.setattr(confluence, "normalize", lambda w: w)  # every word its own canonical form
     code, out, _ = run(capsys, "audit")
     assert code == 1

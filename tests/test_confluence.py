@@ -599,21 +599,36 @@ def _walked_termination(max_len, max_index):
     return len(deg), steps, bad_steps, max(chain), not bad_steps
 
 
+def _plus_minus_one(guard, template):
+    """Every +-1 mutant of a finite bound of the guard or an offset of the
+    template, as (guard, template, id), one of the two the row's own."""
+    for b, bound in enumerate(guard):
+        for at, end in ((2, "lo"), (3, "hi")):
+            for d in (-1, 1) if abs(bound[at]) != INF else ():
+                moved = bound[:at] + (bound[at] + d,) + bound[at + 1 :]
+                yield guard[:b] + (moved,) + guard[b + 1 :], template, f"guard{b}-{end}{d:+d}"
+    for t, (kind, slot, c) in enumerate(template):
+        for d in (-1, 1):
+            yield guard, template[:t] + ((kind, slot, c + d),) + template[t + 1 :], f"rhs{t}{d:+d}"
+
+
 def _rule_mutants():
     """Every +-1 mutant of a constant of RULES, a template offset or a finite
     guard bound, as (case, guard, rhs) with the other of guard and rhs None."""
     for rows in rewrite.RULES.values():
         for case, guard, rhs in rows:
-            for b, bound in enumerate(guard):
-                for at, end in ((2, "lo"), (3, "hi")):
-                    for d in (-1, 1) if abs(bound[at]) != INF else ():
-                        moved = bound[:at] + (bound[at] + d,) + bound[at + 1 :]
-                        mutant = guard[:b] + (moved,) + guard[b + 1 :]
-                        yield pytest.param(case, mutant, None, id=f"{case}-guard{b}-{end}{d:+d}")
-            for t, (kind, slot, c) in enumerate(rhs):
-                for d in (-1, 1):
-                    mutant = rhs[:t] + ((kind, slot, c + d),) + rhs[t + 1 :]
-                    yield pytest.param(case, None, mutant, id=f"{case}-rhs{t}{d:+d}")
+            for g, r, at in _plus_minus_one(guard, rhs):
+                yield pytest.param(case, None if g is guard else g, None if r is rhs else r, id=f"{case}-{at}")
+
+
+def _case_mutants():
+    """Every +-1 mutant of a finite guard bound or a closed-form offset of
+    ``_CASES``, as (family, row number, mutated row): 104.  Some give a
+    closed form a negative index, which leaves the pair's ``expected`` None."""
+    for family, table in confluence._CASES.items():
+        for n, (name, guard, form) in enumerate(table):
+            for g, f, at in _plus_minus_one(guard, form):
+                yield pytest.param(family, n, (name, g, f), id=f"{family}-{name}-{at}")
 
 
 def _audited(max_len, max_index):
@@ -650,6 +665,60 @@ def test_termination_matches_the_walk_under_every_rule_mutant(mutated_rules, cas
     assert walked[0][2] == () and walked[0][4]
     for report, (words, steps, _, longest, _) in zip(got, (walked[0], *walked[2:])):
         assert report == (words, steps, longest, pairs, not pairs)
+
+
+def _audit_and_reference(monkeypatch, max_index):
+    """The audit's report, or its exception's type, then the same from the
+    reference that sends every pair through ``common_reducts``."""
+
+    def outcome():
+        try:
+            return audit_local_confluence(max_index)
+        except Exception as error:
+            return type(error)
+
+    got = outcome()
+    monkeypatch.setattr(confluence, "_rewrites_to_expected", lambda pair: False)
+    return got, outcome()
+
+
+@pytest.mark.parametrize("case, guard, rhs", _rule_mutants())
+def test_witnesses_keep_the_report_under_every_rule_mutant(monkeypatch, mutated_rules, case, guard, rhs):
+    # e_i h_i -> e_i h_i (EpsEta_IEqJPos rhs0+1) is among them: its leftmost rewriting never ends
+    mutated_rules(case, guard, rhs)
+    got, reference = _audit_and_reference(monkeypatch, 3)
+    assert got == reference
+
+
+@pytest.mark.parametrize("family, n, row", _case_mutants())
+def test_witnesses_keep_the_report_under_every_case_mutant(monkeypatch, family, n, row):
+    table = confluence._CASES[family]
+    monkeypatch.setitem(confluence._CASES, family, table[:n] + (row,) + table[n + 1 :])
+    got, reference = _audit_and_reference(monkeypatch, 4)
+    assert got == reference
+
+
+def test_case_mutants_cover_every_bound_and_offset():
+    assert len(list(_case_mutants())) == 104
+
+
+def test_graphs_are_built_only_where_no_witness_is(monkeypatch):
+    real, built = confluence.common_reducts, []
+    monkeypatch.setattr(confluence, "common_reducts", lambda pair: built.append(pair) or real(pair))
+    audit_local_confluence(6)
+    assert len(built) == 36
+    firsts = {}
+    for pair in built:
+        firsts.setdefault((pair.family, pair.subcase), pair)
+    rest = [pair for pair in built if pair is not firsts[pair.family, pair.subcase]]
+    alternative = [pair for pair in rest if alternative_bound(pair) is not None]
+    kept = [pair for pair in rest if alternative_bound(pair) is None]
+    assert (len(firsts), len(alternative), len(kept)) == (17, 10, 9)
+    # each of the rest is a disjoint parent whose closed form is no normal form, so rewriting passes it by
+    assert all(pair.family == "DISJOINT" and not rewrite.is_normal(pair.expected) for pair in kept)
+    built.clear()
+    audit_local_confluence(10)
+    assert len(built) == 110
 
 
 # --- bidirectional oracle -----------------------------------------------------
