@@ -83,21 +83,24 @@ def cmd_trace(args) -> int:
     letters = list(w)
     moves = rewrite._leftmost_moves(letters)  # rewrites letters in place, step by step
     start = words.render(w)
+    write = sys.stdout.write
     if not args.json:
         _out(args, None, chain([start], (f"{words.render(letters)}  [{rule.case.value} @ {p}]" for p, rule in moves)))
-        return 0
-    import json
-    # the record's sorted keys put normal_form before steps, so the line is written a step at a time: the record with
-    # no step, up to its closing "]}", then each step, then "]}"
-    head = json.dumps({"normal_form": words.render(nf), "record": "trace", "start": start, "steps": []}, sort_keys=True)
-    write = sys.stdout.write
-    write(head[:-2])
-    for i, (p, rule) in enumerate(moves):
-        step = {"after": words.render(letters), "case": rule.case.value, "position": p}
-        write((", " if i else "") + json.dumps(step, sort_keys=True))
+    else:
+        import json
+        # the record's sorted keys put normal_form before steps, so the line is written a step at a time: the record
+        # with no step, up to its closing "]}", then each step, then "]}"
+        head = json.dumps({"normal_form": words.render(nf), "record": "trace", "start": start, "steps": []},
+                          sort_keys=True)
+        write(head[:-2])
+        for i, (p, rule) in enumerate(moves):
+            step = {"after": words.render(letters), "case": rule.case.value, "position": p}
+            write((", " if i else "") + json.dumps(step, sort_keys=True))
+    # either mode exits 3, after the steps it has written, when the rewriting ends off the canonical form
     if tuple(letters) != nf:
         raise words.NotCanonicalError(f"the rewriting ends at {words.render(letters)}, not at {words.render(nf)}")
-    write("]}\n")
+    if args.json:
+        write("]}\n")
     return 0
 
 

@@ -317,15 +317,11 @@ class OracleVerdict(NamedTuple):
     explored: int
 
 
-@collector_paused
 def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
     """Are u and v connected by rewrite steps taken in either direction,
     never passing through a word of degree beyond max_degree?
 
-    Works on raw words, without canonical forms or any confluence
-    assumption.  Runs with the collector paused (``collector_paused``):
-    the words it keeps, in ``seen`` and the frontier, hold no reference
-    cycle.
+    Works on raw words, without canonical forms or any confluence assumption.
 
     Every bound >= max(degree u, degree v) gives the same verdict: by
     Newman's lemma rewriting is Church-Rosser, so equivalent words meet in
@@ -446,7 +442,6 @@ def cross_check_oracle(max_len: int = 3, max_index: int = 2, max_degree: int = 9
     w, 25 at the defaults, is searched against its form nf: w must reach nf
     by steps either way through no word of degree over max_degree, and their
     labels must agree.  A form heavier than that is recorded with no search.
-    Only the searches run with the collector paused (``equivalent_bounded``).
     """
     if max_len < 1 or max_index < 0:
         raise ValueError("the oracle population needs max_len >= 1 and max_index >= 0")

@@ -405,8 +405,8 @@ def _leftmost_moves(letters: list) -> Iterator[tuple[int, RuleInstance]]:
         rhs = rule.rhs
         if rhs:  # every rule but EpsEta_Zero keeps two letters
             letters[p], letters[p + 1] = rhs
-        else:
-            del letters[p : p + 2]
+        else:  # deletes the factor on (); a right-hand side of None raises TypeError, as in apply
+            letters[p : p + 2] = rhs
             last -= 2
         yield p, rule
         if p:

@@ -83,10 +83,14 @@ def test_trace_json_streams_the_record(w):
     assert out.getvalue() == json.dumps(record, sort_keys=True) + "\n"
 
 
-def test_trace_json_ending_off_the_canonical_form_exit_3(capsys, monkeypatch):
+@pytest.mark.parametrize("mode, last", [([], "1  [EpsEta_Zero @ 0]\n"), (["--json"], '"position": 0}')],
+                         ids=["text", "json"])
+def test_trace_ending_off_the_canonical_form_exit_3(capsys, monkeypatch, mode, last):
+    # either mode writes every step, then exits 3; the JSON record is left unclosed
     monkeypatch.setattr(rewrite, "normalize", lambda w: parse("h0"))
-    code, _, err = run(capsys, "trace", "e0 h1", "--json")
+    code, out, err = run(capsys, "trace", "e0 h1", *mode)
     assert (code, err) == (3, "adjmon: internal error: the rewriting ends at 1, not at h0\n")
+    assert out.endswith(last)
 
 
 def test_normalize_huge_index_subprocess():

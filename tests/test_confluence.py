@@ -1044,7 +1044,6 @@ def test_components_hold_no_words_after_return():
 # Each paused builder, called at a small bound, with a function it calls through the namespace of a module.
 PAUSED = {
     "connected_components": (lambda: connected_components(4), confluence, "_component_labels"),
-    "equivalent_bounded": (lambda: equivalent_bounded(parse("h0 e0"), (), 6), confluence, "forward_steps"),
     "normalize_trace": (lambda: normalize_trace(parse("e1 h1")), rewrite, "_leftmost_moves"),
 }
 
@@ -1089,12 +1088,6 @@ def test_paused_builders_restore_the_collector_on_raise(name, monkeypatch, colle
     assert gc.isenabled()
 
 
-def test_paused_builders_restore_the_collector_after_a_refused_bound(collector_on):
-    with pytest.raises(ValueError):
-        equivalent_bounded(parse("h9"), (), 9)
-    assert gc.isenabled()
-
-
 @pytest.mark.parametrize("name", PAUSED)
 def test_paused_builders_leave_a_disabled_collector_disabled(name, collector_on):
     gc.disable()
@@ -1130,10 +1123,10 @@ def test_nested_paused_calls_leave_the_collector_enabled(collector_on):
     assert gc.isenabled()
 
 
-def test_cross_check_oracle_pauses_only_its_spot_searches(monkeypatch, collector_on):
-    # its own normalize calls run with the collector on; each spot search pauses it
-    outside, inside = _spy(monkeypatch, confluence, "normalize"), _spy(monkeypatch, confluence, "forward_steps")
+def test_cross_check_oracle_leaves_the_collector_on(monkeypatch, collector_on):
+    # neither its own normalize calls nor the steps of its spot searches pause the collector
+    forms, searches = _spy(monkeypatch, confluence, "normalize"), _spy(monkeypatch, confluence, "forward_steps")
     assert cross_check_oracle(2, 1, 6).passed
-    assert outside and all(outside)
-    assert inside and not any(inside)
+    assert forms and all(forms)
+    assert searches and all(searches)
     assert gc.isenabled()

@@ -21,6 +21,7 @@ from adjmon.rewrite import (
     _leftmost_moves,
     apply,
     first_row,
+    forward_steps,
     inverse_steps,
     is_normal,
     left_sides,
@@ -218,6 +219,15 @@ def test_a_raised_rule_bound_fails_the_scan(mutated_rules):
     assert _rule_guards_are_disjoint()  # narrowing a guard keeps the rows disjoint
     assert not _agrees_with_the_scan()
     assert left_sides(eps(0), eta(1)) == () and _scan(eps(0), eta(1)) == (parse("e1 h1"),)
+
+
+def test_a_right_hand_side_of_none_raises_in_the_leftmost_rewriting(mutated_rules):
+    # e_i e_j -> e_{j-2} e_i gives e0 e1 the letter e_{-1}: the rewriting raises as forward_steps does, deleting nothing
+    mutated_rules(RuleCase.EPS_EPS, rhs=((EPS, J, -2), (EPS, I, 0)))
+    assert match_rule(eps(0), eps(1)).rhs is None
+    for rewriter in (normalize_trace, forward_steps):
+        with pytest.raises(TypeError):
+            rewriter(parse("e0 e1"))
 
 
 def test_inverse_steps_order():
