@@ -1123,6 +1123,16 @@ def test_nested_paused_calls_leave_the_collector_enabled(collector_on):
     assert gc.isenabled()
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_equivalent_bounded_leaves_the_collector_as_it_finds_it(enabled, monkeypatch, collector_on):
+    # the search is not a paused builder: every step runs, and the search ends, with the collector as the caller left it
+    (gc.enable if enabled else gc.disable)()
+    steps = _spy(monkeypatch, confluence, "forward_steps")
+    assert not equivalent_bounded(parse("h0 e0"), (), 6).equivalent  # a full search: h0 e0 is a normal form
+    assert steps and all(seen is enabled for seen in steps)
+    assert gc.isenabled() is enabled
+
+
 def test_cross_check_oracle_leaves_the_collector_on(monkeypatch, collector_on):
     # neither its own normalize calls nor the steps of its spot searches pause the collector
     forms, searches = _spy(monkeypatch, confluence, "normalize"), _spy(monkeypatch, confluence, "forward_steps")

@@ -221,13 +221,14 @@ def test_a_raised_rule_bound_fails_the_scan(mutated_rules):
     assert left_sides(eps(0), eta(1)) == () and _scan(eps(0), eta(1)) == (parse("e1 h1"),)
 
 
-def test_a_right_hand_side_of_none_raises_in_the_leftmost_rewriting(mutated_rules):
-    # e_i e_j -> e_{j-2} e_i gives e0 e1 the letter e_{-1}: the rewriting raises as forward_steps does, deleting nothing
+@pytest.mark.parametrize("rewriter", [normalize_trace, forward_steps, lambda w: apply(w, 0), reduction_graph],
+                         ids=["normalize_trace", "forward_steps", "apply", "reduction_graph"])
+def test_a_right_hand_side_of_none_raises_in_every_rewriter(mutated_rules, rewriter):
+    # e_i e_j -> e_{j-2} e_i gives e0 e1 the letter e_{-1}: the leftmost rewriting raises as the others do, deleting nothing
     mutated_rules(RuleCase.EPS_EPS, rhs=((EPS, J, -2), (EPS, I, 0)))
     assert match_rule(eps(0), eps(1)).rhs is None
-    for rewriter in (normalize_trace, forward_steps):
-        with pytest.raises(TypeError):
-            rewriter(parse("e0 e1"))
+    with pytest.raises(TypeError):
+        rewriter(parse("e0 e1"))
 
 
 def test_inverse_steps_order():
