@@ -77,6 +77,12 @@ def _normal_form_within_budget(verb: str, w: words.Word) -> words.Word:
     return nf
 
 
+def _check_end(letters: list, nf: words.Word) -> None:
+    """Refuse, as an internal error, a rewriting that ended at letters, away from the canonical form nf."""
+    if tuple(letters) != nf:
+        raise words.NotCanonicalError(f"the rewriting ends at {words.render(letters)}, not at {words.render(nf)}")
+
+
 def cmd_trace(args) -> int:
     w = words.parse(args.word)
     nf = _normal_form_within_budget("trace", w)
@@ -97,8 +103,7 @@ def cmd_trace(args) -> int:
             step = {"after": words.render(letters), "case": rule.case.value, "position": p}
             write((", " if i else "") + json.dumps(step, sort_keys=True))
     # either mode exits 3, after the steps it has written, when the rewriting ends off the canonical form
-    if tuple(letters) != nf:
-        raise words.NotCanonicalError(f"the rewriting ends at {words.render(letters)}, not at {words.render(nf)}")
+    _check_end(letters, nf)
     if args.json:
         write("]}\n")
     return 0
@@ -232,10 +237,11 @@ def cmd_audit(args) -> int:
 
 def cmd_oracle(args) -> int:
     pair = words.parse(args.left), words.parse(args.right)
-    for w in pair:
-        _normal_form_within_budget("oracle", w)
+    canonical = [_normal_form_within_budget("oracle", w) for w in pair]
     ends = [list(w) for w in pair]
     steps = [sum(1 for _ in rewrite._leftmost_moves(end)) for end in ends]  # each rewritten in place, by the rules
+    for end, nf in zip(ends, canonical):
+        _check_end(end, nf)  # exits 3 before anything is printed
     nfs = [words.render(end) for end in ends]
     _out(args, lambda: {"record": "oracle", "left": words.render(pair[0]), "right": words.render(pair[1]),
                         "equivalent": nfs[0] == nfs[1], "normal_forms": nfs, "steps": steps},

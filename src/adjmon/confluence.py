@@ -31,12 +31,13 @@ names, the classification of parents, each critical pair's closed form
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from itertools import chain, groupby, islice, product
 from typing import Iterator, NamedTuple
 
 from .rewrite import INF, I, J, K, RuleCase, RuleInstance, forward_steps, instantiate, inverse_steps, match_rule
-from .rewrite import _leftmost_moves, collector_paused, first_row, normalize, reduction_graph
+from .rewrite import _leftmost_moves, first_row, normalize, reduction_graph
 from .words import EPS, ETA, Generator, Word, _block_start, _heads, _words_by_degree, all_words, alphabet, degree
 from .words import render, word_key
 
@@ -348,16 +349,26 @@ def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
     return OracleVerdict(False, len(seen))
 
 
-@collector_paused
 def connected_components(max_degree: int) -> dict[Word, int]:
     """Component id of every word of degree <= max_degree under the
     undirected step relation, restricted to that universe: the labels of
-    ``_component_labels``, keyed by the words they number.  Runs with the
-    collector paused (``collector_paused``): the words and the dict hold no
-    reference cycle.
+    ``_component_labels``, keyed by the words they number.
+
+    Runs with the cyclic garbage collector off, the one pause in adjmon:
+    the words hold no reference cycle, so a collection during the build
+    would only walk them again.  On return or raise the collector is on
+    again only if it was on at entry, and then collects the two younger
+    generations.  The pause is process-wide; the README gives its cost.
     """
-    labels = _component_labels(max_degree)
-    return {w: c for level, ids in zip(_words_by_degree(max_degree), labels) for w, c in zip(level, ids)}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        labels = _component_labels(max_degree)
+        return {w: c for level, ids in zip(_words_by_degree(max_degree), labels) for w, c in zip(level, ids)}
+    finally:
+        if enabled:
+            gc.enable()
+            gc.collect(1)
 
 
 def _component_labels(max_degree: int) -> list[list[int]]:

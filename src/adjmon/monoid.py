@@ -184,7 +184,8 @@ def _check_suite(suite, max_len: int, max_index: int) -> IdentityReport:
 
 def check_axioms(max_len: int = 4, max_index: int = 3) -> IdentityReport:
     """Verify the defining identity suite over all elements within bounds,
-    normalizing both sides of each instance.
+    comparing the ``StateMemo`` state numbers of both sides of each
+    instance; only a counterexample's two sides are normalized.
     """
     return _check_suite(_AXIOMS, max_len, max_index)
 

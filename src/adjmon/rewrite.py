@@ -34,47 +34,18 @@ are the reference ``normalize`` is tested against.  A trace records each
 step as its position and rule, O(1) per step, and ``Trace.steps``
 rebuilds the words from ``start`` when it is read.  ``_leftmost_moves``
 is the one leftmost-reduction loop; ``adjmon trace`` streams its steps.
+Nothing here pauses the cyclic garbage collector: a trace runs with the
+collector as its caller left it.
 """
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from enum import Enum
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .words import EPS, ETA, Generator, Word, degree, letter, letter_key
-
-
-def collector_paused(fn):
-    """Run fn with the cyclic garbage collector disabled, for the bulk
-    builders of words.  A word holds ``Generator``s, a tuple subclass the
-    collector never untracks, so while a large structure of words is
-    built, each older-generation collection walks all the words built so
-    far again, and frees nothing: the words form no reference cycle.  The
-    collector is enabled again on return or raise only if it was enabled
-    on entry, so nested calls and a caller's own ``gc.disable()`` hold.
-    The call then collects the two younger generations itself, one pass
-    over what it left allocated, which moves its words to the oldest
-    generation: that pass is owed either way, and made here its cost
-    stays with the call instead of falling on whatever allocates next.
-    The pause is process-wide: cycles that a concurrent thread makes
-    meanwhile wait for a collection until the call ends.
-    """
-
-    @wraps(fn)
-    def paused(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-                gc.collect(1)
-
-    return paused
 
 
 class RuleCase(str, Enum):
@@ -413,12 +384,10 @@ def _leftmost_moves(letters: list) -> Iterator[tuple[int, RuleInstance]]:
             p -= 1
 
 
-@collector_paused
 def normalize_trace(w: Word) -> Trace:
     """Reduce the leftmost redex until none remains, recording the position
     and rule of every step; ``end`` is the word the rewriting leaves.
-    Runs with the collector paused (``collector_paused``): the moves hold
-    no reference cycle.
+    Runs with the collector as its caller left it.
     """
     letters = list(w)
     moves = tuple(_leftmost_moves(letters))

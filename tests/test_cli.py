@@ -83,14 +83,18 @@ def test_trace_json_streams_the_record(w):
     assert out.getvalue() == json.dumps(record, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("mode, last", [([], "1  [EpsEta_Zero @ 0]\n"), (["--json"], '"position": 0}')],
-                         ids=["text", "json"])
-def test_trace_ending_off_the_canonical_form_exit_3(capsys, monkeypatch, mode, last):
-    # either mode writes every step, then exits 3; the JSON record is left unclosed
+@pytest.mark.parametrize("argv, last", [
+    (["trace", "e0 h1"], "1  [EpsEta_Zero @ 0]\n"),
+    (["trace", "e0 h1", "--json"], '"position": 0}'),
+    (["oracle", "e0 h1", "1"], None),
+    (["oracle", "e0 h1", "1", "--json"], None),
+], ids=["text", "json", "oracle-text", "oracle-json"])
+def test_trace_ending_off_the_canonical_form_exit_3(capsys, monkeypatch, argv, last):
+    # trace writes every step in either mode, then exits 3, its JSON record left unclosed; oracle prints nothing
     monkeypatch.setattr(rewrite, "normalize", lambda w: parse("h0"))
-    code, out, err = run(capsys, "trace", "e0 h1", *mode)
+    code, out, err = run(capsys, *argv)
     assert (code, err) == (3, "adjmon: internal error: the rewriting ends at 1, not at h0\n")
-    assert out.endswith(last)
+    assert out.endswith(last) if last else out == ""
 
 
 def test_normalize_huge_index_subprocess():

@@ -1041,13 +1041,6 @@ def test_components_hold_no_words_after_return():
 
 # --- the collector pause ------------------------------------------------------
 
-# Each paused builder, called at a small bound, with a function it calls through the namespace of a module.
-PAUSED = {
-    "connected_components": (lambda: connected_components(4), confluence, "_component_labels"),
-    "normalize_trace": (lambda: normalize_trace(parse("e1 h1")), rewrite, "_leftmost_moves"),
-}
-
-
 def _spy(monkeypatch, module, name, fail=False):
     """Record whether the collector is enabled at each call of module.<name>, and optionally raise there."""
     real, seen = getattr(module, name), []
@@ -1062,65 +1055,52 @@ def _spy(monkeypatch, module, name, fail=False):
     return seen
 
 
-def test_paused_names_every_paused_builder():
-    # every wrapper that collector_paused makes runs one code object: PAUSED names each attribute that runs it
-    paused = rewrite.collector_paused(len).__code__
-    wrapped = {name for module in (rewrite, confluence) for name, value in vars(module).items()
-               if getattr(value, "__code__", None) is paused}
-    assert wrapped == set(PAUSED)
-
-
-@pytest.mark.parametrize("name", PAUSED)
-def test_paused_builders_run_with_the_collector_off(name, monkeypatch, collector_on):
-    call, module, inner = PAUSED[name]
-    seen = _spy(monkeypatch, module, inner)
-    call()
-    assert seen and not any(seen)
+def test_connected_components_runs_with_the_collector_off(monkeypatch, collector_on):
+    seen = _spy(monkeypatch, confluence, "_component_labels")
+    connected_components(4)
+    assert seen == [False]
     assert gc.isenabled()
 
 
-@pytest.mark.parametrize("name", PAUSED)
-def test_paused_builders_restore_the_collector_on_raise(name, monkeypatch, collector_on):
-    call, module, inner = PAUSED[name]
-    _spy(monkeypatch, module, inner, fail=True)
+def test_connected_components_restores_the_collector_on_raise(monkeypatch, collector_on):
+    _spy(monkeypatch, confluence, "_component_labels", fail=True)
     with pytest.raises(RuntimeError):
-        call()
+        connected_components(4)
     assert gc.isenabled()
 
 
-@pytest.mark.parametrize("name", PAUSED)
-def test_paused_builders_leave_a_disabled_collector_disabled(name, collector_on):
+def test_connected_components_leaves_a_disabled_collector_disabled(collector_on):
     gc.disable()
-    PAUSED[name][0]()
+    connected_components(4)
     assert not gc.isenabled()
 
 
-@pytest.mark.parametrize("name", PAUSED)
-def test_paused_builders_end_with_one_collection_of_the_younger_generations(name, collector_on, collections):
-    PAUSED[name][0]()
+def test_connected_components_ends_with_one_collection_of_the_younger_generations(collector_on, collections):
+    connected_components(4)
     assert collections == [1]
 
 
-@pytest.mark.parametrize("name", PAUSED)
-def test_paused_builders_collect_nothing_under_a_disabled_collector(name, collector_on, collections):
+def test_connected_components_collects_nothing_under_a_disabled_collector(collector_on, collections):
     gc.disable()
-    PAUSED[name][0]()
+    connected_components(4)
     assert collections == []
 
 
-def test_nested_paused_calls_leave_the_collector_enabled(collector_on):
-    # each paused builder called inside another pause: the inner calls leave the collector off, the outer turns it on
-    after = []
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_normalize_trace_leaves_the_collector_as_it_finds_it(enabled, monkeypatch, collector_on):
+    # the trace is not paused: every step runs, and the trace ends, with the collector as the caller left it
+    (gc.enable if enabled else gc.disable)()
+    real, steps = rewrite._leftmost_moves, []
 
-    @rewrite.collector_paused
-    def outer():
-        for call, *_ in PAUSED.values():
-            call()
-            after.append(gc.isenabled())
+    def moves(letters):
+        for move in real(letters):
+            steps.append(gc.isenabled())
+            yield move
 
-    outer()
-    assert after == [False] * len(PAUSED)
-    assert gc.isenabled()
+    monkeypatch.setattr(rewrite, "_leftmost_moves", moves)
+    assert normalize_trace(parse("e1 h1")).end == ()
+    assert steps == [enabled] * 3
+    assert gc.isenabled() is enabled
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
