@@ -97,6 +97,15 @@ def test_trace_ending_off_the_canonical_form_exit_3(capsys, monkeypatch, argv, l
     assert out.endswith(last) if last else out == ""
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_oracle_right_word_ending_off_the_canonical_form_exit_3(capsys, monkeypatch, json_flag):
+    # both words are checked: the left one ends at its canonical form, the right one does not
+    real = rewrite.normalize
+    monkeypatch.setattr(rewrite, "normalize", lambda w: parse("h0") if w == parse("e0 h1") else real(w))
+    code, out, err = run(capsys, "oracle", "h0", "e0 h1", *json_flag)
+    assert (code, out, err) == (3, "", "adjmon: internal error: the rewriting ends at 1, not at h0\n")
+
+
 def test_normalize_huge_index_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "adjmon.cli", "normalize", "e1000000000000 h1000000000000"],

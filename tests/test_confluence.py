@@ -1086,6 +1086,38 @@ def test_connected_components_collects_nothing_under_a_disabled_collector(collec
     assert collections == []
 
 
+def test_connected_components_leaves_a_disabled_collector_disabled_on_raise(monkeypatch, collector_on):
+    gc.disable()
+    _spy(monkeypatch, confluence, "_component_labels", fail=True)
+    with pytest.raises(RuntimeError):
+        connected_components(4)
+    assert not gc.isenabled()
+
+
+def test_connected_components_collects_once_after_a_raise(monkeypatch, collector_on, collections):
+    _spy(monkeypatch, confluence, "_component_labels", fail=True)
+    with pytest.raises(RuntimeError):
+        connected_components(4)
+    assert collections == [1]
+
+
+def test_nested_connected_components_calls_keep_the_outer_pause(monkeypatch, collector_on, collections):
+    # an inner call finds the collector off, so it leaves it off and collects nothing until the outer call ends
+    real, seen = confluence._component_labels, []
+
+    def labels(max_degree):
+        if max_degree == 4:
+            inner = connected_components(2)
+            seen.append((gc.isenabled(), list(collections), len(inner)))
+        return real(max_degree)
+
+    monkeypatch.setattr(confluence, "_component_labels", labels)
+    connected_components(4)
+    assert seen == [(False, [], 9)]  # the 9 words of degree <= 2
+    assert collections == [1]
+    assert gc.isenabled()
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
 def test_normalize_trace_leaves_the_collector_as_it_finds_it(enabled, monkeypatch, collector_on):
     # the trace is not paused: every step runs, and the trace ends, with the collector as the caller left it
