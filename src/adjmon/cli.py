@@ -7,8 +7,8 @@ queries and passing reports, 1 for failed reports or unjoinable pairs,
 2 for usage or word-syntax errors, for ``trace`` and ``oracle`` runs over
 :data:`TRACE_BUDGET` and for a number to print of more digits than
 Python prints (``sys.get_int_max_str_digits()``),
-3 for an internal error (a computed canonical form that is not
-canonical, or not the word that the rewriting ends at), and 141
+3 for an internal error (a computed canonical form that is not the
+word that the rewriting ends at), and 141
 (128 + SIGPIPE), without a traceback, when stdout is closed before the
 output is written, as by ``adjmon answer | head -1``.
 ``--json`` switches every command to line-delimited JSON records with

@@ -1,72 +1,79 @@
 """The initial adjunction-in-monoids as an algebra over canonical forms.
 
-Elements are words in canonical form; equality of elements is equality of
-canonical forms (the confluence module independently audits why that is
-sound).  The structure carried on top of the monoid: the distinguished
-unit/counit generators, the index-shift endomorphism f, the defining
-identity suite, and the submonoid of counit-shift images.
+Elements are the states of ``normalize``'s fold, one per canonical form, so
+equality of elements is equality of canonical forms (the confluence module
+independently audits why that is sound).  The structure carried on top of the
+monoid: the distinguished unit/counit generators, the index-shift endomorphism
+f, the defining identity suite, and the submonoid of counit-shift images.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product, repeat
+from operator import le, lt, sub
 from typing import NamedTuple
 
-from .rewrite import StateMemo, is_normal, normalize
-from .words import EMPTY, NotCanonicalError, Word, concat, degree, letter, normal_words, render
+from .rewrite import StateMemo, _form, _read, normalize
+from .words import EMPTY, EPS, ETA, NotCanonicalError, Word, degree, letter, normal_words, render
 from .words import normal_words_of_degree  # noqa: F401  (bench/spans.py wraps monoid.normal_words_of_degree)
-from .words import eps as eps_letter
-from .words import eta as eta_letter
 
 
-class _ElementRecord(NamedTuple):
-    nf: Word
-
-    def __mul__(self, other: "Element") -> "Element":
-        return mul(self, other)
-
-    def __add__(self, other):  # neither tuple concatenation nor repetition: the product is ``*``
-        return NotImplemented
-
-    __rmul__ = __add__
-
-    def __str__(self) -> str:
-        return render(self.nf)
-
-
-class Element(_ElementRecord):
-    """A monoid element, stored as its canonical-form word."""
+class Element(namedtuple("Element", "etas merges")):
+    """A monoid element: the state of ``normalize``'s fold, from which its
+    writer gives the canonical form ``nf``, h_{etas[0]} ..., then
+    e_{merges[u] - u} for u = q-1 down to 0.  ``Element(...)`` and
+    ``._replace(...)`` admit only a state, ``etas`` non-decreasing naturals
+    and ``merges`` strictly increasing ones: exactly the pairs whose word is
+    canonical (merges[u+1] - (u+1) >= merges[u] - u iff merges[u+1] >
+    merges[u]).  They refuse any other with ``NotCanonicalError``."""
 
     __slots__ = ()
 
-    def __new__(cls, nf: Word):
-        if not is_normal(nf):
-            raise NotCanonicalError(f"not a canonical form: {render(nf)}")
-        return super().__new__(cls, nf)
+    def __new__(cls, etas: tuple[int, ...], merges: tuple[int, ...]):
+        etas, merges = tuple(etas), tuple(merges)
+        if not (all(isinstance(x, int) for x in etas + merges) and all(map(le, (0, *etas), etas))
+                and all(map(lt, (-1, *merges), merges))):
+            raise NotCanonicalError(f"not the state of a canonical form: etas={etas} merges={merges}")
+        return super().__new__(cls, etas, merges)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through ``_make``
+    nf = property(lambda self: _form(*self))
+    __mul__ = lambda self, other: mul(self, other)
+    __add__ = __rmul__ = lambda self, other: NotImplemented  # neither tuple concatenation nor repetition: use ``*``
+    __str__ = lambda self: render(self.nf)
+
+
+def _fold(etas: list[int], merges: list[int], letters) -> Element:  # a state by construction: not checked again
+    _read(etas, merges, letters)
+    return tuple.__new__(Element, (tuple(etas), tuple(merges)))
+
+
+def _letters(a: Element):  # a's form right to left, as the fold reads it: (kind, index) pairs off a's state
+    return chain(zip(repeat(EPS), map(sub, a.merges, range(len(a.merges)))), zip(repeat(ETA), reversed(a.etas)))
 
 
 def element(w: Word) -> Element:
-    """The element denoted by an arbitrary word."""
-    return Element(normalize(w))
+    """The element denoted by an arbitrary word: the state its fold leaves."""
+    return _fold([], [], reversed(w))
 
 
 def identity() -> Element:
-    return Element(EMPTY)
+    return Element((), ())
 
 
 def eta() -> Element:
-    return Element((eta_letter(0),))
+    return Element((0,), ())
 
 
 def eps() -> Element:
-    return Element((eps_letter(0),))
+    return Element((), (0,))
 
 
 def mul(a: Element, b: Element) -> Element:
-    return Element(normalize(concat(a.nf, b.nf)))
+    """a*b: a word of a*b folds to b's state after b's letters, so only a's are folded, onto b's lists."""
+    return _fold(list(b.etas), list(b.merges), _letters(a))
 
 
 def shift_word(w: Word) -> Word:
@@ -78,15 +85,17 @@ apply_f_word = shift_word
 
 
 def apply_f(a: Element) -> Element:
-    """f on elements; an index shift maps canonical forms to canonical forms."""
-    return Element(apply_f_word(a.nf))
+    """f on elements: 1 added to every entry of both lists, which is ``shift_word``
+    on the form, h_{etas[t]} to h_{etas[t] + 1} and e_{merges[u] - u} to
+    e_{(merges[u] + 1) - u}; the lists stay a state: the form of f(a) is canonical."""
+    return tuple.__new__(Element, (tuple([x + 1 for x in a.etas]), tuple([x + 1 for x in a.merges])))
 
 
 def elements(max_len: int, max_index: int) -> list[Element]:
     """All elements with canonical form of bounded length and indices,
     ordered by (length, letterwise).
     """
-    return [Element(w) for w in normal_words(max_len, max_index)]
+    return [element(w) for w in normal_words(max_len, max_index)]
 
 
 # --- identity suite ---------------------------------------------------------
@@ -115,8 +124,9 @@ class IdentityReport(NamedTuple):
         return all(r.passed for r in self.results)
 
 
-_E0 = (eps_letter(0),)
-_H0 = (eta_letter(0),)
+_E0 = (letter(EPS, 0),)
+_H0 = (letter(ETA, 0),)
+_EPS = eps()
 
 
 # An identity suite is a tuple of rows (name, arity, sides, failure label).
@@ -159,10 +169,7 @@ def _check_suite(suite, max_len: int, max_index: int) -> IdentityReport:
     a few pieces over one population, so their suffixes recur, and most
     letters are a lookup of a transition read before (93 % of them in
     ``check_N_closure(3, 2)``, 77 % in ``check_axioms(4, 3)``).
-    The memo dies with the call.  The query path (``element``, ``mul``,
-    ``in_N``) stays on plain ``normalize``: a query's word rarely revisits
-    a state, so a memo would cost more there than it saves, and would have
-    to be kept and bounded between calls.
+    The memo dies with the call.
     """
     if max_len < 1 or max_index < 1:
         raise ValueError("bounds must be >= 1")
@@ -206,24 +213,24 @@ class MembershipResult(NamedTuple):
 
 def counit_shift(m: Element) -> Element:
     """The member eps * f(m) of the submonoid."""
-    return element(_E0 + shift_word(m.nf))
+    return mul(_EPS, apply_f(m))
 
 
 def in_N(a: Element, search_bound: int) -> MembershipResult:
     """Decide whether a = eps*f(m') for some m' of degree <= search_bound.
 
     The answer is exact.  If eps*f(m') = a, then a*eta = eps*f(m')*eta =
-    eps*eta*m' = m' (by f(m)*eta = eta*m and eps*eta = 1), so
-    normalize(a*eta) is the only candidate witness.  It is accepted after
-    direct verification and when its degree is within the bound; otherwise
-    no witness of degree <= search_bound exists.  The candidate's degree is
-    at most degree(a.nf) + 1, so that bound decides membership outright.
-    """
+    eps*eta*m' = m' (by f(m)*eta = eta*m and eps*eta = 1): a*eta, a's
+    letters folded onto h0's state, is the only candidate witness.  It is
+    accepted when its degree, read off its state, is within the bound and
+    its ``counit_shift`` is a.  That degree is at most degree(a.nf) + 1,
+    so that bound decides membership outright."""
     if search_bound < 0:
         raise ValueError("search bound must be >= 0")
-    candidate = normalize(a.nf + _H0)
-    if degree(candidate) <= search_bound and normalize(_E0 + shift_word(candidate)) == a.nf:
-        return MembershipResult(True, Element(candidate))
+    c = _fold([0], [], _letters(a))
+    q = len(c.merges)  # the degree: index + 1 over h_{etas[t]} and over e_{merges[u] - u}
+    if sum(c.etas) + len(c.etas) + sum(c.merges) - q * (q - 1) // 2 + q <= search_bound and counit_shift(c) == a:
+        return MembershipResult(True, c)
     return MembershipResult(False, None)
 
 
@@ -304,8 +311,6 @@ def answer_open_question() -> OpenQuestionVerdict:
     confluence audit is the independent certificate that canonical forms
     separate elements.
     """
-    he = normalize(_H0 + _E0)
-    eh = normalize(_E0 + _H0)
-    verdict = ISO if he == EMPTY else NOT_ISO
-    idem = normalize(he + he) == he
-    return OpenQuestionVerdict(verdict, he, eh, idem, iso_criteria_report())
+    he, eh = mul(eta(), eps()), mul(eps(), eta())
+    verdict = ISO if he == identity() else NOT_ISO
+    return OpenQuestionVerdict(verdict, he.nf, eh.nf, he * he == he, iso_criteria_report())

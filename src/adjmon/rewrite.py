@@ -24,17 +24,18 @@ and ``VANISHING``, the left-hand sides of the rows with an empty right-hand side
 ``normalize`` performs no rewrite step: it reads the canonical form off
 the monotone map of the naturals that a word denotes, as a fold over the
 word's letters, right to left, into a state of two lists, and writes
-the state's canonical form.  ``_read`` is the fold.  It takes an iterable
-of letters, not one letter per call, so that ``normalize`` pays one call
-per word, whatever its length.  ``StateMemo`` numbers the states, one
-number per canonical form, and memoizes their transitions, for the
-identity suites, whose sides' suffixes recur.  ``normalize_trace``,
-``reduction_graph``, ``forward_steps`` and the audits rewrite, and they
-are the reference ``normalize`` is tested against.  A trace records each
-step as its position and rule, O(1) per step, and ``Trace.steps``
-rebuilds the words from ``start`` when it is read.  ``_leftmost_moves``
-is the one leftmost-reduction loop; ``adjmon trace`` streams its steps.
-Nothing here pauses the cyclic garbage collector: a trace runs with the
+the state's canonical form.  ``_read`` is the fold, ``_form`` the writer,
+and ``monoid``'s elements are the states.  ``_read`` takes an iterable of
+letters, so ``normalize`` pays one call per word, whatever its length.
+``StateMemo`` numbers the states, one number per canonical form, and
+memoizes their transitions, for the identity suites, whose sides'
+suffixes recur.  ``normalize_trace``, ``reduction_graph``,
+``forward_steps`` and the audits rewrite, and they are the reference
+``normalize`` is tested against.  A trace records each step as its
+position and rule, O(1) per step, and ``Trace.steps`` rebuilds the words
+from ``start`` when it is read.  ``_leftmost_moves`` is the one
+leftmost-reduction loop; ``adjmon trace`` streams its steps.  Nothing
+here pauses the cyclic garbage collector: a trace runs with the
 collector as its caller left it.
 """
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .words import EPS, ETA, Generator, Word, degree, letter, letter_key
 
@@ -239,8 +240,9 @@ def normalize(w: Word) -> Word:
       where m counts the merge points of image rank <= y
       (``merges[u] - u <= y``).
 
-    With q merge points, the result is ``h_{a[0]} ... h_{a[p-1]}``
-    followed by ``e_{merges[u] - u}`` for u = q-1 down to 0.
+    With q merge points, the writer ``_form``, which ``Element.nf`` shares,
+    gives ``h_{a[0]} ... h_{a[p-1]}``, then ``e_{merges[u] - u}`` for u =
+    q-1 down to 0.  The fold is ``_read``.
 
     r and m are found by integer bisection over list positions, after
     testing both ends: r = 0 when no gap is below k, r = ``len(a)`` when
@@ -251,15 +253,15 @@ def normalize(w: Word) -> Word:
     of equal values, where a copy added or deleted anywhere gives the same
     list; so ``h0^n`` and ``e0^n h0^n`` shift none: a list of over 64 values
     is updated at its back (a shorter one's shift costs less than the test).
-
-    The fold is ``_read``.  It takes the letters as one iterable, so a
-    word costs one call at any length.  ``StateMemo`` interns the fold's
-    states, one number per canonical form, for a batch of words whose
-    suffixes recur.
     """
     a: list[int] = []
     merges: list[int] = []
     _read(a, merges, reversed(w))
+    return _form(a, merges)
+
+
+def _form(a: Sequence[int], merges: Sequence[int]) -> Word:
+    """The canonical form of the state (a, merges) that ``_read`` leaves, as ``normalize`` says."""
     out = [letter(ETA, x) for x in a]
     out += [letter(EPS, merges[u] - u) for u in range(len(merges) - 1, -1, -1)]
     return tuple(out)

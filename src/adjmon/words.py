@@ -92,7 +92,7 @@ class WordSyntaxError(ValueError):
 
 
 class NotCanonicalError(ValueError):
-    """An :class:`adjmon.monoid.Element` was given a word that is not a canonical form."""
+    """An :class:`adjmon.monoid.Element` pair that is not a canonical form's state, or a rewriting off its form."""
 
 
 # Word text is letter tokens, run together or apart, or the lone token 1.

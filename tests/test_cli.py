@@ -135,12 +135,11 @@ def test_trace_over_budget_exit_2(capsys):
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):
-    wrong = lambda w: parse("h1 h0")  # noqa: E731  (not a canonical form)
-    monkeypatch.setattr(rewrite, "normalize", wrong)
-    monkeypatch.setattr(monoid, "normalize", wrong)
-    code, out, err = run(capsys, "mul", "h0", "h0")
+    # rules that match no factor: the oracle's rewriting of e0 h0 stops there, away from its canonical form 1
+    monkeypatch.setattr(rewrite, "match_rule", lambda x, y: None)
+    code, out, err = run(capsys, "oracle", "e0 h0", "1")
     assert (code, out) == (3, "")
-    assert err == "adjmon: internal error: not a canonical form: h1 h0\n"
+    assert err == "adjmon: internal error: the rewriting ends at e0 h0, not at 1\n"
 
 
 def test_parse_error_exit_2(capsys):

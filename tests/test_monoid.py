@@ -5,8 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from adjmon import monoid
+from adjmon import monoid, rewrite
 from adjmon.monoid import (
     Element,
     MembershipResult,
@@ -29,8 +30,8 @@ from adjmon.monoid import (
     shift_word,
 )
 from adjmon.confluence import all_words
-from adjmon.rewrite import is_normal, normalize
-from adjmon.words import concat, degree, parse, render, word_key
+from adjmon.rewrite import _form, is_normal, normalize
+from adjmon.words import NotCanonicalError, concat, degree, is_canonical_shape, parse, render, word_key
 from conftest import small_words
 
 
@@ -41,9 +42,29 @@ def test_distinguished_elements():
 
 
 def test_element_requires_canonical_form():
-    with pytest.raises(ValueError):
-        Element(parse("e0 h0"))
+    # a state: etas non-decreasing naturals, merges strictly increasing naturals
+    for etas, merges in (((1, 0), ()), ((-1,), ()), ((), (0, 0)), ((), (1, 0)), ((), (-1,)), ((0.5,), ())):
+        with pytest.raises(NotCanonicalError):
+            Element(etas, merges)
     assert element(parse("e0 h0")) == identity()
+    assert Element((0, 0, 2), (0, 2)) == element(parse("h0 h0 h2 e1 e0"))
+
+
+def test_element_states_are_the_canonical_forms():
+    # a pair of tuples is admitted exactly when the word it writes is canonical, its indices naturals
+    entries = [t for n in range(4) for t in product(range(-1, 3), repeat=n)]
+    admitted = 0
+    for etas, merges in product(entries, repeat=2):
+        form = _form(etas, merges)
+        canonical = is_canonical_shape(form) and all(g.index >= 0 for g in form)
+        try:
+            a = Element(etas, merges)
+        except NotCanonicalError:
+            assert not canonical
+        else:
+            assert canonical and a.nf == form and element(form) == a
+            admitted += 1
+    assert admitted == 20 * 8  # non-decreasing and strictly increasing tuples of length <= 3 over 0..2
 
 
 def test_mul_examples():
@@ -85,6 +106,7 @@ def test_apply_f_examples():
 
 def test_f_commutes_with_normalize_exhaustive():
     for w in all_words(3, 2):
+        assert element(w).nf == normalize(w)
         assert normalize(apply_f_word(w)) == apply_f(element(w)).nf
 
 
@@ -201,17 +223,17 @@ def test_in_N_agrees_with_witness_scan():
     # reference: scan canonical forms by ascending degree for the first w
     # with eps*f(w) = a, the search in_N decides without enumerating
     population = [w for d in range(7) for w in normal_words_of_degree(d)]
-    images = {w: counit_shift(Element(w)).nf for w in population}
+    images = {w: counit_shift(element(w)).nf for w in population}
 
     def scan(a, bound):
         for w in population:
             if degree(w) <= bound and images[w] == a.nf:
-                return Element(w)
+                return element(w)
         return None
 
     cases = 0
     for w in population:
-        a = Element(w)
+        a = element(w)
         for bound in range(7):
             res = in_N(a, bound)
             witness = scan(a, bound)
@@ -226,7 +248,7 @@ def test_in_N_at_degree_plus_one_is_the_h0_rule():
     cases = 0
     for d in range(10):
         for w in normal_words_of_degree(d):
-            assert in_N(Element(w), d + 1).member == (w[:1] != eta().nf)
+            assert in_N(element(w), d + 1).member == (w[:1] != eta().nf)
             cases += 1
     assert cases == 734
 
@@ -255,6 +277,91 @@ def test_in_N_product_witness_matches_closure_form():
     assert res.member
     expected = normalize(concat(concat((parse("e0")), shift_word(m1.nf)), m2.nf))
     assert res.witness.nf == expected
+
+
+HUGE_WORDS = small_words(max_len=6, max_index=10**12)
+
+
+@given(HUGE_WORDS)
+def test_element_agrees_with_normalize_at_huge_indices(w):
+    assert element(w).nf == normalize(w)
+
+
+@given(HUGE_WORDS, HUGE_WORDS)
+def test_mul_agrees_with_normalize_at_huge_indices(u, v):
+    assert mul(element(u), element(v)).nf == normalize(u + v)
+
+
+@given(HUGE_WORDS)
+def test_apply_f_agrees_with_normalize_at_huge_indices(w):
+    assert apply_f(element(w)).nf == normalize(shift_word(w))
+
+
+@given(HUGE_WORDS)
+def test_counit_shift_agrees_with_normalize_at_huge_indices(w):
+    assert counit_shift(element(w)).nf == normalize(E0 + shift_word(w))
+
+
+def in_N_reference(a, search_bound):
+    """in_N on words: the candidate normalize(a*eta), accepted when eps*f of it normalizes to a's form."""
+    c = normalize(a.nf + H0)
+    if degree(c) <= search_bound and normalize(E0 + shift_word(c)) == a.nf:
+        return True, c
+    return False, None
+
+
+@given(HUGE_WORDS, st.integers(-2, 1))
+def test_in_N_agrees_with_word_reference_at_huge_indices(w, offset):
+    # members, the element itself and non-members; the bound at and around the candidate's degree
+    for a in (counit_shift(element(w)), element(w), mul(eta(), element(w))):
+        bound = max(0, degree(normalize(a.nf + H0)) + offset)
+        res = in_N(a, bound)
+        assert (res.member, None if res.witness is None else res.witness.nf) == in_N_reference(a, bound)
+
+
+def test_mul_folds_only_the_left_factor(monkeypatch):
+    # the fold reads a's letters onto b's state: len(a.nf) letters, none of b's; in_N reads a's onto h0's,
+    # counit_shift the one letter e0, and apply_f none
+    pop = elements(2, 2)
+    read = []
+
+    def counting(a, merges, letters):
+        letters = list(letters)
+        read.append(len(letters))
+        rewrite._read(a, merges, letters)
+
+    monkeypatch.setattr(monoid, "_read", counting)
+    for a in pop:
+        for b in pop:
+            read.clear()
+            assert mul(a, b).nf == normalize(a.nf + b.nf)
+            assert read == [len(a.nf)]
+        read.clear()
+        apply_f(a)
+        assert read == []
+        counit_shift(a)
+        assert read == [1]
+        read.clear()
+        res = in_N(a, 10)
+        assert read == [len(a.nf), 1]  # the candidate, then its check: every candidate here has degree <= 7
+        assert res.member == (a.nf[:1] != H0)
+
+
+def test_query_path_never_rechecks_a_form(monkeypatch):
+    # element, mul, apply_f, in_N and counit_shift match no rule and normalize no word
+    words = [parse(t) for t in ("1", "h0", "e0", "h0 e0", "e2 h1 h1 e0", "h3 e1 h1000000000000 e999999999999")]
+    expected = [(mul(element(u), element(v)), apply_f(element(u)), in_N(element(u), 9), counit_shift(element(u)))
+                for u in words for v in words]
+
+    def refuse(*args):
+        raise AssertionError("the query path re-checked a form")
+
+    for module, name in ((rewrite, "is_normal"), (rewrite, "match_rule"), (rewrite, "normalize"),
+                         (monoid, "normalize")):
+        monkeypatch.setattr(module, name, refuse)
+    got = [(mul(element(u), element(v)), apply_f(element(u)), in_N(element(u), 9), counit_shift(element(u)))
+           for u in words for v in words]
+    assert got == expected
 
 
 @pytest.mark.parametrize(

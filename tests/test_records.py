@@ -61,12 +61,14 @@ def test_trace_repr_unchanged():
 
 
 def test_element_admits_canonical_forms_only():
+    # an element is the state of a canonical form: etas non-decreasing, merges strictly increasing, all naturals
     with pytest.raises(monoid.NotCanonicalError):
-        monoid.Element(parse("e0 h0"))
+        monoid.Element((1, 0), ())  # would write h1 h0
     a = monoid.element(parse("h0"))
     with pytest.raises(monoid.NotCanonicalError):
-        a._replace(nf=parse("e0 h0"))
-    assert repr(a) == "Element(nf=(Generator(kind='h', index=0),))"
+        a._replace(merges=(1, 0))  # would write e0 e1
+    assert a._replace(merges=(0, 1)).nf == parse("h0 e0 e0")
+    assert repr(a) == "Element(etas=(0,), merges=())"
 
 
 def test_element_sum_is_not_tuple_concatenation():
