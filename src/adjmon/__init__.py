@@ -15,7 +15,6 @@ from .words import (
     Generator,
     Word,
     WordSyntaxError,
-    concat,
     degree,
     eps,
     eta,
@@ -44,13 +43,12 @@ _DEFERRED = {
     for module, names in {
         "monoid": (
             "monoid Element IdentityReport IsoCriteriaReport MembershipResult NOT_ISO OpenQuestionVerdict "
-            "answer_open_question apply_f apply_f_word check_axioms check_N_closure element elements "
-            "identity in_N iso_criteria_report mul shift_word"
+            "answer_open_question apply_f check_axioms check_N_closure element identity in_N iso_criteria_report "
+            "mul shift_word"
         ),
         "confluence": (
-            "confluence CriticalPair CrossCheckReport LocalConfluenceReport OracleVerdict TerminationReport "
-            "audit_local_confluence audit_termination common_reducts cross_check_oracle enumerate_overlaps "
-            "equivalent_bounded resolve"
+            "confluence CriticalPair CrossCheckReport LocalConfluenceReport TerminationReport audit_local_confluence "
+            "audit_termination common_reducts cross_check_oracle enumerate_overlaps equivalent_bounded"
         ),
     }.items()
     for name in names.split()

@@ -118,7 +118,7 @@ def cmd_degree(args) -> int:
 
 def cmd_f(args) -> int:
     w = words.parse(args.word)
-    image = words.render(A.monoid.apply_f_word(w))
+    image = words.render(A.monoid.shift_word(w))
     _out(args, lambda: {"record": "f", "word": words.render(w), "image": image}, [image])
     return 0
 

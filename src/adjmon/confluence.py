@@ -156,11 +156,6 @@ def _least(commons: frozenset[Word]) -> Word | None:
     return min(commons, key=lambda w: (degree(w), word_key(w)), default=None)
 
 
-def resolve(pair: CriticalPair) -> Word | None:
-    """The least common reduct of the pair, or None when none exists (which would falsify local confluence)."""
-    return _least(common_reducts(pair))
-
-
 def alternative_bound(pair: CriticalPair) -> Word | None:
     """The other printed closed form for EHH/"k>i+1"; None where it has a negative index (i = 0)."""
     form = _ALTERNATIVE.get((pair.family, pair.subcase))
@@ -313,12 +308,7 @@ def audit_termination(max_len: int, max_index: int) -> TerminationReport:
 
 # --- equivalence oracle ------------------------------------------------------
 
-class OracleVerdict(NamedTuple):
-    equivalent: bool
-    explored: int
-
-
-def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
+def equivalent_bounded(u: Word, v: Word, max_degree: int) -> bool:
     """Are u and v connected by rewrite steps taken in either direction,
     never passing through a word of degree beyond max_degree?
 
@@ -332,7 +322,7 @@ def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
     if degree(u) > max_degree or degree(v) > max_degree:
         raise ValueError("input degree exceeds the oracle bound")
     if u == v:
-        return OracleVerdict(True, 1)
+        return True
     seen = {u}
     frontier = [u]
     while frontier:
@@ -342,11 +332,11 @@ def equivalent_bounded(u: Word, v: Word, max_degree: int) -> OracleVerdict:
                 if n in seen:
                     continue
                 if n == v:
-                    return OracleVerdict(True, len(seen) + 1)
+                    return True
                 seen.add(n)
                 nxt.append(n)
         frontier = nxt
-    return OracleVerdict(False, len(seen))
+    return False
 
 
 def connected_components(max_degree: int) -> dict[Word, int]:
@@ -477,7 +467,7 @@ def cross_check_oracle(max_len: int = 3, max_index: int = 2, max_degree: int = 9
     for w, nf in sample:
         d = degree(nf)
         inside = d <= max_degree  # a form outside the universe gets no search and no label
-        verdict = inside and equivalent_bounded(w, nf, max_degree).equivalent
+        verdict = inside and equivalent_bounded(w, nf, max_degree)
         same = inside and component[w] == labels[d][_block_start(nf, d)]
         if not (verdict and same):
             discrepancies.append((w, nf, verdict, same))  # the search, then the components

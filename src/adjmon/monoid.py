@@ -21,19 +21,18 @@ from .words import normal_words_of_degree  # noqa: F401  (bench/spans.py wraps m
 
 
 class Element(namedtuple("Element", "etas merges")):
-    """A monoid element: the state of ``normalize``'s fold, from which its
-    writer gives the canonical form ``nf``, h_{etas[0]} ..., then
-    e_{merges[u] - u} for u = q-1 down to 0.  ``Element(...)`` and
-    ``._replace(...)`` admit only a state, ``etas`` non-decreasing naturals
-    and ``merges`` strictly increasing ones: exactly the pairs whose word is
-    canonical (merges[u+1] - (u+1) >= merges[u] - u iff merges[u+1] >
-    merges[u]).  They refuse any other with ``NotCanonicalError``."""
+    """A monoid element: the state of ``normalize``'s fold, from which its writer gives
+    the canonical form ``nf``, h_{etas[0]} ..., then e_{merges[u] - u} for u = q-1 down
+    to 0.  ``Element(...)`` and ``._replace(...)`` admit only a state, ``etas``
+    non-decreasing naturals and ``merges`` strictly increasing ones, each an int, not a
+    bool: exactly the pairs whose word is canonical (merges[u+1] - (u+1) >= merges[u] - u
+    iff merges[u+1] > merges[u]).  They refuse any other with ``NotCanonicalError``."""
 
     __slots__ = ()
 
     def __new__(cls, etas: tuple[int, ...], merges: tuple[int, ...]):
         etas, merges = tuple(etas), tuple(merges)
-        if not (all(isinstance(x, int) for x in etas + merges) and all(map(le, (0, *etas), etas))
+        if not (all(type(x) is int for x in etas + merges) and all(map(le, (0, *etas), etas))
                 and all(map(lt, (-1, *merges), merges))):
             raise NotCanonicalError(f"not the state of a canonical form: etas={etas} merges={merges}")
         return super().__new__(cls, etas, merges)
@@ -81,21 +80,11 @@ def shift_word(w: Word) -> Word:
     return tuple([letter(kind, index + 1) for kind, index in w])
 
 
-apply_f_word = shift_word
-
-
 def apply_f(a: Element) -> Element:
     """f on elements: 1 added to every entry of both lists, which is ``shift_word``
     on the form, h_{etas[t]} to h_{etas[t] + 1} and e_{merges[u] - u} to
     e_{(merges[u] + 1) - u}; the lists stay a state: the form of f(a) is canonical."""
     return tuple.__new__(Element, (tuple([x + 1 for x in a.etas]), tuple([x + 1 for x in a.merges])))
-
-
-def elements(max_len: int, max_index: int) -> list[Element]:
-    """All elements with canonical form of bounded length and indices,
-    ordered by (length, letterwise).
-    """
-    return [element(w) for w in normal_words(max_len, max_index)]
 
 
 # --- identity suite ---------------------------------------------------------
@@ -267,10 +256,10 @@ class IsoCriteriaReport(NamedTuple):
 # by comparing the normal forms of its two sides; the witness names the
 # instantiation of a quantified condition that fails.
 _ISO_CONDITIONS = (
-    ("f(eta)=eta", apply_f_word(_H0), _H0, None),
-    ("f(eps)=eps", apply_f_word(_E0), _E0, None),
+    ("f(eta)=eta", shift_word(_H0), _H0, None),
+    ("f(eps)=eps", shift_word(_E0), _E0, None),
     ("eta*eps=1", _H0 + _E0, EMPTY, None),
-    ("f(m)=eta*m*eps", apply_f_word(EMPTY), _H0 + EMPTY + _E0, "1"),  # at m = 1: see iso_criteria_report
+    ("f(m)=eta*m*eps", shift_word(EMPTY), _H0 + EMPTY + _E0, "1"),  # at m = 1: see iso_criteria_report
 )
 
 

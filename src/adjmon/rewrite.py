@@ -412,10 +412,6 @@ class ReductionGraph(NamedTuple):
         return set(self.successors)
 
     @property
-    def edges(self) -> set[tuple[Word, Word]]:
-        return {(u, v) for u, vs in self.successors.items() for v in vs}
-
-    @property
     def sinks(self) -> set[Word]:
         return {u for u, vs in self.successors.items() if not vs}
 

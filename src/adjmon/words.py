@@ -60,16 +60,11 @@ def eps(k: int) -> Generator:
     return letter(EPS, k)
 
 
-def concat(u: Word, v: Word) -> Word:
-    """Free-monoid multiplication: u followed by v."""
-    return u + v
-
-
 _index = attrgetter("index")
 
 
 def degree(w: Word) -> int:
-    """Sum of (index + 1) over the letters; additive under concat."""
+    """Sum of (index + 1) over the letters."""
     return sum(map(_index, w)) + len(w)
 
 

@@ -16,16 +16,15 @@ from adjmon.confluence import (
 )
 from adjmon.monoid import (
     apply_f,
-    apply_f_word,
     check_axioms,
     check_N_closure,
     counit_shift,
     element,
-    elements,
     identity,
     in_N,
     mul,
     normal_words,
+    shift_word,
 )
 from adjmon.rewrite import (
     is_normal,
@@ -140,15 +139,15 @@ def test_criterion_6_oracle_cross_check():
         report = cross_check_oracle(max_len=3, max_index=2, max_degree=9)
         assert report.passed
         assert report.population == 259
-        assert equivalent_bounded(parse("e0 h1"), (), 9).equivalent
-        assert equivalent_bounded(parse("e1 h1"), (), 9).equivalent
-        assert not equivalent_bounded(parse("h0 e0"), (), 9).equivalent
+        assert equivalent_bounded(parse("e0 h1"), (), 9)
+        assert equivalent_bounded(parse("e1 h1"), (), 9)
+        assert not equivalent_bounded(parse("h0 e0"), (), 9)
         assert time.perf_counter() - t < 120
 
 
 def test_criterion_7_algebraic_laws():
     with criterion(7, "monoid laws; f injective endomorphism commuting with normalize; tower cancellations"):
-        pop = elements(2, 2)
+        pop = [element(w) for w in normal_words(2, 2)]
         assert len(pop) == 28
         one = identity()
         for a in pop:
@@ -157,13 +156,13 @@ def test_criterion_7_algebraic_laws():
                 ab = mul(a, b)
                 for c in pop:
                     assert mul(ab, c) == mul(a, mul(b, c))
-        big = elements(4, 3)
+        big = [element(w) for w in normal_words(4, 3)]
         assert len({apply_f(a) for a in big}) == len(big)  # injective
         for a in big[:60]:
             for b in big[:30]:
                 assert apply_f(mul(a, b)) == mul(apply_f(a), apply_f(b))
         for w in all_words(4, 3):
-            assert normalize(apply_f_word(w)) == apply_f_word(normalize(w))
+            assert normalize(shift_word(w)) == shift_word(normalize(w))
         for k in range(6):
             assert normalize(parse(f"e{k} h{k}")) == ()
             assert normalize(parse(f"e{k} h{k + 1}")) == ()

@@ -529,12 +529,12 @@ def test_normality_three_way_characterization():
 
 def test_reduction_graph_examples():
     g = reduction_graph(parse("h0 e0"))
-    assert g.nodes == {parse("h0 e0")} and g.edges == set()
+    assert g.successors == {parse("h0 e0"): ()}
     g = reduction_graph(parse("e0 e1 h2"))
     assert g.sinks == {normalize(parse("e0 e1 h2"))} == {parse("e0")}
     g = reduction_graph(parse("e0 h0"))
     assert g.nodes == {parse("e0 h0"), ()}
-    assert g.edges == {(parse("e0 h0"), ())}
+    assert g.successors == {parse("e0 h0"): ((),), (): ()}
 
 
 def test_strategy_independence_small_exhaustive():

@@ -10,7 +10,6 @@ from adjmon.words import (
     _block_start,
     _heads,
     _words_by_degree,
-    concat,
     degree,
     eps,
     eta,
@@ -27,12 +26,6 @@ def all_words(max_len, max_index):
     return list(gen(max_len, max_index))
 
 
-def test_concat():
-    assert concat(EMPTY, (eta(0),)) == (eta(0),)
-    assert concat((eta(0),), (eps(0),)) == (eta(0), eps(0))
-    assert concat(parse("e0 h1"), parse("e2")) == parse("e0 h1 e2")
-
-
 def test_degree_examples():
     assert degree(EMPTY) == 0
     assert degree(parse("e0 h0")) == 2
@@ -44,12 +37,12 @@ def test_degree_is_additive_exhaustive():
     degs = {w: degree(w) for w in pop}
     for u in pop:
         for v in pop:
-            assert degree(concat(u, v)) == degs[u] + degs[v]
+            assert degree(u + v) == degs[u] + degs[v]
 
 
 @given(small_words(), small_words())
 def test_degree_is_additive(u, v):
-    assert degree(concat(u, v)) == degree(u) + degree(v)
+    assert degree(u + v) == degree(u) + degree(v)
 
 
 def test_parse_examples():
