@@ -365,7 +365,7 @@ def _component_labels(max_degree: int) -> list[list[int]]:
     """The component of every word of degree <= max_degree under the
     undirected step relation, restricted to that universe, by word number:
     at [d][i] for the word of degree d numbered i by ``_block_start``.
-    No word is built.
+    No word is built, and neither confluence nor ``normalize`` is used.
 
     Built one degree level at a time, from two facts that hold for any
     rewrite system whose steps lower the degree.  Write U_m for the words
@@ -374,10 +374,22 @@ def _component_labels(max_degree: int) -> list[list[int]]:
     U_m.  Generation: a step of x r rewrites its first factor, or is x
     followed by a step of r inside U_{m - wt(x)}.  So at level m each word
     x r gets the node (x, component of r at level m - wt(x)), the empty
-    word a node of its own; steps of the second kind stay inside a node,
-    and joining the nodes along first-factor rewrites, which map blocks of
-    word numbers onto blocks (``_block_start``), gives the components of
-    U_m.  Neither confluence nor ``normalize`` is used.
+    word node 0; steps of the second kind stay inside a node, and joining
+    the nodes along first-factor rewrites gives the components of U_m,
+    numbered by their first node.
+
+    The unions are taken on nodes, not words.  A path inside U_m is one
+    inside U_{m+1}, so ``coarsen[m]`` maps each component at level m to one
+    at level m + 1.  A row x y -> x' y' of weight w joins the nodes of x y r
+    and x' y' r, which read r only through its component c at level m - w
+    (the second through c lifted by ``coarsen``): one union per c.  For the
+    vanishing row the node of r also reads r's first letter: one union per
+    node of level m - w, each the node of some r.  Each union is the edge of
+    some word and each word's edge is among them, so every level joins the
+    edges that a union per word would, up to repeats: the same partition of
+    the same nodes, numbered alike.  Only the output is per word: each
+    word's label at its own degree, lifted to max_degree.  A right-hand side
+    of None raises TypeError, through ``degree``.
     """
 
     def find(x: int) -> int:
@@ -386,30 +398,59 @@ def _component_labels(max_degree: int) -> list[list[int]]:
             x = parent[x]
         return x
 
+    def lift(level: int, top: int):
+        """The component at level top of each component at level."""
+        table = range(count[level])
+        for step in coarsen[level:top]:
+            table = list(map(step.__getitem__, table))
+        return table
+
+    def pair_nodes(m: int, x: Generator, y: Generator, comps) -> list[int]:
+        """The node at level m of each word x y r, r given by its component at level m - wt(x) - wt(y)."""
+        head, numbered, base = first[m][x], number[m - x.index - 1], first[m - x.index - 1][y]
+        return [head + numbered[base + c] for c in comps]
+
+    def node_lift(level: int, m: int) -> list[int]:
+        """The node at level m of each node of level: node 0, then each head's."""
+        out = [0]
+        for g in first[level]:
+            out += map(first[m][g].__add__, lift(level - g.index - 1, m - g.index - 1))
+        return out
+
     pairs = _redex_pairs(alphabet(max_degree - 2))  # a redex pair weighs 2 or more
-    labels: list[list[list[int]]] = []  # labels[m][d][i]: component at level m of word i of degree d
-    count: list[int] = []  # count[m]: components at level m, numbered from 0
-    for m in range(max_degree + 1):
-        first, size = {}, 1  # the first node of each letter's nodes; node 0 is the empty word
+    first: list[dict[Generator, int]] = [{}]  # first[m][g]: the first of g's nodes at level m
+    number = [[0]]  # number[m][node]: its component at level m, numbered by first node
+    count = [1]  # count[m]: components at level m
+    coarsen: list[list[int]] = []  # coarsen[m][c]: component c of level m, at level m + 1
+    own = [[0]]  # own[d][i]: the component of word i of degree d at level d
+    for m in range(1, max_degree + 1):
+        at, size = {}, 1
         for g in _heads(m):
-            first[g], size = size, size + count[m - g.index - 1]
-        nodes = [[0]]  # nodes[d][i]: the node of word i of degree d
-        for d in range(1, m + 1):
-            nodes.append([first[g] + c for g in _heads(d) for c in labels[m - g.index - 1][d - g.index - 1]])
+            at[g], size = size, size + count[m - g.index - 1]
+        first.append(at)
         parent = list(range(size))
         for x, y, rule in pairs:
-            weight = degree((x, y))
-            for d in range(weight, m + 1):
-                rest = d - weight
-                block, lower = len(nodes[rest]), rest + degree(rule.rhs)
-                a, b = _block_start((x, y), d), _block_start(rule.rhs, lower)
-                for u, v in set(zip(nodes[d][a : a + block], nodes[lower][b : b + block])):
-                    parent[find(v)] = find(u)
+            low = m - degree((x, y))
+            if low < 0:
+                continue
+            top = m - degree(rule.rhs)
+            if rule.rhs:
+                u, v = pair_nodes(m, x, y, range(count[low])), pair_nodes(m, *rule.rhs, lift(low, top))
+            else:
+                u, v = pair_nodes(m, x, y, number[low]), node_lift(low, m)
+            for a, b in zip(u, v):
+                parent[find(b)] = find(a)
         roots: dict[int, int] = {}
-        number = [roots.setdefault(find(n), len(roots)) for n in range(size)]
-        labels.append([[number[n] for n in level] for level in nodes])
+        number.append([roots.setdefault(find(n), len(roots)) for n in range(size)])
         count.append(len(roots))
-    return labels[-1] if labels else []
+        table = [0] * count[m - 1]
+        for c, n in zip(number[m - 1], node_lift(m - 1, m)):
+            table[c] = number[m][n]
+        coarsen.append(table)
+        own.append(list(chain.from_iterable(map(number[m][at[g] :].__getitem__, own[m - g.index - 1]) for g in at)))
+    for d in range(max_degree):
+        own[d] = list(map(lift(d, max_degree).__getitem__, own[d]))
+    return own[: max_degree + 1]  # [] below degree 0
 
 
 class CrossCheckReport(NamedTuple):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, islice, product
+from itertools import accumulate, combinations, combinations_with_replacement, islice, product
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -838,6 +838,43 @@ def test_components_match_all_edges_reference():
     for max_degree in range(10):
         assert same_partition(connected_components(max_degree), all_edges_components(max_degree))
     assert not same_partition({(): 0, parse("h0"): 0}, {(): 0, parse("h0"): 1})
+
+
+def _components_or_type_error(build, max_degree):
+    try:
+        return build(max_degree)
+    except TypeError:
+        return TypeError
+
+
+@pytest.mark.parametrize("case, guard, rhs", _rule_mutants())
+def test_components_match_all_edges_reference_under_every_rule_mutant(mutated_rules, case, guard, rhs):
+    # 15 mutants give a reduct letter a negative index, a right-hand side of None, which both refuse with TypeError
+    mutated_rules(case, guard, rhs)
+    got, reference = (_components_or_type_error(build, 6) for build in (connected_components, all_edges_components))
+    if reference is TypeError:
+        assert got is TypeError
+    else:
+        assert got is not TypeError and same_partition(got, reference)
+
+
+def test_component_counts_are_sums_of_two_kind_partitions():
+    # a canonical word of degree d is a partition of some a <= d (its eta block's letter weights) and one of d - a
+    # (its eps block's): p2(d) of them, the partitions of d into parts of two kinds (OEIS A000712); each component
+    # holds exactly one, so U_m has sum over d <= m of p2(d) components, and so does U_12 restricted to U_m
+    top = 12
+    p2 = [1] + [0] * top
+    for part in (w for w in range(1, top + 1) for _kind in (ETA, EPS)):
+        for d in range(part, top + 1):
+            p2[d] += p2[d - part]
+    sums = list(accumulate(p2))
+    assert p2[:8] == [1, 2, 5, 10, 20, 36, 65, 110]
+    assert (sums[9], sums[11], sums[12]) == (734, 1967, 3132)
+    met = set()
+    for m, level in enumerate(confluence._component_labels(top)):
+        met.update(level)
+        assert len(met) == sums[m]
+        assert 1 + max(map(max, confluence._component_labels(m))) == sums[m]
 
 
 def test_labels_by_number_are_the_components():
