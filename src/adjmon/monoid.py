@@ -15,7 +15,8 @@ from itertools import chain, product, repeat
 from operator import le, lt, sub
 from typing import NamedTuple
 
-from .rewrite import StateMemo, _form, _read, normalize
+from .rewrite import _form, _read
+from .rewrite import normalize  # noqa: F401  (bench/test_bench.py reads monoid.normalize; nothing here calls it)
 from .words import EMPTY, EPS, ETA, NotCanonicalError, Word, degree, letter, normal_words, render
 from .words import normal_words_of_degree  # noqa: F401  (bench/spans.py wraps monoid.normal_words_of_degree)
 
@@ -39,7 +40,7 @@ class Element(namedtuple("Element", "etas merges")):
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # ``_replace`` builds through ``_make``
     nf = property(lambda self: _form(*self))
-    __mul__ = lambda self, other: mul(self, other)
+    __mul__ = lambda self, other: mul(self, other) if isinstance(other, Element) else NotImplemented
     __add__ = __rmul__ = lambda self, other: NotImplemented  # neither tuple concatenation nor repetition: use ``*``
     __str__ = lambda self: render(self.nf)
 
@@ -147,32 +148,67 @@ _N_CLOSURE = (
 )
 
 
+def _state_table():
+    """The suites' fold over interned states: ``state(w)`` is the number
+    of the state (etas, merges) that w leaves, its place in ``states``, 0
+    the empty word's; two words leave one state exactly when their
+    canonical forms are equal.  ``moves[s]`` maps a letter to the state it
+    leads to from s, so a suffix read once is looked up letter by letter by
+    every later word that ends with it; a run of letters new at their
+    states is read by ``_read`` into one pair of lists, copied from the
+    state.  One table per suite run: nothing bounds it.
+    """
+    states: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    ids = {((), ()): 0}
+    moves: list[dict] = [{}]
+
+    def state(w: Word) -> int:
+        s, a = 0, None  # a and merges: the lists of state s, while a run of new letters is read
+        for x in reversed(w):
+            t = moves[s].get(x)
+            if t is None:
+                if a is None:
+                    a, merges = map(list, states[s])
+                _read(a, merges, (x,))
+                pair = (tuple(a), tuple(merges))
+                t = moves[s][x] = ids.setdefault(pair, len(states))
+                if t == len(states):
+                    states.append(pair)
+                    moves.append({})
+            else:
+                a = None
+            s = t
+        return s
+
+    return state, states, moves
+
+
 def _check_suite(suite, max_len: int, max_index: int) -> IdentityReport:
     """Compare both sides of each row of the suite at every instantiation
     by canonical words within bounds; a row's counterexample is its first
     failure in population order.
 
-    The sides go through one ``StateMemo`` per call and are compared by
-    their state numbers, one per canonical form; only a counterexample's
-    sides go to ``normalize``, for their forms.  The sides are products of
-    a few pieces over one population, so their suffixes recur, and most
-    letters are a lookup of a transition read before (93 % of them in
-    ``check_N_closure(3, 2)``, 77 % in ``check_axioms(4, 3)``).
-    The memo dies with the call.
+    The sides go through one ``_state_table`` per call and are compared by
+    their state numbers, one per canonical form; ``_form`` writes only a
+    counterexample's two forms, from the states the table holds.  The sides
+    are products of a few pieces over one population, so their suffixes
+    recur, and most letters are a lookup of a transition read before (93 %
+    of them in ``check_N_closure(3, 2)``, 77 % in ``check_axioms(4, 3)``).
+    The table dies with the call.
     """
     if max_len < 1 or max_index < 1:
         raise ValueError("bounds must be >= 1")
     pop = normal_words(max_len, max_index)
     f = lru_cache(maxsize=None)(shift_word)
-    memo = StateMemo()
+    state, states, _ = _state_table()
     results = []
     for name, arity, sides, label in suite:
         count, bad = 0, None
         for ws in product(pop, repeat=arity):
             count += 1
-            lhs, rhs = map(memo.state, sides(f, *ws))
+            lhs, rhs = map(state, sides(f, *ws))
             if lhs != rhs:
-                bad = Counterexample(label and label.format(*map(render, ws)), *map(normalize, sides(f, *ws)))
+                bad = Counterexample(label and label.format(*map(render, ws)), _form(*states[lhs]), _form(*states[rhs]))
                 break
         results.append(IdentityResult(name, count, bad))
     return IdentityReport(tuple(results))
@@ -180,8 +216,8 @@ def _check_suite(suite, max_len: int, max_index: int) -> IdentityReport:
 
 def check_axioms(max_len: int = 4, max_index: int = 3) -> IdentityReport:
     """Verify the defining identity suite over all elements within bounds,
-    comparing the ``StateMemo`` state numbers of both sides of each
-    instance; only a counterexample's two sides are normalized.
+    comparing the state numbers of both sides of each instance; only a
+    counterexample's two forms are written.
     """
     return _check_suite(_AXIOMS, max_len, max_index)
 
@@ -252,31 +288,26 @@ class IsoCriteriaReport(NamedTuple):
     not_in_N: Word | None
 
 
-# The four conditions as rows (condition, lhs, rhs, witness), each decided
-# by comparing the normal forms of its two sides; the witness names the
-# instantiation of a quantified condition that fails.
-_ISO_CONDITIONS = (
-    ("f(eta)=eta", shift_word(_H0), _H0, None),
-    ("f(eps)=eps", shift_word(_E0), _E0, None),
-    ("eta*eps=1", _H0 + _E0, EMPTY, None),
-    ("f(m)=eta*m*eps", shift_word(EMPTY), _H0 + EMPTY + _E0, "1"),  # at m = 1: see iso_criteria_report
-)
-
-
 def iso_criteria_report() -> IsoCriteriaReport:
-    """Decide the four conditions by canonical-form comparison, and the
-    derived ones by the witnesses h0 and h0 e0 (see ``IsoCriteriaReport``).
+    """Decide the four conditions by comparing elements, and the derived
+    ones by the witnesses h0 and h0 e0 (see ``IsoCriteriaReport``).
 
+    The conditions are rows (condition, lhs, rhs, witness); the witness
+    names the instantiation of a quantified condition that fails.
     "f(m)=eta*m*eps for all m" is decided at m = 1 alone: there it reads
     eta*eps = 1 (as f(1) = 1), and eta*eps = 1 implies the condition for
     every m, since eta*m*eps = f(m)*eta*eps by f(m)*eta = eta*m.
     """
-    conditions = []
-    for name, lhs, rhs, at in _ISO_CONDITIONS:
-        a, b = normalize(lhs), normalize(rhs)
-        conditions.append(ConditionResult(name, a == b, None if a == b else at, a, b))
-    not_in_f_image = _H0 if any(g.index == 0 for g in normalize(_H0)) else None
-    he = element(_H0 + _E0)
+    h, e, one = eta(), eps(), identity()
+    he = h * e
+    rows = (
+        ("f(eta)=eta", apply_f(h), h, None),
+        ("f(eps)=eps", apply_f(e), e, None),
+        ("eta*eps=1", he, one, None),
+        ("f(m)=eta*m*eps", apply_f(one), h * one * e, "1"),
+    )
+    conditions = [ConditionResult(name, a == b, None if a == b else at, a.nf, b.nf) for name, a, b, at in rows]
+    not_in_f_image = h.nf if any(g.index == 0 for g in h.nf) else None
     not_in_N = None if in_N(he, degree(he.nf) + 1).member else he.nf
     holds = all(c.holds for c in conditions) and not_in_f_image is None and not_in_N is None
     return IsoCriteriaReport(tuple(conditions), holds, not_in_f_image, not_in_N)

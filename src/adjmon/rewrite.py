@@ -5,13 +5,14 @@ of ``RULES``, keyed by the kinds of a factor: each a guard on its indices
 i, j and a template right-hand side, letters (kind, I or J, c) of index
 i + c or j + c, built by ``instantiate``.  ``confluence._CASES`` has the
 same format.  A guard is a tuple of bounds (u, v, lo, hi), each meaning
-lo <= index u - index v <= hi, where v may be the zero slot O, read as 0;
-``first_row``, the one reader of guards, picks a table's first row whose
-guard holds.  The guards of ``RULES`` are disjoint, so each factor
-matches at most one rule.  Every step lowers ``degree`` by exactly 1
-(EpsEta_Zero: by 2), which bounds all reduction sequences.  A word is
-normal iff it is an eta block with non-decreasing indices followed by an
-eps block with non-increasing indices.
+lo <= index u - index v <= hi, where v may be the zero slot O, read as 0.
+Guards have two readers: ``first_row`` picks a table's first row whose
+guard holds, and ``VANISHING`` reads the vanishing row's low bounds.  The
+guards of ``RULES`` are disjoint, so each factor matches at most one
+rule.  Every step lowers ``degree`` by exactly 1 (EpsEta_Zero: by 2),
+which bounds all reduction sequences.  A word is normal iff it is an eta
+block with non-decreasing indices followed by an eps block with
+non-increasing indices.
 
 ``match_rule`` reads ``RULES``, and ``left_sides`` inverts it, solving
 each row's right-hand side for (i, j).  Both are memoized per letter
@@ -23,20 +24,17 @@ and ``VANISHING``, the left-hand sides of the rows with an empty right-hand side
 
 ``normalize`` performs no rewrite step: it reads the canonical form off
 the monotone map of the naturals that a word denotes, as a fold over the
-word's letters, right to left, into a state of two lists, and writes
-the state's canonical form.  ``_read`` is the fold, ``_form`` the writer,
-and ``monoid``'s elements are the states.  ``_read`` takes an iterable of
+word's letters, right to left, into a state of two lists, and writes the
+state's canonical form. ``_read`` is the fold, ``_form`` the writer, and
+``monoid``'s elements are the states. ``_read`` takes an iterable of
 letters, so ``normalize`` pays one call per word, whatever its length.
-``StateMemo`` numbers the states, one number per canonical form, and
-memoizes their transitions, for the identity suites, whose sides'
-suffixes recur.  ``normalize_trace``, ``reduction_graph``,
-``forward_steps`` and the audits rewrite, and they are the reference
-``normalize`` is tested against.  A trace records each step as its
-position and rule, O(1) per step, and ``Trace.steps`` rebuilds the words
-from ``start`` when it is read.  ``_leftmost_moves`` is the one
-leftmost-reduction loop; ``adjmon trace`` streams its steps.  Nothing
-here pauses the cyclic garbage collector: a trace runs with the
-collector as its caller left it.
+``normalize_trace``, ``reduction_graph``, ``forward_steps`` and the
+audits rewrite, and they are the reference ``normalize`` is tested
+against. A trace records each step as its position and rule, O(1) per
+step, and ``Trace.steps`` rebuilds the words from ``start`` when it is
+read. ``_leftmost_moves`` is the one leftmost-reduction loop;
+``adjmon trace`` streams its steps. Nothing here pauses the cyclic
+garbage collector: a trace runs with the collector as its caller left it.
 """
 
 from __future__ import annotations
@@ -316,49 +314,6 @@ def _read(a: list[int], merges: list[int], letters: Iterable[Generator]) -> None
                     else:
                         hi = u
             merges.insert(m, y + m)
-
-
-class StateMemo:
-    """The fold of ``normalize`` over interned states, for one batch of
-    words whose suffixes recur, as the identity suites' sides do.
-
-    A state is the pair (a, merges) that ``_read`` leaves after a suffix,
-    interned as an int, 0 the empty word's.  A state and the canonical
-    form that ``normalize`` writes from it determine each other, so two
-    words leave one state exactly when their forms are equal.  The memo
-    writes no form.  Each state keeps its
-    transitions, letter -> state: a suffix read once is looked up letter
-    by letter by every later word that ends with it.  A letter new at its
-    state is read by ``_read`` into lists copied from the state, and a run
-    of such letters into the same lists.  Nothing bounds the memo; it is
-    meant to die with its batch.
-    """
-
-    def __init__(self) -> None:
-        self._states: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-        self._ids = {((), ()): 0}
-        self._moves: list[dict[Generator, int]] = [{}]
-
-    def state(self, w: Word) -> int:
-        """The number of the state that w leaves, reading only the letters
-        that no earlier word read at the same state."""
-        states, ids, moves = self._states, self._ids, self._moves
-        s, a = 0, None  # a and merges: the lists of state s, while a run of new letters is read
-        for x in reversed(w):
-            t = moves[s].get(x)
-            if t is None:
-                if a is None:
-                    a, merges = map(list, states[s])
-                _read(a, merges, (x,))
-                state = (tuple(a), tuple(merges))
-                t = moves[s][x] = ids.setdefault(state, len(states))
-                if t == len(states):
-                    states.append(state)
-                    moves.append({})
-            else:
-                a = None
-            s = t
-        return s
 
 
 def _leftmost_moves(letters: list) -> Iterator[tuple[int, RuleInstance]]:

@@ -48,7 +48,14 @@ LETTER_CACHE_SIZE = 4096
 def letter(kind: str, index: int) -> Generator:
     """The letter (kind, index), memoized: equal arguments share one instance
     while among the ``LETTER_CACHE_SIZE`` most recently used.
+
+    Refuses with ValueError an index that is not an int, a bool or a float
+    included, so no such letter is cached.  The check runs on a miss only:
+    the cache compares keys by ==, so True or 1.0 hits a cached ``h1`` and
+    gets that letter; every letter returned has an int index.
     """
+    if type(index) is not int:
+        raise ValueError(f"a letter's index must be an int, not {type(index).__name__}: {index!r}")
     return Generator(kind, index)
 
 

@@ -207,11 +207,15 @@ def test_ncheck_golden(capsys):
     ],
 )
 def test_identity_failure_lines(capsys, monkeypatch, verb, word, line):
-    # the suites' memo, and normalize for the counterexample's forms, read h7 in place of the one side word of the
-    # instance that is to fail
-    real, bad = rewrite.StateMemo.state, parse(word)
-    monkeypatch.setattr(rewrite.StateMemo, "state", lambda memo, w: real(memo, parse("h7") if w == bad else w))
-    monkeypatch.setattr(monoid, "normalize", lambda w: rewrite.normalize(parse("h7") if w == bad else w))
+    # the suites' fold reads h7 in place of the one side word of the instance that is to fail; the counterexample's
+    # forms are written from the states it left
+    real, bad = monoid._state_table, parse(word)
+
+    def faulty_table():
+        state, states, moves = real()
+        return (lambda w: state(parse("h7") if w == bad else w)), states, moves
+
+    monkeypatch.setattr(monoid, "_state_table", faulty_table)
     code, out, _ = run(capsys, verb)
     assert code == 1
     assert [text for text in out.splitlines() if "FAIL" in text] == [line]

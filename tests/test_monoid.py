@@ -1,7 +1,6 @@
 import math
 from functools import lru_cache
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -29,8 +28,8 @@ from adjmon.monoid import (
 )
 from adjmon.confluence import all_words
 from adjmon.rewrite import _form, is_normal, normalize
-from adjmon.words import NotCanonicalError, degree, is_canonical_shape, parse, render, word_key
-from conftest import small_words
+from adjmon.words import NotCanonicalError, _words_by_degree, degree, is_canonical_shape, parse, render, word_key
+from conftest import letters, small_words
 
 
 def _elements(max_len, max_index):
@@ -60,6 +59,19 @@ def test_element_refuses_bool_entries():
             Element(etas, merges)
     with pytest.raises(NotCanonicalError):
         element(parse("h1"))._replace(etas=(True,))
+
+
+def test_element_times_a_non_element_is_a_type_error():
+    # Element * x returns NotImplemented for a non-Element x, so Python raises TypeError, as for a + x and x * a
+    a = element(parse("h0"))
+    for other in (2, 2.0, None, parse("e0")):
+        with pytest.raises(TypeError):
+            a * other
+        with pytest.raises(TypeError):
+            other * a
+    with pytest.raises(TypeError):
+        a + 2
+    assert a * element(parse("e0")) == element(parse("h0 e0"))
 
 
 def test_element_states_are_the_canonical_forms():
@@ -370,10 +382,81 @@ def test_query_path_never_rechecks_a_form(monkeypatch):
 
     for module, name in ((rewrite, "is_normal"), (rewrite, "match_rule"), (rewrite, "normalize"),
                          (monoid, "normalize")):
-        monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(module, name, refuse, raising=False)
     got = [(mul(element(u), element(v)), apply_f(element(u)), in_N(element(u), 9), counit_shift(element(u)))
            for u in words for v in words]
     assert got == expected
+
+
+def test_state_table_matches_normalize_on_every_word_of_degree_9():
+    # one table for all 19,683 words in _words_by_degree order: the rest r of each word x r was read before it,
+    # so each word adds at most one transition, x at the state of r; each word leaves its canonical form's state
+    state, _, moves = monoid._state_table()
+    ws = [w for level in _words_by_degree(9) for w in level]
+    assert len(ws) == 19683
+    states = list(map(state, ws))
+    assert sum(map(len, moves)) < len(ws) < sum(map(len, ws))
+    assert states == [state(normalize(w)) for w in ws]
+
+
+def test_state_table_numbers_each_canonical_form_once_on_every_word_of_degree_9():
+    # two words share a state number exactly when normalize gives them the same form: the pairs (form, number)
+    # are a bijection
+    state, _, _ = monoid._state_table()
+    pairs = {(normalize(w), state(w)) for level in _words_by_degree(9) for w in level}
+    forms, numbers = zip(*pairs)
+    assert len(pairs) == len(set(forms)) == len(set(numbers)) < 19683
+
+
+BIG = 10**12
+
+
+@given(st.lists(st.lists(st.one_of(letters(3), letters(BIG)), max_size=12).map(tuple), min_size=1, max_size=8))
+def test_state_table_matches_normalize_at_huge_indices(ws):
+    # through one table: every word, its suffix after one letter, and every word again, which walks only
+    # transitions already made
+    (state, _, _), numbers = monoid._state_table(), {}
+    for w in ws + [w[1:] for w in ws] + ws:
+        s = state(w)
+        assert numbers.setdefault(normalize(w), s) == s
+    assert len(set(numbers.values())) == len(numbers)
+
+
+@given(st.lists(st.lists(st.one_of(letters(2), letters(BIG)), max_size=6).map(tuple), min_size=2, max_size=8))
+def test_state_table_numbers_agree_with_forms_at_huge_indices(ws):
+    # every pair of the words and their canonical forms through one table: equal numbers exactly when the forms are
+    state, _, _ = monoid._state_table()
+    ws += [normalize(w) for w in ws]
+    for u, v in product(ws, repeat=2):
+        assert (state(u) == state(v)) == (normalize(u) == normalize(v))
+
+
+def test_monoid_reaches_no_normalize(monkeypatch):
+    # every equality monoid decides is one of fold states: with normalize raising wherever monoid could reach it,
+    # the suites, the isomorphism conditions and the verdict report what they report unpatched
+    calls = (check_axioms, check_N_closure, iso_criteria_report, answer_open_question)
+    expected = [call() for call in calls]
+
+    def refuse(w):
+        raise AssertionError("monoid normalized a word")
+
+    monkeypatch.setattr(rewrite, "normalize", refuse)
+    monkeypatch.setattr(monoid, "normalize", refuse, raising=False)
+    assert [call() for call in calls] == expected
+
+
+def _plain_table():
+    # the suites' table without transitions: each word normalized whole, one number per canonical form
+    states, ids = [], {}
+
+    def state(w):
+        nf = normalize(w)
+        if nf not in ids:
+            ids[nf] = len(states)
+            states.append(tuple(element(nf)))
+        return ids[nf]
+
+    return state, states, []
 
 
 @pytest.mark.parametrize(
@@ -384,10 +467,10 @@ def test_query_path_never_rechecks_a_form(monkeypatch):
     ],
 )
 def test_suite_memo_keeps_every_verdict(monkeypatch, check, suite, row):
-    # a false row added to the suite: the memo's state numbers and plain normalize's forms find the same counterexample
+    # a false row added to the suite: the table's state numbers and plain normalize's forms find the same counterexample
     monkeypatch.setattr(monoid, suite, getattr(monoid, suite) + (row,))
     memoized = check()
-    monkeypatch.setattr(monoid, "StateMemo", lambda: SimpleNamespace(state=normalize))
+    monkeypatch.setattr(monoid, "_state_table", _plain_table)
     plain = check()
     assert memoized == plain
     failed = [r for r in memoized.results if not r.passed]
@@ -396,14 +479,14 @@ def test_suite_memo_keeps_every_verdict(monkeypatch, check, suite, row):
 
 @pytest.mark.parametrize("check, suite", [(check_axioms, "_AXIOMS"), (check_N_closure, "_N_CLOSURE")])
 def test_suites_write_forms_only_for_a_counterexample(monkeypatch, check, suite):
-    # the sides are compared by state number; normalize writes a form for each side of a counterexample, and no other
+    # the sides are compared by state number; _form writes a form for each side of a counterexample, and no other
     written = []
 
-    def normalize_spy(w):
-        written.append(normalize(w))
+    def form_spy(etas, merges):
+        written.append(_form(etas, merges))
         return written[-1]
 
-    monkeypatch.setattr(monoid, "normalize", normalize_spy)
+    monkeypatch.setattr(monoid, "_form", form_spy)
     assert check(2, 1).passed and written == []
     row = ("m*h0=h0*m", 1, lambda f, m: (m + parse("h0"), parse("h0") + m), "m={}")
     monkeypatch.setattr(monoid, suite, getattr(monoid, suite) + (row,))

@@ -17,7 +17,6 @@ from adjmon.rewrite import (
     NotARedexError,
     RuleCase,
     RuleInstance,
-    StateMemo,
     _leftmost_moves,
     apply,
     first_row,
@@ -366,46 +365,6 @@ def test_normalize_matches_rewriting_on_runs(runs):
     # each run repeats one letter: long runs of equal values in a, updated at its back when they reach it
     w = tuple(g for g, count in runs for _ in range(count))
     assert normalize(w) == normalize_trace(w).end
-
-
-def test_state_memo_matches_normalize_on_every_word_of_degree_9():
-    # one memo for all 19,683 words in _words_by_degree order: the rest r of each word x r was read before it,
-    # so each word adds at most one transition, x at the state of r; each word leaves its canonical form's state
-    memo = StateMemo()
-    ws = [w for level in _words_by_degree(9) for w in level]
-    assert len(ws) == 19683
-    states = list(map(memo.state, ws))
-    assert sum(map(len, memo._moves)) < len(ws) < sum(map(len, ws))
-    assert states == [memo.state(normalize(w)) for w in ws]
-
-
-def test_state_memo_numbers_each_canonical_form_once_on_every_word_of_degree_9():
-    # two words share a state number exactly when normalize gives them the same form: the pairs (form, number)
-    # are a bijection
-    memo = StateMemo()
-    pairs = {(normalize(w), memo.state(w)) for level in _words_by_degree(9) for w in level}
-    forms, numbers = zip(*pairs)
-    assert len(pairs) == len(set(forms)) == len(set(numbers)) < 19683
-
-
-@given(st.lists(st.lists(st.one_of(letters(3), letters(BIG)), max_size=12).map(tuple), min_size=1, max_size=8))
-def test_state_memo_matches_normalize_at_huge_indices(ws):
-    # through one memo: every word, its suffix after one letter, and every word again, which walks only
-    # transitions already made
-    memo, numbers = StateMemo(), {}
-    for w in ws + [w[1:] for w in ws] + ws:
-        s = memo.state(w)
-        assert numbers.setdefault(normalize(w), s) == s
-    assert len(set(numbers.values())) == len(numbers)
-
-
-@given(st.lists(st.lists(st.one_of(letters(2), letters(BIG)), max_size=6).map(tuple), min_size=2, max_size=8))
-def test_state_memo_numbers_agree_with_forms_at_huge_indices(ws):
-    # every pair of the words and their canonical forms through one memo: equal numbers exactly when the forms are
-    memo = StateMemo()
-    ws += [normalize(w) for w in ws]
-    for u, v in product(ws, repeat=2):
-        assert (memo.state(u) == memo.state(v)) == (normalize(u) == normalize(v))
 
 
 @pytest.mark.parametrize(

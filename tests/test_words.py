@@ -204,6 +204,24 @@ def test_letters_stay_shared_under_cache_pressure():
     assert parse("h1000000000000 e0") == (eta(10**12), eps(0))
 
 
+def test_letter_refuses_an_index_that_is_not_an_int():
+    # lru_cache gives ("h", True), ("h", 1.0) and ("h", 1) one key: a letter of bool or float index, once cached,
+    # would be handed out for the int index and render as hTrue or h1.0
+    for index in (True, False, 1.0, 123456789.0, "3", None):
+        with pytest.raises(ValueError):
+            letter.__wrapped__("h", index)  # the check runs inside the cached function, on a miss
+    with pytest.raises(ValueError):
+        eta(123456789.0)
+    for index in (True, 1.0):  # a miss is refused; a hit gets the cached h1
+        try:
+            g = eta(index)
+        except ValueError:
+            continue
+        assert g is eta(1) and type(g.index) is int
+    assert render(parse("h1 e0")) == "h1 e0"
+    assert render(parse("h123456789 e0")) == "h123456789 e0"
+
+
 def test_generators_are_values():
     assert eta(2) == Generator("h", 2)
     assert eta(2) != eps(2)
