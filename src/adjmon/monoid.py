@@ -44,6 +44,9 @@ class Element(namedtuple("Element", "etas merges")):
     __add__ = __rmul__ = lambda self, other: NotImplemented  # neither tuple concatenation nor repetition: use ``*``
     __str__ = lambda self: render(self.nf)
 
+    def __radd__(self, other):  # Python tries a subclass's reflected method first, then tuple + tuple: raise, not defer
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'Element'")
+
 
 def _fold(etas: list[int], merges: list[int], letters) -> Element:  # a state by construction: not checked again
     _read(etas, merges, letters)
@@ -237,24 +240,38 @@ class MembershipResult(NamedTuple):
 
 
 def counit_shift(m: Element) -> Element:
-    """The member eps * f(m) of the submonoid."""
+    """The member eps * f(m) of the submonoid: the construction that ``in_N``'s criterion inverts."""
     return mul(_EPS, apply_f(m))
 
 
 def in_N(a: Element, search_bound: int) -> MembershipResult:
     """Decide whether a = eps*f(m') for some m' of degree <= search_bound.
 
-    The answer is exact.  If eps*f(m') = a, then a*eta = eps*f(m')*eta =
-    eps*eta*m' = m' (by f(m)*eta = eta*m and eps*eta = 1): a*eta, a's
-    letters folded onto h0's state, is the only candidate witness.  It is
-    accepted when its degree, read off its state, is within the bound and
-    its ``counit_shift`` is a.  That degree is at most degree(a.nf) + 1,
-    so that bound decides membership outright."""
+    The answer is exact, by the criterion: a lies in N exactly when
+    ``a.etas`` is empty or ``a.etas[0] > 0``, that is, when phi_a(0) = 0,
+    and then its one witness is a*eta.  In the model of ``normalize`` (a
+    word acts as the composite of its letters, the rightmost applied first,
+    and two words with one map have one canonical form), f(m) acts as the
+    map 0 -> 0, x+1 -> m(x) + 1 and e0 sends 0 to 0 and x+1 to x, so
+    eps*f(m) sends 0 to 0 and x+1 to m(x): every member fixes 0.
+    Conversely, if phi_a(0) = 0, then a*eta, which sends x to phi_a(x+1),
+    is a witness: eps*f(a*eta) sends 0 to 0 = phi_a(0) and x+1 to
+    phi_a(x+1).  It is the only one: eps*f(m') = a gives a*eta =
+    eps*f(m')*eta = eps*eta*m' = m' (by f(m)*eta = eta*m and eps*eta = 1).
+    phi_a(0) is the least natural outside the gaps ``a.etas[t] + t``, so it
+    is 0 exactly when 0 is not a gap, which the criterion reads.
+
+    A non-member returns with no fold; a member's letters are folded once,
+    onto h0's state, to its witness, accepted when its degree, read off
+    its state, is within the bound.  That degree is at most
+    degree(a.nf) + 1, so that bound decides membership outright."""
     if search_bound < 0:
         raise ValueError("search bound must be >= 0")
+    if a.etas and a.etas[0] == 0:  # 0 is a gap: phi_a(0) > 0
+        return MembershipResult(False, None)
     c = _fold([0], [], _letters(a))
     q = len(c.merges)  # the degree: index + 1 over h_{etas[t]} and over e_{merges[u] - u}
-    if sum(c.etas) + len(c.etas) + sum(c.merges) - q * (q - 1) // 2 + q <= search_bound and counit_shift(c) == a:
+    if sum(c.etas) + len(c.etas) + sum(c.merges) - q * (q - 1) // 2 + q <= search_bound:
         return MembershipResult(True, c)
     return MembershipResult(False, None)
 

@@ -42,9 +42,10 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from functools import lru_cache
+from operator import sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .words import EPS, ETA, Generator, Word, degree, letter, letter_key
+from .words import _LETTERS, EPS, ETA, Generator, Word, degree, letter, letter_key
 
 
 class RuleCase(str, Enum):
@@ -258,11 +259,16 @@ def normalize(w: Word) -> Word:
     return _form(a, merges)
 
 
+_eta_letter, _eps_letter = _LETTERS[ETA].__getitem__, _LETTERS[EPS].__getitem__
+
+
 def _form(a: Sequence[int], merges: Sequence[int]) -> Word:
-    """The canonical form of the state (a, merges) that ``_read`` leaves, as ``normalize`` says."""
-    out = [letter(ETA, x) for x in a]
-    out += [letter(EPS, merges[u] - u) for u in range(len(merges) - 1, -1, -1)]
-    return tuple(out)
+    """The canonical form of the state (a, merges) that ``_read`` leaves, as ``normalize`` says:
+    each block read from its kind's letter table, with no call per letter."""
+    etas = map(_eta_letter, a)
+    if not merges:
+        return tuple([*etas])  # a list sizes the tuple exactly; tuple() of an iterator over-allocates
+    return tuple([*etas, *map(_eps_letter, map(sub, reversed(merges), range(len(merges) - 1, -1, -1)))])
 
 
 def _read(a: list[int], merges: list[int], letters: Iterable[Generator]) -> None:

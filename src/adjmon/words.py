@@ -1,8 +1,12 @@
 """Words over the indexed alphabet {eta_k, eps_k} and their textual form.
 
 A word is a tuple of :class:`Generator` letters; the empty tuple is the
-monoid identity.  Letters compare by value, and the package builds each
-through :func:`letter`, which shares one immutable instance per value.  The
+monoid identity.  Letters compare by value, and the package reads each
+from its kind's letter table (:func:`letter`, :func:`eta`, :func:`eps`,
+the token table, ``rewrite``'s form writer), which shares one immutable
+instance per value.  Each table holds at most ``LETTER_CACHE_SIZE``
+letters, and a full one starts afresh, empty; the token table holds only
+letters that their kind's table holds, and starts afresh with it.  The
 text format is space-optional tokens ``h<k>`` / ``e<k>`` (Unicode aliases
 ``η<k>`` / ``ε<k>`` accepted on input), with the bare token ``1`` standing
 for the empty word.  :func:`parse` reads spaced letter tokens with a
@@ -17,14 +21,12 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import combinations_with_replacement, pairwise, product, starmap
+from itertools import combinations_with_replacement, pairwise, product
 from operator import attrgetter
 from typing import NamedTuple
 
 ETA = "h"
 EPS = "e"
-
-_KIND_ALIASES = {"h": ETA, "η": ETA, "e": EPS, "ε": EPS}
 
 
 class Generator(NamedTuple):
@@ -39,32 +41,63 @@ Word = tuple[Generator, ...]
 EMPTY: Word = ()
 
 
-# The audits and short queries use a few dozen letters, the longest bench words 1,600;
-# the same bound holds parse's and render's per-token tables.
+# The audits and short queries use a few dozen letters, the longest bench words 1,600.
+# Each kind's letter table and the token table hold at most this many, and a full one
+# starts afresh, empty; render's token texts keep this many, the most recently used.
 LETTER_CACHE_SIZE = 4096
 
 
-@lru_cache(maxsize=LETTER_CACHE_SIZE)
-def letter(kind: str, index: int) -> Generator:
-    """The letter (kind, index), memoized: equal arguments share one instance
-    while among the ``LETTER_CACHE_SIZE`` most recently used.
+class _Letters(dict):
+    """index -> the letter (kind, index), for one kind; a miss builds the letter.
 
     Refuses with ValueError an index that is not an int, a bool or a float
-    included, so no such letter is cached.  The check runs on a miss only:
-    the cache compares keys by ==, so True or 1.0 hits a cached ``h1`` and
-    gets that letter; every letter returned has an int index.
+    included, so no such letter is held.  The check runs on a miss only:
+    the table compares keys by ==, so True or 1.0 hits a held ``h1`` and
+    gets that letter; every letter returned has an int index.  Once it holds
+    ``LETTER_CACHE_SIZE`` letters, a miss clears it and the token table, so
+    the token table holds only letters that their kind's table holds.
     """
-    if type(index) is not int:
-        raise ValueError(f"a letter's index must be an int, not {type(index).__name__}: {index!r}")
-    return Generator(kind, index)
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, index: int) -> Generator:
+        if type(index) is not int:
+            raise ValueError(f"a letter's index must be an int, not {type(index).__name__}: {index!r}")
+        if len(self) >= LETTER_CACHE_SIZE:
+            self.clear()
+            _TOKENS.clear()
+        g = self[index] = Generator(self.kind, index)
+        return g
+
+
+_LETTERS = {ETA: _Letters(ETA), EPS: _Letters(EPS)}
+_ETAS, _EPSS = _LETTERS[ETA], _LETTERS[EPS]
+# a token's first character -> its kind's table, Unicode aliases included
+_ALIAS_LETTERS = {"h": _ETAS, "η": _ETAS, "e": _EPSS, "ε": _EPSS}
+
+
+def letter(kind: str, index: int) -> Generator:
+    """The letter (kind, index), read from its kind's table: equal arguments
+    share one instance while the table holds it.  Refuses with ValueError a
+    kind other than ``ETA`` or ``EPS``, and, as the table does, an index
+    that is not an int."""
+    try:
+        table = _LETTERS[kind]
+    except KeyError:
+        raise ValueError(f"a letter's kind must be {ETA!r} or {EPS!r}, not {kind!r}") from None
+    return table[index]
 
 
 def eta(k: int) -> Generator:
-    return letter(ETA, k)
+    return _ETAS[k]
 
 
 def eps(k: int) -> Generator:
-    return letter(EPS, k)
+    return _EPSS[k]
 
 
 _index = attrgetter("index")
@@ -106,16 +139,29 @@ _LETTER_TOKEN = re.compile(r"[hηeε][0-9]+")
 _SCAN = r"\s*((1)|([hηeε])([0-9]*)|\S)"
 
 
-@lru_cache(maxsize=LETTER_CACHE_SIZE)
-def _token_key(token: str) -> tuple[str, int]:
-    """(kind, index) of a letter token, the arguments of :func:`letter`.
+class _Tokens(dict):
+    """token -> its letter, the one its kind's table holds; a miss reads the token.
 
-    Raises ValueError for any other piece of text: the pattern comes first,
-    since int() also reads ``_``, ``+``, ``-`` and non-ASCII digits.
+    Raises ValueError for any piece of text but a letter token, and stores
+    none: the pattern comes first, since int() also reads ``_``, ``+``,
+    ``-`` and non-ASCII digits.  Once it holds ``LETTER_CACHE_SIZE``
+    tokens, a miss clears it.
     """
-    if not _LETTER_TOKEN.fullmatch(token):
-        raise ValueError(f"not a letter token: {token!r}")
-    return _KIND_ALIASES[token[0]], int(token[1:])
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> Generator:
+        if not _LETTER_TOKEN.fullmatch(token):
+            raise ValueError(f"not a letter token: {token!r}")
+        g = _ALIAS_LETTERS[token[0]][int(token[1:])]  # may clear this table: a letter table starts afresh
+        if len(self) >= LETTER_CACHE_SIZE:
+            self.clear()
+        self[token] = g
+        return g
+
+
+_TOKENS = _Tokens()
+_token_letter = _TOKENS.__getitem__
 
 
 @lru_cache(maxsize=LETTER_CACHE_SIZE)
@@ -136,7 +182,7 @@ def parse(text: str) -> Word:
     """
     if tokens := text.split():
         try:  # a list sizes the tuple exactly; tuple() of an iterator over-allocates
-            return tuple([*starmap(letter, map(_token_key, tokens))])
+            return tuple([*map(_token_letter, tokens)])
         except ValueError:  # a piece that is not one letter token, or an index int() refuses
             pass
     return _scan(text)
@@ -160,7 +206,7 @@ def _scan(text: str) -> Word:
             identity = True
             continue
         try:
-            out.append(letter(_KIND_ALIASES[kind], int(digits)))
+            out.append(_ALIAS_LETTERS[kind][int(digits)])
         except ValueError:
             raise WordSyntaxError(f"index after {kind!r} has too many digits", text, start) from None
     if not (out or identity):

@@ -30,7 +30,7 @@ from adjmon.rewrite import (
     reduction_graph,
     redexes,
 )
-from adjmon.words import EPS, ETA, LETTER_CACHE_SIZE, Generator, _words_by_degree, degree, eps, eta, is_canonical_shape, letter, parse, render
+from adjmon.words import _LETTERS, EPS, ETA, LETTER_CACHE_SIZE, Generator, _words_by_degree, degree, eps, eta, is_canonical_shape, letter, parse, render
 from conftest import letters, small_words
 
 BIG = 10**12
@@ -342,14 +342,14 @@ def test_normalize_returns_shared_letters():
 
 
 def test_normalize_beyond_the_letter_cache():
-    # 5,000 distinct indices, more than the letter cache keeps: a canonical
+    # 5,000 distinct indices, more than a letter table keeps: a canonical
     # eta block and eps block, then one eta that rewriting moves a few places
     ups = tuple(eta(BIG + 2 * t) for t in range(4990))
     downs = tuple(eps(BIG + 10**6 - t) for t in range(10))
     w = ups + downs + (eta(BIG + 2 * 4985 + 1),)
     assert len({g.index for g in w}) == 5001
     nf = normalize(w)
-    assert letter.cache_info().currsize <= LETTER_CACHE_SIZE
+    assert all(len(table) <= LETTER_CACHE_SIZE for table in _LETTERS.values())
     assert is_canonical_shape(nf)
     assert nf == normalize_trace(w).end
 

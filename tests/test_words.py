@@ -2,8 +2,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from adjmon.rewrite import normalize
 from adjmon.words import (
+    _LETTERS,
+    _TOKENS,
     EMPTY,
+    EPS,
+    ETA,
     LETTER_CACHE_SIZE,
     Generator,
     WordSyntaxError,
@@ -205,11 +210,11 @@ def test_letters_stay_shared_under_cache_pressure():
 
 
 def test_letter_refuses_an_index_that_is_not_an_int():
-    # lru_cache gives ("h", True), ("h", 1.0) and ("h", 1) one key: a letter of bool or float index, once cached,
-    # would be handed out for the int index and render as hTrue or h1.0
+    # a dict gives True, 1.0 and 1 one key: a letter of bool or float index, once held, would be handed out for
+    # the int index and render as hTrue or h1.0
     for index in (True, False, 1.0, 123456789.0, "3", None):
         with pytest.raises(ValueError):
-            letter.__wrapped__("h", index)  # the check runs inside the cached function, on a miss
+            _LETTERS[ETA].__missing__(index)  # the check runs in the table's miss
     with pytest.raises(ValueError):
         eta(123456789.0)
     for index in (True, 1.0):  # a miss is refused; a hit gets the cached h1
@@ -220,6 +225,45 @@ def test_letter_refuses_an_index_that_is_not_an_int():
         assert g is eta(1) and type(g.index) is int
     assert render(parse("h1 e0")) == "h1 e0"
     assert render(parse("h123456789 e0")) == "h123456789 e0"
+
+
+def test_letter_refuses_a_kind_but_eta_or_eps():
+    # a letter of any other kind would render as x1 and fold as an eps
+    for kind in ("x", "η", "ε", "", None, 0):
+        with pytest.raises(ValueError):
+            letter(kind, 1)
+    assert letter(ETA, 1) is eta(1) and letter(EPS, 1) is eps(1)
+
+
+def test_letter_tables_stay_bounded_and_start_afresh():
+    # 3 * LETTER_CACHE_SIZE distinct letters through eta, eps and parse: every table stays within the bound, and
+    # the word parse, _scan or normalize returns right after a table starts afresh holds its kind tables' letters
+    tables = {"h": _LETTERS[ETA], "e": _LETTERS[EPS], "tokens": _TOKENS}
+    fresh = dict.fromkeys(tables, 0)
+    base = 7 * 10**9
+    for i in range(3 * LETTER_CACHE_SIZE):
+        k = base + i
+        sizes = {name: len(table) for name, table in tables.items()}
+        (eta, eps, lambda k: parse(f"h{k} ε{k}"))[i % 3](k)
+        assert all(len(table) <= LETTER_CACHE_SIZE for table in tables.values())
+        started = [name for name, table in tables.items() if len(table) < sizes[name]]
+        if not started:
+            continue
+        for name in started:
+            fresh[name] += 1
+        if "h" in started:  # a miss: True and 1.0 are refused, not taken for h1
+            for index in (True, 1.0, float(k - 1)):
+                with pytest.raises(ValueError):
+                    eta(index)
+        if "e" in started:
+            for index in (False, 0.0, float(k - 1)):
+                with pytest.raises(ValueError):
+                    eps(index)
+        for w in (parse(f"h3 ε3 e1 η0 h{k}"), parse(f"h3ε3e1η0h{k}"), normalize(parse(f"e{k} h{k + 1} h2 e0"))):
+            assert all(g is letter(*g) for g in w)
+        assert all(_LETTERS[g.kind].get(g.index) is g for g in _TOKENS.values())
+    assert all(fresh.values()), fresh
+    assert render(parse("h1 e0")) == "h1 e0"
 
 
 def test_generators_are_values():
