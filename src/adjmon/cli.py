@@ -4,11 +4,11 @@ Words on the command line use the grammar of :mod:`adjmon.words`:
 tokens ``h<k>`` / ``e<k>`` (or ``η<k>`` / ``ε<k>``), optional whitespace,
 and the bare token ``1`` for the identity.  Exit status: 0 for answered
 queries and passing reports, 1 for failed reports or unjoinable pairs,
-2 for usage or word-syntax errors, for ``trace`` and ``oracle`` runs over
+2 for usage or word-syntax errors, for ``trace`` runs over
 :data:`TRACE_BUDGET` and for a number to print of more digits than
 Python prints (``sys.get_int_max_str_digits()``),
 3 for an internal error (a computed canonical form that is not the
-word that the rewriting ends at), and 141
+word that the rewriting of ``trace`` or ``eq`` ends at), and 141
 (128 + SIGPIPE), without a traceback, when stdout is closed before the
 output is written, as by ``adjmon answer | head -1``.
 ``--json`` switches every command to line-delimited JSON records with
@@ -17,9 +17,10 @@ record at a time, so its text and its JSON come from the same record;
 ``trace --json`` writes its one record a step at a time.
 No command takes a bound: ``audit`` and ``answer`` run the audits at the
 library's defaults, deciding termination on the redex pairs alone (word
-length 1, where no word has a step), and ``oracle`` rewrites both words to
-their normal forms, which are equal exactly when the words are, as
-rewriting terminates and is locally confluent (Newman's lemma).
+length 1, where no word has a step), and ``eq`` compares canonical forms,
+equal exactly when the words are, as rewriting terminates and is locally
+confluent (Newman's lemma); it checks against them each word's rewriting
+that fits :data:`TRACE_BUDGET`, and gives its steps, or null over it.
 """
 
 from __future__ import annotations
@@ -60,21 +61,14 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-# `trace` prints the word after every step, at most steps * len(w) letters; `oracle` rewrites as many.
+# `trace` prints the word after every step, at most steps * len(w) letters; `eq` rewrites as many, or skips the word.
 TRACE_BUDGET = 10**7
 
 
-def _normal_form_within_budget(verb: str, w: words.Word) -> words.Word:
-    """The canonical form of w, once the leftmost rewriting of w is known to fit :data:`TRACE_BUDGET`."""
-    nf = rewrite.normalize(w)
-    # every step lowers the degree by 1, except EpsEta_Zero: by 2, deleting 2 letters
-    steps = words.degree(w) - words.degree(nf) - (len(w) - len(nf)) // 2
-    if steps * len(w) > TRACE_BUDGET:
-        raise ValueError(
-            f"{verb} would take {steps} steps on a word of {len(w)} letters, "
-            f"over the budget of {TRACE_BUDGET} steps x letters"
-        )
-    return nf
+def _steps(w: words.Word, nf: words.Word) -> int:
+    """The steps of w's leftmost rewriting to its canonical form nf: every step lowers the degree by 1, except
+    EpsEta_Zero, which lowers it by 2 and deletes 2 letters."""
+    return words.degree(w) - words.degree(nf) - (len(w) - len(nf)) // 2
 
 
 def _check_end(letters: list, nf: words.Word) -> None:
@@ -85,7 +79,11 @@ def _check_end(letters: list, nf: words.Word) -> None:
 
 def cmd_trace(args) -> int:
     w = words.parse(args.word)
-    nf = _normal_form_within_budget("trace", w)
+    nf = rewrite.normalize(w)
+    steps = _steps(w, nf)
+    if steps * len(w) > TRACE_BUDGET:
+        raise ValueError(f"trace would take {steps} steps on a word of {len(w)} letters, "
+                         f"over the budget of {TRACE_BUDGET} steps x letters")
     letters = list(w)
     moves = rewrite._leftmost_moves(letters)  # rewrites letters in place, step by step
     start = words.render(w)
@@ -131,11 +129,22 @@ def cmd_mul(args) -> int:
     return 0
 
 
+def _rewritten_steps(w: words.Word, nf: words.Word) -> int | None:
+    """The steps of w's leftmost rewriting, checked to end at its canonical form nf; None, unrewritten, over budget."""
+    if _steps(w, nf) * len(w) > TRACE_BUDGET:
+        return None
+    letters = list(w)
+    steps = sum(1 for _ in rewrite._leftmost_moves(letters))  # rewrites letters in place, by the rules
+    _check_end(letters, nf)
+    return steps
+
+
 def cmd_eq(args) -> int:
-    left, right = words.parse(args.left), words.parse(args.right)
-    u, v = rewrite.normalize(left), rewrite.normalize(right)
-    _out(args, lambda: {"record": "eq", "left": words.render(left), "right": words.render(right), "equal": u == v,
-                        "normal_forms": [words.render(u), words.render(v)]},
+    pair = words.parse(args.left), words.parse(args.right)
+    u, v = nfs = [rewrite.normalize(w) for w in pair]
+    steps = [_rewritten_steps(w, nf) for w, nf in zip(pair, nfs)]  # exits 3 before anything is printed
+    _out(args, lambda: {"record": "eq", "left": words.render(pair[0]), "right": words.render(pair[1]),
+                        "equal": u == v, "normal_forms": [words.render(u), words.render(v)], "steps": steps},
          ["equal" if u == v else "not-equal"])
     return 0
 
@@ -206,9 +215,13 @@ def _row_line(r: A.confluence.SubcaseRow) -> str:
     )
 
 
-def cmd_audit(args) -> int:
+def _certificate():  # the overlaps, and termination at their index bound on words of length 1: no word has a step
     conf = A.confluence.audit_local_confluence()
-    term = A.confluence.audit_termination(1, conf.max_index)  # no word of length 1 has a step: the pairs decide
+    return conf, A.confluence.audit_termination(1, conf.max_index)
+
+
+def cmd_audit(args) -> int:
+    conf, term = _certificate()
     oracle = A.confluence.cross_check_oracle()
     letters = 2 * conf.max_index + 2
     ok = term.passed and conf.passed and oracle.passed
@@ -235,24 +248,9 @@ def cmd_audit(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_oracle(args) -> int:
-    pair = words.parse(args.left), words.parse(args.right)
-    canonical = [_normal_form_within_budget("oracle", w) for w in pair]
-    ends = [list(w) for w in pair]
-    steps = [sum(1 for _ in rewrite._leftmost_moves(end)) for end in ends]  # each rewritten in place, by the rules
-    for end, nf in zip(ends, canonical):
-        _check_end(end, nf)  # exits 3 before anything is printed
-    nfs = [words.render(end) for end in ends]
-    _out(args, lambda: {"record": "oracle", "left": words.render(pair[0]), "right": words.render(pair[1]),
-                        "equivalent": nfs[0] == nfs[1], "normal_forms": nfs, "steps": steps},
-         ["equivalent" if nfs[0] == nfs[1] else "not-equivalent"])
-    return 0
-
-
 def cmd_answer(args) -> int:
     verdict = A.monoid.answer_open_question()
-    conf = A.confluence.audit_local_confluence()
-    term = A.confluence.audit_termination(1, conf.max_index)  # the redex pairs alone, at the overlaps' index bound
+    conf, term = _certificate()
     certified = term.passed and conf.passed and conf.all_subcases_instantiated
     ok = verdict.verdict == A.monoid.NOT_ISO and certified
     criteria = verdict.criteria
@@ -333,10 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("iso", cmd_iso, "evaluate the conditions equivalent to the adjunction being an iso")
 
     add("audit", cmd_audit, "termination + local confluence + oracle cross-check")
-
-    p = add("oracle", cmd_oracle, "decide two words' equivalence by rewriting both to normal form")
-    p.add_argument("left")
-    p.add_argument("right")
 
     add("answer", cmd_answer, "the question's verdict with witnesses and certificate")
 

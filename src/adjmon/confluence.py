@@ -317,7 +317,7 @@ def equivalent_bounded(u: Word, v: Word, max_degree: int) -> bool:
     Every bound >= max(degree u, degree v) gives the same verdict: by
     Newman's lemma rewriting is Church-Rosser, so equivalent words meet in
     their normal form, u ->* nf <-* v, by steps that each lower the degree:
-    `adjmon oracle` only rewrites, and this search is the audit's reference.
+    `adjmon eq` checks that rewriting, and this search is the audit's reference.
     """
     if degree(u) > max_degree or degree(v) > max_degree:
         raise ValueError("input degree exceeds the oracle bound")

@@ -43,6 +43,10 @@ class Element(namedtuple("Element", "etas merges")):
     __mul__ = lambda self, other: mul(self, other) if isinstance(other, Element) else NotImplemented
     __add__ = __rmul__ = lambda self, other: NotImplemented  # neither tuple concatenation nor repetition: use ``*``
     __str__ = lambda self: render(self.nf)
+    # an Element equals only an Element: NotImplemented would fall back to tuple ==, as for __radd__ below
+    __eq__ = lambda self, other: isinstance(other, Element) and tuple.__eq__(self, other)
+    __ne__ = lambda self, other: not self == other
+    __hash__ = tuple.__hash__  # a class that defines __eq__ loses its inherited hash
 
     def __radd__(self, other):  # Python tries a subclass's reflected method first, then tuple + tuple: raise, not defer
         raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'Element'")

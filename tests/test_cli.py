@@ -86,11 +86,11 @@ def test_trace_json_streams_the_record(w):
 @pytest.mark.parametrize("argv, last", [
     (["trace", "e0 h1"], "1  [EpsEta_Zero @ 0]\n"),
     (["trace", "e0 h1", "--json"], '"position": 0}'),
-    (["oracle", "e0 h1", "1"], None),
-    (["oracle", "e0 h1", "1", "--json"], None),
-], ids=["text", "json", "oracle-text", "oracle-json"])
+    (["eq", "e0 h1", "1"], None),
+    (["eq", "e0 h1", "1", "--json"], None),
+], ids=["text", "json", "eq-text", "eq-json"])
 def test_trace_ending_off_the_canonical_form_exit_3(capsys, monkeypatch, argv, last):
-    # trace writes every step in either mode, then exits 3, its JSON record left unclosed; oracle prints nothing
+    # trace writes every step in either mode, then exits 3, its JSON record left unclosed; eq prints nothing
     monkeypatch.setattr(rewrite, "normalize", lambda w: parse("h0"))
     code, out, err = run(capsys, *argv)
     assert (code, err) == (3, "adjmon: internal error: the rewriting ends at 1, not at h0\n")
@@ -98,11 +98,11 @@ def test_trace_ending_off_the_canonical_form_exit_3(capsys, monkeypatch, argv, l
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-def test_oracle_right_word_ending_off_the_canonical_form_exit_3(capsys, monkeypatch, json_flag):
+def test_eq_right_word_ending_off_the_canonical_form_exit_3(capsys, monkeypatch, json_flag):
     # both words are checked: the left one ends at its canonical form, the right one does not
     real = rewrite.normalize
     monkeypatch.setattr(rewrite, "normalize", lambda w: parse("h0") if w == parse("e0 h1") else real(w))
-    code, out, err = run(capsys, "oracle", "h0", "e0 h1", *json_flag)
+    code, out, err = run(capsys, "eq", "h0", "e0 h1", *json_flag)
     assert (code, out, err) == (3, "", "adjmon: internal error: the rewriting ends at 1, not at h0\n")
 
 
@@ -135,9 +135,9 @@ def test_trace_over_budget_exit_2(capsys):
 
 
 def test_internal_error_exit_3(capsys, monkeypatch):
-    # rules that match no factor: the oracle's rewriting of e0 h0 stops there, away from its canonical form 1
+    # rules that match no factor: eq's rewriting of e0 h0 stops there, away from its canonical form 1
     monkeypatch.setattr(rewrite, "match_rule", lambda x, y: None)
-    code, out, err = run(capsys, "oracle", "e0 h0", "1")
+    code, out, err = run(capsys, "eq", "e0 h0", "1")
     assert (code, out) == (3, "")
     assert err == "adjmon: internal error: the rewriting ends at e0 h0, not at 1\n"
 
@@ -321,17 +321,25 @@ _ONE_LINE_GOLDENS = [
         ("mul", "h0 e0", "h0 e0", "--json"),
         '{"left": "h0 e0", "product": "h0 e0", "record": "mul", "right": "h0 e0"}',
     ),
-    (
-        ("eq", "h0 e0", "1", "--json"),
-        '{"equal": false, "left": "h0 e0", "normal_forms": ["h0 e0", "1"], "record": "eq", "right": "1"}',
+    (  # each word rewritten to its normal form, with its step count
+        ("eq", "e0 h1", "1", "--json"),
+        '{"equal": true, "left": "e0 h1", "normal_forms": ["1", "1"], "record": "eq", "right": "1", "steps": [2, 0]}',
     ),
     (
-        ("eq", "e0 h1", "1", "--json"),
-        '{"equal": true, "left": "e0 h1", "normal_forms": ["1", "1"], "record": "eq", "right": "1"}',
+        ("eq", "h0 e0", "1", "--json"),
+        '{"equal": false, "left": "h0 e0", "normal_forms": ["h0 e0", "1"], "record": "eq", "right": "1", '
+        '"steps": [0, 0]}',
+    ),
+    (("eq", "h1 e1", "1"), "not-equal"),
+    (
+        ("eq", "h1 e1", "1", "--json"),
+        '{"equal": false, "left": "h1 e1", "normal_forms": ["h1 e1", "1"], "record": "eq", "right": "1", '
+        '"steps": [0, 0]}',
     ),
     (  # the record renders the parsed words, not the argument text
         ("eq", "η1  ε1", "1", "--json"),
-        '{"equal": false, "left": "h1 e1", "normal_forms": ["h1 e1", "1"], "record": "eq", "right": "1"}',
+        '{"equal": false, "left": "h1 e1", "normal_forms": ["h1 e1", "1"], "record": "eq", "right": "1", '
+        '"steps": [0, 0]}',
     ),
     (
         ("trace", "e1 h1", "--json"),
@@ -342,24 +350,6 @@ _ONE_LINE_GOLDENS = [
     ),
     (("ncheck", "e0"), "member: witness 1"),
     (("ncheck", "e0", "--json"), '{"element": "e0", "member": true, "record": "membership", "witness": "1"}'),
-    (("oracle", "e0 h1", "1"), "equivalent"),
-    (  # each word rewritten to its normal form, with its step count
-        ("oracle", "e0 h1", "1", "--json"),
-        '{"equivalent": true, "left": "e0 h1", "normal_forms": ["1", "1"], "record": "oracle", "right": "1", '
-        '"steps": [2, 0]}',
-    ),
-    (("oracle", "h0 e0", "1"), "not-equivalent"),
-    (
-        ("oracle", "h0 e0", "1", "--json"),
-        '{"equivalent": false, "left": "h0 e0", "normal_forms": ["h0 e0", "1"], "record": "oracle", "right": "1", '
-        '"steps": [0, 0]}',
-    ),
-    (("oracle", "h1 e1", "1"), "not-equivalent"),
-    (
-        ("oracle", "h1 e1", "1", "--json"),
-        '{"equivalent": false, "left": "h1 e1", "normal_forms": ["h1 e1", "1"], "record": "oracle", "right": "1", '
-        '"steps": [0, 0]}',
-    ),
 ]
 
 
@@ -368,47 +358,48 @@ def test_one_line_golden(capsys, argv, line):
     assert run(capsys, *argv) == (0, line + "\n", "")
 
 
-def test_oracle_agrees_with_eq_on_the_largest_class(capsys):
+def test_eq_rewrites_the_largest_class(capsys):
     # this word's class, 11,271 words, is the largest within degree 12; the rewriting takes 5 steps
     word = "h0 h0 h0 e0 h0 e0 h0 e0 h0 e0 h1"
     assert run(capsys, "eq", word, "1") == (0, "not-equal\n", "")
-    code, out, err = run(capsys, "oracle", word, "1", "--json")
+    code, out, err = run(capsys, "eq", word, "1", "--json")
     assert (code, err) == (0, "")
-    assert json.loads(out) == {"record": "oracle", "left": word, "right": "1", "equivalent": False,
+    assert json.loads(out) == {"record": "eq", "left": word, "right": "1", "equal": False,
                                "normal_forms": ["h0 h0 h0", "1"], "steps": [5, 0]}
 
 
-def test_oracle_agrees_with_eq_on_every_word_of_degree_at_most_6():
-    parser = cli.build_parser()  # one parser for the 1,458 runs; main builds one per run
-
-    def record(*argv):
-        args, out = parser.parse_args(argv), io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert args.func(args) == 0
-        return json.loads(out.getvalue())
-
+def test_eq_rewrites_every_word_of_degree_at_most_6_to_its_normal_form():
+    parser = cli.build_parser()  # one parser for the 729 runs; main builds one per run
     universe = [w for level in confluence._words_by_degree(6) for w in level]
     assert len(universe) == 729
     for w in universe:
-        oracle, eq = record("oracle", render(w), "1", "--json"), record("eq", render(w), "1", "--json")
-        assert (oracle["equivalent"], oracle["normal_forms"]) == (eq["equal"], eq["normal_forms"]), w
+        args, out = parser.parse_args(["eq", render(w), "1", "--json"]), io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert args.func(args) == 0
+        record, trace = json.loads(out.getvalue()), rewrite.normalize_trace(w)
+        assert (record["steps"][0], record["normal_forms"][0]) == (len(trace.moves), render(trace.end)), w
 
 
-def test_oracle_answers_at_any_degree(capsys):
+def test_eq_answers_at_any_degree(capsys):
     # no universe is built: h12, of degree 13, is already normal
-    assert run(capsys, "oracle", "h12", "1") == (0, "not-equivalent\n", "")
+    assert run(capsys, "eq", "h12", "1") == (0, "not-equal\n", "")
     # each step makes new letters: 20,001 steps on a word of 2 letters
-    code, out, err = run(capsys, "oracle", "e10000 h10000", "1", "--json")
+    code, out, err = run(capsys, "eq", "e10000 h10000", "1", "--json")
     assert (code, err) == (0, "")
     record = json.loads(out)
-    assert (record["equivalent"], record["normal_forms"], record["steps"]) == (True, ["1", "1"], [20001, 0])
+    assert (record["equal"], record["normal_forms"], record["steps"]) == (True, ["1", "1"], [20001, 0])
 
 
-def test_oracle_over_budget_exit_2(capsys):
-    assert run(capsys, "oracle", "e1000000000000 h1000000000000", "1") == (2, "", (
-        "adjmon: oracle would take 2000000000001 steps on a word of 2 letters, "
-        "over the budget of 10000000 steps x letters\n"
-    ))
+def test_eq_over_budget_answers_without_rewriting(capsys, monkeypatch):
+    # 2,000,000,000,001 steps on a word of 2 letters: the word is not rewritten, and its steps are null
+    rewritten, real = [], rewrite._leftmost_moves
+    monkeypatch.setattr(rewrite, "_leftmost_moves", lambda letters: rewritten.append(render(letters)) or real(letters))
+    assert run(capsys, "eq", "e1000000000000 h1000000000000", "1") == (0, "equal\n", "")
+    assert rewritten == ["1"]
+    code, out, err = run(capsys, "eq", "e1000000000000 h1000000000000", "1", "--json")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["equal"], record["normal_forms"], record["steps"]) == (True, ["1", "1"], [None, 0])
 
 
 # Every option and positional of each command, by its flag or its name: the settable values (ROADMAP aim 2).
@@ -423,7 +414,6 @@ PARSER_SURFACE = {
     "ncheck": {"word", "--json"},
     "iso": {"--json"},
     "audit": {"--json"},
-    "oracle": {"left", "right", "--json"},
     "answer": {"--json"},
 }
 
@@ -466,7 +456,6 @@ def test_flag_outside_the_surface_refused_before_any_audit(capsys, monkeypatch, 
     [
         ("degree", "h{N}"),  # the degree, 10^N
         ("f", "h{N}"),  # the image's index
-        ("oracle", "e{N} h{N}", "1"),  # the step count, in the refusal
         ("trace", "e{N} h{N}"),  # the step count, in the refusal
     ],
     ids=lambda argv: argv[0],
@@ -714,7 +703,6 @@ def _loaded_by_main(*argv):
         (["ncheck", "h0 e0"], ["adjmon.monoid"]),
         (["axioms"], ["adjmon.monoid"]),
         (["audit"], ["adjmon.confluence"]),
-        (["oracle", "h0 e0", "1"], []),
         (["answer"], ["adjmon.confluence", "adjmon.monoid"]),
         (["ncheck"], ["adjmon.monoid"]),  # the closure suites
     ],

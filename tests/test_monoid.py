@@ -78,6 +78,17 @@ def test_element_times_a_non_element_is_a_type_error():
     assert a * element(parse("e0")) == element(parse("h0 e0"))
 
 
+def test_element_equals_only_an_element():
+    # a tuple of the same two fields is not the element, in either order of comparison and as a dict key
+    a = element(parse("h0"))
+    for other in (((0,), ()), [(0,), ()], tuple(a), parse("h0"), None):
+        assert not a == other and a != other
+        assert not other == a and other != a
+    assert ((0,), ()) not in {a: 1} and a not in {((0,), ()): 1}
+    assert a == element(parse("e0 h1 h0")) and not a != element(parse("e0 h1 h0"))
+    assert {a: 1}[Element((0,), ())] == 1 and len({a, Element((0,), ()), element(parse("h0 e0"))}) == 2
+
+
 def test_element_states_are_the_canonical_forms():
     # a pair of tuples is admitted exactly when the word it writes is canonical, its indices naturals
     entries = [t for n in range(4) for t in product(range(-1, 3), repeat=n)]
