@@ -321,10 +321,12 @@ _ONE_LINE_GOLDENS = [
         ("mul", "h0 e0", "h0 e0", "--json"),
         '{"left": "h0 e0", "product": "h0 e0", "record": "mul", "right": "h0 e0"}',
     ),
+    (("eq", "e0 h1", "1"), "equal"),
     (  # each word rewritten to its normal form, with its step count
         ("eq", "e0 h1", "1", "--json"),
         '{"equal": true, "left": "e0 h1", "normal_forms": ["1", "1"], "record": "eq", "right": "1", "steps": [2, 0]}',
     ),
+    (("eq", "h0 e0", "1"), "not-equal"),
     (
         ("eq", "h0 e0", "1", "--json"),
         '{"equal": false, "left": "h0 e0", "normal_forms": ["h0 e0", "1"], "record": "eq", "right": "1", '
@@ -335,6 +337,12 @@ _ONE_LINE_GOLDENS = [
         ("eq", "h1 e1", "1", "--json"),
         '{"equal": false, "left": "h1 e1", "normal_forms": ["h1 e1", "1"], "record": "eq", "right": "1", '
         '"steps": [0, 0]}',
+    ),
+    (("eq", "e1 h1", "e0 h0"), "equal"),
+    (  # the right word is rewritten too: 3 steps on the left, 1 on the right
+        ("eq", "e1 h1", "e0 h0", "--json"),
+        '{"equal": true, "left": "e1 h1", "normal_forms": ["1", "1"], "record": "eq", "right": "e0 h0", '
+        '"steps": [3, 1]}',
     ),
     (  # the record renders the parsed words, not the argument text
         ("eq", "η1  ε1", "1", "--json"),
@@ -400,6 +408,19 @@ def test_eq_over_budget_answers_without_rewriting(capsys, monkeypatch):
     assert (code, err) == (0, "")
     record = json.loads(out)
     assert (record["equal"], record["normal_forms"], record["steps"]) == (True, ["1", "1"], [None, 0])
+
+
+@pytest.mark.parametrize("left, steps", [("1", [0, None]), ("e1000000000000 h1000000000000", [None, None])],
+                         ids=["right", "both"])
+def test_eq_over_budget_on_either_side(capsys, monkeypatch, left, steps):
+    # each word is held to the budget on its own: a word over it is not rewritten, whichever side it is on
+    rewritten, real = [], rewrite._leftmost_moves
+    monkeypatch.setattr(rewrite, "_leftmost_moves", lambda letters: rewritten.append(render(letters)) or real(letters))
+    code, out, err = run(capsys, "eq", left, "e1000000000000 h1000000000000", "--json")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert (record["equal"], record["normal_forms"], record["steps"]) == (True, ["1", "1"], steps)
+    assert rewritten == ([] if steps[0] is None else ["1"])
 
 
 # Every option and positional of each command, by its flag or its name: the settable values (ROADMAP aim 2).
@@ -468,6 +489,16 @@ def test_number_over_digit_limit_refused(capsys, argv):
     code, out, err = run(capsys, *(a.format(N=nines) for a in argv))
     assert (code, out, err) == (2, "", f"adjmon: a number to print has more than {limit:,} digits, "
                                        "the most that Python prints\n")
+
+
+def test_eq_answers_a_word_whose_step_count_is_past_the_digit_limit(capsys):
+    # the step count of e{N} h{N} has more digits than Python prints; eq gives null for it, and answers
+    limit = sys.get_int_max_str_digits()
+    word = f"e{'9' * limit} h{'9' * limit}"
+    assert run(capsys, "eq", word, "1") == (0, "equal\n", "")
+    code, out, err = run(capsys, "eq", word, "1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["steps"] == [None, 0]
 
 
 def test_audit_and_answer_walk_no_word(capsys, monkeypatch):
@@ -705,6 +736,8 @@ def _loaded_by_main(*argv):
         (["audit"], ["adjmon.confluence"]),
         (["answer"], ["adjmon.confluence", "adjmon.monoid"]),
         (["ncheck"], ["adjmon.monoid"]),  # the closure suites
+        (["eq", "e1 h1", "e0 h0"], []),  # both words rewritten by the rules
+        (["eq", "e1000000000000 h1000000000000", "1"], []),  # a word over the budget, not rewritten
     ],
 )
 def test_commands_load_only_the_layers_they_call(argv, extra):
