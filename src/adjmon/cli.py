@@ -14,7 +14,8 @@ output is written, as by ``adjmon answer | head -1``.
 ``--json`` switches every command to line-delimited JSON records with
 stable ordering.  Each command prints its result through :func:`_out`, one
 record at a time, so its text and its JSON come from the same record;
-``trace --json`` writes its one record a step at a time.
+``trace`` prints a header record, then one ``step`` record per step as the
+rewriting makes it.
 No command takes a bound: ``audit`` and ``answer`` run the audits at the
 library's defaults, deciding termination on the redex pairs alone (word
 length 1, where no word has a step), and ``eq`` compares canonical forms,
@@ -28,7 +29,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain
 from typing import Callable, Iterable
 
 import adjmon as A  # A.monoid and A.confluence load on first access, as adjmon._DEFERRED says
@@ -85,25 +85,14 @@ def cmd_trace(args) -> int:
         raise ValueError(f"trace would take {steps} steps on a word of {len(w)} letters, "
                          f"over the budget of {TRACE_BUDGET} steps x letters")
     letters = list(w)
-    moves = rewrite._leftmost_moves(letters)  # rewrites letters in place, step by step
     start = words.render(w)
-    write = sys.stdout.write
-    if not args.json:
-        _out(args, None, chain([start], (f"{words.render(letters)}  [{rule.case.value} @ {p}]" for p, rule in moves)))
-    else:
-        import json
-        # the record's sorted keys put normal_form before steps, so the line is written a step at a time: the record
-        # with no step, up to its closing "]}", then each step, then "]}"
-        head = json.dumps({"normal_form": words.render(nf), "record": "trace", "start": start, "steps": []},
-                          sort_keys=True)
-        write(head[:-2])
-        for i, (p, rule) in enumerate(moves):
-            step = {"after": words.render(letters), "case": rule.case.value, "position": p}
-            write((", " if i else "") + json.dumps(step, sort_keys=True))
+    _out(args, lambda: {"record": "trace", "start": start, "normal_form": words.render(nf)}, [start])
+    for p, rule in rewrite._leftmost_moves(letters):  # rewrites letters in place, step by step
+        after = words.render(letters)
+        _out(args, lambda: {"record": "step", "after": after, "case": rule.case.value, "position": p},
+             [f"{after}  [{rule.case.value} @ {p}]"])
     # either mode exits 3, after the steps it has written, when the rewriting ends off the canonical form
     _check_end(letters, nf)
-    if args.json:
-        write("]}\n")
     return 0
 
 
@@ -215,16 +204,17 @@ def _row_line(r: A.confluence.SubcaseRow) -> str:
     )
 
 
-def _certificate():  # the overlaps, and termination at their index bound on words of length 1: no word has a step
+def _certificate():  # the overlaps, termination at their bound on words of length 1 (none has a step), the verdict
     conf = A.confluence.audit_local_confluence()
-    return conf, A.confluence.audit_termination(1, conf.max_index)
+    term = A.confluence.audit_termination(1, conf.max_index)
+    return conf, term, term.passed and conf.passed and conf.all_subcases_instantiated  # that audit and answer read
 
 
 def cmd_audit(args) -> int:
-    conf, term = _certificate()
+    conf, term, certified = _certificate()
     oracle = A.confluence.cross_check_oracle()
     letters = 2 * conf.max_index + 2
-    ok = term.passed and conf.passed and oracle.passed
+    ok = certified and oracle.passed
     _out(args, lambda: {"record": "termination", "letters": letters, "pass": term.passed,
                         "bad_pairs": [[words.render((x, y)), drop] for x, y, drop in term.bad_pairs]},
          [f"termination: {letters} letters of index <= {conf.max_index}, "
@@ -250,8 +240,9 @@ def cmd_audit(args) -> int:
 
 def cmd_answer(args) -> int:
     verdict = A.monoid.answer_open_question()
-    conf, term = _certificate()
-    certified = term.passed and conf.passed and conf.all_subcases_instantiated
+    conf, term, certified = _certificate()
+    missing = ", ".join(map(" ".join, conf.not_instantiated))  # the subcases with no instance, as "EEH k=j"
+    overlaps = f"overlaps at max index {conf.max_index}" + (f", not instantiated: {missing}" if missing else "")
     ok = verdict.verdict == A.monoid.NOT_ISO and certified
     criteria = verdict.criteria
     _out(
@@ -280,8 +271,8 @@ def cmd_answer(args) -> int:
             *(f"  {_condition_line(c)}" for c in criteria.conditions),
             f"  {_derived_line(criteria)}",
             f"certificate: termination {'PASS' if term.passed else 'FAIL'}, "
-            f"local confluence {'PASS' if conf.passed else 'FAIL'} "
-            f"(overlaps at max index {conf.max_index}; run `adjmon audit` for the oracle cross-check)",
+            f"local confluence {'PASS' if conf.passed and not missing else 'FAIL'} "
+            f"({overlaps}; run `adjmon audit` for the oracle cross-check)",
         ],
     )
     return 0 if ok else 1

@@ -4,9 +4,9 @@ A word is a tuple of :class:`Generator` letters; the empty tuple is the
 monoid identity.  Letters compare by value, and the package reads each
 from its kind's letter table (:func:`letter`, :func:`eta`, :func:`eps`,
 the token table, ``rewrite``'s form writer), which shares one immutable
-instance per value.  Each table holds at most ``LETTER_CACHE_SIZE``
-letters, and a full one starts afresh, empty; the token table holds only
-letters that their kind's table holds, and starts afresh with it.  The
+instance per value and refuses an index that is not a natural int.  The
+kind tables, the token table and :func:`render`'s text table are one
+bounded table class; the token table starts afresh with a kind table.  The
 text format is space-optional tokens ``h<k>`` / ``e<k>`` (Unicode aliases
 ``η<k>`` / ``ε<k>`` accepted on input), with the bare token ``1`` standing
 for the empty word.  :func:`parse` reads spaced letter tokens with a
@@ -30,7 +30,8 @@ EPS = "e"
 
 
 class Generator(NamedTuple):
-    """One letter: an eta or an eps with a natural-number index."""
+    """One letter: an eta or an eps with a natural-number index; built
+    directly, as ``Generator(kind, -1)``, the raw record is unchecked."""
 
     kind: str  # ETA or EPS
     index: int
@@ -42,49 +43,79 @@ EMPTY: Word = ()
 
 
 # The audits and short queries use a few dozen letters, the longest bench words 1,600.
-# Each kind's letter table and the token table hold at most this many, and a full one
-# starts afresh, empty; render's token texts keep this many, the most recently used.
+# Each kind's letter table, the token table and render's text table hold at most this
+# many, and a full one starts afresh, empty.
 LETTER_CACHE_SIZE = 4096
 
 
-class _Letters(dict):
-    """index -> the letter (kind, index), for one kind; a miss builds the letter.
+class _Table(dict):
+    """key -> ``build(key)``, built on a miss, which ``build`` may refuse
+    with ValueError before anything is cleared.  Once the table holds
+    ``LETTER_CACHE_SIZE`` values, a miss clears it and its ``dependents``,
+    the tables that hold its values, then stores the new one."""
 
-    Refuses with ValueError an index that is not an int, a bool or a float
-    included, so no such letter is held.  The check runs on a miss only:
-    the table compares keys by ==, so True or 1.0 hits a held ``h1`` and
-    gets that letter; every letter returned has an int index.  Once it holds
-    ``LETTER_CACHE_SIZE`` letters, a miss clears it and the token table, so
-    the token table holds only letters that their kind's table holds.
-    """
+    __slots__ = ("build", "dependents")
 
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str):
+    def __init__(self, build, dependents=()):
         super().__init__()
-        self.kind = kind
+        self.build, self.dependents = build, dependents
 
-    def __missing__(self, index: int) -> Generator:
-        if type(index) is not int:
-            raise ValueError(f"a letter's index must be an int, not {type(index).__name__}: {index!r}")
+    def __missing__(self, key):
+        value = self.build(key)
         if len(self) >= LETTER_CACHE_SIZE:
             self.clear()
-            _TOKENS.clear()
-        g = self[index] = Generator(self.kind, index)
-        return g
+            for table in self.dependents:
+                table.clear()
+        self[key] = value
+        return value
 
 
-_LETTERS = {ETA: _Letters(ETA), EPS: _Letters(EPS)}
+# Word text is letter tokens, run together or apart, or the lone token 1.
+# re's \s is exactly str.isspace(), where str.split() splits; [0-9] keeps
+# indices ASCII.
+_LETTER_TOKEN = re.compile(r"[hηeε][0-9]+")
+# One token of any text, good or bad (groups: token, 1, kind, digits); compiled
+# by re on first use, when the whitespace split refuses a text.
+_SCAN = r"\s*((1)|([hηeε])([0-9]*)|\S)"
+
+
+def _read_token(token: str) -> Generator:
+    """The letter of a letter token, read from its kind's table; ValueError
+    for any other text.  The pattern comes first, since int() also reads
+    ``_``, ``+``, ``-`` and non-ASCII digits."""
+    if not _LETTER_TOKEN.fullmatch(token):
+        raise ValueError(f"not a letter token: {token!r}")
+    return _ALIAS_LETTERS[token[0]][int(token[1:])]  # may clear the token table: a letter table starts afresh
+
+
+# token -> its letter, while its kind's table holds the letter
+_TOKENS = _Table(_read_token)
+_token_letter = _TOKENS.__getitem__
+
+
+def _letter_builder(kind: str):
+    def build(index: int) -> Generator:
+        # on a miss only: keys compare by ==, so True or 1.0 hits a held h1 and gets that letter
+        if type(index) is not int or index < 0:
+            raise ValueError(f"a letter's index must be a natural int, not {index!r}")
+        return Generator(kind, index)
+    return build
+
+
+# kind -> its letter table, index -> the letter (kind, index)
+_LETTERS = {kind: _Table(_letter_builder(kind), (_TOKENS,)) for kind in (ETA, EPS)}
 _ETAS, _EPSS = _LETTERS[ETA], _LETTERS[EPS]
 # a token's first character -> its kind's table, Unicode aliases included
 _ALIAS_LETTERS = {"h": _ETAS, "η": _ETAS, "e": _EPSS, "ε": _EPSS}
+# letter -> its text, as render writes it
+_TEXTS = _Table(lambda g: f"{g.kind}{g.index}")
 
 
 def letter(kind: str, index: int) -> Generator:
     """The letter (kind, index), read from its kind's table: equal arguments
     share one instance while the table holds it.  Refuses with ValueError a
     kind other than ``ETA`` or ``EPS``, and, as the table does, an index
-    that is not an int."""
+    that is not a natural int."""
     try:
         table = _LETTERS[kind]
     except KeyError:
@@ -130,45 +161,6 @@ class NotCanonicalError(ValueError):
     """An :class:`adjmon.monoid.Element` pair that is not a canonical form's state, or a rewriting off its form."""
 
 
-# Word text is letter tokens, run together or apart, or the lone token 1.
-# re's \s is exactly str.isspace(), where str.split() splits; [0-9] keeps
-# indices ASCII.
-_LETTER_TOKEN = re.compile(r"[hηeε][0-9]+")
-# One token of any text, good or bad (groups: token, 1, kind, digits); compiled
-# by re on first use, when the whitespace split refuses a text.
-_SCAN = r"\s*((1)|([hηeε])([0-9]*)|\S)"
-
-
-class _Tokens(dict):
-    """token -> its letter, the one its kind's table holds; a miss reads the token.
-
-    Raises ValueError for any piece of text but a letter token, and stores
-    none: the pattern comes first, since int() also reads ``_``, ``+``,
-    ``-`` and non-ASCII digits.  Once it holds ``LETTER_CACHE_SIZE``
-    tokens, a miss clears it.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, token: str) -> Generator:
-        if not _LETTER_TOKEN.fullmatch(token):
-            raise ValueError(f"not a letter token: {token!r}")
-        g = _ALIAS_LETTERS[token[0]][int(token[1:])]  # may clear this table: a letter table starts afresh
-        if len(self) >= LETTER_CACHE_SIZE:
-            self.clear()
-        self[token] = g
-        return g
-
-
-_TOKENS = _Tokens()
-_token_letter = _TOKENS.__getitem__
-
-
-@lru_cache(maxsize=LETTER_CACHE_SIZE)
-def _token_text(g: Generator) -> str:
-    return f"{g.kind}{g.index}"
-
-
 def parse(text: str) -> Word:
     """Parse word text; inverse of :func:`render` on canonical output.
 
@@ -206,7 +198,7 @@ def _scan(text: str) -> Word:
             identity = True
             continue
         try:
-            out.append(_ALIAS_LETTERS[kind][int(digits)])
+            out.append(_token_letter(token))
         except ValueError:
             raise WordSyntaxError(f"index after {kind!r} has too many digits", text, start) from None
     if not (out or identity):
@@ -216,7 +208,7 @@ def _scan(text: str) -> Word:
 
 def render(w: Word) -> str:
     """Space-separated ASCII tokens; the empty word renders as ``1``."""
-    return " ".join(map(_token_text, w)) if w else "1"
+    return " ".join(map(_TEXTS.__getitem__, w)) if w else "1"
 
 
 # --- enumeration ------------------------------------------------------------

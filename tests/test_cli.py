@@ -73,24 +73,25 @@ def test_trace_text_is_the_replayed_trace(w):
 
 @given(small_words())
 def test_trace_json_streams_the_record(w):
-    # the line is written a step at a time; its bytes are those of the whole record
+    # a header record, then one step record per step as the rewriting makes it: the steps of Trace.steps
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["trace", render(w), "--json"]) == 0
     trace = rewrite.normalize_trace(w)
-    steps = [{"position": s.position, "case": s.rule.case.value, "after": render(s.after)} for s in trace.steps]
-    record = {"record": "trace", "start": render(w), "steps": steps, "normal_form": render(trace.end)}
-    assert out.getvalue() == json.dumps(record, sort_keys=True) + "\n"
+    header, *steps = map(json.loads, out.getvalue().splitlines())
+    assert header == {"record": "trace", "start": render(w), "normal_form": render(trace.end)}
+    assert steps == [{"record": "step", "position": s.position, "case": s.rule.case.value, "after": render(s.after)}
+                     for s in trace.steps]
 
 
 @pytest.mark.parametrize("argv, last", [
     (["trace", "e0 h1"], "1  [EpsEta_Zero @ 0]\n"),
-    (["trace", "e0 h1", "--json"], '"position": 0}'),
+    (["trace", "e0 h1", "--json"], '{"after": "1", "case": "EpsEta_Zero", "position": 0, "record": "step"}\n'),
     (["eq", "e0 h1", "1"], None),
     (["eq", "e0 h1", "1", "--json"], None),
 ], ids=["text", "json", "eq-text", "eq-json"])
 def test_trace_ending_off_the_canonical_form_exit_3(capsys, monkeypatch, argv, last):
-    # trace writes every step in either mode, then exits 3, its JSON record left unclosed; eq prints nothing
+    # trace writes every step in either mode, each JSON record whole, then exits 3; eq prints nothing
     monkeypatch.setattr(rewrite, "normalize", lambda w: parse("h0"))
     code, out, err = run(capsys, *argv)
     assert (code, err) == (3, "adjmon: internal error: the rewriting ends at 1, not at h0\n")
@@ -349,13 +350,6 @@ _ONE_LINE_GOLDENS = [
         '{"equal": false, "left": "h1 e1", "normal_forms": ["h1 e1", "1"], "record": "eq", "right": "1", '
         '"steps": [0, 0]}',
     ),
-    (
-        ("trace", "e1 h1", "--json"),
-        '{"normal_form": "1", "record": "trace", "start": "e1 h1", "steps": ['
-        '{"after": "e0 h1", "case": "EpsEta_IEqJPos", "position": 0}, '
-        '{"after": "e0 h0", "case": "EpsEta_JEqIPlus1", "position": 0}, '
-        '{"after": "1", "case": "EpsEta_Zero", "position": 0}]}',
-    ),
     (("ncheck", "e0"), "member: witness 1"),
     (("ncheck", "e0", "--json"), '{"element": "e0", "member": true, "record": "membership", "witness": "1"}'),
 ]
@@ -364,6 +358,15 @@ _ONE_LINE_GOLDENS = [
 @pytest.mark.parametrize("argv, line", _ONE_LINE_GOLDENS, ids=[" ".join(argv) for argv, _ in _ONE_LINE_GOLDENS])
 def test_one_line_golden(capsys, argv, line):
     assert run(capsys, *argv) == (0, line + "\n", "")
+
+
+def test_trace_json_golden(capsys):
+    assert run(capsys, "trace", "e1 h1", "--json") == (0, (
+        '{"normal_form": "1", "record": "trace", "start": "e1 h1"}\n'
+        '{"after": "e0 h1", "case": "EpsEta_IEqJPos", "position": 0, "record": "step"}\n'
+        '{"after": "e0 h0", "case": "EpsEta_JEqIPlus1", "position": 0, "record": "step"}\n'
+        '{"after": "1", "case": "EpsEta_Zero", "position": 0, "record": "step"}\n'
+    ), "")
 
 
 def test_eq_rewrites_the_largest_class(capsys):
@@ -655,6 +658,47 @@ def test_answer_json(capsys):
         '"derived_holds": false, "eps_eta": "1", "eta_eps": "h0 e0", "eta_eps_idempotent": true, '
         '"record": "answer", "verdict": "NOT_ISO"}\n'
     )
+
+
+def test_audit_and_answer_fail_an_uninstantiated_subcase(capsys, monkeypatch):
+    # both commands read one certificate verdict: a subcase with no instance fails audit and answer alike
+    real = confluence.audit_local_confluence
+
+    def missing_eeh_k_eq_j(max_index=6):
+        report = real(max_index)
+        rows = tuple(r for r in report.rows if (r.family, r.subcase) != ("EEH", "k=j"))
+        return report._replace(rows=rows, not_instantiated=(("EEH", "k=j"),))
+
+    monkeypatch.setattr(confluence, "audit_local_confluence", missing_eeh_k_eq_j)
+    code, out, _ = run(capsys, "audit")
+    assert code == 1
+    assert not any(line.startswith("EEH       k=j ") for line in out.splitlines())
+    assert out.splitlines()[-5:] == [
+        "HHH       -                 35       35  h0 h0 h0       35/35",
+        "EEH k=j  NOT INSTANTIATED at this index bound",
+        "joinable: PASS",
+        "oracle cross-check: population 259, pairs 33670, spot-checked 25, discrepancies 0  PASS",
+        "audit: FAIL",
+    ]
+    code, out, _ = run(capsys, "audit", "--json")
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        '{"family": "EEH", "record": "not_instantiated", "subcase": "k=j"}',
+        '{"discrepancies": 0, "pairs": 33670, "pass": true, "population": 259, "record": "oracle_cross_check", '
+        '"spot_checked": 25}',
+        '{"pass": false, "record": "audit_summary"}',
+    ]
+    code, out, _ = run(capsys, "answer")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "certificate: termination PASS, local confluence FAIL "
+        "(overlaps at max index 6, not instantiated: EEH k=j; run `adjmon audit` for the oracle cross-check)"
+    )
+    code, out, _ = run(capsys, "answer", "--json")
+    assert code == 1
+    assert json.loads(out)["certificate"] == {
+        "all_subcases_instantiated": False, "local_confluence": True, "termination": True,
+    }
 
 
 def test_console_script_entry_point():

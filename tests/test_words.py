@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from adjmon.rewrite import normalize
 from adjmon.words import (
     _LETTERS,
+    _TEXTS,
     _TOKENS,
     EMPTY,
     EPS,
@@ -227,6 +228,15 @@ def test_letter_refuses_an_index_that_is_not_an_int():
     assert render(parse("h123456789 e0")) == "h123456789 e0"
 
 
+def test_letter_refuses_a_negative_index():
+    # a letter of index -1 would fold and rewrite as no natural letter does
+    for make in (lambda: letter(ETA, -1), lambda: eta(-1), lambda: eps(-1)):
+        with pytest.raises(ValueError):
+            make()
+    assert all(-1 not in table for table in _LETTERS.values())
+    assert Generator(ETA, -1).index == -1  # the raw record is not checked
+
+
 def test_letter_refuses_a_kind_but_eta_or_eps():
     # a letter of any other kind would render as x1 and fold as an eps
     for kind in ("x", "η", "ε", "", None, 0):
@@ -263,6 +273,38 @@ def test_letter_tables_stay_bounded_and_start_afresh():
             assert all(g is letter(*g) for g in w)
         assert all(_LETTERS[g.kind].get(g.index) is g for g in _TOKENS.values())
     assert all(fresh.values()), fresh
+    assert render(parse("h1 e0")) == "h1 e0"
+
+
+def test_token_table_starts_afresh_by_itself():
+    # 2,000 letters in three spellings each: 6,000 tokens, while every letter stays in its kind's table
+    base = 8 * 10**9
+    for _ in range(2):  # a kind table that starts afresh in the first pass holds all 2,000 after the second
+        for i in range(2000):
+            eta(base + i)
+    kinds = [len(table) for table in _LETTERS.values()]
+    fresh = 0
+    for i in range(2000):
+        for text in (f"h{base + i}", f"h0{base + i}", f"η{base + i}"):
+            size = len(_TOKENS)
+            (g,) = parse(text)
+            assert g is letter(*g) is eta(base + i)
+            assert len(_TOKENS) <= LETTER_CACHE_SIZE
+            fresh += len(_TOKENS) < size
+    assert [len(table) for table in _LETTERS.values()] == kinds  # no kind table started afresh
+    assert fresh
+
+
+def test_text_table_stays_bounded_and_starts_afresh():
+    base = 9 * 10**9
+    fresh = 0
+    for i in range(3 * LETTER_CACHE_SIZE):
+        size = len(_TEXTS)
+        g = (eta, eps)[i % 2](base + i)
+        assert render((g, eta(0))) == f"{g.kind}{base + i} h0"
+        assert len(_TEXTS) <= LETTER_CACHE_SIZE
+        fresh += len(_TEXTS) < size
+    assert fresh
     assert render(parse("h1 e0")) == "h1 e0"
 
 
