@@ -243,6 +243,7 @@ def cmd_answer(args) -> int:
     conf, term, certified = _certificate()
     missing = ", ".join(map(" ".join, conf.not_instantiated))  # the subcases with no instance, as "EEH k=j"
     overlaps = f"overlaps at max index {conf.max_index}" + (f", not instantiated: {missing}" if missing else "")
+    confluent = conf.passed and conf.all_subcases_instantiated  # one verdict for the text and the record
     ok = verdict.verdict == A.monoid.NOT_ISO and certified
     criteria = verdict.criteria
     _out(
@@ -257,7 +258,7 @@ def cmd_answer(args) -> int:
             "derived_holds": criteria.derived_holds,
             "certificate": {
                 "termination": term.passed,
-                "local_confluence": conf.passed,
+                "local_confluence": confluent,
                 "all_subcases_instantiated": conf.all_subcases_instantiated,
             },
         },
@@ -271,7 +272,7 @@ def cmd_answer(args) -> int:
             *(f"  {_condition_line(c)}" for c in criteria.conditions),
             f"  {_derived_line(criteria)}",
             f"certificate: termination {'PASS' if term.passed else 'FAIL'}, "
-            f"local confluence {'PASS' if conf.passed and not missing else 'FAIL'} "
+            f"local confluence {'PASS' if confluent else 'FAIL'} "
             f"({overlaps}; run `adjmon audit` for the oracle cross-check)",
         ],
     )

@@ -27,12 +27,18 @@ per subcase, the first whose guard holds (``rewrite.first_row``), holding
 its closed form; a family's last row has the empty guard.  The subcase
 names, the classification of parents, each critical pair's closed form
 ``expected`` and the subcases not instantiated are all read from it.
+
+A guard is a set of difference bounds lo <= a - b <= hi on the indices,
+so its truth is fixed on each cell of index differences: the differences
+that the family's guards read, each clipped to [L - 1, H + 1], where L and
+H are the table's least and greatest finite bounds.  ``_overlap_pairs``
+asks ``first_row`` once per cell, and keeps the answers in a dict that
+lives for one call; ``audit_local_confluence`` gives the argument.
 """
 
 from __future__ import annotations
 
 import gc
-from collections import deque
 from itertools import chain, groupby, islice, product
 from typing import Iterator, NamedTuple
 
@@ -93,27 +99,53 @@ def _redex_pairs(letters: list[Generator]) -> list[tuple[Generator, Generator, R
     return [(x, y, rule) for x, y in product(letters, repeat=2) if (rule := match_rule(x, y)) is not None]
 
 
+def _cell_reader(table: tuple, max_index: int) -> tuple[tuple[tuple[int, int], ...], dict[int, int]]:
+    """What a parent's cell reads under an overlap table: the distinct slot
+    pairs (u, v) of its guards, O included, and each index difference d
+    with |d| <= max_index, clipped to [L - 1, H + 1] for L and H the least
+    and greatest finite bounds of the table.
+    """
+    slots = tuple(dict.fromkeys((u, v) for _, guard, _ in table for u, v, _, _ in guard))
+    bounds = [b for _, guard, _ in table for *_, lo, hi in guard for b in (lo, hi) if abs(b) != INF]
+    low, high = min(bounds, default=0) - 1, max(bounds, default=0) + 1
+    return slots, {d: min(max(d, low), high) for d in range(-max_index, max_index + 1)}
+
+
 def _overlap_pairs(max_index: int) -> Iterator[CriticalPair]:
     """Every three-letter parent with two overlapping redexes, indices
     bounded by max_index, tagged with family, subcase and closed form, in
     scan order, which is ``word_key`` order.
 
     A parent x y z joins the redex pairs x y and y z on their shared
-    letter; an overlap outside the four families is a hard error.
+    letter; an overlap outside the four families is a hard error, raised
+    at the first parent of its letter kinds.  Each parent's row is the one
+    ``first_row`` picks for its cell (see ``audit_local_confluence``), read
+    from a dict that lives for this call.
     """
     if max_index < MIN_OVERLAP_INDEX:
         raise ValueError(f"max_index must be >= {MIN_OVERLAP_INDEX} to instantiate every overlap family")
     pairs = _redex_pairs(alphabet(max_index))
     starting = {y: [(z, right) for _, z, right in group] for y, group in groupby(pairs, lambda p: p[0])}  # y z by y
+    shapes: dict[tuple[str, ...], tuple] = {}  # letter kinds -> (family, slot pairs, clip)
+    rows: dict[tuple, tuple] = {}  # (letter kinds, *cell) -> the row that first_row picks there
     for x, y, left in pairs:
         for z, right in starting.get(y, ()):
-            parent = (x, y, z)
-            family = "".join(g.kind for g in parent).upper()
-            if family not in _CASES:
-                raise AssertionError(f"overlap outside the four families at {render(parent)}")
-            indices = tuple(g.index for g in parent)
-            name, _, form = first_row(_CASES[family], indices)
-            yield CriticalPair(parent, left.rhs + (z,), (x,) + right.rhs, family, name, instantiate(form, indices))
+            kinds = (x.kind, y.kind, z.kind)
+            shape = shapes.get(kinds)
+            if shape is None:
+                family = "".join(kinds).upper()
+                if family not in _CASES:
+                    raise AssertionError(f"overlap outside the four families at {render((x, y, z))}")
+                shape = shapes[kinds] = (family, *_cell_reader(_CASES[family], max_index))
+            family, slots, clip = shape
+            indices = (x.index, y.index, z.index)
+            at = (*indices, 0)  # slot O, the last, reads 0
+            cell = (kinds, *[clip[at[u] - at[v]] for u, v in slots])
+            row = rows.get(cell)
+            if row is None:
+                row = rows[cell] = first_row(_CASES[family], indices)
+            name, _, form = row
+            yield CriticalPair((x, y, z), left.rhs + (z,), (x,) + right.rhs, family, name, instantiate(form, indices))
 
 
 def enumerate_overlaps(max_index: int) -> list[CriticalPair]:
@@ -138,14 +170,21 @@ def common_reducts(pair: CriticalPair) -> frozenset[Word]:
 
 
 def _rewrites_to_expected(pair: CriticalPair) -> bool:
-    """Does the leftmost rewriting of each reduct, cut at the reduct's
-    degree in steps, end at the closed form ``expected``?  Every step lowers
-    the degree, so the cut ends no rewriting of ``RULES``; it ends one that
-    a changed table keeps going.  A None closed form is never reached.
+    """Does the leftmost rewriting of each reduct, cut at the parent's
+    degree in steps, end at the closed form ``expected``?  Under ``RULES``
+    every step lowers the degree, and no reduct is heavier than its parent,
+    so the cut ends no rewriting; it ends one that a changed table keeps
+    going.  Any cut is sound, as the steps are real: a rewriting that ends
+    at ``expected`` shows it a reduct.  A None closed form is never reached.
     """
+    budget = degree(pair.parent)
     for reduct in (pair.left_reduct, pair.right_reduct):
         letters = list(reduct)
-        deque(islice(_leftmost_moves(letters), degree(reduct)), maxlen=0)
+        steps = 0
+        for _ in _leftmost_moves(letters):
+            steps += 1
+            if steps == budget:
+                break
         if tuple(letters) != pair.expected:  # never equal to None
             return False
     return True
@@ -210,29 +249,46 @@ def audit_local_confluence(max_index: int = 6) -> LocalConfluenceReport:
     alternative form, and those whose closed form is None or not reached
     (a disjoint parent's that keeps a redex, or any under a changed table).
     So every tally is the one the full graphs give.
+
+    Each overlap parent's row is decided once per cell (``_overlap_pairs``).
+    With L and H the least and greatest finite bounds of the family's
+    table, a guard bound lo <= d <= hi, each end infinite or within [L, H],
+    has the same truth at d and at d clipped to [L - 1, H + 1]: below L,
+    both d and L - 1 fail every finite lo and pass every finite hi, and
+    above H both pass every finite lo and fail every finite hi.  So
+    ``first_row`` picks one row at every parent of a cell.  L and H are
+    read off the table, and the dict of cells made, at each call, so a
+    table changed between calls, even one whose bound moves past the
+    shipped range, is read afresh.  The counts are plain integers per row,
+    and each ``SubcaseRow`` is built once, at the end.
     """
-    rows: dict[tuple[str, str | None], SubcaseRow] = {}  # tallied as each pair is resolved
+    # row -> [sample bound, instances, joinable, formula matches, alt formula matches, alt formula applicable]
+    tallies: dict[tuple[str, str | None], list] = {}
     unjoinable = []
     for pair in chain(_overlap_pairs(max_index), _disjoint_pairs(max_index)):
-        alt = alternative_bound(pair)
         key = (pair.family, pair.subcase)
-        r = rows.get(key)
-        witnessed = r is not None and alt is None and _rewrites_to_expected(pair)
-        commons = frozenset({pair.expected}) if witnessed else common_reducts(pair)
+        alt = alternative_bound(pair) if key in _ALTERNATIVE else None
+        tally = tallies.get(key)
+        if tally is not None and alt is None and _rewrites_to_expected(pair):
+            tally[1] += 1  # expected, the one common reduct that the counts read, joins the pair
+            tally[2] += 1
+            tally[3] += 1
+            continue
+        commons = common_reducts(pair)
         if not commons:
             unjoinable.append(pair)
-        r = r or SubcaseRow(pair.family, pair.subcase, 0, 0, _least(commons), 0)
-        rows[key] = r._replace(
-            instances=r.instances + 1,
-            joinable=r.joinable + bool(commons),
-            formula_matches=r.formula_matches + (pair.expected in commons),
-            alt_formula_matches=r.alt_formula_matches + (alt is not None and alt in commons),
-            alt_formula_applicable=r.alt_formula_applicable + (alt is not None),
-        )
+        if tally is None:
+            tally = tallies[key] = [_least(commons), 0, 0, 0, 0, 0]
+        tally[1] += 1
+        tally[2] += bool(commons)
+        tally[3] += pair.expected in commons
+        tally[4] += alt is not None and alt in commons
+        tally[5] += alt is not None
 
     cases = {(family, name) for family, table in _CASES.items() for name, _, _ in table}
-    missing = tuple(sorted((f, str(s)) for f, s in cases - set(rows)))
-    ordered = sorted(rows.values(), key=lambda r: (r.family, str(r.subcase)))
+    missing = tuple(sorted((f, str(s)) for f, s in cases - set(tallies)))
+    rows = [SubcaseRow(*key, n, joined, sample, *hits) for key, (sample, n, joined, *hits) in tallies.items()]
+    ordered = sorted(rows, key=lambda r: (r.family, str(r.subcase)))
     return LocalConfluenceReport(max_index, tuple(ordered), missing, tuple(unjoinable))
 
 

@@ -697,7 +697,7 @@ def test_audit_and_answer_fail_an_uninstantiated_subcase(capsys, monkeypatch):
     code, out, _ = run(capsys, "answer", "--json")
     assert code == 1
     assert json.loads(out)["certificate"] == {
-        "all_subcases_instantiated": False, "local_confluence": True, "termination": True,
+        "all_subcases_instantiated": False, "local_confluence": False, "termination": True,
     }
 
 

@@ -702,6 +702,47 @@ def test_case_mutants_cover_every_bound_and_offset():
     assert len(list(_case_mutants())) == 104
 
 
+@pytest.mark.parametrize("family, n, row", _case_mutants())
+def test_cells_pick_the_scanned_rows_under_every_case_mutant(monkeypatch, family, n, row):
+    # the rows are read per cell, the scan's per parent: a cell clipped to the shipped bounds fails
+    # a mutant that moves a bound past them, as EHH i=j-1 with lo -2 reading i - j = -3 as -2
+    table = confluence._CASES[family]
+    monkeypatch.setitem(confluence._CASES, family, table[:n] + (row,) + table[n + 1 :])
+    assert list(confluence._overlap_pairs(6)) == list(_scanned_overlap_pairs(6))
+
+
+def _cells(max_index):
+    """The (letter kinds, cell) of every overlap parent: each index difference
+    that a guard of its family reads, clipped to one beyond the table's
+    least and greatest finite bounds."""
+    keys = set()
+    for pair in _scanned_overlap_pairs(max_index):
+        table = confluence._CASES[pair.family]
+        bounds = [b for _, guard, _ in table for *_, lo, hi in guard for b in (lo, hi) if abs(b) != INF]
+        reads = {(u, v) for _, guard, _ in table for u, v, _, _ in guard}
+        at = (*(g.index for g in pair.parent), 0)
+        clip = lambda d: min(max(d, min(bounds) - 1), max(bounds) + 1)
+        keys.add((tuple(g.kind for g in pair.parent), frozenset((u, v, clip(at[u] - at[v])) for u, v in reads)))
+    return keys
+
+
+def test_each_cell_asks_first_row_once(monkeypatch):
+    real, asked = rewrite.first_row, []
+    monkeypatch.setattr(confluence, "first_row", lambda rows, indices: asked.append(indices) or real(rows, indices))
+    audit_local_confluence(10)
+    # one ask per cell, where a scan of the parents asks once each, 1,540 times at index 10
+    assert len(asked) == len(_cells(10)) == 26
+    asked.clear()
+    audit_local_confluence(10)
+    assert len(asked) == 26  # the cells are kept for one call only
+
+
+def test_witnessed_counts_equal_the_graphs_at_the_bench_bound(monkeypatch):
+    got, reference = _audit_and_reference(monkeypatch, 10)
+    assert got == reference
+    assert sum(r.instances for r in got.rows) == 1540 + confluence.DISJOINT_SAMPLES
+
+
 def test_graphs_are_built_only_where_no_witness_is(monkeypatch):
     real, built = confluence.common_reducts, []
     monkeypatch.setattr(confluence, "common_reducts", lambda pair: built.append(pair) or real(pair))
